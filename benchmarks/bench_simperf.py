@@ -22,13 +22,7 @@ Measures the mechanisms of docs/PERFORMANCE.md on this machine:
    cache across several paper sizes;
 6. the disabled-tracer fast path of :mod:`repro.obs` — instrumentation
    must cost nothing when ``REPRO_TRACE`` is unset, so the per-call
-   overhead of a no-op ``tracer.span()`` is measured and bounded;
-7. sweep scaling: the work-stealing scheduler (persistent pool,
-   cost-ordered dispatch) vs the legacy batch-synchronous fan-out
-   (fresh pool + blocking ``pool.map`` per sweep call) on a
-   straggler-heavy spec mix — the speedup is asserted only on
-   multi-core hosts (on one core any schedule is work-conserving) but
-   always recorded.
+   overhead of a no-op ``tracer.span()`` is measured and bounded.
 
 Results go to ``BENCH_searchspace.json`` at the repository root (the
 committed snapshot of record), and every run also appends one
@@ -216,86 +210,6 @@ def _sweep(fw) -> float:
     return time.perf_counter() - start
 
 
-#: Workers for the sweep-scaling leg (2: the smallest pool where
-#: dispatch order can matter, and available on every CI runner).
-SCALING_WORKERS = 2
-
-#: Straggler-heavy batches per leg (distinct cold specs each, so the
-#: comparison is spawn + schedule, never cache luck).
-SCALING_BATCHES = 3
-
-#: Small specs per batch; together they roughly match the one large
-#: straggler, the worst case for submission-order dispatch.
-SCALING_SMALLS = 12
-
-#: Floor asserted for work-stealing vs batch-map on multi-core hosts:
-#: LPT dispatch overlaps the straggler with the small tail and the
-#: persistent pool amortizes two of the three spawns, so well above
-#: this in practice; single-core hosts only record the number.
-SCALING_FLOOR = 1.05
-
-
-def _scaling_specs(leg: int, batch: int):
-    """One straggler-heavy spec batch, unique per (leg, batch).
-
-    Twelve small unsampled profiles followed by ONE large unsampled
-    straggler *last* — the submission order that serializes the tail
-    under blocking ``pool.map`` and that cost-ordered dispatch fixes.
-    Sizes are perturbed per leg/batch so every point is a cold miss in
-    both the parent cache and the workers' in-process caches.
-    """
-    fw = ReductionFramework(op="add", cache=ProfileCache())
-    version = fw.resolve("b")
-    salt = leg * SCALING_BATCHES + batch
-    tunables = Tunables(block=256, grid=64)  # grid 64: unsampled
-    specs = [
-        ("add", "float", False, version, 65536 + 16 * salt + k, tunables,
-         None)
-        for k in range(SCALING_SMALLS)
-    ]
-    specs.append(
-        ("add", "float", False, version, LARGE_N + salt, tunables, None)
-    )
-    return specs
-
-
-def _sweep_scaling():
-    """Wall seconds: legacy batch-map fan-out vs the work-stealing
-    scheduler over the same straggler-heavy workload."""
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.perf import map_profiles, shutdown_scheduler
-    from repro.perf.parallel import _profile_spec
-
-    # Legacy behavior, reproduced faithfully: every sweep call spawned
-    # a fresh pool and consumed a blocking map in submission order.
-    start = time.perf_counter()
-    for batch in range(SCALING_BATCHES):
-        with ProcessPoolExecutor(max_workers=SCALING_WORKERS) as pool:
-            list(pool.map(_profile_spec, _scaling_specs(0, batch)))
-    batch_pool_s = time.perf_counter() - start
-
-    # The scheduler pays its own pool spawn inside the timed region
-    # (shutdown first), then reuses it across the remaining batches.
-    shutdown_scheduler()
-    start = time.perf_counter()
-    for batch in range(SCALING_BATCHES):
-        map_profiles(_scaling_specs(1, batch), max_workers=SCALING_WORKERS)
-    work_stealing_s = time.perf_counter() - start
-    shutdown_scheduler()
-
-    return {
-        "workers": SCALING_WORKERS,
-        "batches": SCALING_BATCHES,
-        "specs_per_batch": SCALING_SMALLS + 1,
-        "cpus": os.cpu_count(),
-        "batch_pool_s": round(batch_pool_s, 4),
-        "work_stealing_s": round(work_stealing_s, 4),
-        "speedup_vs_batch": round(batch_pool_s / work_stealing_s, 2),
-    }
-
-
 #: Iterations for the no-op tracer micro-bench (large enough that the
 #: per-call quotient is stable, small enough to stay in the noise of the
 #: full bench run).
@@ -373,8 +287,6 @@ def measure():
     cold_s = _sweep(fw)
     warm_s = _sweep(fw)  # same framework: every profile now cached
 
-    sweep_scaling = _sweep_scaling()
-
     noop_span_s = _noop_tracer_overhead()
 
     stats = fw.cache.stats
@@ -414,7 +326,6 @@ def measure():
             "speedup": round(cold_s / warm_s, 2),
             "cache": stats.as_dict(),
         },
-        "sweep_scaling": sweep_scaling,
         "observability": {
             "noop_span_ns": round(noop_span_s * 1e9, 1),
             "iters": NOOP_SPAN_ITERS,
@@ -436,7 +347,6 @@ def test_simperf_snapshot(benchmark):
     vector = data["vector_backend"]
     native = data["native_backend"]
     sweep = data["best_version_sweep"]
-    scaling = data["sweep_scaling"]
     if native["available"]:
         native_lines = [
             f"  native (generated-C) backend on the same launch:",
@@ -477,12 +387,6 @@ def test_simperf_snapshot(benchmark):
             f" x {len(data['sweep_sizes'])} sizes:",
             f"    cold {sweep['cold_s']:.3f}s   warm {sweep['warm_s']:.3f}s"
             f"   ({sweep['speedup']:.1f}x)",
-            f"  sweep scaling, {scaling['batches']} straggler-heavy "
-            f"batches x {scaling['specs_per_batch']} specs, "
-            f"{scaling['workers']} workers ({scaling['cpus']} cpu(s)):",
-            f"    batch-map {scaling['batch_pool_s']:.3f}s   "
-            f"work-stealing {scaling['work_stealing_s']:.3f}s   "
-            f"({scaling['speedup_vs_batch']:.2f}x)",
             f"  disabled tracer: "
             f"{data['observability']['noop_span_ns']:.0f}ns per span "
             f"(ceiling {data['observability']['ceiling_ns']:.0f}ns)",
@@ -517,15 +421,6 @@ def test_simperf_snapshot(benchmark):
     # assert the cache still pays (warm faster, saved > spent) instead
     # of the old 5x ratio.
     assert sweep["speedup"] >= 1.2, "warm-cache sweep must still beat cold"
-    # On one core any schedule is work-conserving (both legs run the
-    # same total simulation back to back), so the ordering win only
-    # exists with real parallelism; the number is recorded regardless.
-    if (scaling["cpus"] or 1) >= 2:
-        assert scaling["speedup_vs_batch"] >= SCALING_FLOOR, (
-            "work-stealing sweep must beat the batch-synchronous "
-            f"pool.map fan-out on a straggler-heavy mix "
-            f"(got {scaling['speedup_vs_batch']}x, floor {SCALING_FLOOR}x)"
-        )
     cache = sweep["cache"]
     assert cache["time_saved_s"] >= cache["compute_time_s"]
     noop_ns = data["observability"]["noop_span_ns"]

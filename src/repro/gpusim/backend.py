@@ -10,10 +10,11 @@ swappable for future native / software-warp-op targets).
 
 Backend protocol
 ----------------
-A backend decides *how a kernel body executes* inside the run states
-(:class:`~repro.gpusim.engine._BlockRun` / ``_BatchedRun``); everything
-else — event/profile recording, sanitizer hooks, masks, memory — stays
-in the run state and is shared by every backend:
+A backend decides *how a kernel body executes* inside the run state
+(:class:`~repro.gpusim.engine._BatchedRun`, one chunk of blocks as
+``(blocks, threads)`` arrays); everything else — event/profile
+recording, sanitizer hooks, masks, memory — stays in the run state and
+is shared by every backend:
 
 ``name``
     Registry key, and the string recorded in ``StepProfile.meta
@@ -22,7 +23,7 @@ in the run state and is shared by every backend:
     Build (and memoize) whatever per-kernel artifact the backend needs.
     Called by the plan cache pre-warm so cached plans ship ready to run.
 ``trace(kernel)``
-    Return the closure trace the run states should execute, or ``None``
+    Return the closure trace the run state should execute, or ``None``
     to fall back to the tree-walking interpreter (``_exec_body``).
     Closures in the trace follow the contract documented in
     :mod:`repro.gpusim.compile`: they receive ``(state, mask)``, may

@@ -10,15 +10,15 @@ key all resolved at compile time. Executing a body then degenerates to
 
     for fn in trace: fn(state, mask)
 
-in both the sequential (:class:`~repro.gpusim.engine._BlockRun`) and
-batched (:class:`~repro.gpusim.engine._BatchedRun`) engines: the
-closures only touch the per-run *state* object, so one compilation
-serves both modes, every block, and every batch chunk.
+in the run state (:class:`~repro.gpusim.engine._BatchedRun`): the
+closures only touch the per-chunk *state* object, so one compilation
+serves both execution modes and every chunk — one block per chunk
+under ``sequential``, many under ``batched``.
 
 Closure contract
 ----------------
-A closure runs under three preconditions, established by the engines'
-``_run_trace``:
+A closure runs under three preconditions, established by the run
+state's ``_run_trace``:
 
 * ``mask`` has at least one active lane (the interpreter's per-
   instruction ``mask.any()`` check is hoisted to trace entry — valid
@@ -26,12 +26,12 @@ A closure runs under three preconditions, established by the engines'
 * ``state._cur_warps`` holds the active-warp count of ``mask`` and
   ``state._cur_all`` whether every lane is active, so per-instruction
   event counting is a bare ``events[key] += state._cur_warps``;
-* register arrays are never mutated in place by the engines (writes
+* register arrays are never mutated in place by the run state (writes
   always rebind), so closures may store aliased/broadcast arrays
   without the interpreter's defensive copy.
 
 Structured control flow compiles to closures holding pre-compiled
-sub-traces (``If``/``While`` delegate to the engines' ``_exec_if_c`` /
+sub-traces (``If``/``While`` delegate to the run state's ``_exec_if_c`` /
 ``_exec_while_c``, which mirror the interpreted region semantics
 exactly). On top of that, loops whose trip count is a **block-uniform
 compile-time constant** — proven by the abstract interpreter in
@@ -272,7 +272,7 @@ def _c_bar(instr):
 
 
 def _c_method(instr, method):
-    """Memory / atomic / shuffle ops reuse the engines' vectorized
+    """Memory / atomic / shuffle ops reuse the run state's vectorized
     implementations — only the dispatch is compiled away."""
 
     def run(state, mask):

@@ -10,27 +10,29 @@ the active mask exactly the way SIMT hardware's reconvergence stack does,
 so divergence, predication and warp-level operations (shuffles, atomics)
 behave like the real machine.
 
-Blocks execute in one of two modes:
+All blocks run through one run state, :class:`_BatchedRun`: a chunk of
+blocks executes as a single 2-D ``blocks × threads`` numpy batch.
+Reduction kernels have block-uniform control flow, so every per-thread
+vector op, mask and event counter simply gains a leading block axis;
+one pass over the instruction stream then services every block of the
+chunk at once, which removes the dominant Python interpretation
+overhead. The execution mode only picks the chunk size:
 
-* **sequential** — one block at a time through :class:`_BlockRun`; global
-  atomics are trivially atomic across blocks and later blocks observe
-  earlier blocks' global stores (the reference semantics);
-* **batched** — all (or a memory-capped chunk of) blocks of the launch
-  as a single 2-D ``blocks × threads`` numpy batch through
-  :class:`_BatchedRun`. Reduction kernels have block-uniform control
-  flow, so every per-thread vector op, mask and event counter simply
-  gains a leading block axis; one pass over the instruction stream then
-  services every block at once, which removes the dominant Python
-  interpretation overhead.
+* **batched** — chunks of ``Executor.BATCH_LANES // block`` blocks (the
+  whole launch when it fits);
+* **sequential** — one block per chunk, block-ascending; global atomics
+  are trivially atomic across blocks and later blocks observe earlier
+  blocks' global stores (the ordering reference).
 
 :func:`analyze_batchability` decides per kernel whether the batched mode
-is observationally equivalent to the sequential reference — it falls
-back automatically when a kernel reads a global buffer it also writes
+is observationally equivalent to the sequential order — ``auto`` falls
+back to sequential when a kernel reads a global buffer it also writes
 (cross-block read-after-write), stores to global memory inside a loop,
 or issues order-sensitive floating-point global atomics from inside a
-loop / from multiple sites. On batchable kernels both modes produce
-bit-identical numeric results **and** bit-identical event counters
-(verified exhaustively by ``tests/gpusim/test_batched_engine.py``).
+loop / from multiple sites, and for single-block grids. On batchable
+kernels both modes produce bit-identical numeric results **and**
+bit-identical event counters (verified exhaustively by
+``tests/gpusim/test_batched_engine.py``).
 
 Profiling counts warp-instructions (one unit per warp with ≥1 active
 lane), global-memory transactions at 128-byte-segment granularity
@@ -377,7 +379,7 @@ class Executor:
         self.backend = backend
         #: Optional :class:`repro.sanitize.Sanitizer`. When set, every
         #: launch feeds shadow-state hooks (memory accesses, barriers,
-        #: shuffles) from both run states — results and event counters
+        #: shuffles) from the run state — results and event counters
         #: are unaffected.
         self.sanitizer = sanitizer
 
@@ -475,33 +477,24 @@ class Executor:
             san = None
             if self.sanitizer is not None:
                 san = self.sanitizer.begin_kernel(step, self.device)
-            if mode == "batched":
-                batch = max(1, self.BATCH_LANES // max(1, step.block))
-                for start in range(0, len(block_ids), batch):
-                    chunk = _BatchedRun(
-                        self,
-                        step,
-                        block_ids[start : start + batch],
-                        profile.events,
-                        atomic_addr_counts,
-                        trace=trace,
-                        san=san,
-                        fragprof=fragprof,
-                    )
-                    chunk.run()
+            # Sequential mode is an ordering policy: one block per chunk,
+            # block-ascending, so every block observes the global writes
+            # of the blocks before it.
+            if mode == "sequential":
+                batch = 1
             else:
-                for block_id in block_ids:
-                    block = _BlockRun(
-                        self,
-                        step,
-                        int(block_id),
-                        profile.events,
-                        atomic_addr_counts,
-                        trace=trace,
-                        san=san,
-                        fragprof=fragprof,
-                    )
-                    block.run()
+                batch = max(1, self.BATCH_LANES // max(1, step.block))
+            for start in range(0, len(block_ids), batch):
+                _BatchedRun(
+                    self,
+                    step,
+                    block_ids[start : start + batch],
+                    profile.events,
+                    atomic_addr_counts,
+                    trace=trace,
+                    san=san,
+                    fragprof=fragprof,
+                ).run()
 
             executed_blocks = profile.sampled_blocks or step.grid
             profile.events["blocks"] = executed_blocks
@@ -547,541 +540,26 @@ class Executor:
         return max(ops for ops, _first, _cross in atomic_addr_counts.values())
 
 
-class _BlockRun:
-    """Execution state of one block (registers, shared memory, masks)."""
-
-    def __init__(self, executor, step, block_id, events, atomic_addr_counts,
-                 trace=None, san=None, fragprof=None):
-        self.executor = executor
-        self.device = executor.device
-        self.step = step
-        self.kernel = step.kernel
-        self.block_id = block_id
-        self.nthreads = step.block
-        self.shape = (step.block,)
-        self.events = events
-        self.atomic_addr_counts = atomic_addr_counts
-        self.trace = trace
-        self.fragprof = fragprof
-        self.san = san
-        self.regs = {}
-        self.shared = {
-            decl.name: np.zeros(decl.size, dtype=np.float64)
-            for decl in self.kernel.shared
-        }
-        self.nwarps = (self.nthreads + WARP - 1) // WARP
-        # padded lane->warp mapping for warp-granularity statistics
-        self._warp_of_lane = np.arange(self.nthreads) // WARP
-        #: Compiled-trace state: active-warp count / all-lanes-active of
-        #: the current trace mask (None while interpreting), and a per-run
-        #: cache for trace-invariant values (specials, params).
-        self._cur_warps = None
-        self._cur_all = None
-        self._cache = {}
-
-    # -- helpers -------------------------------------------------------
-
-    def run(self) -> None:
-        mask = np.ones(self.shape, dtype=bool)
-        if self.trace is None:
-            self._exec_body(self.kernel.body, mask)
-        else:
-            self._run_trace(self.trace, mask)
-
-    def _active_warps(self, mask) -> int:
-        if not mask.any():
-            return 0
-        return int(np.unique(self._warp_of_lane[mask]).size)
-
-    def _count(self, key, mask) -> None:
-        if self._cur_warps is not None:
-            self.events[key] += self._cur_warps
-            return
-        warps = self._active_warps(mask)
-        if warps:
-            self.events[key] += warps
-
-    def _bar(self, mask) -> None:
-        self.events["inst.bar"] += 1
-        if self.san is not None:
-            self.san.on_bar(self, mask)
-
-    def _count_loop_divergence(self, before, after) -> None:
-        """A warp diverges at a loop back-edge test when some of its
-        still-active lanes continue and others exit — the same "active
-        lanes take both paths" rule :meth:`_exec_if` applies."""
-        exited = before & ~after
-        if not exited.any() or not after.any():
-            return
-        for warp in np.unique(self._warp_of_lane[before]):
-            lanes = self._warp_of_lane == warp
-            if (after & lanes).any() and (exited & lanes).any():
-                self.events["branch.divergent"] += 1
-
-    # -- compiled-trace execution (see repro.gpusim.compile) -----------
-
-    def _run_trace(self, trace, mask) -> None:
-        """Run a compiled closure trace under ``mask``: hoists the
-        per-instruction ``mask.any()`` check and active-warp count to
-        trace entry (straight-line code never changes the mask)."""
-        if not mask.any():
-            return
-        saved = (self._cur_warps, self._cur_all)
-        if mask.all():
-            self._cur_all = True
-            self._cur_warps = self.nwarps
-        else:
-            self._cur_all = False
-            self._cur_warps = int(np.unique(self._warp_of_lane[mask]).size)
-        try:
-            for fn in trace:
-                fn(self, mask)
-        finally:
-            self._cur_warps, self._cur_all = saved
-
-    def _exec_if_c(self, cond_read, then_trace, else_trace, has_else, mask):
-        cond = np.asarray(cond_read(self), dtype=bool)
-        then_mask = mask & cond
-        else_mask = mask & ~cond
-        # A warp diverges when its active lanes take both paths.
-        for warp in np.unique(self._warp_of_lane[mask]):
-            lanes = self._warp_of_lane == warp
-            if (then_mask & lanes).any() and (else_mask & lanes).any():
-                self.events["branch.divergent"] += 1
-        self._run_trace(then_trace, then_mask)
-        if has_else:
-            self._run_trace(else_trace, else_mask)
-
-    def _exec_while_c(self, cond_trace, cond_read, body_trace, mask):
-        active = mask.copy()
-        iterations = 0
-        while True:
-            self._run_trace(cond_trace, active)
-            cond = np.asarray(cond_read(self), dtype=bool)
-            staying = active & cond
-            self._count_loop_divergence(active, staying)
-            active = staying
-            if not active.any():
-                return
-            iterations += 1
-            if iterations > self.executor.loop_cap:
-                raise SimulationError(
-                    f"kernel {self.kernel.name!r}: loop exceeded iteration cap "
-                    f"({self.executor.loop_cap})"
-                )
-            self._run_trace(body_trace, active)
-
-    def _read(self, operand, mask):
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, Reg):
-            if operand.name not in self.regs:
-                raise SimulationError(
-                    f"kernel {self.kernel.name!r}: read of unwritten register "
-                    f"{operand}"
-                )
-            return self.regs[operand.name]
-        raise SimulationError(f"bad operand {operand!r}")
-
-    def _write(self, reg: Reg, value, mask) -> None:
-        value = np.asarray(value)
-        if value.ndim == 0:
-            value = np.broadcast_to(value, (self.nthreads,))
-        current = self.regs.get(reg.name)
-        all_active = self._cur_all
-        if all_active is None:
-            all_active = mask.all()
-        if current is None or all_active:
-            # Inactive lanes keep whatever the vectorized computation put
-            # there — deterministic in the simulator, "undefined" on HW.
-            if self._cur_warps is not None:
-                # Compiled traces never mutate register arrays in place,
-                # so aliasing is safe and the defensive copy is skipped.
-                self.regs[reg.name] = value.astype(
-                    _promote_dtype(value.dtype), copy=False
-                )
-            else:
-                self.regs[reg.name] = np.array(
-                    value, dtype=_promote_dtype(value.dtype)
-                )
-            return
-        merged_dtype = np.result_type(current.dtype, value.dtype)
-        if merged_dtype != current.dtype:
-            current = current.astype(merged_dtype)
-        else:
-            current = current.copy()
-        current[mask] = value[mask]
-        self.regs[reg.name] = current
-
-    # -- structured execution ----------------------------------------------
-
-    def _exec_body(self, body, mask) -> None:
-        for instr in body:
-            if not mask.any():
-                return
-            self._exec(instr, mask)
-
-    def _exec(self, instr, mask) -> None:
-        if isinstance(instr, Comment):
-            return
-        if isinstance(instr, BinOp):
-            a = self._read(instr.a, mask)
-            b = self._read(instr.b, mask)
-            self._write(instr.dst, _np_binop(instr.op, a, b), mask)
-            self._count("inst.alu", mask)
-        elif isinstance(instr, UnOp):
-            a = self._read(instr.a, mask)
-            if instr.op == "neg":
-                value = -np.asarray(_coerce_bool(a))
-            elif instr.op == "lnot":
-                value = np.logical_not(a)
-            else:  # bnot
-                value = np.bitwise_not(np.asarray(_coerce_bool(a)))
-            self._write(instr.dst, value, mask)
-            self._count("inst.alu", mask)
-        elif isinstance(instr, Mov):
-            self._write(instr.dst, self._read(instr.a, mask), mask)
-            self._count("inst.alu", mask)
-        elif isinstance(instr, Sel):
-            cond = self._read(instr.cond, mask)
-            a = self._read(instr.a, mask)
-            b = self._read(instr.b, mask)
-            self._write(instr.dst, np.where(cond, a, b), mask)
-            self._count("inst.alu", mask)
-        elif isinstance(instr, Special):
-            self._write(instr.dst, self._special(instr.kind), mask)
-            self._count("inst.alu", mask)
-        elif isinstance(instr, LdParam):
-            value = self.step.args[instr.name]
-            self._write(instr.dst, np.full(self.nthreads, value), mask)
-            self._count("inst.alu", mask)
-        elif isinstance(instr, LdGlobal):
-            self._ld_global(instr, mask)
-        elif isinstance(instr, StGlobal):
-            self._st_global(instr, mask)
-        elif isinstance(instr, LdShared):
-            self._ld_shared(instr, mask)
-        elif isinstance(instr, StShared):
-            self._st_shared(instr, mask)
-        elif isinstance(instr, AtomGlobal):
-            self._atom_global(instr, mask)
-        elif isinstance(instr, AtomShared):
-            self._atom_shared(instr, mask)
-        elif isinstance(instr, Shfl):
-            self._shfl(instr, mask)
-        elif isinstance(instr, Bar):
-            self._bar(mask)
-        elif isinstance(instr, If):
-            self._exec_if(instr, mask)
-        elif isinstance(instr, While):
-            self._exec_while(instr, mask)
-        else:
-            raise SimulationError(f"cannot execute {type(instr).__name__}")
-
-    def _special(self, kind):
-        tid = np.arange(self.nthreads, dtype=np.int64)
-        if kind == "tid":
-            return tid
-        if kind == "ctaid":
-            return np.full(self.nthreads, self.block_id, dtype=np.int64)
-        if kind == "ntid":
-            return np.full(self.nthreads, self.nthreads, dtype=np.int64)
-        if kind == "nctaid":
-            return np.full(self.nthreads, self.step.grid, dtype=np.int64)
-        if kind == "laneid":
-            return tid % WARP
-        if kind == "warpid":
-            return tid // WARP
-        raise SimulationError(f"unknown special register {kind!r}")
-
-    def _exec_if(self, instr, mask) -> None:
-        cond = np.asarray(self._read(instr.cond, mask), dtype=bool)
-        then_mask = mask & cond
-        else_mask = mask & ~cond
-        # A warp diverges when its active lanes take both paths.
-        if instr.otherwise or True:
-            for warp in np.unique(self._warp_of_lane[mask]):
-                lanes = self._warp_of_lane == warp
-                if (then_mask & lanes).any() and (else_mask & lanes).any():
-                    self.events["branch.divergent"] += 1
-        if then_mask.any():
-            self._exec_body(instr.then, then_mask)
-        if instr.otherwise and else_mask.any():
-            self._exec_body(instr.otherwise, else_mask)
-
-    def _exec_while(self, instr, mask) -> None:
-        active = mask.copy()
-        iterations = 0
-        while True:
-            self._exec_body(instr.cond_block, active)
-            cond = np.asarray(self._read(instr.cond, active), dtype=bool)
-            staying = active & cond
-            self._count_loop_divergence(active, staying)
-            active = staying
-            if not active.any():
-                return
-            iterations += 1
-            if iterations > self.executor.loop_cap:
-                raise SimulationError(
-                    f"kernel {self.kernel.name!r}: loop exceeded iteration cap "
-                    f"({self.executor.loop_cap})"
-                )
-            self._exec_body(instr.body, active)
-
-    # -- memory -------------------------------------------------------------
-
-    def _global_indices(self, operand, mask, buf) -> np.ndarray:
-        idx = np.asarray(self._read(operand, mask))
-        if idx.ndim == 0:
-            idx = np.broadcast_to(idx, (self.nthreads,))
-        active_idx = idx[mask]
-        arr = self.device.get(buf)
-        if active_idx.size and (
-            active_idx.min() < 0 or active_idx.max() >= len(arr)
-        ):
-            raise SimulationError(
-                f"kernel {self.kernel.name!r}: out-of-bounds access to global "
-                f"buffer {buf!r} (size {len(arr)}, index range "
-                f"[{active_idx.min()}, {active_idx.max()}])"
-            )
-        return idx.astype(np.int64)
-
-    def _count_transactions(self, idx, mask, buf, kind, width: int = 1) -> None:
-        """Count unique 128-byte segments touched per warp.
-
-        For vectorized accesses all ``width`` element addresses of the
-        access are coalesced together (one wide access), so segments are
-        deduplicated across the whole vector, not per element.
-        """
-        arr = self.device.get(buf)
-        per_segment = max(1, 128 // arr.dtype.itemsize)
-        if width == 1:
-            all_segments = (idx // per_segment)[np.newaxis, :]
-        else:
-            all_segments = np.stack(
-                [(idx + k) // per_segment for k in range(width)]
-            )
-        total = 0
-        for warp in np.unique(self._warp_of_lane[mask]):
-            lanes = mask & (self._warp_of_lane == warp)
-            total += int(np.unique(all_segments[:, lanes]).size)
-        self.events[f"mem.global.{kind}.trans"] += total
-        self.events["mem.global.bytes"] += total * 128
-        self.events["mem.global.bytes_useful"] += (
-            int(mask.sum()) * width * arr.dtype.itemsize
-        )
-
-    def _ld_global(self, instr, mask) -> None:
-        idx = self._global_indices(instr.idx, mask, instr.buf)
-        arr = self.device.get(instr.buf)
-        if self.san is not None:
-            self.san.on_mem(self, instr, idx, mask)
-        if instr.width == 1:
-            value = np.zeros(self.nthreads, dtype=np.float64)
-            value[mask] = arr[idx[mask]]
-            self._write(instr.dst, value, mask)
-            self._count_transactions(idx, mask, instr.buf, "ld")
-        else:
-            last = idx + (instr.width - 1)
-            if (last[mask] >= len(arr)).any():
-                raise SimulationError(
-                    f"kernel {self.kernel.name!r}: vector load past end of "
-                    f"{instr.buf!r}"
-                )
-            for k, dst in enumerate(instr.dst):
-                value = np.zeros(self.nthreads, dtype=np.float64)
-                value[mask] = arr[idx[mask] + k]
-                self._write(dst, value, mask)
-            self._count_transactions(idx, mask, instr.buf, "ld", width=instr.width)
-        self._count("inst.ld.global", mask)
-
-    def _st_global(self, instr, mask) -> None:
-        idx = self._global_indices(instr.idx, mask, instr.buf)
-        src = self._value_array(instr.src, mask)
-        arr = self.device.get(instr.buf)
-        if self.san is not None:
-            self.san.on_mem(self, instr, idx, mask)
-        self._maybe_check_race(idx[mask], src[mask], f"global buffer {instr.buf!r}")
-        arr[idx[mask]] = src[mask].astype(arr.dtype)
-        self._count_transactions(idx, mask, instr.buf, "st")
-        self._count("inst.st.global", mask)
-
-    def _shared_indices(self, operand, mask, buf) -> np.ndarray:
-        idx = np.asarray(self._read(operand, mask))
-        if idx.ndim == 0:
-            idx = np.broadcast_to(idx, (self.nthreads,))
-        arr = self.shared[buf]
-        active_idx = idx[mask]
-        if active_idx.size and (
-            active_idx.min() < 0 or active_idx.max() >= len(arr)
-        ):
-            raise SimulationError(
-                f"kernel {self.kernel.name!r}: out-of-bounds access to shared "
-                f"buffer {buf!r} (size {len(arr)}, index range "
-                f"[{active_idx.min()}, {active_idx.max()}])"
-            )
-        return idx.astype(np.int64)
-
-    def _count_bank_replays(self, idx, mask) -> None:
-        """Shared memory has 32 banks; distinct words in one bank replay."""
-        total = 0
-        for warp in np.unique(self._warp_of_lane[mask]):
-            lanes = mask & (self._warp_of_lane == warp)
-            addrs = np.unique(idx[lanes])
-            banks = addrs % 32
-            if banks.size:
-                _, counts = np.unique(banks, return_counts=True)
-                total += int(counts.max()) - 1
-        if total:
-            self.events["mem.shared.replays"] += total
-
-    def _ld_shared(self, instr, mask) -> None:
-        idx = self._shared_indices(instr.idx, mask, instr.buf)
-        arr = self.shared[instr.buf]
-        if self.san is not None:
-            self.san.on_mem(self, instr, idx, mask)
-        value = np.zeros(self.nthreads, dtype=np.float64)
-        value[mask] = arr[idx[mask]]
-        self._write(instr.dst, value, mask)
-        self._count("inst.ld.shared", mask)
-        self._count_bank_replays(idx, mask)
-
-    def _st_shared(self, instr, mask) -> None:
-        idx = self._shared_indices(instr.idx, mask, instr.buf)
-        src = self._value_array(instr.src, mask)
-        if self.san is not None:
-            self.san.on_mem(self, instr, idx, mask)
-        self._maybe_check_race(idx[mask], src[mask], f"shared buffer {instr.buf!r}")
-        self.shared[instr.buf][idx[mask]] = src[mask]
-        self._count("inst.st.shared", mask)
-        self._count_bank_replays(idx, mask)
-
-    def _value_array(self, operand, mask) -> np.ndarray:
-        value = np.asarray(self._read(operand, mask))
-        if value.ndim == 0:
-            value = np.broadcast_to(value, (self.nthreads,)).astype(np.float64)
-        return value
-
-    def _maybe_check_race(self, idx, values, what) -> None:
-        if not self.executor.check_races or idx.size < 2:
-            return
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        sorted_vals = np.asarray(values)[order]
-        dup = sorted_idx[1:] == sorted_idx[:-1]
-        conflicting = dup & (sorted_vals[1:] != sorted_vals[:-1])
-        if conflicting.any():
-            raise SimulationError(
-                f"kernel {self.kernel.name!r}: write-write race on {what} "
-                f"(same-cycle conflicting stores to index "
-                f"{int(sorted_idx[1:][conflicting][0])})"
-            )
-
-    # -- atomics -----------------------------------------------------------
-
-    def _atom_shared(self, instr, mask) -> None:
-        idx = self._shared_indices(instr.idx, mask, instr.buf)
-        src = self._value_array(instr.src, mask)
-        if self.san is not None:
-            self.san.on_mem(self, instr, idx, mask)
-        _ATOMIC_UFUNC[instr.op].at(self.shared[instr.buf], idx[mask], src[mask])
-        ops = int(mask.sum())
-        self.events["atom.shared.ops"] += ops
-        # Per-warp serialization: ops to the same address inside one warp
-        # execute one at a time.
-        serial = 0
-        for warp in np.unique(self._warp_of_lane[mask]):
-            lanes = mask & (self._warp_of_lane == warp)
-            _, counts = np.unique(idx[lanes], return_counts=True)
-            serial += int(counts.max())
-        self.events["atom.shared.warp_serial"] += serial
-        # Block-level: total ops per address bound the block's critical path.
-        _, counts = np.unique(idx[mask], return_counts=True)
-        self.events["atom.shared.block_max_same_addr"] += int(counts.max())
-
-    def _atom_global(self, instr, mask) -> None:
-        idx = self._global_indices(instr.idx, mask, instr.buf)
-        src = self._value_array(instr.src, mask)
-        arr = self.device.get(instr.buf)
-        if self.san is not None:
-            self.san.on_mem(self, instr, idx, mask)
-        # numpy's ufunc.at on a float32 array accumulates in float32, like
-        # the hardware's atomic units.
-        _ATOMIC_UFUNC[instr.op].at(arr, idx[mask], src[mask].astype(arr.dtype))
-        self.events["atom.global.ops"] += int(mask.sum())
-        counts = self.atomic_addr_counts
-        if len(counts) <= _ATOMIC_TRACK_CAP:
-            block_id = self.block_id
-            for address in idx[mask]:
-                key = (instr.buf, int(address))
-                entry = counts.get(key)
-                if entry is None:
-                    # [ops, first block to touch, touched cross-block]
-                    counts[key] = [1, block_id, False]
-                else:
-                    entry[0] += 1
-                    if entry[1] != block_id:
-                        entry[2] = True
-
-    # -- shuffles -----------------------------------------------------------
-
-    def _shfl(self, instr, mask) -> None:
-        if instr.width not in _SHFL_WIDTHS:
-            raise SimulationError(
-                f"kernel {self.kernel.name!r}: invalid shfl width "
-                f"{instr.width!r}"
-            )
-        src = np.asarray(self._read(instr.src, mask))
-        lanes = np.arange(self.nthreads, dtype=np.int64)
-        sub = lanes % instr.width
-        base = lanes - sub
-        offset = self._read(instr.offset, mask)
-        offset = np.asarray(offset)
-        if offset.ndim == 0:
-            offset = np.broadcast_to(offset, (self.nthreads,))
-        if instr.mode == "down":
-            target = sub + offset
-        elif instr.mode == "up":
-            target = sub - offset
-        elif instr.mode == "xor":
-            target = np.bitwise_xor(sub, offset.astype(np.int64))
-        elif instr.mode == "idx":
-            target = offset.astype(np.int64)
-        else:
-            raise SimulationError(
-                f"kernel {self.kernel.name!r}: invalid shfl mode "
-                f"{instr.mode!r}"
-            )
-        # Identity fallback for any source lane outside the width segment
-        # *or* past the block's last thread: hardware reads the caller's
-        # own value there, it never wraps into the next warp segment.
-        source = base + target
-        valid = (target >= 0) & (target < instr.width) & (source < self.nthreads)
-        source_lane = np.where(valid, source, lanes)
-        if self.san is not None:
-            self.san.on_shfl(self, instr, source_lane, mask)
-        result = src[source_lane]
-        self._write(instr.dst, result, mask)
-        self._count("inst.shfl", mask)
-
-
 class _BatchedRun:
-    """Execution state of a *batch* of blocks (2-D ``blocks × threads``).
+    """Execution state of a chunk of blocks (2-D ``blocks × threads``).
 
-    Mirrors :class:`_BlockRun` instruction for instruction, with every
-    per-thread array gaining a leading block axis: registers and masks
-    are ``(B, T)``, shared memory is ``(B, S)``. Per-warp statistics
-    group by a flat ``block*warps_per_block + warp`` id so the summed
-    counters are bit-identical to running the same blocks sequentially.
+    The one SIMT run state: registers and masks are ``(B, T)`` arrays,
+    shared memory is ``(B, S)``, and every per-thread operation is one
+    numpy op over the whole chunk. Per-warp statistics group by a flat
+    ``block*warps_per_block + warp`` id, so summed event counters do not
+    depend on how a launch is cut into chunks.
 
-    Semantic deltas vs. the sequential reference (both only observable
-    from *invalid* kernels):
+    The chunk size is the executor's ordering policy. Batched launches
+    use chunks of ``BATCH_LANES // block`` blocks; sequential launches
+    use one block per chunk, block-ascending, so later blocks observe
+    earlier blocks' global writes. Two behaviours are chunk-wide and
+    therefore only per-block under one-block chunks (both are observable
+    from *invalid* kernels only):
 
-    * register "freshness" is batch-global, so a read of a register that
-      some block never wrote returns the vectorized value instead of
-      raising;
-    * out-of-bounds errors report the index range over the whole batch
-      rather than the first offending block.
+    * register "freshness" is chunk-global, so a read of a register that
+      some block of the chunk never wrote returns the vectorized value
+      instead of raising;
+    * out-of-bounds errors report the index range over the whole chunk.
     """
 
     def __init__(self, executor, step, block_ids, events, atomic_addr_counts,
@@ -1115,7 +593,9 @@ class _BatchedRun:
             np.arange(self.nblocks, dtype=np.int64)[:, None] * self.nwarps
             + self._warp_of_lane[None, :]
         )
-        #: Compiled-trace state (see _BlockRun).
+        #: Compiled-trace state: active-warp count / all-lanes-active of
+        #: the current trace mask (None while interpreting), and a per-run
+        #: cache for trace-invariant values (specials, params).
         self._cur_warps = None
         self._cur_all = None
         self._cache = {}
@@ -1151,7 +631,9 @@ class _BatchedRun:
             self.san.on_bar(self, mask)
 
     def _count_loop_divergence(self, before, after) -> None:
-        """Batched twin of :meth:`_BlockRun._count_loop_divergence`."""
+        """A warp diverges at a loop back-edge test when some of its
+        still-active lanes continue and others exit — the same "active
+        lanes take both paths" rule :meth:`_exec_if` applies."""
         exited = before & ~after
         if not exited.any() or not after.any():
             return
@@ -1492,8 +974,8 @@ class _BatchedRun:
             self._brow[mask], idx[mask], src[mask], len(arr),
             f"global buffer {instr.buf!r}",
         )
-        # C-order flattening applies the store block-major, matching the
-        # sequential engine's per-block store order exactly.
+        # C-order flattening applies the store block-major: the same
+        # order as one-block chunks run block-ascending.
         arr[idx[mask]] = src[mask].astype(arr.dtype)
         self._count_transactions(idx, mask, instr.buf, "st")
         self._count("inst.st.global", mask)
@@ -1624,14 +1106,14 @@ class _BatchedRun:
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
         # ufunc.at applies updates in flattened (block-major) order — the
-        # same order the sequential engine's per-block calls produce, so
-        # float accumulation is bit-identical.
+        # same order one-block chunks produce, so float accumulation does
+        # not depend on the chunking.
         _ATOMIC_UFUNC[instr.op].at(arr, idx[mask], src[mask].astype(arr.dtype))
         self.events["atom.global.ops"] += int(mask.sum())
         counts = self.atomic_addr_counts
         for row in range(self.nblocks):
             if len(counts) > _ATOMIC_TRACK_CAP:
-                continue  # sequential engine stops adding past the cap
+                continue  # cap checked per block: chunking-independent
             row_mask = mask[row]
             if not row_mask.any():
                 continue
@@ -1644,7 +1126,7 @@ class _BatchedRun:
                 entry = counts.get(key)
                 if entry is None:
                     # [ops, first block to touch, touched cross-block];
-                    # rows are block-ascending like the sequential engine.
+                    # rows are block-ascending.
                     counts[key] = [count, block_id, False]
                 else:
                     entry[0] += count
@@ -1684,7 +1166,8 @@ class _BatchedRun:
         if target.shape != self.shape:
             target = np.broadcast_to(target, self.shape)
         # Identity fallback for any source lane outside the width segment
-        # *or* past the block's last thread (see _BlockRun._shfl).
+        # *or* past the block's last thread: hardware reads the caller's
+        # own value there, it never wraps into the next warp segment.
         source = base + target
         valid = (target >= 0) & (target < instr.width) & (source < self.nthreads)
         source_lane = np.where(valid, source, np.broadcast_to(lanes, self.shape))

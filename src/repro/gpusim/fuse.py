@@ -108,10 +108,10 @@ attached, instruction mutated after fusion, unexpected operand shapes):
 * ``Shfl`` with an immediate or lane-uniform offset precomputes the
   per-lane source map once per (block size, offset) instead of
   rebuilding the lane arithmetic every call;
-* width-1 ``LdGlobal`` under a full mask in batched mode gathers
-  directly and, when the per-lane indices are consecutive (the
-  coalesced pattern), computes the 128-byte-segment transaction count
-  analytically from the 32-lane warp starts instead of sorting;
+* width-1 ``LdGlobal`` under a full mask gathers directly and, when
+  the per-lane indices are consecutive (the coalesced pattern),
+  computes the 128-byte-segment transaction count analytically from
+  the 32-lane warp starts instead of sorting;
 * ``AtomGlobal`` with all active lanes hitting one address (the
   block-result pattern) updates the same-address tracking dict in one
   step instead of a per-block-row ``np.unique`` loop.
@@ -324,36 +324,30 @@ def _sp(state, kind):
 
     Values match ``state._special(kind)`` element for element (same
     int64 dtype), but carry only the distinct elements: ``ntid`` /
-    ``nctaid`` are 0-d, ``ctaid`` in batched mode is the (blocks, 1)
-    block-id column, ``tid``/``laneid``/``warpid`` in batched mode are
-    one (1, threads) row. Derived values (trip counts, tile starts)
-    then stay reduced through whole regions, which is what keeps a
-    tiled loop's per-block bookkeeping at O(blocks) instead of
-    O(blocks * threads). ``_bx`` restores full shape on store."""
+    ``nctaid`` are 0-d, ``ctaid`` is the (blocks, 1) block-id column,
+    ``tid``/``laneid``/``warpid`` are one (1, threads) row. Derived
+    values (trip counts, tile starts) then stay reduced through whole
+    regions, which is what keeps a tiled loop's per-block bookkeeping
+    at O(blocks) instead of O(blocks * threads). ``_bx`` restores full
+    shape on store."""
     key = ("sp0", kind)
     value = state._cache.get(key)
     if value is None:
-        shape = state.shape
+        lanes = np.arange(state.nthreads, dtype=np.int64)
         if kind == "ntid":
             value = np.array(state.nthreads, dtype=np.int64)
         elif kind == "nctaid":
             value = np.array(state.step.grid, dtype=np.int64)
-        elif len(shape) == 2:
-            lanes = np.arange(state.nthreads, dtype=np.int64)
-            if kind == "ctaid":
-                value = state.block_ids[:, None]
-            elif kind == "tid":
-                value = lanes[None, :]
-            elif kind == "laneid":
-                value = (lanes % WARP)[None, :]
-            elif kind == "warpid":
-                value = (lanes // WARP)[None, :]
-            else:
-                value = state._special(kind)  # same unknown-kind error
         elif kind == "ctaid":
-            value = np.array(state.block_id, dtype=np.int64)
+            value = state.block_ids[:, None]
+        elif kind == "tid":
+            value = lanes[None, :]
+        elif kind == "laneid":
+            value = (lanes % WARP)[None, :]
+        elif kind == "warpid":
+            value = (lanes // WARP)[None, :]
         else:
-            value = state._special(kind)  # 1-D tid forms are minimal
+            value = state._special(kind)  # same unknown-kind error
         state._cache[key] = value
     return value
 
@@ -633,15 +627,13 @@ def _col_row(state, mask):
     paths pass down. Lane-indexed conditions (``tid``/``laneid``/
     ``warpid`` comparisons) always produce such masks, so the whole
     divergent tail of a reduction runs on one (threads,)-row."""
-    if len(state.shape) != 2:
-        return None
     if state._cur_all:
         row = state._cache.get(("fullrow",))
         if row is None:
             row = np.ones(state.nthreads, dtype=bool)
             state._cache[("fullrow",)] = row
         return row
-    if mask.ndim == 2 and mask.strides[0] == 0:
+    if mask.strides[0] == 0:
         return mask[0]
     return None
 
@@ -971,9 +963,7 @@ def _while_divergent_continue(
     their column paths.  Shared with the native backend's lowered
     loops, which return here on the first mixed condition."""
     cap = state.executor.loop_cap
-    row_active = None
-    if len(state.shape) == 2:
-        row_active = np.ones(state.nthreads, dtype=bool)
+    row_active = np.ones(state.nthreads, dtype=bool)
     active = mask
     while True:
         cond = np.asarray(cond, dtype=bool)
@@ -1030,11 +1020,7 @@ def _c_while_fast(instr, cond_trace, body_trace, kernel_name=None, index=0):
             state._exec_while_c(cond_trace, cond_read, body_trace, mask)
             return
         cap = state.executor.loop_cap
-        if (
-            genloop is not None
-            and state.san is None
-            and len(state.shape) == 2
-        ):
+        if genloop is not None and state.san is None:
             res = genloop(state, mask)
             if res is None:
                 return
@@ -1353,11 +1339,7 @@ def _c_shfl_fast(instr):
                 state._shfl(instr, mask)
                 return
             cache[key] = source_lane
-        if src.ndim == 2:
-            result = src[:, source_lane]
-        else:
-            result = src[source_lane]
-        state._write(dst, result, mask)
+        state._write(dst, src[:, source_lane], mask)
         state.events["inst.shfl"] += state._cur_warps
 
     run._specialized = "shfl"
@@ -1519,7 +1501,6 @@ def _ld_affine_attempt(state, mask, buf, a, b, cache):
             continue
         if (
             isinstance(x, np.ndarray)
-            and x.ndim == 2
             and x.shape == state.shape
             and x.dtype == np.int64
             and 0 not in x.strides
@@ -1577,7 +1558,7 @@ def _make_ld_attempt(buf):
 
 
 def _c_ld_global_fast(instr):
-    """Width-1 global load, batched full-mask fast path.
+    """Width-1 global load, full-mask fast path.
 
     Replicates ``_BatchedRun._ld_global`` bit-for-bit for the common
     case (sanitizer off, every lane active, int64 full-shape indices):
@@ -1610,7 +1591,6 @@ def _c_ld_global_fast(instr):
             state.san is not None
             or not state._cur_all
             or not isinstance(idx, np.ndarray)
-            or idx.ndim != 2
             or idx.shape != state.shape
             or idx.dtype != np.int64
             or instr.width != 1
@@ -1712,7 +1692,7 @@ def _c_ld_global_fast(instr):
 
 
 def _c_atom_global_fast(instr):
-    """Global atomic, batched single-address fast path.
+    """Global atomic, single-address fast path.
 
     The block-result pattern — every active lane updates the same
     address — lets the same-address contention tracker update in one
@@ -1733,7 +1713,6 @@ def _c_atom_global_fast(instr):
             or instr.op is not op0
             or instr.buf is not buf
             or atomic_ufunc is None
-            or len(state.shape) != 2
         ):
             state._atom_global(instr, mask)
             return

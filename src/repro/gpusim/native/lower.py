@@ -141,6 +141,7 @@ def _element_strides(arr, nblocks, nthreads):
     elif arr.ndim == 2 and arr.shape == (nblocks, 1):
         sa, sb = arr.strides[0], 0
     elif arr.ndim == 1 and arr.shape == (nthreads,):
+        # A block-uniform R-class core (see _alloc_core) is one lane row.
         sa, sb = 0, arr.strides[0]
     else:
         return None
@@ -228,8 +229,8 @@ def _make_region_wrapper(plan, cell, fallback):
     scratch = threading.local()
 
     def run(state, mask):
-        if not state._cur_all or len(state.shape) != 2:
-            note_fallback(state, "native.region", "mask-or-shape")
+        if not state._cur_all:
+            note_fallback(state, "native.region", "mask")
             fallback(state, mask)
             return
         shape = state.shape
@@ -331,12 +332,8 @@ def _make_loop_wrapper(plan, cell, fallback, instr):
     cond_kl = plan.cond_slot.kl
 
     def run(state, mask):
-        if (
-            not state._cur_all
-            or state.san is not None
-            or len(state.shape) != 2
-        ):
-            note_fallback(state, "native.loop", "mask-san-or-shape")
+        if not state._cur_all or state.san is not None:
+            note_fallback(state, "native.loop", "mask-or-san")
             fallback(state, mask)
             return
         nblocks, nthreads = state.shape
@@ -519,7 +516,6 @@ def _make_shfl_wrapper(instr, dt, cell, fallback):
         if (
             state.san is not None
             or not state._cur_all
-            or len(state.shape) != 2
             or instr.mode is not mode0
             or instr.width != width0
             or instr.offset is not off_op
@@ -585,7 +581,6 @@ def _make_shfl_wrapper(instr, dt, cell, fallback):
         if src is not frame[6]:
             if (
                 not isinstance(src, np.ndarray)
-                or src.ndim != 2
                 or src.shape != state.shape
                 or src.dtype != npdt
             ):
@@ -665,7 +660,6 @@ def _make_chain_wrapper(plan, cell, members, items):
         if (
             state.san is not None
             or not state._cur_all
-            or len(state.shape) != 2
             or state.shape[1] % 32
         ):
             note_fallback(state, "native.chain", "mask-san-or-shape")

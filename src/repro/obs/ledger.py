@@ -79,10 +79,6 @@ WATCHED_METRICS = (
                   "native/vector speedup"),
     WatchedMetric("best_version_sweep.speedup", "higher", 0.40,
                   "warm/cold sweep speedup"),
-    # Wide band: the win is scheduling (straggler overlap + persistent
-    # workers), which degenerates to ~1x on single-core CI runners.
-    WatchedMetric("sweep_scaling.speedup_vs_batch", "higher", 0.40,
-                  "work-stealing/batch-map sweep speedup"),
     WatchedMetric("vector_backend.fusion.fused_regions", "count",
                   label="fused region count"),
     WatchedMetric("vector_backend.fusion.megafused_loops", "count",

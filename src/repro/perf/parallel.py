@@ -14,7 +14,8 @@ death re-ran the *whole* spec list through the next pool class.
 * a **persistent, lazily-spawned process pool** shared by every
   ``map_profiles`` / ``profile_many`` / ``tune_all`` /
   ``DynamicSelector.build`` call in the process (workers keep their
-  per-``(op, ctype, unroll)`` framework memo warm across sweeps);
+  per-``(op, ctype, unroll, engine)`` framework memo warm across
+  sweeps);
 * **cost-ordered work stealing** — specs go into the pool's shared
   queue ordered by :func:`predicted_cost` (largest unsampled profiles
   first), and idle workers pull the next spec the moment they finish,
@@ -104,16 +105,23 @@ def _profile_spec(spec):
     """Worker entry point: profile one (version, n, tunables) point.
 
     ``spec`` is ``(op, ctype, unroll, version, n, tunables,
-    sample_limit)`` with a picklable frozen-dataclass version/tunables.
+    sample_limit, engine_mode, engine_backend)`` with a picklable
+    frozen-dataclass version/tunables; the engine pair is the calling
+    framework's spec, so every launch runs on the engine it asked for.
     Returns ``(profile, num_memsets, cost_s)``.
     """
-    op, ctype, unroll, version, n, tunables, sample_limit = spec
-    framework = _worker_frameworks.get((op, ctype, unroll))
+    (op, ctype, unroll, version, n, tunables, sample_limit,
+     engine_mode, engine_backend) = spec
+    memo_key = (op, ctype, unroll, engine_mode, engine_backend)
+    framework = _worker_frameworks.get(memo_key)
     if framework is None:
         from ..runtime.session import ReductionFramework
 
-        framework = ReductionFramework(op=op, ctype=ctype, unroll=unroll)
-        _worker_frameworks[(op, ctype, unroll)] = framework
+        framework = ReductionFramework(
+            op=op, ctype=ctype, unroll=unroll,
+            engine=f"{engine_mode}-{engine_backend}",
+        )
+        _worker_frameworks[memo_key] = framework
     start = time.perf_counter()
     profile, num_memsets = framework.profile(
         version, n, tunables, sample_limit=sample_limit

@@ -311,6 +311,8 @@ class ReductionFramework:
                     resolved[index][1],
                     resolved[index][2],
                     sample_limit,
+                    self.engine_mode,
+                    self.engine_backend,
                 )
                 for index in missing
             ]

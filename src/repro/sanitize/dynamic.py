@@ -1,10 +1,12 @@
 """Dynamic SIMT sanitizer: shadow-state hazard detection for the engines.
 
 An opt-in mode of :class:`repro.gpusim.Executor` (pass ``sanitizer=``).
-Both run states — sequential and batched, interpreted and compiled
-dispatch — feed the same three hooks from their memory, barrier and
-shuffle implementations, so one sanitizer covers all four engine
-combinations without touching results or event counters.
+The engine's one run state feeds three hooks from its memory, barrier
+and shuffle implementations, with the ``(blocks, threads)`` mask of the
+current chunk. Every mode (sequential one-block chunks, batched
+multi-block chunks) and every dispatch backend goes through them, so
+one sanitizer covers every engine combination without touching results
+or event counters.
 
 Hazard model (see ``docs/SANITIZER.md`` for the full write-up):
 
@@ -143,7 +145,7 @@ class Sanitizer:
 
 
 class _KernelSanitizer:
-    """Shadow state of one kernel launch (shared by its blocks/chunks)."""
+    """Shadow state of one kernel launch (shared by its chunks)."""
 
     def __init__(self, parent: Sanitizer, step, device):
         self.parent = parent
@@ -172,10 +174,6 @@ class _KernelSanitizer:
 
     def _active(self, run, idx, mask):
         """(blocks, lanes, addrs) of the active lanes of one access."""
-        if mask.ndim == 1:
-            lanes = np.flatnonzero(mask)
-            blocks = np.full(lanes.shape, run.block_id, dtype=np.int64)
-            return blocks, lanes, np.asarray(idx)[mask]
         rows, lanes = np.nonzero(mask)
         return run.block_ids[rows], lanes, np.asarray(idx)[mask]
 
@@ -193,7 +191,7 @@ class _KernelSanitizer:
             self._shadows[key] = entry
         return entry
 
-    # -- hooks (called from both engines) -----------------------------
+    # -- hooks (called from the run state) -----------------------------
 
     def on_mem(self, run, instr, idx, mask) -> None:
         if not mask.any():
@@ -237,12 +235,6 @@ class _KernelSanitizer:
 
     def on_bar(self, run, mask) -> None:
         self.t += 1
-        if mask.ndim == 1:
-            if not mask.any():
-                return
-            warps = np.unique(run._warp_of_lane[mask])
-            self._arrive(run.block_id, warps, run)
-            return
         per_warp = np.bitwise_or.reduceat(mask, run._warp_starts, axis=1)
         for row in np.flatnonzero(per_warp.any(axis=1)):
             self._arrive(int(run.block_ids[row]),
@@ -252,26 +244,16 @@ class _KernelSanitizer:
         self.t += 1
         if not mask.any():
             return
-        if mask.ndim == 1:
-            own = np.arange(run.nthreads, dtype=np.int64)
-            source_active = mask[source_lane]
-            bad = mask & ~source_active & (source_lane != own)
-            if not bad.any():
-                return
-            lanes = np.flatnonzero(bad)
-            blocks = np.full(lanes.shape, run.block_id, dtype=np.int64)
-            sources = source_lane[bad]
-        else:
-            own = np.broadcast_to(
-                np.arange(run.nthreads, dtype=np.int64), run.shape
-            )
-            source_active = np.take_along_axis(mask, source_lane, axis=1)
-            bad = mask & ~source_active & (source_lane != own)
-            if not bad.any():
-                return
-            rows, lanes = np.nonzero(bad)
-            blocks = run.block_ids[rows]
-            sources = source_lane[bad]
+        own = np.broadcast_to(
+            np.arange(run.nthreads, dtype=np.int64), run.shape
+        )
+        source_active = np.take_along_axis(mask, source_lane, axis=1)
+        bad = mask & ~source_active & (source_lane != own)
+        if not bad.any():
+            return
+        rows, lanes = np.nonzero(bad)
+        blocks = run.block_ids[rows]
+        sources = source_lane[bad]
         self.parent.report(
             "shfl-inactive-source", self.kernel.name, self._text(instr),
             f"lane {int(lanes[0])} (block {int(blocks[0])}) reads source "

@@ -119,6 +119,13 @@ class TestFigure6Equivalence:
         executor.device.upload("in", data)
         bat = executor.run_plan(plan)
         _assert_profiles_identical(seq, bat)
+        # One-block chunks: the batched mode cut exactly like the
+        # sequential order.
+        executor = Executor(mode="batched")
+        executor.BATCH_LANES = 64
+        executor.device.upload("in", data)
+        one = executor.run_plan(plan)
+        _assert_profiles_identical(seq, one)
 
 
 class TestExecutionModeSelection:

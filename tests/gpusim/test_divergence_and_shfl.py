@@ -246,3 +246,33 @@ class TestExactErrorMessages:
             SimulationError, match=r"kernel 'badshfl': " + detail,
         ):
             run_combo(kernel, 1, 32, mode, backend, in_data=data)
+
+    @pytest.mark.parametrize(
+        "mode,backend", [c for c in COMBOS if c[0] == "sequential"]
+    )
+    @pytest.mark.parametrize("access", ["ld", "st"])
+    def test_out_of_bounds_reports_first_offending_block(
+        self, mode, backend, access
+    ):
+        # Block 0 stays in bounds; block 1 is the first offender, so a
+        # block-ordered launch reports block 1's index range only.
+        b = IRBuilder()
+        tid = b.special("tid")
+        ctaid = b.special("ctaid")
+        idx = b.binop("add", b.binop("mul", ctaid, 32), tid)
+        if access == "ld":
+            b.st_global("out", tid, b.ld_global("in", idx))
+            buf = "in"
+        else:
+            b.st_global("out", idx, tid)
+            buf = "out"
+        kernel = Kernel("oob", buffers=["in", "out"], body=b.finish())
+        with pytest.raises(
+            SimulationError,
+            match=(
+                rf"kernel 'oob': out-of-bounds access to global buffer "
+                rf"'{buf}' \(size 40, index range \[32, 63\]\)$"
+            ),
+        ):
+            run_combo(kernel, 3, 32, mode, backend, out_size=40,
+                      in_data=np.zeros(40, dtype=np.float32))

@@ -256,3 +256,93 @@ class TestFaultTolerance:
                 )
         finally:
             shutdown_scheduler()
+
+
+ENGINE = "sequential-interpreted"
+
+
+def _assert_engine(entries):
+    """Every launch of every ``(profile, num_memsets)`` entry ran on
+    ``ENGINE``, whichever process profiled it."""
+    entries = list(entries)
+    assert entries
+    for profile, _memsets in entries:
+        assert profile.steps
+        for step in profile.steps:
+            assert step.meta["exec.mode"] == "sequential"
+            assert step.meta["exec.backend"] == "interpreted"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestEngineReachesSweep:
+    """A framework's engine spec must reach every profile behind the
+    sweep entry points, serial and pooled. Each test sweeps sizes no
+    other test uses, into a fresh cache on freshly forked workers, so
+    every profile is computed by the sweep under test."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_worker_frameworks", {})
+        shutdown_scheduler()
+        yield
+        shutdown_scheduler()
+
+    @staticmethod
+    def _fw():
+        return ReductionFramework(
+            op="add", engine=ENGINE, cache=ProfileCache()
+        )
+
+    @staticmethod
+    def _cached(fw):
+        return [entry.value for entry in fw.cache._mem.values()]
+
+    def test_profile_many(self, workers):
+        specs = [
+            ("b", 3001 + workers, Tunables(block=64, grid=grid))
+            for grid in (4, 8, 16, 32)
+        ]
+        _assert_engine(self._fw().profile_many(specs, max_workers=workers))
+
+    def test_tune_all(self, workers):
+        from repro.autotune import tune_all
+
+        fw = self._fw()
+        tune_all(
+            fw, 3101 + workers, "kepler", candidates=["b", "p"],
+            blocks=(64, 128), grids=(None, 8), max_workers=workers,
+        )
+        _assert_engine(self._cached(fw))
+
+    def test_best_version(self, workers):
+        fw = self._fw()
+        fw.best_version(
+            3201 + workers, "kepler", candidates=["a", "b", "e", "p"],
+            tunables=Tunables(block=64), max_workers=workers,
+        )
+        _assert_engine(self._cached(fw))
+
+    def test_selector_build(self, workers):
+        from repro.autotune import DynamicSelector
+
+        fw = self._fw()
+        DynamicSelector.build(
+            fw, "kepler", sizes=(3301 + workers, 3401 + workers),
+            candidates=["b", "p"], blocks=(64,), grids=(None, 8),
+            max_workers=workers,
+        )
+        _assert_engine(self._cached(fw))
+
+    def test_cli_sweep(self, workers, tmp_path):
+        from repro.cli import main
+        from repro.perf.shard import read_manifest, tier_path
+
+        assert main([
+            "sweep", "--sizes", str(3501 + workers), "--versions", "b,p",
+            "--blocks", "64,128", "--grids", "none,8", "--engine", ENGINE,
+            "--jobs", str(workers), "--shard", "0/1",
+            "--shard-dir", str(tmp_path),
+        ]) == 0
+        tier = tier_path(tmp_path, 0, 1)
+        cache = ProfileCache(disk_dir=tier)
+        _assert_engine(cache.get(key) for key in read_manifest(tier)["keys"])
