@@ -198,6 +198,10 @@ class Histogram:
         """Modelled wall time of the histogram on one architecture."""
         from ..gpusim import get_architecture, plan_time
         from ..gpusim.device import Device
+        from ..runtime.session import (
+            PROFILE_SAMPLE_BLOCKS,
+            SAMPLING_GRID_LIMIT,
+        )
 
         arch = arch if not isinstance(arch, str) else get_architecture(arch)
         plan = self.build_plan(n)
@@ -205,7 +209,9 @@ class Histogram:
         device.alloc("in", n, dtype=np.int32)
         executor = Executor(device=device)
         grid = plan.kernel_steps()[0].grid
-        sample = None if grid <= 64 else 3
+        sample = (
+            None if grid <= SAMPLING_GRID_LIMIT else PROFILE_SAMPLE_BLOCKS
+        )
         profile = executor.run_plan(plan, sample_limit=sample)
         return plan_time(profile, arch, num_memsets=1)
 

@@ -274,6 +274,10 @@ class Scan:
         """Modelled wall time of the device-wide scan."""
         from ..gpusim import get_architecture, plan_time
         from ..gpusim.device import Device
+        from ..runtime.session import (
+            PROFILE_SAMPLE_BLOCKS,
+            SAMPLING_GRID_LIMIT,
+        )
 
         arch = arch if not isinstance(arch, str) else get_architecture(arch)
         plan = self.build_plan(n)
@@ -281,6 +285,8 @@ class Scan:
         device.alloc("in", n, dtype=np.float32)
         executor = Executor(device=device)
         grid = max(step.grid for step in plan.kernel_steps())
-        sample = None if grid <= 64 else 3
+        sample = (
+            None if grid <= SAMPLING_GRID_LIMIT else PROFILE_SAMPLE_BLOCKS
+        )
         profile = executor.run_plan(plan, sample_limit=sample)
         return plan_time(profile, arch)

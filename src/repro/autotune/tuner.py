@@ -62,8 +62,8 @@ def sweep_specs(
     One canonical enumeration — sorted sizes × catalog order ×
     :func:`configurations` — shared by :func:`tune_all`,
     :meth:`~repro.autotune.selector.DynamicSelector.build` and the
-    ``repro sweep`` CLI, so a sweep sharded by profile-key hash covers
-    *exactly* the grid a single-process ``tune_all`` would profile.
+    ``repro sweep`` CLI, so a ``repro sweep`` profiles *exactly* the
+    grid ``tune_all`` would.
     """
     candidates = (
         candidates if candidates is not None else list(framework.catalog)

@@ -8,11 +8,9 @@ Commands:
 * ``reduce``    — run a reduction on random data on the simulator;
 * ``time``      — modelled wall times across architectures;
 * ``tune``      — sweep tunable parameters for one version;
-* ``sweep``     — profile a tuning grid (optionally one shard of it)
-  into a cache tier, for cross-process/host sweeps;
+* ``sweep``     — profile a tuning grid into the profile cache;
 * ``sanitize``  — race/barrier-divergence sanitizer over the catalog;
-* ``cache``     — inspect or clear the unified profile cache, or
-  ``cache merge`` shard tiers into the main cache;
+* ``cache``     — inspect or clear the unified profile cache;
 * ``trace``     — run any command with tracing on, write a Chrome trace
   (and, with ``--flame``, a collapsed-stack flamegraph);
 * ``stats``     — dump the metrics-registry snapshot;
@@ -223,23 +221,9 @@ def cmd_sweep(args) -> int:
     import time as _time
 
     from .autotune.tuner import DEFAULT_BLOCKS, DEFAULT_GRIDS, sweep_specs
-    from .perf import ProfileCache, default_cache
-    from .perf.shard import (
-        build_manifest,
-        parse_shard,
-        shard_of,
-        tier_path,
-        write_manifest,
-    )
+    from .perf import default_cache
     from .runtime import ReductionFramework
 
-    try:
-        shard_index, shard_count = (
-            parse_shard(args.shard) if args.shard else (0, 1)
-        )
-    except ValueError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        return 2
     if args.sizes:
         sizes = [int(token) for token in args.sizes.split(",") if token]
     elif args.n is not None:
@@ -261,16 +245,7 @@ def cmd_sweep(args) -> int:
     )
     candidates = args.versions.split(",") if args.versions else None
 
-    tier = None
-    if args.shard_dir:
-        tier = tier_path(args.shard_dir, shard_index, shard_count)
-        cache = ProfileCache(disk_dir=tier)
-    elif args.shard:
-        print("repro sweep: --shard requires --shard-dir (each shard "
-              "writes a private mergeable tier)", file=sys.stderr)
-        return 2
-    else:
-        cache = default_cache()
+    cache = default_cache()
     fw = ReductionFramework(
         op=args.op,
         unroll=args.unroll,
@@ -278,41 +253,12 @@ def cmd_sweep(args) -> int:
         cache=cache,
     )
     specs = sweep_specs(fw, sizes, candidates, blocks, grids)
-    keyed = [
-        (fw.profile_key(version, n, tunables, None), (version, n, tunables))
-        for version, n, tunables in specs
-    ]
-    mine = [
-        (key, spec)
-        for key, spec in keyed
-        if shard_of(key, shard_count) == shard_index
-    ]
     start = _time.perf_counter()
-    if mine:
-        fw.profile_many([spec for _, spec in mine], max_workers=args.jobs)
+    fw.profile_many(specs, max_workers=args.jobs)
     wall = _time.perf_counter() - start
-    print(f"[sweep] shard {shard_index}/{shard_count}: "
-          f"{len(mine)}/{len(specs)} grid points in {wall:.3f}s")
+    print(f"[sweep] {len(specs)} grid points in {wall:.3f}s")
     stats = cache.stats.as_dict()
     print("[sweep] cache: " + ", ".join(f"{k}={v}" for k, v in stats.items()))
-    if tier is not None:
-        manifest = build_manifest(
-            shard_index,
-            shard_count,
-            [key for key, _ in mine],
-            grid={
-                "op": args.op,
-                "unroll": bool(args.unroll),
-                "sizes": sizes,
-                "versions": candidates if candidates else "catalog",
-                "blocks": list(blocks),
-                "grids": list(grids),
-            },
-            wall_s=wall,
-            cache_stats=stats,
-        )
-        path = write_manifest(tier, manifest)
-        print(f"[sweep] tier -> {tier} (manifest {path.name})")
     return 0
 
 
@@ -368,31 +314,6 @@ def cmd_sanitize(args) -> int:
 
 def cmd_cache(args) -> int:
     from .perf import default_cache, default_plan_cache
-
-    if args.action == "merge":
-        import os
-
-        from .perf import CACHE_DIR_ENV
-        from .perf.shard import ShardConflictError, merge_tiers
-
-        if not args.sources:
-            print("repro cache merge: at least one source tier required",
-                  file=sys.stderr)
-            return 2
-        dest = args.dest or os.environ.get(CACHE_DIR_ENV)
-        if not dest:
-            print("repro cache merge: no destination (pass --dest or set "
-                  f"{CACHE_DIR_ENV})", file=sys.stderr)
-            return 2
-        try:
-            stats = merge_tiers(args.sources, dest)
-        except ShardConflictError as exc:
-            print(f"[cache] CONFLICT: {exc}", file=sys.stderr)
-            return 1
-        print(f"[cache] merged {stats['merged']} entries into {dest} "
-              f"({stats['identical']} identical, {stats['corrupt']} corrupt; "
-              f"{stats['examined']} examined from {stats['sources']} tiers)")
-        return 0
 
     cache = default_cache()
     if args.clear:
@@ -627,18 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="profile a tuning grid (or one shard of it) into a cache "
-             "tier",
+        help="profile a tuning grid into the profile cache",
         description=(
             "Profile the canonical tune_all grid — sizes × version "
-            "catalog × tunables — through the work-stealing scheduler. "
-            "With --shard i/k and --shard-dir the grid is partitioned "
-            "deterministically by profile-key hash, and this process "
-            "profiles only its slice into a private mergeable disk "
-            "tier (DIR/shard-<i>of<k>) plus a manifest; fold tiers "
-            "back together with 'repro cache merge'. Without --shard "
-            "the whole grid is profiled into the default cache "
-            "(REPRO_CACHE_DIR)."
+            "catalog × tunables — on the persistent process pool into "
+            "the default profile cache. Set REPRO_CACHE_DIR to keep "
+            "the profiles on disk for later 'repro tune' / 'repro "
+            "time' runs."
         ),
     )
     _add_common(p)
@@ -656,12 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated grid sizes, 'none' for "
                         "size-derived (default: the tuner's grid)")
     p.add_argument("--unroll", action="store_true")
-    p.add_argument("--shard", default=None, metavar="I/K",
-                   help="profile only shard I of K (e.g. 0/2); requires "
-                        "--shard-dir")
-    p.add_argument("--shard-dir", default=None, dest="shard_dir",
-                   metavar="DIR",
-                   help="write this shard's tier + manifest under DIR")
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel profiling workers (default: auto)")
     p.add_argument("--engine", default="auto", type=_engine_spec,
@@ -706,22 +616,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cache",
-        help="inspect/clear the profile cache, or merge shard tiers",
+        help="inspect or clear the profile cache",
         description=(
-            "Without arguments: show cache statistics. 'repro cache "
-            "merge TIER...' folds shard tiers (from 'repro sweep "
-            "--shard') into the destination tier — idempotently, "
-            "erroring out when two tiers disagree about one key's "
-            "profile."
+            "Show profile- and plan-cache statistics, or drop every "
+            "cached profile with --clear."
         ),
     )
-    p.add_argument("action", nargs="?", choices=("show", "merge"),
-                   default="show",
-                   help="'show' (default) or 'merge'")
-    p.add_argument("sources", nargs="*", metavar="TIER",
-                   help="source tier directories for 'merge'")
-    p.add_argument("--dest", default=None, metavar="DIR",
-                   help="merge destination (default: REPRO_CACHE_DIR)")
     p.add_argument("--clear", action="store_true",
                    help="drop every cached profile (memory + disk)")
     p.set_defaults(func=cmd_cache)

@@ -19,19 +19,9 @@ from .cache import (
 )
 from .parallel import (
     MAX_WORKERS_ENV,
-    WORKER_CAP_ENV,
-    SweepScheduler,
-    default_scheduler,
     map_profiles,
     resolve_workers,
     shutdown_scheduler,
-)
-from .shard import (
-    ShardConflictError,
-    merge_tiers,
-    parse_shard,
-    shard_of,
-    tier_digest,
 )
 
 __all__ = [
@@ -40,20 +30,12 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DEFAULT_PLAN_ENTRIES",
     "MAX_WORKERS_ENV",
-    "WORKER_CAP_ENV",
     "ProfileCache",
-    "ShardConflictError",
-    "SweepScheduler",
     "configure",
     "content_key",
     "default_cache",
     "default_plan_cache",
-    "default_scheduler",
     "map_profiles",
-    "merge_tiers",
-    "parse_shard",
     "resolve_workers",
-    "shard_of",
     "shutdown_scheduler",
-    "tier_digest",
 ]

@@ -162,7 +162,7 @@ class ProfileCache:
     def touch(self, keys) -> None:
         """Re-establish LRU recency for ``keys`` (first → least recent).
 
-        The work-stealing sweep inserts profiles in *completion* order,
+        The pooled sweep inserts profiles in *completion* order,
         which varies run to run; callers that promised deterministic
         merge semantics (``profile_many``) touch the keys in submission
         order afterwards so the memory tier's recency order — and hence

@@ -52,8 +52,11 @@ from ..obs import default_metrics, get_tracer
 from ..perf import ProfileCache, content_key, default_cache, map_profiles
 from ..vir import MemsetStep
 
-#: Default number of blocks executed when profiling large launches.
-_PROFILE_SAMPLE = 3
+#: The profiling sampling policy: a launch whose grid exceeds
+#: ``SAMPLING_GRID_LIMIT`` blocks is profiled on ``PROFILE_SAMPLE_BLOCKS``
+#: sampled blocks; smaller launches run unsampled.
+SAMPLING_GRID_LIMIT = 64
+PROFILE_SAMPLE_BLOCKS = 3
 
 # The DSL frontend (program load + preprocessing passes) is pure per
 # (op, ctype, unroll) configuration, so its results are shared across
@@ -275,8 +278,7 @@ class ReductionFramework:
         max_workers: int = None,
     ):
         """Profile many ``(version, n, tunables)`` points, fanning the
-        missing ones out over the :mod:`repro.perf.parallel`
-        work-stealing scheduler.
+        missing ones out over the :mod:`repro.perf.parallel` pool.
 
         Each completed profile **streams** into the shared cache the
         moment its worker finishes (so concurrent readers see results
@@ -413,7 +415,9 @@ def _profile_plan(
     executor = Executor(device=device, mode=mode, backend=backend)
     if sample_limit is None:
         max_grid = max(step.grid for step in plan.kernel_steps())
-        sample_limit = None if max_grid <= 64 else _PROFILE_SAMPLE
+        sample_limit = (
+            None if max_grid <= SAMPLING_GRID_LIMIT else PROFILE_SAMPLE_BLOCKS
+        )
     return executor.run_plan(plan, sample_limit=sample_limit)
 
 

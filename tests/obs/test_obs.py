@@ -336,7 +336,7 @@ class TestWorkerDeath:
     spans shipped by specs that *did* complete still merge (each under
     the owning worker's stable ``worker-<slot>`` tid, exactly once),
     completed results are kept, and only the unfinished specs are
-    retried — fresh process pool, then threads — with correct
+    retried — fresh process pool, then serial — with correct
     results."""
 
     SIZES = [1024, 2048, 4096, 8192]
@@ -373,7 +373,7 @@ class TestWorkerDeath:
         """Kill the process-pool worker that picks up the poisoned spec
         (``os._exit`` skips all cleanup, as a real crash would):
         map_profiles must keep every completed result, retry only the
-        unfinished specs (fresh pool, then threads — where the
+        unfinished specs (fresh pool, then serial — where the
         unpatched ``_profile_spec`` entry point succeeds), return
         correct aligned results, and the trace must hold each sweep
         point exactly once — completed points under stable worker tids,
@@ -434,7 +434,7 @@ class TestWorkerDeath:
         worker_tids = {s.tid for s in points if s.tid >= WORKER_TID_BASE}
         assert worker_tids <= {WORKER_TID_BASE, WORKER_TID_BASE + 1}
         # The poisoned spec kills any process worker that touches it, so
-        # its point can only have landed via the thread/serial retries.
+        # its point can only have landed via the serial tail.
         poison = [s for s in points if s.args["n"] == 2048]
         assert len(poison) == 1 and poison[0].tid < WORKER_TID_BASE
 

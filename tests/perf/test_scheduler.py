@@ -1,9 +1,9 @@
-"""Work-stealing sweep scheduler: dispatch policy, determinism,
-persistent-pool reuse, and per-future fault tolerance.
+"""Sweep pool: dispatch policy, determinism, persistent-pool reuse,
+and fault tolerance (one fresh-pool retry, then serial).
 
-The scheduler's contract is that *scheduling is invisible except in
-wall time*: whatever order workers complete specs in — including after
-a worker death — the caller-visible results, the cache contents, the
+The pool's contract is that *scheduling is invisible except in wall
+time*: whatever order workers complete specs in — including after a
+worker death — the caller-visible results, the cache contents, the
 cache's LRU order and the tuning tables must be bit-identical to a
 serial sweep.
 """
@@ -16,9 +16,7 @@ from repro.codegen import Tunables
 from repro.perf import ProfileCache, shutdown_scheduler
 from repro.perf import parallel as parallel_mod
 from repro.perf.parallel import (
-    DEFAULT_WORKER_CAP,
     MAX_WORKERS_ENV,
-    WORKER_CAP_ENV,
     dispatch_order,
     predicted_cost,
     resolve_workers,
@@ -55,28 +53,14 @@ class TestDispatchOrder:
 
 
 class TestWorkerResolution:
-    def test_cap_env_overrides_default_cap(self, monkeypatch):
+    def test_max_workers_env_beats_cap(self, monkeypatch):
+        # Auto-selection caps the cpu count at 8; REPRO_MAX_WORKERS sets
+        # any exact count, above the cap included.
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 32)
         monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-        monkeypatch.delenv(WORKER_CAP_ENV, raising=False)
-        assert resolve_workers() == DEFAULT_WORKER_CAP
-        monkeypatch.setenv(WORKER_CAP_ENV, "16")
-        assert resolve_workers() == 16
-        # The cap only bounds auto-selection; fewer cores still win.
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
-        assert resolve_workers() == 4
-
-    def test_max_workers_env_beats_cap(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 32)
-        monkeypatch.setenv(WORKER_CAP_ENV, "4")
+        assert resolve_workers() == 8
         monkeypatch.setenv(MAX_WORKERS_ENV, "12")
         assert resolve_workers() == 12
-
-    def test_bad_cap_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 32)
-        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-        monkeypatch.setenv(WORKER_CAP_ENV, "not-a-number")
-        assert resolve_workers() == DEFAULT_WORKER_CAP
 
 
 SIZES = [1024, 2048, 4096, 8192, 16384, 32768]
@@ -181,8 +165,7 @@ _DIE_ONCE_POISON_N = None
 def _die_once_entry(spec):
     """Kill the worker the first time it sees the poisoned spec; the
     flag file makes the retry (in a freshly spawned pool) succeed —
-    isolating recreate-pool-and-retry-unfinished from the thread/serial
-    cascade."""
+    isolating recreate-pool-and-retry-unfinished from the serial tail."""
     if spec[4] == _DIE_ONCE_POISON_N:
         import os as _os
 
@@ -190,6 +173,30 @@ def _die_once_entry(spec):
             open(_DIE_ONCE_FLAG, "w").close()
             _os._exit(1)
     return _DIE_ONCE_ORIGINAL(spec)
+
+
+def _always_die_entry(spec):
+    """Kill every worker that sees the poisoned spec, so both pool
+    waves break and the spec lands through the serial tail."""
+    if spec[4] == _DIE_ONCE_POISON_N:
+        import os as _os
+
+        _os._exit(1)
+    return _DIE_ONCE_ORIGINAL(spec)
+
+
+def _assert_identical(results, expected):
+    """Profiles and memset counts bit-identical (``cost_s`` is wall
+    time and may differ)."""
+    assert len(results) == len(expected)
+    for (profile, memsets, *_), (ref_profile, ref_memsets, *_) in zip(
+        results, expected
+    ):
+        assert memsets == ref_memsets
+        assert profile.result == ref_profile.result
+        assert len(profile.steps) == len(ref_profile.steps)
+        for got, ref in zip(profile.steps, ref_profile.steps):
+            assert dict(got.events) == dict(ref.events)
 
 
 class TestFaultTolerance:
@@ -241,6 +248,73 @@ class TestFaultTolerance:
         # Only unfinished specs were re-dispatched — never the whole
         # list (the old fallback re-ran all six).
         assert 1 <= retried1 - retried0 < len(SIZES)
+
+    def test_next_sweep_respawns_pool_after_worker_death(self, monkeypatch):
+        import sys
+
+        from repro.obs import default_metrics
+
+        this_module = sys.modules[__name__]
+        original = parallel_mod._profile_spec_traced
+        monkeypatch.setattr(this_module, "_DIE_ONCE_ORIGINAL", original)
+        monkeypatch.setattr(this_module, "_DIE_ONCE_POISON_N", 4096)
+        monkeypatch.setattr(
+            parallel_mod, "_profile_spec_traced", _always_die_entry
+        )
+        shutdown_scheduler()
+
+        serial = ReductionFramework(op="add", cache=ProfileCache())
+        expected = serial.profile_many(_specs(), max_workers=1)
+        metrics = default_metrics()
+
+        def spawns():
+            return metrics.snapshot()["counters"].get(
+                "sweep.sched.pool_spawns", 0
+            )
+
+        try:
+            spawns0 = spawns()
+            dying = ReductionFramework(op="add", cache=ProfileCache())
+            _assert_identical(
+                dying.profile_many(_specs(), max_workers=2), expected
+            )
+            # The persistent pool broke, its one fresh retry broke too,
+            # and the serial tail finished the poisoned spec.
+            assert spawns() - spawns0 == 2
+            monkeypatch.setattr(
+                parallel_mod, "_profile_spec_traced", original
+            )
+            spawns1 = spawns()
+            fw = ReductionFramework(op="add", cache=ProfileCache())
+            results = fw.profile_many(_specs(), max_workers=2)
+            assert spawns() - spawns1 == 1
+        finally:
+            shutdown_scheduler()
+        _assert_identical(results, expected)
+
+    def test_unconstructible_pool_runs_serially(self, monkeypatch):
+        import concurrent.futures
+
+        class _NoPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no process pool on this host")
+
+        fw = ReductionFramework(op="add", cache=ProfileCache())
+        specs = [
+            (fw.op, fw.ctype, fw.unroll, fw.resolve(version), n, tunables,
+             None, fw.engine_mode, fw.engine_backend)
+            for version, n, tunables in _specs()
+        ]
+        expected = parallel_mod.map_profiles(specs, max_workers=1)
+        shutdown_scheduler()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+        streamed = []
+        results = parallel_mod.map_profiles(
+            specs, max_workers=2,
+            on_result=lambda index, result: streamed.append(index),
+        )
+        _assert_identical(results, expected)
+        assert sorted(streamed) == list(range(len(specs)))
 
     def test_serial_tail_propagates_real_errors(self, monkeypatch):
         def _boom(spec):
@@ -333,16 +407,23 @@ class TestEngineReachesSweep:
         )
         _assert_engine(self._cached(fw))
 
-    def test_cli_sweep(self, workers, tmp_path):
+    def test_cli_sweep(self, workers, tmp_path, monkeypatch):
         from repro.cli import main
-        from repro.perf.shard import read_manifest, tier_path
+        from repro.perf import CACHE_DIR_ENV
+        from repro.perf import cache as cache_mod
 
+        # `repro sweep` profiles into the default cache; point its disk
+        # tier at tmp_path and read back every profile the sweep wrote.
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(cache_mod, "_default_cache", None)
         assert main([
             "sweep", "--sizes", str(3501 + workers), "--versions", "b,p",
             "--blocks", "64,128", "--grids", "none,8", "--engine", ENGINE,
-            "--jobs", str(workers), "--shard", "0/1",
-            "--shard-dir", str(tmp_path),
+            "--jobs", str(workers),
         ]) == 0
-        tier = tier_path(tmp_path, 0, 1)
-        cache = ProfileCache(disk_dir=tier)
-        _assert_engine(cache.get(key) for key in read_manifest(tier)["keys"])
+        suffix = cache_mod._DISK_SUFFIX
+        keys = [
+            path.name[: -len(suffix)] for path in tmp_path.glob(f"*{suffix}")
+        ]
+        cache = ProfileCache(disk_dir=tmp_path)
+        _assert_engine(cache.get(key) for key in keys)
