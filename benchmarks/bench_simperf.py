@@ -13,14 +13,9 @@ Measures the mechanisms of docs/PERFORMANCE.md on this machine:
 3. the vector backend (fused-region mega-expressions + megafused
    loops, see ``repro.gpusim.fuse``) on the same launch, with the
    one-time fusion cost and the fusion statistics recorded;
-4. the native backend (generated C compiled into per-plan shared
-   libraries, see ``repro.gpusim.native``) on the same launch, with
-   the one-time lower+compile cost and the lowering statistics — this
-   leg is skipped (and recorded as unavailable) on hosts without a C
-   toolchain;
-5. cold vs warm ``best_version`` sweeps through the unified profile
+4. cold vs warm ``best_version`` sweeps through the unified profile
    cache across several paper sizes;
-6. the disabled-tracer fast path of :mod:`repro.obs` — instrumentation
+5. the disabled-tracer fast path of :mod:`repro.obs` — instrumentation
    must cost nothing when ``REPRO_TRACE`` is unset, so the per-call
    overhead of a no-op ``tracer.span()`` is measured and bounded.
 
@@ -29,7 +24,7 @@ committed snapshot of record), and every run also appends one
 schema-versioned line to ``BENCH_ledger.jsonl`` — the trajectory the
 regression judgement reads. Headline ratios asserted as absolute
 floors: batched >= 2x sequential, compiled >= 2x the batched
-interpreter, vector >= 3x compiled, native >= 2x vector, and the warm
+interpreter, vector >= 3x compiled, and the warm
 sweep still beats cold (the compiled executor made cold points so
 cheap — ~0.1 ms each — that the old 5x cache ratio is now bounded by
 the timing-model floor, not by simulation). Relative regressions are
@@ -37,8 +32,7 @@ judged per-metric against the ledger's trailing window by
 ``repro.obs.ledger.detect_regressions`` (which also powers ``repro
 bench report``), replacing the old single 25%-of-committed-ratio guard
 with attributed messages — a fallen ratio names the ratio, a dropped
-structure count (fused regions, megafused loops, native chains) names
-the count.
+structure count (fused regions, megafused loops) names the count.
 """
 
 import gc
@@ -96,8 +90,9 @@ def _profile_large(mode: str, backend: str, reps: int = 3) -> float:
     return best
 
 
-def _profile_large_pair(backends=("compiled", "vector"), reps: int = 25):
-    """Warm per-backend seconds for the LARGE_N profile, interleaved.
+def _profile_large_pair(reps: int = 25):
+    """Warm compiled and vector seconds for the LARGE_N profile,
+    interleaved.
 
     The headline backend-vs-backend ratios are asserted hard, so the
     legs are timed *alternately* within the same loop: machine drift
@@ -105,6 +100,7 @@ def _profile_large_pair(backends=("compiled", "vector"), reps: int = 25):
     same phase and cancels out of the ratio, where back-to-back
     min-of-N blocks would let a slow phase land on only one leg.
     """
+    backends = ("compiled", "vector")
     runs = {}
     for backend in backends:
         fw = ReductionFramework(
@@ -169,34 +165,6 @@ def _fuse_cold():
     }
 
 
-def _lower_cold():
-    """Seconds for native lowering + C compilation on freshly compiled
-    and fused kernels (the extra one-time cost a native-keyed
-    plan-cache miss pays on top of fusion; the `.so` disk cache
-    amortizes the compile across processes), plus the lowering
-    statistics of the main reduction kernel."""
-    from repro.gpusim.native import lower_kernel
-
-    fw = ReductionFramework(op="add", cache=ProfileCache())
-    version = fw.resolve("b")
-    plan = build_plan(fw.pre, version, LARGE_N, LARGE_TUNABLES)
-    kernels = [step.kernel for step in plan.kernel_steps()]
-    for kernel in kernels:
-        compile_kernel(kernel)  # lowering input, not part of the cost
-        fuse_kernel(kernel)
-    start = time.perf_counter()
-    lowered = [lower_kernel(kernel) for kernel in kernels]
-    elapsed = time.perf_counter() - start
-    stats = lowered[0].stats
-    return elapsed, {
-        key: stats[key]
-        for key in (
-            "native_regions", "native_loops", "native_shfls",
-            "native_chains", "native_fallbacks",
-        )
-    }
-
-
 def _sweep(fw) -> float:
     """Seconds for a best_version sweep over the Figure 6 catalog.
 
@@ -244,44 +212,11 @@ def _noop_tracer_overhead() -> float:
 
 
 def measure():
-    from repro.gpusim.native import native_available, unavailable_reason
-
-    # The native ratio gets its own interleaved pair, timed FIRST:
-    # vector is re-timed alongside native so drift cancels out of
-    # *this* ratio too (the earlier vector number pairs with
-    # compiled), and the pair runs before the interpreter legs bloat
-    # the heap — their per-lane index arrays leave the allocator in a
-    # state that adds a constant ~0.1ms to every later launch, which
-    # compresses the fastest pair's ratio the most.
-    have_native = native_available()
-    if have_native:
-        vector_vs_native_s, native_s = _profile_large_pair(
-            ("vector", "native")
-        )
-
     sequential_s = _profile_large("sequential", "interpreted")
     batched_s = _profile_large("batched", "interpreted")
     compiled_s, vector_s = _profile_large_pair()
     compile_cold_s = _compile_cold()
     fuse_cold_s, fusion = _fuse_cold()
-
-    if have_native:
-        lower_cold_s, lowering = _lower_cold()
-        native_section = {
-            "available": True,
-            "version": "b",
-            "n": LARGE_N,
-            "vector_warm_s": round(vector_vs_native_s, 4),
-            "native_warm_s": round(native_s, 4),
-            "lower_cold_s": round(lower_cold_s, 4),
-            "speedup_vs_vector": round(vector_vs_native_s / native_s, 2),
-            "lowering": lowering,
-        }
-    else:
-        native_section = {
-            "available": False,
-            "reason": unavailable_reason(),
-        }
 
     fw = ReductionFramework(op="add", cache=ProfileCache())
     cold_s = _sweep(fw)
@@ -319,7 +254,6 @@ def measure():
             "speedup_vs_compiled": round(compiled_s / vector_s, 2),
             "fusion": fusion,
         },
-        "native_backend": native_section,
         "best_version_sweep": {
             "cold_s": round(cold_s, 4),
             "warm_s": round(warm_s, 4),
@@ -345,23 +279,7 @@ def test_simperf_snapshot(benchmark):
     large = data["profile_large"]
     compiled = data["compiled_executor"]
     vector = data["vector_backend"]
-    native = data["native_backend"]
     sweep = data["best_version_sweep"]
-    if native["available"]:
-        native_lines = [
-            f"  native (generated-C) backend on the same launch:",
-            f"    vector {native['vector_warm_s']:.3f}s   "
-            f"native {native['native_warm_s']:.3f}s   "
-            f"({native['speedup_vs_vector']:.1f}x; one-time lower+compile "
-            f"{native['lower_cold_s']:.3f}s; "
-            f"{native['lowering']['native_regions']} regions, "
-            f"{native['lowering']['native_loops']} loop(s), "
-            f"{native['lowering']['native_chains']} chain(s))",
-        ]
-    else:
-        native_lines = [
-            f"  native backend: unavailable ({native['reason']})",
-        ]
     write_table(
         "simperf",
         [
@@ -382,7 +300,6 @@ def test_simperf_snapshot(benchmark):
             f"{vector['fuse_cold_s']:.3f}s; "
             f"{vector['fusion']['fused_regions']} regions, "
             f"{vector['fusion']['megafused_loops']} megafused loop(s))",
-            *native_lines,
             f"  best_version sweep over {data['versions_swept']} versions"
             f" x {len(data['sweep_sizes'])} sizes:",
             f"    cold {sweep['cold_s']:.3f}s   warm {sweep['warm_s']:.3f}s"
@@ -402,16 +319,11 @@ def test_simperf_snapshot(benchmark):
         "the fused-region vector backend must beat the compiled "
         "backend 3x on the 1M profile (ISSUE acceptance)"
     )
-    if native["available"]:
-        assert native["speedup_vs_vector"] >= 2.0, (
-            "the native codegen backend must beat the vector backend "
-            "2x warm on the 1M profile (ISSUE acceptance)"
-        )
     # Relative regression judgement: per-metric against the ledger's
     # trailing window, with attribution — speedup ratios compare with a
     # tolerance band (they are ratios, not absolute seconds, so the
     # checks hold across machines), structure counts (fused regions,
-    # megafused loops, native chains) flag on any drop.
+    # megafused loops) flag on any drop.
     assert not regressions, (
         "bench ledger regressions vs trailing window:\n  "
         + "\n  ".join(r["message"] for r in regressions)

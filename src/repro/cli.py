@@ -271,10 +271,10 @@ def cmd_sanitize(args) -> int:
         sweep_catalog,
     )
 
-    from .sanitize import default_engines
+    from .sanitize import DEFAULT_ENGINES
 
     engines = (
-        tuple(args.engine.split(",")) if args.engine else default_engines()
+        tuple(args.engine.split(",")) if args.engine else DEFAULT_ENGINES
     )
     versions = args.versions.split(",") if args.versions else None
     ops = (args.op,) if args.op != "all" else ("add", "max", "min")
@@ -547,8 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--engine", default=None,
                    help="comma-separated engine specs to execute under "
-                        f"(default: {','.join(DEFAULT_ENGINES)}, plus "
-                        "batched-native when a C toolchain is present)")
+                        f"(default: {','.join(DEFAULT_ENGINES)})")
     p.add_argument("--no-lint", dest="lint", action="store_false",
                    help="skip the static VIR lint pass")
     p.add_argument("--negatives", action="store_true",
@@ -624,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attribution rows to print with --diff "
                         "(default: 6)")
     p.add_argument("--no-coverage", action="store_true",
-                   help="skip the fuse/native lowering-coverage pass")
+                   help="skip the fuse lowering-coverage pass")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full payload as JSON "
                         "('-' for stdout)")

@@ -6,7 +6,7 @@ backend touched ``engine.py`` internals.  This module extracts the
 contract into a small protocol so backends plug in through a registry
 and :func:`~repro.gpusim.engine.parse_engine_spec` picks them up
 automatically (the Vortex paper in PAPERS.md motivates keeping this
-swappable for future native / software-warp-op targets).
+swappable for future hardware / software-warp-op targets).
 
 Backend protocol
 ----------------
@@ -51,15 +51,6 @@ class Backend:
 
     def trace(self, kernel):
         """Closure trace to execute, or None for interpretation."""
-        return None
-
-    def unavailable_reason(self):
-        """Why this backend cannot run here, or None when it can.
-
-        A registered-but-unavailable backend (e.g. ``native`` on a
-        machine with no C compiler) stays listed so error messages can
-        name it, but :func:`get_backend` refuses it with this reason.
-        """
         return None
 
 
@@ -112,17 +103,11 @@ def register_backend(backend: Backend) -> Backend:
 
 def get_backend(name: str) -> Backend:
     try:
-        backend = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"backend must be one of {backend_names()}, got {name!r}"
         ) from None
-    reason = backend.unavailable_reason()
-    if reason is not None:
-        raise ValueError(
-            f"backend {name!r} is unavailable here: {reason}"
-        )
-    return backend
 
 
 def backend_names() -> tuple:
@@ -130,26 +115,6 @@ def backend_names() -> tuple:
     return tuple(_REGISTRY)
 
 
-class NativeBackend(Backend):
-    """Generated-C shared libraries (see repro.gpusim.native)."""
-
-    name = "native"
-
-    def prepare(self, kernel):
-        from .native import lower_kernel  # lazy: avoids import cycle
-
-        return lower_kernel(kernel)
-
-    def trace(self, kernel):
-        return self.prepare(kernel).trace
-
-    def unavailable_reason(self):
-        from .native import unavailable_reason
-
-        return unavailable_reason()
-
-
 register_backend(CompiledBackend())
 register_backend(InterpretedBackend())
 register_backend(VectorBackend())
-register_backend(NativeBackend())

@@ -192,10 +192,7 @@ def parse_engine_spec(spec):
     registered backend name (see
     :func:`repro.gpusim.backend.backend_names`), or a hyphenated
     combination such as ``sequential-interpreted``; omitted parts
-    default to ``auto`` and ``compiled``.  A backend that is registered
-    but unavailable on this machine (e.g. ``native`` without a C
-    compiler) is rejected here with the reason, so CLI errors say
-    exactly what is missing.
+    default to ``auto`` and ``compiled``.
     """
     mode = backend = None
     backends = backend_names()
@@ -210,8 +207,6 @@ def parse_engine_spec(spec):
                 f"{EXECUTION_MODES} and/or a backend in "
                 f"{backends}, hyphen-separated"
             )
-    if backend is not None:
-        get_backend(backend)  # raises with a reason when unavailable
     return mode or "auto", backend or "compiled"
 
 
@@ -393,9 +388,9 @@ class Executor:
         numeric result is not meaningful.
         """
         # Kernels and plans are immutable once executed (the compile /
-        # fuse / native-lowering memos already rely on this), so the
-        # structural validation walk runs once per plan object rather
-        # than on every launch.
+        # fuse memos already rely on this), so the structural
+        # validation walk runs once per plan object rather than on
+        # every launch.
         memoize_by_identity(_PLAN_VALIDATED, plan, _validate_plan)
         dtype = np.dtype(plan.meta.get("dtype", "float32"))
         for name, size in plan.scratch.items():
@@ -458,7 +453,7 @@ class Executor:
         trace = self._backend.trace(kernel)
         tracer = get_tracer()
         fragprof = None
-        if tracer.enabled and self.backend in ("vector", "native"):
+        if tracer.enabled and self.backend == "vector":
             # Per-launch trace copy with wall-clock shims on the
             # top-level fragments; the backend's memoized trace and the
             # disabled fast path are untouched.

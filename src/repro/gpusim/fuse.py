@@ -960,8 +960,7 @@ def _while_divergent_continue(
     ``tid < k`` guard), the active mask is kept as a broadcast view of
     one row: the divergence reduceats accept views, and downstream
     closures (shared ops, Ifs) see the zero block stride and take
-    their column paths.  Shared with the native backend's lowered
-    loops, which return here on the first mixed condition."""
+    their column paths."""
     cap = state.executor.loop_cap
     row_active = np.ones(state.nthreads, dtype=bool)
     active = mask

@@ -1,27 +1,6 @@
-"""Native C codegen backend: fused regions, megafused loops and
-uniform shuffles lowered to per-kernel compiled shared libraries.
+"""C toolchain discovery (see :mod:`repro.gpusim.native.toolchain`).
 
-See :mod:`repro.gpusim.native.lower` for the lowering walk,
-:mod:`repro.gpusim.native.cgen` / :mod:`repro.gpusim.native.cloop` for
-the C emitters, and :mod:`repro.gpusim.native.toolchain` for compiler
-discovery and the ``.so`` disk cache.
+Kernels execute in-process on the ``interpreted``, ``compiled`` and
+``vector`` backends; this package keeps only compiler discovery, whose
+tag benchmark environment records print.
 """
-
-from .lower import NativeKernel, lower_kernel
-from .toolchain import (
-    NativeCompileError,
-    NativeUnavailable,
-    native_available,
-    reset_toolchain_cache,
-    unavailable_reason,
-)
-
-__all__ = [
-    "NativeKernel",
-    "lower_kernel",
-    "NativeCompileError",
-    "NativeUnavailable",
-    "native_available",
-    "reset_toolchain_cache",
-    "unavailable_reason",
-]

@@ -14,7 +14,7 @@ paper's figure-of-merit metrics from them:
 * **atomic contention** — launch-wide same-address pressure (global)
   and per-block serialization (shared);
 * **lowering coverage** — how much of the closure trace the fused
-  vector backend and the native C backend actually absorbed.
+  vector backend actually absorbed.
 
 On top of the metrics sits an A/B **attribution**: the analytic timing
 model's per-launch terms are decomposed into *exactly additive*
@@ -165,12 +165,10 @@ def explain_profile(profile, num_memsets, arch, label=None) -> dict:
 
 
 def lowering_coverage(framework, version, n, tunables=None) -> dict:
-    """Fuse/native lowering coverage of one variant's plan.
+    """Fuse lowering coverage of one variant's plan.
 
     Region fusion is pure Python and memoized, so it is computed for
-    every backend; native lowering stats are only reported when the C
-    toolchain is present (compilation happens at plan-build time anyway
-    for the native backend, and the ``.so`` disk cache amortizes it).
+    every backend.
     """
     from ..gpusim.compile import compile_kernel
     from ..gpusim.fuse import fuse_kernel
@@ -200,37 +198,6 @@ def lowering_coverage(framework, version, n, tunables=None) -> dict:
     coverage["fuse.instruction_coverage"] = (
         min(frac, 1.0) if frac is not None else None
     )
-    from ..gpusim.native import native_available
-
-    if native_available():
-        from ..gpusim.native import lower_kernel
-
-        regions = lowered = chains = loops = fallbacks = 0
-        for step, entry in zip(plan.kernel_steps(), coverage["kernels"]):
-            stats = lower_kernel(step.kernel).stats
-            entry.update(
-                native_regions=stats.get("native_regions", 0),
-                native_loops=stats.get("native_loops", 0),
-                native_chains=stats.get("native_chains", 0),
-                native_fallbacks=stats.get("native_fallbacks", 0),
-            )
-            regions += stats.get("regions", 0)
-            lowered += (
-                stats.get("native_regions", 0)
-                + stats.get("native_loops", 0)
-                + stats.get("native_shfls", 0)
-                + stats.get("native_chains", 0)
-            )
-            chains += stats.get("native_chains", 0)
-            loops += stats.get("native_loops", 0)
-            fallbacks += stats.get("native_fallbacks", 0)
-        coverage["native.available"] = True
-        coverage["native.lowered_fragments"] = lowered
-        coverage["native.chains"] = chains
-        coverage["native.loops"] = loops
-        coverage["native.fallback_closures"] = fallbacks
-    else:
-        coverage["native.available"] = False
     return coverage
 
 
@@ -384,13 +351,6 @@ def format_explain(explanation: dict) -> list:
         lines.append(
             "  lowering: fuse coverage "
             + (f"{frac:.0%}" if frac is not None else "n/a")
-            + (
-                f", native fragments {lowering['native.lowered_fragments']}"
-                f" ({lowering['native.chains']} chain(s), "
-                f"{lowering['native.loops']} loop(s))"
-                if lowering.get("native.available")
-                else ", native unavailable"
-            )
         )
     return lines
 

@@ -1,10 +1,10 @@
 """Per-fragment wall-time and fallback attribution for backend traces.
 
-The vector and native backends execute a kernel as a short trace of
-*fragments* — fused-region mega-expressions, megafused loops, native
-shuffle chains — each a closure called as ``fn(state, mask)``.  When a
-launch is slower than the backend promises, the question is always
-"which fragment, and did it actually run natively or fall back?".
+The vector backend executes a kernel as a short trace of *fragments* —
+fused-region mega-expressions, megafused loops, specialized shuffles —
+each a closure called as ``fn(state, mask)``.  When a launch is slower
+than the backend promises, the question is always "which fragment, and
+did it take its fast path or fall back?".
 
 This module answers it without touching the hot path:
 
@@ -13,15 +13,16 @@ This module answers it without touching the hot path:
   executor only instruments when the tracer is enabled, and the wrapped
   trace is a per-launch copy — the backend's memoized original is never
   mutated, so disabled runs execute the exact same closures as before.
-* The native wrappers' guard-miss ``fallback(...)`` sites call
-  :func:`note_fallback`, which is a single ``getattr`` + ``None`` check
-  on the run state — fallbacks are already the slow path, and the cause
-  tally only accumulates when a profiler is attached.
+* Fallback sites (e.g. a megafused loop whose lanes diverge on
+  ``continue``) call :func:`note_fallback`, which is a single
+  ``getattr`` + ``None`` check on the run state — fallbacks are already
+  the slow path, and the cause tally only accumulates when a profiler
+  is attached.
 
 The executor attaches the result to the launch span
 (``exec.launch`` args ``fragments`` / ``fallbacks``), so Chrome traces,
 the collapsed-stack flamegraph pipeline and tests all see per-fragment
-wall time and *why* a native fragment degraded to its vector closure.
+wall time and *why* a fragment left its fast path.
 """
 
 from __future__ import annotations
@@ -70,10 +71,7 @@ class FragmentProfiler:
 def fragment_label(closure, index: int) -> str:
     """Stable display label for one top-level trace closure, derived
     from the identity attributes the backends hang on their wrappers."""
-    native = getattr(closure, "_native", None)
-    if native is not None:
-        base = f"native.{native}"
-    elif getattr(closure, "_instrs", None) is not None:
+    if getattr(closure, "_instrs", None) is not None:
         base = "fused.region"
     elif getattr(closure, "_loop_fused", False):
         base = "fused.loop"
@@ -123,9 +121,9 @@ def _timed(closure, profiler, label):
 def note_fallback(state, label: str, cause: str) -> None:
     """Record a guard-miss cause on the launch's profiler, if any.
 
-    Called from native wrappers at their ``fallback(...)`` sites;
-    ``state`` is the executing block/batch run, which carries a
-    ``fragprof`` attribute only while the executor is tracing.
+    Called from backend fallback sites; ``state`` is the executing
+    block/batch run, which carries a ``fragprof`` attribute only while
+    the executor is tracing.
     """
     profiler = getattr(state, "fragprof", None)
     if profiler is not None:

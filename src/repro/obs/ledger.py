@@ -4,23 +4,23 @@
 human-reviewed numbers of the last blessed run.  The ledger is the
 *trajectory*: every ``benchmarks/bench_simperf.py`` run appends one
 schema-versioned JSON line to ``BENCH_ledger.jsonl`` (backend timings,
-fusion/lowering structure, toolchain tag, git sha), and
-``python -m repro bench report`` judges the newest entry against the
-best of the trailing window **per metric**, replacing the old single
-25%-ratio guard with attributed output:
+fusion structure, git sha), and ``python -m repro bench report``
+judges the newest entry against the best of the trailing window **per
+metric**, replacing the old single 25%-ratio guard with attributed
+output:
 
-    native_backend.speedup_vs_vector regressed: 1.40x vs 2.10x best ...
-    native_backend.lowering.native_chains dropped 2->0
+    vector_backend.speedup_vs_compiled regressed: 1.40x vs 2.10x best ...
+    vector_backend.fusion.megafused_loops dropped 2->0
 
 Two metric kinds need different treatment:
 
 * **ratios** (``kind="higher"`` / ``"lower"``) are timing-derived and
   machine-noisy, so each carries a tolerance band;
 * **structure counts** (``kind="count"`` — fused regions, megafused
-  loops, native chains) are deterministic properties of the generated
-  code, so *any* drop is a regression and the message cites the exact
-  counter ("the lowering lost its chains"), which is precisely the
-  attribution a timing ratio alone cannot give.
+  loops) are deterministic properties of the generated code, so *any*
+  drop is a regression and the message cites the exact counter ("the
+  fuser lost its loops"), which is precisely the attribution a timing
+  ratio alone cannot give.
 
 Everything is a pure function of the ledger lines, so reports are
 deterministic and golden-testable.
@@ -66,8 +66,8 @@ class WatchedMetric:
 
 
 #: The per-metric watchlist (keys are dotted paths into the bench
-#: payload; missing keys — e.g. native metrics on a toolchain-less host
-#: — are skipped, never treated as zero).
+#: payload; missing keys — e.g. a metric an older bench did not emit —
+#: are skipped, never treated as zero).
 WATCHED_METRICS = (
     WatchedMetric("profile_large.speedup", "higher", 0.25,
                   "batched/sequential speedup"),
@@ -75,20 +75,12 @@ WATCHED_METRICS = (
                   "compiled/interpreted speedup"),
     WatchedMetric("vector_backend.speedup_vs_compiled", "higher", 0.25,
                   "vector/compiled speedup"),
-    WatchedMetric("native_backend.speedup_vs_vector", "higher", 0.25,
-                  "native/vector speedup"),
     WatchedMetric("best_version_sweep.speedup", "higher", 0.40,
                   "warm/cold sweep speedup"),
     WatchedMetric("vector_backend.fusion.fused_regions", "count",
                   label="fused region count"),
     WatchedMetric("vector_backend.fusion.megafused_loops", "count",
                   label="megafused loop count"),
-    WatchedMetric("native_backend.lowering.native_regions", "count",
-                  label="native region count"),
-    WatchedMetric("native_backend.lowering.native_loops", "count",
-                  label="native loop count"),
-    WatchedMetric("native_backend.lowering.native_chains", "count",
-                  label="native chain count"),
     # The disabled-tracer cost has an absolute ceiling in the bench
     # itself; the ledger only flags order-of-magnitude blowups.
     WatchedMetric("observability.noop_span_ns", "lower", 9.0,
@@ -131,17 +123,6 @@ def _git_sha() -> str:
     return sha if out.returncode == 0 and sha else None
 
 
-def _toolchain_tag() -> str:
-    try:  # runtime import: obs must stay importable standalone
-        from ..gpusim.native import native_available
-        from ..gpusim.native.toolchain import detect_toolchain
-    except ImportError:  # pragma: no cover - partial installs
-        return None
-    if not native_available():
-        return None
-    return detect_toolchain().tag
-
-
 def make_entry(bench: dict, timestamp: str = None, sha: str = None) -> dict:
     """One schema-versioned ledger record for a bench payload."""
     if timestamp is None:
@@ -155,7 +136,6 @@ def make_entry(bench: dict, timestamp: str = None, sha: str = None) -> dict:
         "schema": LEDGER_SCHEMA_VERSION,
         "ts": timestamp,
         "git_sha": sha if sha is not None else _git_sha(),
-        "toolchain": _toolchain_tag(),
         "python": sys.version.split()[0],
         "metrics": extract_metrics(bench),
         "bench": bench,
@@ -200,8 +180,8 @@ def detect_regressions(entries: list, window: int = DEFAULT_WINDOW) -> list:
     Returns one dict per regressed metric: ``{"metric", "kind",
     "value", "reference", "window", "message"}`` — empty when the
     newest entry holds up, or when there is nothing to compare against.
-    A metric missing from either side (native backend absent, say) is
-    skipped rather than read as zero.
+    A metric missing from either side (added or retired between runs,
+    say) is skipped rather than read as zero.
     """
     if len(entries) < 2:
         return []
@@ -263,8 +243,7 @@ def format_report(entries: list, regressions: list,
         f"bench ledger: {len(entries)} entr"
         + ("y" if len(entries) == 1 else "ies")
         + f", newest {newest.get('ts')} "
-        f"(sha {str(newest.get('git_sha'))[:12]}, "
-        f"toolchain {newest.get('toolchain') or 'none'})"
+        f"(sha {str(newest.get('git_sha'))[:12]})"
     ]
     for watched in WATCHED_METRICS:
         value = newest.get("metrics", {}).get(watched.key)

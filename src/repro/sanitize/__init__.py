@@ -14,7 +14,6 @@ from .lint import lint_kernel, lint_plan
 from .negatives import NEGATIVE_BUILDERS, all_negatives
 from .report import (
     DEFAULT_ENGINES,
-    default_engines,
     NegativeReport,
     VariantReport,
     check_negatives,
@@ -34,7 +33,6 @@ __all__ = [
     "NEGATIVE_BUILDERS",
     "all_negatives",
     "DEFAULT_ENGINES",
-    "default_engines",
     "NegativeReport",
     "VariantReport",
     "check_negatives",

@@ -19,23 +19,9 @@ from .negatives import all_negatives
 
 #: One spec per execution mode and per dispatch backend: the sweep
 #: covers every backend and both execution modes without running the
-#: full mode×backend cross product per variant.  The native backend is
-#: appended at sweep time by :func:`default_engines` so importing this
-#: module never probes the C toolchain.
+#: full mode×backend cross product per variant.
 DEFAULT_ENGINES = ("batched-compiled", "sequential-interpreted",
                    "batched-vector")
-
-
-def default_engines():
-    """The sweep's engine specs, resolved against this host: the static
-    :data:`DEFAULT_ENGINES` plus ``batched-native`` when a working C
-    toolchain is present — on a bare host the sweep is unchanged rather
-    than failing."""
-    from ..gpusim.native import native_available
-
-    if native_available():
-        return DEFAULT_ENGINES + ("batched-native",)
-    return DEFAULT_ENGINES
 
 DEFAULT_OPS = ("add", "max", "min")
 DEFAULT_CTYPES = ("float", "int")
@@ -94,11 +80,9 @@ def run_sanitized(plan, data, engine: str) -> list:
     return sanitizer.diagnostics
 
 
-def sanitize_variant(fw, version, n: int, engines=None,
+def sanitize_variant(fw, version, n: int, engines=DEFAULT_ENGINES,
                      lint: bool = True) -> VariantReport:
     """Sanitize one synthesized version at size ``n``."""
-    if engines is None:
-        engines = default_engines()
     plan = fw.build(version, n)
     report = VariantReport(version=str(version), op=fw.op, ctype=fw.ctype)
     data = _input_for(n, fw.dtype)
@@ -110,11 +94,9 @@ def sanitize_variant(fw, version, n: int, engines=None,
 
 
 def sweep_catalog(n: int, versions=None, ops=DEFAULT_OPS,
-                  ctypes=DEFAULT_CTYPES, engines=None,
+                  ctypes=DEFAULT_CTYPES, engines=DEFAULT_ENGINES,
                   lint: bool = True, progress=None) -> list:
     """Sanitize the catalog cross product; returns VariantReports."""
-    if engines is None:
-        engines = default_engines()
     from ..core import FIG6
     from ..runtime import ReductionFramework
 
@@ -131,10 +113,8 @@ def sweep_catalog(n: int, versions=None, ops=DEFAULT_OPS,
     return reports
 
 
-def check_negatives(engines=None) -> list:
+def check_negatives(engines=DEFAULT_ENGINES) -> list:
     """Run every negative codelet; each must be flagged as expected."""
-    if engines is None:
-        engines = default_engines()
     reports = []
     for negative in all_negatives():
         report = NegativeReport(name=negative.name)

@@ -1,12 +1,11 @@
 """Regressions for loop-divergence accounting, the shuffle warp-boundary
-clamp, and exact engine error messages — locked across all four
-(mode × backend) execution combinations."""
+clamp, and exact engine error messages — locked across every
+(mode × backend) execution combination."""
 
 import numpy as np
 import pytest
 
 from repro.gpusim import Executor, SimulationError
-from repro.gpusim.native import native_available
 from repro.vir import IRBuilder, Kernel, KernelStep, Reg
 
 COMBOS = [
@@ -152,11 +151,7 @@ class TestIdivFloorDivision:
         )
         return device.get("out").copy(), dict(profile.events)
 
-    @pytest.mark.parametrize(
-        "mode,backend",
-        COMBOS + ([(m, "native") for m in ("sequential", "batched")]
-                  if native_available() else []),
-    )
+    @pytest.mark.parametrize("mode,backend", COMBOS)
     def test_matches_floor_divide_bit_identical(self, mode, backend):
         out, events = self._run(mode, backend)
         x = np.arange(64, dtype=np.int64) - 32

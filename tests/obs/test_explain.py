@@ -144,8 +144,6 @@ class TestExplainVariant:
         coverage = lowering["fuse.instruction_coverage"]
         assert coverage is not None and 0.0 < coverage <= 1.0
         assert lowering["kernels"], "per-kernel coverage rows expected"
-        if lowering["native.available"]:
-            assert lowering["native.lowered_fragments"] > 0
 
     def test_format_explain_lines(self, fw):
         lines = format_explain(explain_variant(fw, "b", ACCEPT_N))

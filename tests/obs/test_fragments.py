@@ -3,7 +3,7 @@
 Covers the :class:`FragmentProfiler` accumulator, the label derivation
 from backend identity attributes, the trace shim (attribute-preserving,
 numbers-identical), the cooperative ``note_fallback`` hook, and the
-engine integration: with tracing on, vector/native ``exec.launch``
+engine integration: with tracing on, vector ``exec.launch``
 spans carry ``fragments`` (and ``fallbacks``) args, while events stay
 bit-identical to an untraced run.
 """
@@ -28,19 +28,19 @@ class TestFragmentProfiler:
         prof = FragmentProfiler()
         prof.add("fused.region#0", 1e-6)
         prof.add("fused.region#0", 2e-6)
-        prof.add("native.region#1", 5e-6)
+        prof.add("spec.shfl#1", 5e-6)
         assert prof.totals["fused.region#0"] == [2, pytest.approx(3e-6)]
-        assert prof.totals["native.region#1"] == [1, pytest.approx(5e-6)]
+        assert prof.totals["spec.shfl#1"] == [1, pytest.approx(5e-6)]
 
     def test_span_args_shape_and_order(self):
         prof = FragmentProfiler()
         prof.add("b#1", 2e-6)
         prof.add("a#0", 1e-6)
-        prof.note_fallback("native.loop#0", "partial-warp")
+        prof.note_fallback("fused.loop#0", "divergent-continue")
         args = prof.span_args()
         assert list(args["fragments"]) == ["a#0", "b#1"]
         assert args["fragments"]["a#0"] == {"calls": 1, "wall_us": 1.0}
-        assert args["fallbacks"] == {"native.loop#0:partial-warp": 1}
+        assert args["fallbacks"] == {"fused.loop#0:divergent-continue": 1}
 
     def test_no_fallbacks_key_when_clean(self):
         prof = FragmentProfiler()
@@ -53,10 +53,10 @@ class TestFragmentLabel:
         def closure(state, mask):
             pass
 
-        closure._native = "chain"
-        assert fragment_label(closure, 3) == "native.chain#3"
-        del closure._native
         closure._instrs = ("x",)
+        closure._loop_fused = True
+        assert fragment_label(closure, 3) == "fused.region#3"
+        del closure._loop_fused
         assert fragment_label(closure, 0) == "fused.region#0"
         del closure._instrs
         closure._loop_fused = True
@@ -87,14 +87,14 @@ class TestInstrumentTrace:
             calls.append((state, mask))
             return "ret"
 
-        closure._native = "region"
+        closure._instrs = ("x",)
         prof = FragmentProfiler()
         (wrapped,) = instrument_trace([closure], prof)
-        assert wrapped._native == "region"
-        assert wrapped._timed_label == "native.region#0"
+        assert wrapped._instrs == ("x",)
+        assert wrapped._timed_label == "fused.region#0"
         assert wrapped("s", "m") == "ret"
         assert calls == [("s", "m")]
-        calls_count, seconds = prof.totals["native.region#0"]
+        calls_count, seconds = prof.totals["fused.region#0"]
         assert calls_count == 1 and seconds >= 0.0
 
     def test_profiles_even_when_closure_raises(self):
@@ -122,7 +122,7 @@ class TestNoteFallbackHook:
         class State:
             pass
 
-        note_fallback(State(), "native.loop#0", "partial-warp")  # no raise
+        note_fallback(State(), "fused.loop#0", "divergent-continue")  # no raise
 
     def test_records_when_profiler_attached(self):
         class State:
@@ -130,8 +130,8 @@ class TestNoteFallbackHook:
 
         state = State()
         state.fragprof = FragmentProfiler()
-        note_fallback(state, "native.loop#0", "partial-warp")
-        assert state.fragprof.fallbacks == {"native.loop#0:partial-warp": 1}
+        note_fallback(state, "fused.loop#0", "divergent-continue")
+        assert state.fragprof.fallbacks == {"fused.loop#0:divergent-continue": 1}
 
 
 @pytest.fixture(scope="module")

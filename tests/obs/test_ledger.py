@@ -18,22 +18,14 @@ from repro.obs import ledger
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _bench(vector=4.0, native=2.0, chains=2, regions=18, noop_ns=450.0):
+def _bench(vector=4.0, regions=22, noop_ns=450.0):
     """A minimal bench payload shaped like bench_simperf's snapshot."""
     return {
         "profile_large": {"speedup": 14.0},
         "compiled_executor": {"speedup_vs_interpreted": 4.5},
         "vector_backend": {
             "speedup_vs_compiled": vector,
-            "fusion": {"fused_regions": 22, "megafused_loops": 1},
-        },
-        "native_backend": {
-            "speedup_vs_vector": native,
-            "lowering": {
-                "native_regions": regions,
-                "native_loops": 1,
-                "native_chains": chains,
-            },
+            "fusion": {"fused_regions": regions, "megafused_loops": 1},
         },
         "observability": {"noop_span_ns": noop_ns},
     }
@@ -54,16 +46,16 @@ class TestEntries:
         assert entry["python"] == sys.version.split()[0]
         metrics = entry["metrics"]
         assert metrics["vector_backend.speedup_vs_compiled"] == 4.0
-        assert metrics["native_backend.lowering.native_chains"] == 2
+        assert metrics["vector_backend.fusion.fused_regions"] == 22
         assert entry["bench"]["observability"]["noop_span_ns"] == 450.0
 
     def test_extract_metrics_skips_missing_not_zeroes(self):
         bench = _bench()
-        del bench["native_backend"]
+        del bench["vector_backend"]
         metrics = ledger.extract_metrics(bench)
-        assert "native_backend.speedup_vs_vector" not in metrics
-        assert "native_backend.lowering.native_chains" not in metrics
-        assert metrics["vector_backend.speedup_vs_compiled"] == 4.0
+        assert "vector_backend.speedup_vs_compiled" not in metrics
+        assert "vector_backend.fusion.fused_regions" not in metrics
+        assert metrics["compiled_executor.speedup_vs_interpreted"] == 4.5
 
     def test_extract_metrics_ignores_non_numeric_leaves(self):
         bench = _bench()
@@ -73,7 +65,7 @@ class TestEntries:
 
     def test_append_read_roundtrip(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        first, second = _entry(), _entry(native=2.5)
+        first, second = _entry(), _entry(vector=4.5)
         ledger.append_entry(first, path)
         ledger.append_entry(second, path)
         entries = ledger.read_ledger(path)
@@ -87,7 +79,7 @@ class TestEntries:
             handle.write("\n")
             handle.write(json.dumps({"schema": 999, "metrics": {}}) + "\n")
             handle.write(json.dumps(["not", "a", "dict"]) + "\n")
-        ledger.append_entry(_entry(native=2.5), path)
+        ledger.append_entry(_entry(vector=4.5), path)
         entries = ledger.read_ledger(path)
         assert len(entries) == 2
         assert all(
@@ -107,32 +99,32 @@ class TestDetectRegressions:
         assert ledger.detect_regressions([_entry(), _entry()]) == []
 
     def test_ratio_drop_beyond_tolerance_regresses(self):
-        entries = [_entry(native=2.0), _entry(native=1.0)]
+        entries = [_entry(vector=2.0), _entry(vector=1.0)]
         regressions = ledger.detect_regressions(entries)
         keys = {r["metric"] for r in regressions}
-        assert "native_backend.speedup_vs_vector" in keys
+        assert "vector_backend.speedup_vs_compiled" in keys
         (row,) = [
             r for r in regressions
-            if r["metric"] == "native_backend.speedup_vs_vector"
+            if r["metric"] == "vector_backend.speedup_vs_compiled"
         ]
         assert row["kind"] == "higher"
         assert row["reference"] == 2.0
-        assert "native/vector speedup regressed" in row["message"]
+        assert "vector/compiled speedup regressed" in row["message"]
 
     def test_ratio_drop_within_tolerance_passes(self):
         # 25% band: 2.0 -> 1.6 is a 20% drop, inside the band.
-        entries = [_entry(native=2.0), _entry(native=1.6)]
+        entries = [_entry(vector=2.0), _entry(vector=1.6)]
         assert ledger.detect_regressions(entries) == []
 
     def test_count_drop_always_regresses(self):
-        entries = [_entry(chains=2), _entry(chains=0)]
+        entries = [_entry(regions=22), _entry(regions=0)]
         regressions = ledger.detect_regressions(entries)
         (row,) = [
             r for r in regressions
-            if r["metric"] == "native_backend.lowering.native_chains"
+            if r["metric"] == "vector_backend.fusion.fused_regions"
         ]
         assert row["kind"] == "count"
-        assert row["message"] == "native chain count dropped 2->0"
+        assert row["message"] == "fused region count dropped 22->0"
 
     def test_lower_is_better_metric(self):
         entries = [_entry(noop_ns=450.0), _entry(noop_ns=450.0 * 11)]
@@ -146,31 +138,31 @@ class TestDetectRegressions:
     def test_reference_is_best_of_window_not_last(self):
         # The middle run was the best; judging against "last" alone
         # would miss the regression.
-        entries = [_entry(native=1.0), _entry(native=3.0), _entry(native=2.0)]
+        entries = [_entry(vector=1.0), _entry(vector=3.0), _entry(vector=2.0)]
         regressions = ledger.detect_regressions(entries)
         (row,) = [
             r for r in regressions
-            if r["metric"] == "native_backend.speedup_vs_vector"
+            if r["metric"] == "vector_backend.speedup_vs_compiled"
         ]
         assert row["reference"] == 3.0
 
     def test_window_bounds_the_comparison(self):
         # With window=1 only the immediately preceding entry counts, so
         # the old best (3.0) is out of scope and nothing regresses.
-        entries = [_entry(native=3.0), _entry(native=2.0), _entry(native=1.9)]
+        entries = [_entry(vector=3.0), _entry(vector=2.0), _entry(vector=1.9)]
         assert ledger.detect_regressions(entries, window=1) == []
         assert ledger.detect_regressions(entries, window=2)
 
     def test_metric_missing_from_history_is_skipped(self):
         old = _entry()
-        del old["metrics"]["native_backend.speedup_vs_vector"]
-        entries = [old, _entry(native=0.1)]
+        del old["metrics"]["vector_backend.speedup_vs_compiled"]
+        entries = [old, _entry(vector=0.1)]
         keys = {r["metric"] for r in ledger.detect_regressions(entries)}
-        assert "native_backend.speedup_vs_vector" not in keys
+        assert "vector_backend.speedup_vs_compiled" not in keys
 
     def test_metric_missing_from_newest_is_skipped(self):
         new = _entry()
-        del new["metrics"]["native_backend.speedup_vs_vector"]
+        del new["metrics"]["vector_backend.speedup_vs_compiled"]
         assert ledger.detect_regressions([_entry(), new]) == []
 
 
@@ -188,16 +180,17 @@ class TestFormatReport:
         entries = [_entry(), _entry()]
         lines = ledger.format_report(entries, [])
         assert any(
-            "native_backend.speedup_vs_vector = 2" in line for line in lines
+            "vector_backend.speedup_vs_compiled = 4" in line for line in lines
         )
         assert any("no regressions" in line for line in lines)
 
     def test_regressed_report_cites_messages(self):
-        entries = [_entry(chains=2), _entry(chains=0)]
+        entries = [_entry(regions=22), _entry(regions=0)]
         regressions = ledger.detect_regressions(entries)
         lines = ledger.format_report(entries, regressions)
         assert any(line.startswith("REGRESSED") for line in lines)
-        assert any("native chain count dropped 2->0" in line for line in lines)
+        assert any("fused region count dropped 22->0" in line
+                   for line in lines)
 
 
 def _run_report(ledger_path, *extra):
@@ -212,17 +205,17 @@ def _run_report(ledger_path, *extra):
 class TestBenchReportCli:
     def test_exit_nonzero_on_injected_regression(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        ledger.append_entry(_entry(chains=2, native=2.0), path)
-        ledger.append_entry(_entry(chains=0, native=0.5), path)
+        ledger.append_entry(_entry(regions=22, vector=4.0), path)
+        ledger.append_entry(_entry(regions=0, vector=1.0), path)
         result = _run_report(path)
         assert result.returncode == 1
         assert "REGRESSED" in result.stdout
-        assert "native chain count dropped 2->0" in result.stdout
+        assert "fused region count dropped 22->0" in result.stdout
 
     def test_exit_zero_on_clean_ledger(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger.append_entry(_entry(), path)
-        ledger.append_entry(_entry(native=2.1), path)
+        ledger.append_entry(_entry(vector=4.2), path)
         result = _run_report(path)
         assert result.returncode == 0
         assert "no regressions" in result.stdout
@@ -230,7 +223,7 @@ class TestBenchReportCli:
     def test_json_payload(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger.append_entry(_entry(), path)
-        ledger.append_entry(_entry(chains=0), path)
+        ledger.append_entry(_entry(regions=0), path)
         out = tmp_path / "report.json"
         result = _run_report(path, "--json", str(out))
         assert result.returncode == 1

@@ -471,17 +471,17 @@ class TestHistogramUnits:
     def test_hist_unit_suffix_convention(self):
         from repro.obs.metrics import _hist_unit
 
-        assert _hist_unit("native.compile_us") == "us"
+        assert _hist_unit("plan.compile_us") == "us"
         assert _hist_unit("span.noop_ms") == "ms"
         assert _hist_unit("payload_bytes") == "bytes"
         assert _hist_unit("pool.fanout") == ""
 
     def test_summary_lines_label_units(self):
         m = MetricsRegistry()
-        m.observe("native.compile_us", 1234.5)
+        m.observe("plan.compile_us", 1234.5)
         m.observe("pool.fanout", 6)
         lines = m.summary_lines(include_caches=False)
-        us_line = next(l for l in lines if "native.compile_us" in l)
+        us_line = next(l for l in lines if "plan.compile_us" in l)
         assert us_line.endswith("(us)")
         fanout_line = next(l for l in lines if "pool.fanout" in l)
         assert not fanout_line.endswith(")")
@@ -494,14 +494,3 @@ class TestHistogramUnits:
         m.observe("t_us", 800.0)
         hist = m.snapshot(include_caches=False)["histograms"]["t_us"]
         assert len(hist["buckets"]) == 2  # distinct buckets survived
-
-    def test_native_compile_sites_record_microseconds(self):
-        # The only time-valued observe() in the native path uses the
-        # _us suffix (sub-unit resolution, labelled summary).
-        import inspect
-
-        from repro.gpusim.native import lower
-
-        source = inspect.getsource(lower)
-        assert '"native.compile_us"' in source
-        assert '"native.compile_s"' not in source

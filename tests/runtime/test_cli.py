@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.gpusim import EXECUTION_MODES
 
 
 class TestCli:
@@ -60,3 +61,12 @@ class TestCli:
     def test_unknown_version_errors(self):
         with pytest.raises(KeyError):
             main(["cuda", "zz"])
+
+    @pytest.mark.parametrize(
+        "spec", ["native"] + [f"{mode}-native" for mode in EXECUTION_MODES]
+    )
+    def test_retired_native_engine_rejected(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "4096", "--engine", spec])
+        assert exc.value.code != 0
+        assert "unknown engine" in capsys.readouterr().err
