@@ -10,12 +10,9 @@ Measures the mechanisms of docs/PERFORMANCE.md on this machine:
    and kernels compiled beforehand, the steady-state of any sweep) and
    cold (frontend plan build + closure compilation, the one-time cost
    the plan cache amortizes away);
-3. the vector backend (fused-region mega-expressions + megafused
-   loops, see ``repro.gpusim.fuse``) on the same launch, with the
-   one-time fusion cost and the fusion statistics recorded;
-4. cold vs warm ``best_version`` sweeps through the unified profile
+3. cold vs warm ``best_version`` sweeps through the unified profile
    cache across several paper sizes;
-5. the disabled-tracer fast path of :mod:`repro.obs` — instrumentation
+4. the disabled-tracer fast path of :mod:`repro.obs` — instrumentation
    must cost nothing when ``REPRO_TRACE`` is unset, so the per-call
    overhead of a no-op ``tracer.span()`` is measured and bounded.
 
@@ -24,15 +21,14 @@ committed snapshot of record), and every run also appends one
 schema-versioned line to ``BENCH_ledger.jsonl`` — the trajectory the
 regression judgement reads. Headline ratios asserted as absolute
 floors: batched >= 2x sequential, compiled >= 2x the batched
-interpreter, vector >= 3x compiled, and the warm
-sweep still beats cold (the compiled executor made cold points so
-cheap — ~0.1 ms each — that the old 5x cache ratio is now bounded by
-the timing-model floor, not by simulation). Relative regressions are
+interpreter, and the warm sweep still beats cold (the compiled
+executor made cold points so cheap — ~0.1 ms each — that the old 5x
+cache ratio is now bounded by the timing-model floor, not by
+simulation). Relative regressions are
 judged per-metric against the ledger's trailing window by
 ``repro.obs.ledger.detect_regressions`` (which also powers ``repro
 bench report``), replacing the old single 25%-of-committed-ratio guard
-with attributed messages — a fallen ratio names the ratio, a dropped
-structure count (fused regions, megafused loops) names the count.
+with attributed messages — a fallen ratio names the ratio.
 """
 
 import gc
@@ -45,7 +41,7 @@ import numpy as np
 from conftest import once, write_table
 from repro import ReductionFramework, Tunables
 from repro.codegen import build_plan
-from repro.gpusim import Executor, compile_kernel, fuse_kernel
+from repro.gpusim import Executor, compile_kernel
 from repro.obs import ledger
 from repro.perf import ProfileCache
 
@@ -65,10 +61,9 @@ def _profile_large(mode: str, backend: str, reps: int = 3) -> float:
     """Seconds to profile version (b) at LARGE_N, fully executed.
 
     ``fw.build`` goes through the (backend-keyed) plan cache, which
-    pre-warms every kernel's backend artifact — so the compiled and
-    vector backends are measured *warm*, with no compilation or region
-    fusion inside the timed region (the one-time cold cost is measured
-    separately by :func:`_compile_cold` / :func:`_fuse_cold`).
+    pre-warms every kernel's backend artifact — so the compiled backend
+    is measured *warm*, with no compilation inside the timed region (the
+    one-time cold cost is measured separately by :func:`_compile_cold`).
 
     Min-of-``reps``: single launches jitter enough (GC, allocator,
     first-touch caches) to flap the headline ratios across runs. The
@@ -90,41 +85,30 @@ def _profile_large(mode: str, backend: str, reps: int = 3) -> float:
     return best
 
 
-def _profile_large_pair(reps: int = 25):
-    """Warm compiled and vector seconds for the LARGE_N profile,
-    interleaved.
-
-    The headline backend-vs-backend ratios are asserted hard, so the
-    legs are timed *alternately* within the same loop: machine drift
-    (load spikes, frequency scaling) then hits every backend in the
-    same phase and cancels out of the ratio, where back-to-back
-    min-of-N blocks would let a slow phase land on only one leg.
-    """
-    backends = ("compiled", "vector")
-    runs = {}
-    for backend in backends:
-        fw = ReductionFramework(
-            op="add", cache=ProfileCache(), engine=f"batched-{backend}"
-        )
-        plan = fw.build("b", LARGE_N, LARGE_TUNABLES)
-        executor = Executor(mode="batched", backend=backend)
-        executor.device.alloc("in", LARGE_N, dtype=np.float32)
-        executor.run_plan(plan)  # untimed warm-up launch
-        runs[backend] = (executor, plan, [])
-    # Collector hygiene, same for every leg: a gen-2 pass landing mid
-    # launch adds a constant ~0.2ms that is pure heap-size noise, and a
-    # constant added to both sides of a ratio always drags it toward 1.
+def _profile_large_compiled(reps: int = 25) -> float:
+    """Warm compiled seconds for the batched LARGE_N profile: min of
+    ``reps`` launches after one untimed warm-up launch."""
+    fw = ReductionFramework(
+        op="add", cache=ProfileCache(), engine="batched-compiled"
+    )
+    plan = fw.build("b", LARGE_N, LARGE_TUNABLES)
+    executor = Executor(mode="batched", backend="compiled")
+    executor.device.alloc("in", LARGE_N, dtype=np.float32)
+    executor.run_plan(plan)  # untimed warm-up launch
+    # Collector hygiene: a gen-2 pass landing mid launch adds a constant
+    # ~0.2ms that is pure heap-size noise, and a constant added to one
+    # side of a ratio drags it toward 1.
     gc.collect()
     gc.disable()
+    times = []
     try:
         for _ in range(reps):
-            for executor, plan, times in runs.values():
-                start = time.perf_counter()
-                executor.run_plan(plan)
-                times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            executor.run_plan(plan)
+            times.append(time.perf_counter() - start)
     finally:
         gc.enable()
-    return tuple(min(runs[backend][2]) for backend in backends)
+    return min(times)
 
 
 def _compile_cold() -> float:
@@ -137,32 +121,6 @@ def _compile_cold() -> float:
     for step in plan.kernel_steps():
         compile_kernel(step.kernel)
     return time.perf_counter() - start
-
-
-def _fuse_cold():
-    """Seconds for region fusion on freshly compiled kernels (the
-    extra one-time cost a vector-keyed plan-cache miss pays on top of
-    closure compilation), plus the fusion statistics of the main
-    reduction kernel — the numbers ``repro stats`` surfaces."""
-    fw = ReductionFramework(op="add", cache=ProfileCache())
-    version = fw.resolve("b")
-    plan = build_plan(fw.pre, version, LARGE_N, LARGE_TUNABLES)
-    kernels = [step.kernel for step in plan.kernel_steps()]
-    for kernel in kernels:
-        compile_kernel(kernel)  # fusion input, not part of the cost
-    start = time.perf_counter()
-    for kernel in kernels:
-        fuse_kernel(kernel)
-    elapsed = time.perf_counter() - start
-    stats = fuse_kernel(kernels[0]).stats
-    return elapsed, {
-        "fused_regions": stats["fused_regions"],
-        "fused_instructions": stats["fused_instructions"],
-        "max_region_len": stats["max_region_len"],
-        "dead_stores": stats["dead_stores"],
-        "megafused_loops": stats["specialized"]["loop"],
-        "specialized": dict(stats["specialized"]),
-    }
 
 
 def _sweep(fw) -> float:
@@ -214,9 +172,8 @@ def _noop_tracer_overhead() -> float:
 def measure():
     sequential_s = _profile_large("sequential", "interpreted")
     batched_s = _profile_large("batched", "interpreted")
-    compiled_s, vector_s = _profile_large_pair()
+    compiled_s = _profile_large_compiled()
     compile_cold_s = _compile_cold()
-    fuse_cold_s, fusion = _fuse_cold()
 
     fw = ReductionFramework(op="add", cache=ProfileCache())
     cold_s = _sweep(fw)
@@ -246,14 +203,6 @@ def measure():
             "compile_cold_s": round(compile_cold_s, 4),
             "speedup_vs_interpreted": round(batched_s / compiled_s, 2),
         },
-        "vector_backend": {
-            "version": "b",
-            "n": LARGE_N,
-            "vector_warm_s": round(vector_s, 4),
-            "fuse_cold_s": round(fuse_cold_s, 4),
-            "speedup_vs_compiled": round(compiled_s / vector_s, 2),
-            "fusion": fusion,
-        },
         "best_version_sweep": {
             "cold_s": round(cold_s, 4),
             "warm_s": round(warm_s, 4),
@@ -278,7 +227,6 @@ def test_simperf_snapshot(benchmark):
     regressions = ledger.detect_regressions(ledger.read_ledger(LEDGER_PATH))
     large = data["profile_large"]
     compiled = data["compiled_executor"]
-    vector = data["vector_backend"]
     sweep = data["best_version_sweep"]
     write_table(
         "simperf",
@@ -293,13 +241,6 @@ def test_simperf_snapshot(benchmark):
             f"compiled {compiled['compiled_warm_s']:.3f}s   "
             f"({compiled['speedup_vs_interpreted']:.1f}x; "
             f"one-time compile {compiled['compile_cold_s']:.3f}s)",
-            f"  vector (fused-region) backend on the same launch:",
-            f"    compiled {compiled['compiled_warm_s']:.3f}s   "
-            f"vector {vector['vector_warm_s']:.3f}s   "
-            f"({vector['speedup_vs_compiled']:.1f}x; one-time fuse "
-            f"{vector['fuse_cold_s']:.3f}s; "
-            f"{vector['fusion']['fused_regions']} regions, "
-            f"{vector['fusion']['megafused_loops']} megafused loop(s))",
             f"  best_version sweep over {data['versions_swept']} versions"
             f" x {len(data['sweep_sizes'])} sizes:",
             f"    cold {sweep['cold_s']:.3f}s   warm {sweep['warm_s']:.3f}s"
@@ -315,15 +256,10 @@ def test_simperf_snapshot(benchmark):
     assert (
         compiled["speedup_vs_interpreted"] >= 2.0
     ), "compiled dispatch must beat the interpreter 2x"
-    assert vector["speedup_vs_compiled"] >= 3.0, (
-        "the fused-region vector backend must beat the compiled "
-        "backend 3x on the 1M profile (ISSUE acceptance)"
-    )
     # Relative regression judgement: per-metric against the ledger's
     # trailing window, with attribution — speedup ratios compare with a
     # tolerance band (they are ratios, not absolute seconds, so the
-    # checks hold across machines), structure counts (fused regions,
-    # megafused loops) flag on any drop.
+    # checks hold across machines).
     assert not regressions, (
         "bench ledger regressions vs trailing window:\n  "
         + "\n  ".join(r["message"] for r in regressions)

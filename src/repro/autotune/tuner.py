@@ -178,10 +178,10 @@ def explain_pruning(framework, results, n: int, arch, top: int = 3) -> dict:
     winner_key, runner_key = order[0], order[1]
     winner, runner = results[winner_key], results[runner_key]
     runner_expl = explain_variant(
-        framework, runner_key, n, arch, runner.tunables, coverage=False
+        framework, runner_key, n, arch, runner.tunables
     )
     winner_expl = explain_variant(
-        framework, winner_key, n, arch, winner.tunables, coverage=False
+        framework, winner_key, n, arch, winner.tunables
     )
     diff = diff_explanations(runner_expl, winner_expl)
     return {

@@ -400,10 +400,7 @@ def cmd_explain(args) -> int:
             print("repro explain: a variant label or --diff A B is required",
                   file=sys.stderr)
             return 2
-        explanation = explain_variant(
-            fw, args.version, args.n, args.arch,
-            coverage=not args.no_coverage,
-        )
+        explanation = explain_variant(fw, args.version, args.n, args.arch)
         for line in format_explain(explanation):
             print(line)
         payload = explanation
@@ -605,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Derive the paper's figure-of-merit metrics (coalescing "
             "efficiency, divergence ratio, shuffle/shared/barrier mix, "
-            "atomic contention, lowering coverage) from the recorded "
+            "atomic contention) from the recorded "
             "event counters, and — with --diff — rank which counters "
             "account for the timing-model delta between two variants."
         ),
@@ -622,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=6,
                    help="attribution rows to print with --diff "
                         "(default: 6)")
-    p.add_argument("--no-coverage", action="store_true",
-                   help="skip the fuse lowering-coverage pass")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full payload as JSON "
                         "('-' for stdout)")

@@ -169,7 +169,7 @@ def plan_key(
 
     The execution backend is part of the key: a cached plan is
     pre-warmed for exactly one backend's per-kernel artifact (compiled
-    closures, fused regions, ...), and artifact memoization is by
+    closures, ...), and artifact memoization is by
     kernel object identity — so plans warmed for different backends
     must be distinct entries.
     """
@@ -198,7 +198,7 @@ def build_plan_cached(
 
     On a miss the plan is built and *pre-warmed*: each kernel step's
     per-kernel backend artifact (resolved through the backend registry
-    — compiled closure trace, fused regions, ...) and batchability
+    — compiled closure trace, ...) and batchability
     summary are computed before the plan is published, so every later
     executor — any framework instance, any sweep worker thread —
     starts hot. Keys are content hashes (:func:`plan_key`), so two

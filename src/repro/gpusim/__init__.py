@@ -13,7 +13,6 @@ from .engine import (
     run_plan,
 )
 from .compile import CompiledKernel, compile_kernel
-from .fuse import FusedKernel, fuse_kernel
 from .events import EVENT_KEYS, PlanProfile, StepProfile
 from .timing import (
     MEMSET_OVERHEAD_S,
@@ -34,11 +33,9 @@ __all__ = [
     "Backend",
     "CompiledKernel",
     "Executor",
-    "FusedKernel",
     "analyze_batchability",
     "backend_names",
     "compile_kernel",
-    "fuse_kernel",
     "get_backend",
     "parse_engine_spec",
     "register_backend",

@@ -74,20 +74,6 @@ class CompiledBackend(Backend):
         return self.prepare(kernel).trace
 
 
-class VectorBackend(Backend):
-    """Fused-region mega-expressions (see repro.gpusim.fuse)."""
-
-    name = "vector"
-
-    def prepare(self, kernel):
-        from .fuse import fuse_kernel  # lazy: avoids import cycle
-
-        return fuse_kernel(kernel)
-
-    def trace(self, kernel):
-        return self.prepare(kernel).trace
-
-
 # -- registry -----------------------------------------------------------
 
 _REGISTRY: dict = {}
@@ -117,4 +103,3 @@ def backend_names() -> tuple:
 
 register_backend(CompiledBackend())
 register_backend(InterpretedBackend())
-register_backend(VectorBackend())

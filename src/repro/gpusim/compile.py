@@ -309,10 +309,6 @@ def _c_if(instr, then_trace, else_trace):
     def run(state, mask):
         state._exec_if_c(cond_read, then_trace, else_trace, has_else, mask)
 
-    # Sub-traces are exposed so trace rewriters (repro.gpusim.fuse) can
-    # recurse into structured control flow and rebuild the closure.
-    run._then_trace = then_trace
-    run._else_trace = else_trace
     return run
 
 
@@ -322,8 +318,6 @@ def _c_while(instr, cond_trace, body_trace):
     def run(state, mask):
         state._exec_while_c(cond_trace, cond_read, body_trace, mask)
 
-    run._cond_trace = cond_trace
-    run._body_trace = body_trace
     return run
 
 
@@ -368,10 +362,7 @@ class _KernelCompiler:
             self._compile_instr(instr, env, trace)
         return trace
 
-    def _emit(self, closure, trace, instr) -> None:
-        # Every trace slot carries its source instruction: the region
-        # former in repro.gpusim.fuse classifies slots by it.
-        closure._instr = instr
+    def _emit(self, closure, trace) -> None:
         trace.append(closure)
         self.stats["closures"] += 1
 
@@ -381,12 +372,12 @@ class _KernelCompiler:
             return  # the interpreter executes nothing for comments
         builder = _ALU_OPS.get(cls)
         if builder is not None:
-            self._emit(builder(instr), trace, instr)
+            self._emit(builder(instr), trace)
             eval_const_instr(instr, env)
             return
         method = _METHOD_OPS.get(cls)
         if method is not None:
-            self._emit(_c_method(instr, method), trace, instr)
+            self._emit(_c_method(instr, method), trace)
             eval_const_instr(instr, env)
             return
         if cls is If:
@@ -396,7 +387,7 @@ class _KernelCompiler:
                 if instr.otherwise
                 else []
             )
-            self._emit(_c_if(instr, then_trace, else_trace), trace, instr)
+            self._emit(_c_if(instr, then_trace, else_trace), trace)
             eval_const_instr(instr, env)  # poison branch-written regs
             return
         if cls is While:
@@ -420,7 +411,7 @@ class _KernelCompiler:
         stripped = {k: v for k, v in env.items() if k not in written}
         cond_trace = self._compile_body(instr.cond_block, dict(stripped))
         body_trace = self._compile_body(instr.body, dict(stripped))
-        self._emit(_c_while(instr, cond_trace, body_trace), trace, instr)
+        self._emit(_c_while(instr, cond_trace, body_trace), trace)
         eval_const_instr(instr, env)  # poison loop-written regs
 
     def _try_unroll(self, instr, trips, env):

@@ -52,7 +52,6 @@ import weakref
 import numpy as np
 
 from ..obs import default_metrics, get_tracer
-from ..obs.fragments import FragmentProfiler, instrument_trace
 from ..vir.instructions import (
     AtomGlobal,
     AtomShared,
@@ -180,8 +179,7 @@ EXECUTION_MODES = ("auto", "batched", "sequential")
 #: Executor backends, from the registry in :mod:`repro.gpusim.backend`:
 #: ``compiled`` runs kernels as pre-compiled closure traces
 #: (:mod:`repro.gpusim.compile`), ``interpreted`` is the reference
-#: per-instruction dispatch path, ``vector`` executes fused-region
-#: mega-expressions (:mod:`repro.gpusim.fuse`). All are bit-identical.
+#: per-instruction dispatch path. Both are bit-identical.
 EXECUTION_BACKENDS = backend_names()
 
 
@@ -387,8 +385,8 @@ class Executor:
         execute; when it kicks in, the profile is marked sampled and the
         numeric result is not meaningful.
         """
-        # Kernels and plans are immutable once executed (the compile /
-        # fuse memos already rely on this), so the structural
+        # Kernels and plans are immutable once executed (the compile
+        # memo already relies on this), so the structural
         # validation walk runs once per plan object rather than on
         # every launch.
         memoize_by_identity(_PLAN_VALIDATED, plan, _validate_plan)
@@ -452,13 +450,6 @@ class Executor:
         profile.meta["exec.backend"] = self.backend
         trace = self._backend.trace(kernel)
         tracer = get_tracer()
-        fragprof = None
-        if tracer.enabled and self.backend == "vector":
-            # Per-launch trace copy with wall-clock shims on the
-            # top-level fragments; the backend's memoized trace and the
-            # disabled fast path are untouched.
-            fragprof = FragmentProfiler()
-            trace = instrument_trace(trace, fragprof)
         with tracer.span(
             "exec.launch",
             kernel=kernel.name,
@@ -488,7 +479,6 @@ class Executor:
                     atomic_addr_counts,
                     trace=trace,
                     san=san,
-                    fragprof=fragprof,
                 ).run()
 
             executed_blocks = profile.sampled_blocks or step.grid
@@ -501,8 +491,6 @@ class Executor:
                     self._launch_max_same_addr(atomic_addr_counts, profile, step)
                 )
             span.set(events={k: int(v) for k, v in profile.events.items()})
-            if fragprof is not None and fragprof.totals:
-                span.set(**fragprof.span_args())
         # One grouped update: a snapshot must never observe the launch
         # counter without the launch's event totals (or vice versa).
         metrics = default_metrics()
@@ -558,12 +546,11 @@ class _BatchedRun:
     """
 
     def __init__(self, executor, step, block_ids, events, atomic_addr_counts,
-                 trace=None, san=None, fragprof=None):
+                 trace=None, san=None):
         self.executor = executor
         self.device = executor.device
         self.step = step
         self.kernel = step.kernel
-        self.fragprof = fragprof
         self.block_ids = np.asarray(block_ids, dtype=np.int64)
         self.nblocks = len(self.block_ids)
         self.nthreads = step.block

@@ -1,6 +1,6 @@
 """C toolchain discovery (see :mod:`repro.gpusim.native.toolchain`).
 
-Kernels execute in-process on the ``interpreted``, ``compiled`` and
-``vector`` backends; this package keeps only compiler discovery, whose
-tag benchmark environment records print.
+Kernels execute in-process on the ``interpreted`` and ``compiled``
+backends; this package keeps only compiler discovery, whose tag
+benchmark environment records print.
 """

@@ -12,9 +12,7 @@ paper's figure-of-merit metrics from them:
 * **divergence ratio** — divergent branch tests per warp instruction;
 * **instruction mix** — the barrier / shuffle / shared / atomic blend;
 * **atomic contention** — launch-wide same-address pressure (global)
-  and per-block serialization (shared);
-* **lowering coverage** — how much of the closure trace the fused
-  vector backend actually absorbed.
+  and per-block serialization (shared).
 
 On top of the metrics sits an A/B **attribution**: the analytic timing
 model's per-launch terms are decomposed into *exactly additive*
@@ -164,43 +162,6 @@ def explain_profile(profile, num_memsets, arch, label=None) -> dict:
     }
 
 
-def lowering_coverage(framework, version, n, tunables=None) -> dict:
-    """Fuse lowering coverage of one variant's plan.
-
-    Region fusion is pure Python and memoized, so it is computed for
-    every backend.
-    """
-    from ..gpusim.compile import compile_kernel
-    from ..gpusim.fuse import fuse_kernel
-
-    plan = framework.build(version, n, tunables)
-    coverage = {"kernels": []}
-    fused_total = instr_total = 0
-    for step in plan.kernel_steps():
-        compiled = compile_kernel(step.kernel)
-        fused = fuse_kernel(step.kernel)
-        stats = fused.stats
-        entry = {
-            "kernel": step.kernel.name,
-            "instructions": stats.get("instructions", 0),
-            "closures": len(compiled.trace),
-            "fused_regions": stats.get("fused_regions", 0),
-            "fused_instructions": stats.get("fused_instructions", 0),
-            "megafused_loops": stats.get("specialized", {}).get("loop", 0),
-        }
-        fused_total += entry["fused_instructions"]
-        instr_total += entry["instructions"]
-        coverage["kernels"].append(entry)
-    # Megafused loop bodies count their fused instructions once per
-    # specialization, which can push the raw ratio past 1; clamp so the
-    # reported share stays a fraction of the straight-line trace.
-    frac = _ratio(fused_total, instr_total)
-    coverage["fuse.instruction_coverage"] = (
-        min(frac, 1.0) if frac is not None else None
-    )
-    return coverage
-
-
 def explain_variant(
     framework,
     version,
@@ -208,7 +169,6 @@ def explain_variant(
     arch="pascal",
     tunables=None,
     sample_limit=None,
-    coverage: bool = True,
 ) -> dict:
     """Explain one Figure-6 variant at size ``n`` on one architecture."""
     from ..gpusim import get_architecture
@@ -224,10 +184,6 @@ def explain_variant(
     explanation = explain_profile(profile, num_memsets, arch, label=label)
     explanation["identifier"] = resolved.identifier
     explanation["n"] = int(n)
-    if coverage:
-        explanation["lowering"] = lowering_coverage(
-            framework, resolved, n, tunables
-        )
     return explanation
 
 
@@ -300,12 +256,8 @@ def explain_diff(
     sample_limit=None,
 ) -> dict:
     """A/B attribution between two variants (``repro explain --diff``)."""
-    a = explain_variant(
-        framework, version_a, n, arch, tunables, sample_limit, coverage=False
-    )
-    b = explain_variant(
-        framework, version_b, n, arch, tunables, sample_limit, coverage=False
-    )
+    a = explain_variant(framework, version_a, n, arch, tunables, sample_limit)
+    b = explain_variant(framework, version_b, n, arch, tunables, sample_limit)
     return diff_explanations(a, b)
 
 
@@ -345,13 +297,6 @@ def format_explain(explanation: dict) -> list:
             lines.append(
                 f"    {name:<24} {_fmt_seconds(components[name]):>12}"
             )
-    lowering = explanation.get("lowering")
-    if lowering:
-        frac = lowering.get("fuse.instruction_coverage")
-        lines.append(
-            "  lowering: fuse coverage "
-            + (f"{frac:.0%}" if frac is not None else "n/a")
-        )
     return lines
 
 

@@ -4,23 +4,14 @@
 human-reviewed numbers of the last blessed run.  The ledger is the
 *trajectory*: every ``benchmarks/bench_simperf.py`` run appends one
 schema-versioned JSON line to ``BENCH_ledger.jsonl`` (backend timings,
-fusion structure, git sha), and ``python -m repro bench report``
-judges the newest entry against the best of the trailing window **per
-metric**, replacing the old single 25%-ratio guard with attributed
-output:
+git sha), and ``python -m repro bench report`` judges the newest entry
+against the best of the trailing window **per metric**, replacing the
+old single 25%-ratio guard with attributed output:
 
-    vector_backend.speedup_vs_compiled regressed: 1.40x vs 2.10x best ...
-    vector_backend.fusion.megafused_loops dropped 2->0
+    compiled/interpreted speedup regressed: 2.4x vs 4.58x best ...
 
-Two metric kinds need different treatment:
-
-* **ratios** (``kind="higher"`` / ``"lower"``) are timing-derived and
-  machine-noisy, so each carries a tolerance band;
-* **structure counts** (``kind="count"`` — fused regions, megafused
-  loops) are deterministic properties of the generated code, so *any*
-  drop is a regression and the message cites the exact counter ("the
-  fuser lost its loops"), which is precisely the attribution a timing
-  ratio alone cannot give.
+Every watched metric is timing-derived and machine-noisy, so each
+carries a tolerance band (``kind="higher"`` / ``"lower"``).
 
 Everything is a pure function of the ledger lines, so reports are
 deterministic and golden-testable.
@@ -50,9 +41,7 @@ class WatchedMetric:
 
     ``kind``: ``"higher"`` — bigger is better, regression when the value
     falls more than ``tolerance`` (fractional) below the window's best;
-    ``"lower"`` — smaller is better, symmetric; ``"count"`` — a
-    deterministic structure count, any drop below the window's best is a
-    regression (no tolerance).
+    ``"lower"`` — smaller is better, symmetric.
     """
 
     key: str
@@ -73,14 +62,8 @@ WATCHED_METRICS = (
                   "batched/sequential speedup"),
     WatchedMetric("compiled_executor.speedup_vs_interpreted", "higher", 0.25,
                   "compiled/interpreted speedup"),
-    WatchedMetric("vector_backend.speedup_vs_compiled", "higher", 0.25,
-                  "vector/compiled speedup"),
     WatchedMetric("best_version_sweep.speedup", "higher", 0.40,
                   "warm/cold sweep speedup"),
-    WatchedMetric("vector_backend.fusion.fused_regions", "count",
-                  label="fused region count"),
-    WatchedMetric("vector_backend.fusion.megafused_loops", "count",
-                  label="megafused loop count"),
     # The disabled-tracer cost has an absolute ceiling in the bench
     # itself; the ledger only flags order-of-magnitude blowups.
     WatchedMetric("observability.noop_span_ns", "lower", 9.0,
@@ -204,13 +187,6 @@ def detect_regressions(entries: list, window: int = DEFAULT_WINDOW) -> list:
                 f"{watched.name} regressed: {value:g} vs {reference:g} "
                 f"best of last {len(history)} run(s) "
                 f"(tolerance +{watched.tolerance:.0%})"
-            )
-        elif watched.kind == "count":
-            reference = max(history)
-            regressed = value < reference
-            message = (
-                f"{watched.name} dropped "
-                f"{reference:g}->{value:g}"
             )
         else:  # "higher"
             reference = max(history)

@@ -20,8 +20,7 @@ from .negatives import all_negatives
 #: One spec per execution mode and per dispatch backend: the sweep
 #: covers every backend and both execution modes without running the
 #: full mode×backend cross product per variant.
-DEFAULT_ENGINES = ("batched-compiled", "sequential-interpreted",
-                   "batched-vector")
+DEFAULT_ENGINES = ("batched-compiled", "sequential-interpreted")
 
 DEFAULT_OPS = ("add", "max", "min")
 DEFAULT_CTYPES = ("float", "int")

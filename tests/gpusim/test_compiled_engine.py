@@ -293,3 +293,44 @@ class TestPlanCache:
             result = fw.run(data, "b", t)
             ref = _run(fw.build("b", 4096, t), data, backend="interpreted")
             assert result.value == ref.result
+
+
+class TestPlanCacheBackendKeying:
+    def test_key_includes_backend(self):
+        fw = ReductionFramework(op="add")
+        v = fw.resolve("b")
+        t = Tunables(block=64, grid=8)
+        assert plan_key(fw.pre, v, 4096, t, backend="compiled") != plan_key(
+            fw.pre, v, 4096, t, backend="interpreted"
+        )
+        # Default keeps the historical key: one shared plan per config.
+        assert plan_key(fw.pre, v, 4096, t) == plan_key(
+            fw.pre, v, 4096, t, backend="compiled"
+        )
+
+    def test_warm_backend_misses_other_backend(self):
+        """A plan pre-warmed for one backend is a miss for the other:
+        same config, different backend, distinct plan entries."""
+        fw = ReductionFramework(op="add")
+        v = fw.resolve("b")
+        t = Tunables(block=96, grid=7)  # unlikely to be cached already
+        cache = default_plan_cache()
+        p_compiled = build_plan_cached(fw.pre, v, 4100, t)
+        misses = cache.stats.misses
+        p_interp = build_plan_cached(fw.pre, v, 4100, t, backend="interpreted")
+        assert cache.stats.misses == misses + 1  # not served from warm
+        assert p_interp is not p_compiled
+        # Hitting each key again returns the same object per backend.
+        assert build_plan_cached(fw.pre, v, 4100, t) is p_compiled
+        assert (
+            build_plan_cached(fw.pre, v, 4100, t, backend="interpreted")
+            is p_interp
+        )
+
+    def test_framework_engine_spec_selects_backend(self):
+        """A framework constructed with an interpreted engine spec builds
+        interpreted-keyed plans."""
+        t = Tunables(block=64, grid=8)
+        fw_int = ReductionFramework(op="add", engine="batched-interpreted")
+        fw_def = ReductionFramework(op="add")
+        assert fw_int.build("b", 4096, t) is not fw_def.build("b", 4096, t)

@@ -13,8 +13,6 @@ COMBOS = [
     ("sequential", "compiled"),
     ("batched", "interpreted"),
     ("batched", "compiled"),
-    ("sequential", "vector"),
-    ("batched", "vector"),
 ]
 
 

@@ -2,7 +2,7 @@
 
 Covers entry construction, the append/read round-trip (including
 malformed and wrong-schema lines), per-metric regression detection for
-all three metric kinds, the report renderer, and the ``repro bench
+both metric kinds, the report renderer, and the ``repro bench
 report`` CLI exit codes (nonzero on an injected regression fixture).
 """
 
@@ -18,15 +18,11 @@ from repro.obs import ledger
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _bench(vector=4.0, regions=22, noop_ns=450.0):
+def _bench(compiled=4.0, noop_ns=450.0):
     """A minimal bench payload shaped like bench_simperf's snapshot."""
     return {
         "profile_large": {"speedup": 14.0},
-        "compiled_executor": {"speedup_vs_interpreted": 4.5},
-        "vector_backend": {
-            "speedup_vs_compiled": vector,
-            "fusion": {"fused_regions": regions, "megafused_loops": 1},
-        },
+        "compiled_executor": {"speedup_vs_interpreted": compiled},
         "observability": {"noop_span_ns": noop_ns},
     }
 
@@ -45,27 +41,27 @@ class TestEntries:
         assert entry["git_sha"] == "deadbeef"
         assert entry["python"] == sys.version.split()[0]
         metrics = entry["metrics"]
-        assert metrics["vector_backend.speedup_vs_compiled"] == 4.0
-        assert metrics["vector_backend.fusion.fused_regions"] == 22
+        assert metrics["compiled_executor.speedup_vs_interpreted"] == 4.0
+        assert metrics["profile_large.speedup"] == 14.0
         assert entry["bench"]["observability"]["noop_span_ns"] == 450.0
 
     def test_extract_metrics_skips_missing_not_zeroes(self):
         bench = _bench()
-        del bench["vector_backend"]
+        del bench["compiled_executor"]
         metrics = ledger.extract_metrics(bench)
-        assert "vector_backend.speedup_vs_compiled" not in metrics
-        assert "vector_backend.fusion.fused_regions" not in metrics
-        assert metrics["compiled_executor.speedup_vs_interpreted"] == 4.5
+        assert "compiled_executor.speedup_vs_interpreted" not in metrics
+        assert "best_version_sweep.speedup" not in metrics
+        assert metrics["profile_large.speedup"] == 14.0
 
     def test_extract_metrics_ignores_non_numeric_leaves(self):
         bench = _bench()
-        bench["vector_backend"]["speedup_vs_compiled"] = "fast"
+        bench["compiled_executor"]["speedup_vs_interpreted"] = "fast"
         metrics = ledger.extract_metrics(bench)
-        assert "vector_backend.speedup_vs_compiled" not in metrics
+        assert "compiled_executor.speedup_vs_interpreted" not in metrics
 
     def test_append_read_roundtrip(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        first, second = _entry(), _entry(vector=4.5)
+        first, second = _entry(), _entry(compiled=4.5)
         ledger.append_entry(first, path)
         ledger.append_entry(second, path)
         entries = ledger.read_ledger(path)
@@ -79,7 +75,7 @@ class TestEntries:
             handle.write("\n")
             handle.write(json.dumps({"schema": 999, "metrics": {}}) + "\n")
             handle.write(json.dumps(["not", "a", "dict"]) + "\n")
-        ledger.append_entry(_entry(vector=4.5), path)
+        ledger.append_entry(_entry(compiled=4.5), path)
         entries = ledger.read_ledger(path)
         assert len(entries) == 2
         assert all(
@@ -99,32 +95,22 @@ class TestDetectRegressions:
         assert ledger.detect_regressions([_entry(), _entry()]) == []
 
     def test_ratio_drop_beyond_tolerance_regresses(self):
-        entries = [_entry(vector=2.0), _entry(vector=1.0)]
+        entries = [_entry(compiled=2.0), _entry(compiled=1.0)]
         regressions = ledger.detect_regressions(entries)
         keys = {r["metric"] for r in regressions}
-        assert "vector_backend.speedup_vs_compiled" in keys
+        assert "compiled_executor.speedup_vs_interpreted" in keys
         (row,) = [
             r for r in regressions
-            if r["metric"] == "vector_backend.speedup_vs_compiled"
+            if r["metric"] == "compiled_executor.speedup_vs_interpreted"
         ]
         assert row["kind"] == "higher"
         assert row["reference"] == 2.0
-        assert "vector/compiled speedup regressed" in row["message"]
+        assert "compiled/interpreted speedup regressed" in row["message"]
 
     def test_ratio_drop_within_tolerance_passes(self):
         # 25% band: 2.0 -> 1.6 is a 20% drop, inside the band.
-        entries = [_entry(vector=2.0), _entry(vector=1.6)]
+        entries = [_entry(compiled=2.0), _entry(compiled=1.6)]
         assert ledger.detect_regressions(entries) == []
-
-    def test_count_drop_always_regresses(self):
-        entries = [_entry(regions=22), _entry(regions=0)]
-        regressions = ledger.detect_regressions(entries)
-        (row,) = [
-            r for r in regressions
-            if r["metric"] == "vector_backend.fusion.fused_regions"
-        ]
-        assert row["kind"] == "count"
-        assert row["message"] == "fused region count dropped 22->0"
 
     def test_lower_is_better_metric(self):
         entries = [_entry(noop_ns=450.0), _entry(noop_ns=450.0 * 11)]
@@ -138,31 +124,31 @@ class TestDetectRegressions:
     def test_reference_is_best_of_window_not_last(self):
         # The middle run was the best; judging against "last" alone
         # would miss the regression.
-        entries = [_entry(vector=1.0), _entry(vector=3.0), _entry(vector=2.0)]
+        entries = [_entry(compiled=1.0), _entry(compiled=3.0), _entry(compiled=2.0)]
         regressions = ledger.detect_regressions(entries)
         (row,) = [
             r for r in regressions
-            if r["metric"] == "vector_backend.speedup_vs_compiled"
+            if r["metric"] == "compiled_executor.speedup_vs_interpreted"
         ]
         assert row["reference"] == 3.0
 
     def test_window_bounds_the_comparison(self):
         # With window=1 only the immediately preceding entry counts, so
         # the old best (3.0) is out of scope and nothing regresses.
-        entries = [_entry(vector=3.0), _entry(vector=2.0), _entry(vector=1.9)]
+        entries = [_entry(compiled=3.0), _entry(compiled=2.0), _entry(compiled=1.9)]
         assert ledger.detect_regressions(entries, window=1) == []
         assert ledger.detect_regressions(entries, window=2)
 
     def test_metric_missing_from_history_is_skipped(self):
         old = _entry()
-        del old["metrics"]["vector_backend.speedup_vs_compiled"]
-        entries = [old, _entry(vector=0.1)]
+        del old["metrics"]["compiled_executor.speedup_vs_interpreted"]
+        entries = [old, _entry(compiled=0.1)]
         keys = {r["metric"] for r in ledger.detect_regressions(entries)}
-        assert "vector_backend.speedup_vs_compiled" not in keys
+        assert "compiled_executor.speedup_vs_interpreted" not in keys
 
     def test_metric_missing_from_newest_is_skipped(self):
         new = _entry()
-        del new["metrics"]["vector_backend.speedup_vs_compiled"]
+        del new["metrics"]["compiled_executor.speedup_vs_interpreted"]
         assert ledger.detect_regressions([_entry(), new]) == []
 
 
@@ -180,16 +166,17 @@ class TestFormatReport:
         entries = [_entry(), _entry()]
         lines = ledger.format_report(entries, [])
         assert any(
-            "vector_backend.speedup_vs_compiled = 4" in line for line in lines
+            "compiled_executor.speedup_vs_interpreted = 4" in line
+            for line in lines
         )
         assert any("no regressions" in line for line in lines)
 
     def test_regressed_report_cites_messages(self):
-        entries = [_entry(regions=22), _entry(regions=0)]
+        entries = [_entry(compiled=4.0), _entry(compiled=1.0)]
         regressions = ledger.detect_regressions(entries)
         lines = ledger.format_report(entries, regressions)
         assert any(line.startswith("REGRESSED") for line in lines)
-        assert any("fused region count dropped 22->0" in line
+        assert any("compiled/interpreted speedup regressed: 1x vs 4x" in line
                    for line in lines)
 
 
@@ -205,17 +192,17 @@ def _run_report(ledger_path, *extra):
 class TestBenchReportCli:
     def test_exit_nonzero_on_injected_regression(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        ledger.append_entry(_entry(regions=22, vector=4.0), path)
-        ledger.append_entry(_entry(regions=0, vector=1.0), path)
+        ledger.append_entry(_entry(compiled=4.0), path)
+        ledger.append_entry(_entry(compiled=1.0), path)
         result = _run_report(path)
         assert result.returncode == 1
         assert "REGRESSED" in result.stdout
-        assert "fused region count dropped 22->0" in result.stdout
+        assert "compiled/interpreted speedup regressed" in result.stdout
 
     def test_exit_zero_on_clean_ledger(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger.append_entry(_entry(), path)
-        ledger.append_entry(_entry(vector=4.2), path)
+        ledger.append_entry(_entry(compiled=4.2), path)
         result = _run_report(path)
         assert result.returncode == 0
         assert "no regressions" in result.stdout
@@ -223,13 +210,13 @@ class TestBenchReportCli:
     def test_json_payload(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger.append_entry(_entry(), path)
-        ledger.append_entry(_entry(regions=0), path)
+        ledger.append_entry(_entry(compiled=1.0), path)
         out = tmp_path / "report.json"
         result = _run_report(path, "--json", str(out))
         assert result.returncode == 1
         payload = json.loads(out.read_text())
         assert payload["entries"] == 2
-        assert payload["regressions"][0]["kind"] == "count"
+        assert payload["regressions"][0]["kind"] == "higher"
 
 
 class TestRepoLedger:

@@ -63,7 +63,9 @@ class TestCli:
             main(["cuda", "zz"])
 
     @pytest.mark.parametrize(
-        "spec", ["native"] + [f"{mode}-native" for mode in EXECUTION_MODES]
+        "spec",
+        ["native"] + [f"{mode}-native" for mode in EXECUTION_MODES]
+        + ["vector", "batched-vector", "sequential-vector"],
     )
     def test_retired_native_engine_rejected(self, spec, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -74,7 +74,7 @@ class TestSharedFrameworkThreads:
         b = ReductionFramework(op="max")
         assert a.pre is b.pre
 
-    @pytest.mark.parametrize("engine", ["interpreted", "vector"])
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
     def test_threads_across_backends(self, engine):
         fw = ReductionFramework(op="min", engine=engine)
         rng = np.random.default_rng(23)
