@@ -34,6 +34,13 @@ is shared by every backend:
 
 Every backend must be **bit-identical** to the reference interpreter on
 results, event counters and profiles; ``tests/gpusim`` enforces this.
+One exception is by design: after a *sampled* launch device buffers
+are unspecified (only the sampled blocks run, and ``compiled`` may skip
+proven-periodic loop trips of a data-oblivious plan, see
+``_BatchedRun._exec_while_c``), so only the event counters of a sampled
+launch must match, and they must match exactly. An artifact that
+``prepare`` returns carries ``data_dependence`` (None when the kernel
+is data-oblivious); a backend without artifacts never skips trips.
 """
 
 from __future__ import annotations

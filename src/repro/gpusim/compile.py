@@ -47,6 +47,13 @@ back-edge tests count, and a loop is only unrolled when its condition
 is block-uniform — i.e. provably never divergent — so both backends
 report the same (zero) contribution for it.
 
+Loops that stay loops carry the periodicity proof of
+:func:`repro.vir.analysis.summarize_loop` (top-level loops only) into
+their closure, so a sampled launch can skip proven-periodic trips
+(``_BatchedRun._exec_while_c``); the kernel's
+:func:`~repro.vir.analysis.data_dependence` verdict rides on the
+:class:`CompiledKernel`.
+
 Memory, atomic, shuffle and barrier closures all delegate to the run
 state's methods (``_c_method``/``_c_bar``), so the opt-in sanitizer
 hooks (:mod:`repro.sanitize`) and the runtime shfl mode/width
@@ -65,7 +72,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..vir.analysis import eval_const_instr, uniform_trip_count, written_regs
+from ..vir.analysis import (
+    LoopSummary,
+    data_dependence,
+    eval_const_instr,
+    summarize_loop,
+    uniform_trip_count,
+    written_regs,
+)
 from ..vir.instructions import (
     AtomGlobal,
     AtomShared,
@@ -312,13 +326,19 @@ def _c_if(instr, then_trace, else_trace):
     return run
 
 
-def _c_while(instr, cond_trace, body_trace):
+def _c_while(instr, cond_trace, body_trace, summary):
     cond_read = _reader(instr.cond)
 
     def run(state, mask):
-        state._exec_while_c(cond_trace, cond_read, body_trace, mask)
+        state._exec_while_c(cond_trace, cond_read, body_trace, mask, summary)
 
     return run
+
+
+#: Summary of loops that are not at the top level of a kernel body: the
+#: periodicity proof (:func:`repro.vir.analysis.summarize_loop`) only
+#: covers top-level loops.
+_INNER_LOOP = LoopSummary(reason="inner", detail="loop is not at the top level")
 
 
 # ---------------------------------------------------------------------
@@ -333,6 +353,9 @@ class CompiledKernel:
     kernel_name: str
     trace: list
     stats: dict = field(default_factory=dict)
+    #: Why loaded data can steer this kernel's events, or None when it
+    #: is data-oblivious (see :func:`repro.vir.analysis.data_dependence`).
+    data_dependence: str = None
 
 
 class _KernelCompiler:
@@ -340,6 +363,7 @@ class _KernelCompiler:
         self.kernel = kernel
         self.max_trips = max_trips
         self.max_splice = max_splice
+        self.top_level = {id(instr) for instr in kernel.body}
         self.stats = {
             "instructions": sum(1 for _ in walk_instrs(kernel.body)),
             "closures": 0,
@@ -351,7 +375,10 @@ class _KernelCompiler:
     def compile(self) -> CompiledKernel:
         trace = self._compile_body(self.kernel.body, {})
         return CompiledKernel(
-            kernel_name=self.kernel.name, trace=trace, stats=self.stats
+            kernel_name=self.kernel.name,
+            trace=trace,
+            stats=self.stats,
+            data_dependence=data_dependence(self.kernel.body),
         )
 
     def _compile_body(self, body, env) -> list:
@@ -411,7 +438,10 @@ class _KernelCompiler:
         stripped = {k: v for k, v in env.items() if k not in written}
         cond_trace = self._compile_body(instr.cond_block, dict(stripped))
         body_trace = self._compile_body(instr.body, dict(stripped))
-        self._emit(_c_while(instr, cond_trace, body_trace), trace)
+        summary = _INNER_LOOP
+        if id(instr) in self.top_level:
+            summary = summarize_loop(instr, env)
+        self._emit(_c_while(instr, cond_trace, body_trace, summary), trace)
         eval_const_instr(instr, env)  # poison loop-written regs
 
     def _try_unroll(self, instr, trips, env):

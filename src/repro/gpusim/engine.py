@@ -42,12 +42,18 @@ timing model in :mod:`repro.gpusim.timing`.
 
 Large launches can be *sampled*: only a representative subset of blocks
 executes and counters are scaled to the full grid. Sampled runs produce
-profiles, not valid numerical results.
+profiles, not valid numerical results: device buffers after a sampled
+launch are unspecified, while every event counter stays exact. On the
+``compiled`` backend a sampled launch of a data-oblivious plan also
+skips the trips of a proven-periodic loop and adds their events in
+closed form (:meth:`_BatchedRun._exec_while_c`).
 """
 
 from __future__ import annotations
 
+import math
 import weakref
+from collections import Counter
 
 import numpy as np
 
@@ -400,7 +406,9 @@ class Executor:
             if isinstance(step, MemsetStep):
                 self.device.memset(step.buffer, step.value)
                 continue
-            step_profile = self.run_kernel(step, sample_limit=sample_limit)
+            step_profile = self.run_kernel(
+                step, sample_limit=sample_limit, plan=plan
+            )
             sampled_any = sampled_any or bool(step_profile.sampled_blocks)
             profile.steps.append(step_profile)
         if not sampled_any:
@@ -425,7 +433,36 @@ class Executor:
         ok, _ = analyze_batchability(step.kernel, self.device)
         return "batched" if ok else "sequential"
 
-    def run_kernel(self, step: KernelStep, sample_limit: int = None) -> StepProfile:
+    def _loop_fallback(self, sampled: bool, kernels) -> str:
+        """Why a launch must simulate every loop trip, or None when it
+        may extrapolate proven-periodic trips.
+
+        Skipped trips leave loaded registers, and so device buffers,
+        unspecified. That is safe only when the launch is sampled (its
+        results are not meaningful anyway), nothing observes individual
+        accesses (sanitizer, race checks), and no kernel that runs on
+        those buffers lets data steer its events.
+        """
+        if not sampled:
+            return "unsampled"
+        if self.sanitizer is not None:
+            return "sanitizer"
+        if self.check_races:
+            return "check_races"
+        for kernel in kernels:
+            artifact = self._backend.prepare(kernel)
+            if artifact is None:
+                return self.backend
+            if artifact.data_dependence is not None:
+                return "data_dependent"
+        return None
+
+    def run_kernel(
+        self, step: KernelStep, sample_limit: int = None, plan: Plan = None
+    ) -> StepProfile:
+        """Run one launch. ``plan`` is the plan it belongs to: trips are
+        only extrapolated when every kernel of it is data-oblivious
+        (without one, the launch's own kernel decides)."""
         kernel = step.kernel
         profile = StepProfile(
             kernel_name=kernel.name,
@@ -460,6 +497,11 @@ class Executor:
             sampled_blocks=profile.sampled_blocks,
         ) as span:
             atomic_addr_counts = {}
+            loop_stats = Counter()
+            kernels = (
+                [s.kernel for s in plan.kernel_steps()] if plan else [kernel]
+            )
+            fallback = self._loop_fallback(bool(profile.sampled_blocks), kernels)
             san = None
             if self.sanitizer is not None:
                 san = self.sanitizer.begin_kernel(step, self.device)
@@ -477,6 +519,8 @@ class Executor:
                     block_ids[start : start + batch],
                     profile.events,
                     atomic_addr_counts,
+                    loop_stats,
+                    loop_fallback=fallback,
                     trace=trace,
                     san=san,
                 ).run()
@@ -491,12 +535,17 @@ class Executor:
                     self._launch_max_same_addr(atomic_addr_counts, profile, step)
                 )
             span.set(events={k: int(v) for k, v in profile.events.items()})
+            if loop_stats:
+                span.set(loops=dict(loop_stats))
         # One grouped update: a snapshot must never observe the launch
         # counter without the launch's event totals (or vice versa).
         metrics = default_metrics()
         counters = {f"sim.{key}": int(value)
                     for key, value in profile.events.items()}
         counters[f"exec.launch.{mode}"] = 1
+        counters.update(
+            (f"exec.loop.{key}", value) for key, value in loop_stats.items()
+        )
         metrics.record(counters=counters)
         return profile
 
@@ -546,7 +595,7 @@ class _BatchedRun:
     """
 
     def __init__(self, executor, step, block_ids, events, atomic_addr_counts,
-                 trace=None, san=None):
+                 loop_stats, loop_fallback=None, trace=None, san=None):
         self.executor = executor
         self.device = executor.device
         self.step = step
@@ -557,6 +606,11 @@ class _BatchedRun:
         self.shape = (self.nblocks, self.nthreads)
         self.events = events
         self.atomic_addr_counts = atomic_addr_counts
+        #: Launch-wide loop counters (trips simulated / extrapolated,
+        #: ``fallback.<reason>`` per loop run) and the launch-level reason
+        #: to simulate every trip (see ``Executor._loop_fallback``).
+        self.loop_stats = loop_stats
+        self.loop_fallback = loop_fallback
         self.trace = trace
         self.san = san
         self.regs = {}
@@ -660,9 +714,27 @@ class _BatchedRun:
         if has_else:
             self._run_trace(else_trace, else_mask)
 
-    def _exec_while_c(self, cond_trace, cond_read, body_trace, mask):
+    def _exec_while_c(self, cond_trace, cond_read, body_trace, mask, summary):
+        """Run a loop; with a proof (``summary``) and an eligible launch,
+        skip whole periods of each constant-mask stretch.
+
+        Once ``period`` trips have run under an unchanged mask, the
+        events between the stretch's first trip and now are one period's
+        delta. Every trip up to the one before the next lane exits then
+        repeats it, so whole periods are added in closed form and the
+        inductions advanced exactly; the last trip of every stretch is
+        always simulated, so lanes never exit inside a skipped range and
+        every non-data register ends with its simulated value.
+        """
+        reason = self.loop_fallback or summary.reason
+        if reason is not None:
+            self.loop_stats["fallback." + reason] += 1
+            period = None
+        else:
+            period = self._loop_period(summary)
         active = mask.copy()
-        iterations = 0
+        iterations = skipped = 0
+        stretch = None  # (trip, events) where the current stretch began
         while True:
             self._run_trace(cond_trace, active)
             cond = np.asarray(cond_read(self), dtype=bool)
@@ -670,8 +742,25 @@ class _BatchedRun:
                 cond = np.broadcast_to(cond, self.shape)
             staying = active & cond
             self._count_loop_divergence(active, staying)
+            if period is not None and staying.any():
+                if stretch is None or not np.array_equal(staying, active):
+                    stretch = (iterations, dict(self.events))
+                elif iterations - stretch[0] == period:
+                    trips = self._skip_periods(
+                        summary, staying, iterations, period, stretch[1]
+                    )
+                    if trips < 0:
+                        self.loop_stats["fallback.bounds"] += 1
+                        period = None
+                    else:
+                        iterations += trips
+                        skipped += trips
+                        stretch = (iterations, dict(self.events))
             active = staying
             if not active.any():
+                self.loop_stats["trips_simulated"] += iterations - skipped
+                if skipped:
+                    self.loop_stats["trips_extrapolated"] += skipped
                 return
             iterations += 1
             if iterations > self.executor.loop_cap:
@@ -680,6 +769,79 @@ class _BatchedRun:
                     f"({self.executor.loop_cap})"
                 )
             self._run_trace(body_trace, active)
+
+    def _loop_period(self, summary) -> int:
+        """Trips after which every load index has moved by a whole number
+        of 128-byte segments, so the per-warp segment counts repeat."""
+        period = 1
+        for buf, _idx, per_trip, _width in summary.loads:
+            per_segment = max(1, 128 // self.device.get(buf).dtype.itemsize)
+            period = math.lcm(
+                period, per_segment // math.gcd(per_trip % per_segment, per_segment)
+            )
+        return period
+
+    def _skip_periods(self, summary, active, trip, period, start_events) -> int:
+        """Skip whole periods from trip ``trip`` (about to run its body);
+        returns the trips skipped, or -1 when the skipped trips' loads
+        might leave their buffers (those trips are then simulated, so the
+        error is raised exactly where the interpreter raises it)."""
+        regs = self.regs
+        induction = regs[summary.induction]
+        bound = np.asarray(self._read(summary.bound, active))
+        # Advancing by step * trips equals trips repeated adds only in
+        # integer arithmetic.
+        if bound.dtype.kind not in "iu" or any(
+            regs[name].dtype.kind not in "iu" for name, _ in summary.inductions
+        ):
+            return 0
+        # The condition holds at trip + j while induction + j*step <op>
+        # bound; ``first`` is the smallest j at which it fails for some
+        # still-active lane (None: it never fails).
+        step = dict(summary.inductions)[summary.induction]
+        if summary.op in ("lt", "le"):
+            gap, rate = (bound - induction)[active], step
+        else:
+            gap, rate = (induction - bound)[active], -step
+        if rate <= 0:
+            first = None
+        elif summary.op in ("lt", "gt"):
+            first = int((-(-gap // rate)).min())
+        else:
+            first = int((gap // rate).min()) + 1
+        # Skipped trips count toward the cap: stop short of it and let
+        # simulation raise the same error at the same trip.
+        room = self.executor.loop_cap - trip
+        if first is not None:
+            room = min(room, first - 1)
+        trips = room // period * period
+        if trips <= 0:
+            return 0
+        for buf, idx, per_trip, width in summary.loads:
+            if per_trip == 0:
+                continue
+            # The register holds the index of trip - 1 or of trip, so the
+            # skipped trips' indices lie within value + per_trip * [0, trips].
+            value = np.asarray(self._read(idx, active))[active]
+            low, high = value.min(), value.max()
+            moved = per_trip * trips
+            if (
+                min(low, low + moved) < 0
+                or max(high, high + moved) + width - 1 >= len(self.device.get(buf))
+            ):
+                return -1
+        periods = trips // period
+        events = self.events
+        for key, value in events.items():
+            delta = value - start_events.get(key, 0)
+            if delta:
+                events[key] = value + periods * delta
+        everywhere = active.all()
+        for name, by in summary.inductions:
+            current = regs[name]
+            advanced = current + by * trips
+            regs[name] = advanced if everywhere else np.where(active, advanced, current)
+        return trips
 
     def _read(self, operand, mask):
         if isinstance(operand, Imm):
@@ -824,6 +986,7 @@ class _BatchedRun:
             self._exec_body(instr.otherwise, else_mask)
 
     def _exec_while(self, instr, mask) -> None:
+        self.loop_stats["fallback." + self.loop_fallback] += 1
         active = mask.copy()
         iterations = 0
         while True:
@@ -835,6 +998,7 @@ class _BatchedRun:
             self._count_loop_divergence(active, staying)
             active = staying
             if not active.any():
+                self.loop_stats["trips_simulated"] += iterations
                 return
             iterations += 1
             if iterations > self.executor.loop_cap:

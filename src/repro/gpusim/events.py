@@ -22,6 +22,7 @@ EVENT_KEYS = (
     "mem.global.ld.trans",   # 128B global load transactions
     "mem.global.st.trans",   # 128B global store transactions
     "mem.global.bytes",      # bytes moved (segment granularity)
+    "mem.global.bytes_useful",  # bytes the active lanes asked for
     "mem.shared.replays",    # shared-memory bank-conflict replays
     "atom.shared.ops",       # shared atomic operations (thread level)
     "atom.shared.warp_serial",  # per-warp same-address serialization

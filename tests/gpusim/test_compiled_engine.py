@@ -18,12 +18,14 @@ import pytest
 
 from repro.codegen import Tunables, build_plan_cached, plan_key
 from repro.gpusim import (
+    EVENT_KEYS,
     EXECUTION_BACKENDS,
     Executor,
     analyze_batchability,
     compile_kernel,
     parse_engine_spec,
 )
+from repro.obs import default_metrics
 from repro.perf import default_plan_cache
 from repro.runtime import ReductionFramework
 
@@ -109,22 +111,55 @@ class TestFigure6Equivalence:
             outs[backend] = executor.device.download("out").copy()
         np.testing.assert_array_equal(outs["interpreted"], outs["compiled"])
 
-    def test_sampled_run_identical(self, frameworks):
-        fw = frameworks[("add", "float")]
-        data = _data("float", 1 << 16, seed=5)
-        plan = fw.build("b", len(data), Tunables(block=128, grid=32))
-        interp = _run(plan, data, backend="interpreted")
-        comp = _run(plan, data, backend="compiled")
-        _assert_profiles_identical(interp, comp)
-        seq = Executor(backend="interpreted")
-        seq.device.upload("in", data)
-        s = seq.run_plan(plan, sample_limit=3)
-        cmp_ = Executor(backend="compiled")
-        cmp_.device.upload("in", data)
-        c = cmp_.run_plan(plan, sample_limit=3)
-        for rs, cs in zip(s.steps, c.steps):
-            assert cs.sampled_blocks == rs.sampled_blocks
-            assert dict(cs.events) == dict(rs.events)
+    @pytest.mark.parametrize("grid", [None, 512])
+    @pytest.mark.parametrize("block", [64, 256])
+    @pytest.mark.parametrize("ctype", CTYPES)
+    @pytest.mark.parametrize("label", sorted(FIG6_LABELS))
+    def test_sampled_run_identical(self, frameworks, label, ctype, block, grid):
+        """Sampled compiled launches skip proven-periodic loop trips; every
+        event counter must still match the sampled interpreter bit for
+        bit, whatever shape the sampled tail block has."""
+        fw = frameworks[("add", ctype)]
+        version = fw.resolve(label)
+        tunables = Tunables(block=block, grid=grid)
+        blocks = grid or 1024  # compound grid once n > 1024 * block
+        # Tile-tile loads repeat every 32 trips; a skip needs a stretch
+        # of > 2 periods under one mask, also after a short partial lane.
+        coarsen = 72
+        full = blocks * block * coarsen
+        sizes = {
+            "all lanes full": full,
+            # one partial lane; n not a multiple of the block
+            "one partial lane": full - 1,
+            "zero-trip lanes": full - block * coarsen // 2 + 3,
+            "coarsen == 1": blocks * block,
+        }
+        for shape, n in sizes.items():
+            plan = fw.build(version, n, tunables)
+            ref = _profile_sampled(plan, n, "interpreted")
+            before = _trips_extrapolated()
+            got = _profile_sampled(plan, n, "compiled")
+            skipped = _trips_extrapolated() - before
+            assert len(got.steps) == len(ref.steps)
+            for r, g in zip(ref.steps, got.steps):
+                assert g.sampled_blocks == r.sampled_blocks
+                for key in EVENT_KEYS:
+                    assert g.events[key] == r.events[key], (shape, key)
+            assert ref.steps[0].sampled_blocks, shape
+            if version.block_kind == "compound" and shape != "coarsen == 1":
+                assert plan.meta["geometry"]["coarsen"] == coarsen, shape
+                assert skipped > 0, shape
+
+
+def _profile_sampled(plan, n, backend):
+    executor = Executor(backend=backend)
+    executor.device.alloc("in", n, dtype=np.dtype(plan.meta["dtype"]))
+    return executor.run_plan(plan, sample_limit=3)
+
+
+def _trips_extrapolated():
+    counters = default_metrics().snapshot(include_caches=False)["counters"]
+    return counters.get("exec.loop.trips_extrapolated", 0)
 
 
 class TestEngineSpec:

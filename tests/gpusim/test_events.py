@@ -1,5 +1,6 @@
 """Tests for event profiles and their sampled-scaling behaviour."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -55,10 +56,25 @@ class TestStepProfile:
         assert scaled["atom.global.max_same_addr"] == 3  # max: does not
 
     def test_event_key_registry_covers_engine_counters(self):
-        # keep the documented key list in sync with what profiles contain
-        for key in ("inst.alu", "mem.global.bytes", "atom.shared.ops",
-                    "branch.divergent", "warps"):
-            assert key in EVENT_KEYS
+        # Keep the documented key list in sync with what real profiles
+        # contain: a compound version, a coop version and a two-launch
+        # plan (second-kernel combine), on both backends, sampled or not.
+        from repro.gpusim import Executor
+        from repro.runtime import ReductionFramework
+
+        fw = ReductionFramework()
+        assert fw.build("DT / DT+S / VS", 1 << 16).num_kernel_launches() == 2
+        for version, backend, sample_limit in itertools.product(
+            ("b", "p", "DT / DT+S / VS"), ("compiled", "interpreted"), (None, 3)
+        ):
+            executor = Executor(backend=backend)
+            executor.device.alloc("in", 1 << 16)
+            profile = executor.run_plan(
+                fw.build(version, 1 << 16), sample_limit=sample_limit
+            )
+            for step in profile.steps:
+                unknown = set(step.events) - set(EVENT_KEYS)
+                assert not unknown, (version, sorted(unknown))
 
 
 class TestPlanProfile:
