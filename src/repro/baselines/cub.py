@@ -23,6 +23,8 @@ reproducible from launch overheads alone (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import functools
+
 from ..vir import IRBuilder, Imm, Kernel, KernelStep, Plan, SharedDecl
 from .common import combine_op, emit_block_tree_reduce, identity_of
 
@@ -121,13 +123,19 @@ def _build_single_tile_kernel(op: str) -> Kernel:
     )
 
 
+@functools.cache
+def _kernels(op: str) -> tuple:
+    """Both kernels, built once per operator: they read ``n``, ``n4``
+    and ``count`` as params, so every input size shares them."""
+    return _build_upsweep_kernel(op), _build_single_tile_kernel(op)
+
+
 def build_cub_plan(n: int, op: str = "add") -> Plan:
     """The full CUB-like DeviceReduce plan for n elements."""
     if n < 1:
         raise ValueError(f"reduction needs n >= 1, got {n}")
     grid = cub_grid(n)
-    upsweep = _build_upsweep_kernel(op)
-    single = _build_single_tile_kernel(op)
+    upsweep, single = _kernels(op)
     steps = [
         KernelStep(
             upsweep,

@@ -19,6 +19,8 @@ beyond ~10M elements (2-3x over CUB in the paper).
 
 from __future__ import annotations
 
+import functools
+
 from ..vir import IRBuilder, Imm, Kernel, KernelStep, Plan, SharedDecl
 from .common import combine_op, emit_block_tree_reduce, identity_of
 
@@ -123,13 +125,18 @@ def _build_finalize_kernel() -> Kernel:
     )
 
 
+@functools.cache
+def _kernels(op: str) -> tuple:
+    """The three kernels, built once per operator: they read ``n``,
+    ``n4`` and ``count`` as params, so every input size shares them."""
+    return _build_stage_kernel(op), _build_main_kernel(op), _build_finalize_kernel()
+
+
 def build_kokkos_plan(n: int, op: str = "add") -> Plan:
     """The Kokkos-like three-kernel parallel_reduce plan."""
     if n < 1:
         raise ValueError(f"reduction needs n >= 1, got {n}")
-    stage = _build_stage_kernel(op)
-    main = _build_main_kernel(op)
-    finalize = _build_finalize_kernel()
+    stage, main, finalize = _kernels(op)
     steps = [
         KernelStep(
             stage,

@@ -132,6 +132,7 @@ def cmd_cuda(args) -> int:
 
 
 def _print_cache_stats() -> None:
+    from .obs import default_metrics
     from .perf import default_cache, default_plan_cache
 
     stats = default_cache().stats
@@ -147,6 +148,11 @@ def _print_cache_stats() -> None:
         f"misses={plan_stats.misses} stores={plan_stats.stores} "
         f"build saved={plan_stats.time_saved_s:.2f}s "
         f"spent={plan_stats.compute_time_s:.2f}s"
+    )
+    metrics = default_metrics()
+    print(
+        f"[kernels] built={metrics.counter('codegen.kernels_built')} "
+        f"reused={metrics.counter('codegen.kernels_reused')}"
     )
 
 

@@ -6,8 +6,8 @@ from .synthesize import (
     Tunables,
     build_plan,
     build_plan_cached,
+    kernel_key,
     launch_geometry,
-    plan_key,
 )
 
 __all__ = [
@@ -21,6 +21,6 @@ __all__ = [
     "emit_compound_pair",
     "emit_coop_kernel",
     "emit_version",
+    "kernel_key",
     "launch_geometry",
-    "plan_key",
 ]

@@ -26,7 +26,16 @@ from ..core.sources import identity_value
 from ..core.variants import Version, fig6_label
 from ..lang.errors import SynthesisError
 from ..perf import content_key
-from ..vir import IRBuilder, Imm, Kernel, KernelStep, MemsetStep, Plan
+from ..vir import (
+    Arg,
+    IRBuilder,
+    Imm,
+    Kernel,
+    KernelStep,
+    MemsetStep,
+    Plan,
+    walk_instrs,
+)
 from .compiler import CodeletToVIR, GlobalView, RegisterPartials
 
 #: Default second-kernel block size (reduction of per-block partials).
@@ -35,6 +44,11 @@ _SECOND_KERNEL_BLOCK = 256
 #: Cap on the partition count of compound versions when untuned (the
 #: paper's tunable ``p``; the autotuner sweeps around this default).
 _DEFAULT_COMPOUND_GRID_CAP = 1024
+
+#: Launch-geometry values a main kernel reads as launch constants
+#: (:class:`~repro.vir.Arg`), so one kernel serves every input size and
+#: grid of a block size.
+LAUNCH_CONSTANTS = ("epb", "coarsen", "grid", "grid_minus_1", "grid_stride")
 
 
 @dataclass(frozen=True)
@@ -55,19 +69,29 @@ class Tunables:
 
 
 def launch_geometry(version: Version, n: int, tunables: Tunables) -> dict:
-    """Grid/block shape and coarsening for a version at input size n."""
+    """Grid/block shape and coarsening for a version at input size n,
+    plus every derived value the main kernel reads as a launch constant
+    (see :data:`LAUNCH_CONSTANTS`)."""
     if n < 1:
         raise SynthesisError(f"reduction needs n >= 1, got {n}")
     block = tunables.block
     if version.block_kind == "coop":
-        grid = _ceil_div(n, block)
-        return {"block": block, "grid": grid, "epb": block, "coarsen": 1}
-    grid = tunables.grid or min(_DEFAULT_COMPOUND_GRID_CAP, _ceil_div(n, block))
-    grid = min(grid, _ceil_div(n, 1))
-    epb = _ceil_div(n, grid)
-    coarsen = _ceil_div(epb, block)
-    epb = coarsen * block  # pad so thread tiling is uniform
-    return {"block": block, "grid": grid, "epb": epb, "coarsen": coarsen}
+        grid, epb, coarsen = _ceil_div(n, block), block, 1
+    else:
+        grid = tunables.grid or min(
+            _DEFAULT_COMPOUND_GRID_CAP, _ceil_div(n, block)
+        )
+        grid = min(grid, n)
+        coarsen = _ceil_div(_ceil_div(n, grid), block)
+        epb = coarsen * block  # pad so thread tiling is uniform
+    return {
+        "block": block,
+        "grid": grid,
+        "epb": epb,
+        "coarsen": coarsen,
+        "grid_minus_1": grid - 1,
+        "grid_stride": block * grid,
+    }
 
 
 def build_plan(
@@ -76,52 +100,62 @@ def build_plan(
     n: int,
     tunables: Tunables = None,
 ) -> Plan:
-    """Synthesize the full host plan for one version at input size n."""
-    tunables = tunables or Tunables()
-    geometry = launch_geometry(version, n, tunables)
+    """Synthesize the full host plan for one version at input size n,
+    building its kernels afresh."""
+    geometry = launch_geometry(version, n, tunables or Tunables())
+    kernels = _build_kernels(pre, version, geometry)
+    plan = _assemble_plan(pre, version, n, geometry, kernels)
+    plan.validate()
+    return plan
+
+
+def _build_kernels(pre, version, geometry) -> tuple:
+    """The kernels of one version's plan: the main kernel, plus the
+    partials kernel for a second-kernel final combine."""
+    identity = identity_value(pre.reduction_op, _element_ctype(pre))
+    main = _build_main_kernel(
+        pre, version, geometry["block"], _unit_stride(version, geometry),
+        identity,
+    )
+    if version.final_combine == "global_atomic":
+        return (main,)
+    return main, _build_second_kernel(pre, identity)
+
+
+def _assemble_plan(pre, version, n, geometry, kernels) -> Plan:
+    """The host plan around built kernels: launch shapes and launch
+    constants carry everything that depends on ``n``."""
     op = pre.reduction_op
     ctype = _element_ctype(pre)
-    identity = identity_value(op, ctype)
     label = fig6_label(version)
-
-    kernel = _build_main_kernel(pre, version, n, geometry, identity)
-    plan_name = f"tangram_{label or version.identifier}"
-    steps = []
+    main = kernels[0]
+    args = {"n": n}
+    args.update((name, geometry[name]) for name in main.params[1:])
+    steps = [
+        KernelStep(
+            main,
+            grid=geometry["grid"],
+            block=geometry["block"],
+            args=args,
+            buffers={name: name for name in main.buffers},
+        )
+    ]
     scratch = {"out": 1}
     if version.final_combine == "global_atomic":
-        steps.append(MemsetStep("out", identity))
-        steps.append(
-            KernelStep(
-                kernel,
-                grid=geometry["grid"],
-                block=geometry["block"],
-                args={"n": n},
-                buffers={"in": "in", "out": "out"},
-            )
-        )
+        steps.insert(0, MemsetStep("out", identity_value(op, ctype)))
     else:
         scratch["partials"] = geometry["grid"]
         steps.append(
             KernelStep(
-                kernel,
-                grid=geometry["grid"],
-                block=geometry["block"],
-                args={"n": n},
-                buffers={"in": "in", "partials": "partials"},
-            )
-        )
-        second = _build_second_kernel(pre, geometry["grid"], identity)
-        steps.append(
-            KernelStep(
-                second,
+                kernels[1],
                 grid=1,
                 block=_SECOND_KERNEL_BLOCK,
                 args={"n": geometry["grid"]},
                 buffers={"partials": "partials", "out": "out"},
             )
         )
-    plan = Plan(
-        name=plan_name,
+    return Plan(
+        name=f"tangram_{label or version.identifier}",
         steps=steps,
         scratch=scratch,
         result_buffer="out",
@@ -135,12 +169,10 @@ def build_plan(
             "geometry": geometry,
         },
     )
-    plan.validate()
-    return plan
 
 
 # ---------------------------------------------------------------------
-# plan cache
+# kernel cache
 # ---------------------------------------------------------------------
 
 
@@ -149,7 +181,7 @@ def _pipeline_fingerprint(pre) -> str:
 
     The log records every pass that ran (including the unroll flag), so
     any change to the frontend configuration changes the fingerprint and
-    with it every plan-cache key derived from this result.
+    with it every kernel-cache key derived from this result.
     """
     sig = getattr(pre, "_pipeline_fingerprint", None)
     if sig is None:
@@ -158,30 +190,39 @@ def _pipeline_fingerprint(pre) -> str:
     return sig
 
 
-def plan_key(
+def _unit_stride(version, geometry) -> bool:
+    """Whether a grid-strided version runs on a one-block grid. Its
+    element stride is then the immediate 1, which drops a multiply from
+    the kernel, so that grid gets a kernel of its own."""
+    return version.grid_pattern == "stride" and geometry["grid"] == 1
+
+
+def kernel_key(
     pre: PreprocessResult,
     version: Version,
     n: int,
     tunables: Tunables = None,
     backend: str = "compiled",
 ) -> str:
-    """Content-hash key identifying one built plan (see ``repro.perf``).
+    """Content-hash key of the kernels behind one plan (see
+    ``repro.perf``).
 
-    The execution backend is part of the key: a cached plan is
-    pre-warmed for exactly one backend's per-kernel artifact (compiled
-    closures, ...), and artifact memoization is by
-    kernel object identity — so plans warmed for different backends
-    must be distinct entries.
+    Everything that shapes a kernel's code is in the key: operator,
+    element ctype, preprocessing passes, version and block size. ``n``
+    and the grid are not — the kernel reads them as launch arguments —
+    except for whether a grid-strided version has a unit stride. The
+    execution backend is in the key too: a cached kernel is pre-warmed
+    for exactly one backend's artifact, and artifacts are memoized by
+    kernel object identity.
     """
     t = tunables or Tunables()
     return content_key(
-        kind="plan",
+        kind="kernels",
         op=pre.reduction_op,
         ctype=_element_ctype(pre),
         version=version.identifier,
-        n=int(n),
         block=t.block,
-        grid=t.grid,
+        unit_stride=_unit_stride(version, launch_geometry(version, n, t)),
         passes=_pipeline_fingerprint(pre),
         backend=backend,
     )
@@ -194,47 +235,54 @@ def build_plan_cached(
     tunables: Tunables = None,
     backend: str = "compiled",
 ) -> Plan:
-    """:func:`build_plan` through the process-wide plan cache.
+    """:func:`build_plan` around kernels from the process-wide cache.
 
-    On a miss the plan is built and *pre-warmed*: each kernel step's
-    per-kernel backend artifact (resolved through the backend registry
-    — compiled closure trace, ...) and batchability
-    summary are computed before the plan is published, so every later
-    executor — any framework instance, any sweep worker thread —
-    starts hot. Keys are content hashes (:func:`plan_key`), so two
-    frameworks with the same frontend configuration *and backend*
-    share one built plan.
+    Kernels are cached in ``repro.perf.default_plan_cache`` under
+    :func:`kernel_key`, so every ``n`` and grid of a (version, block)
+    shares one kernel object. On a miss the plan is built with fresh
+    kernels, which are validated and *pre-warmed*: each one's backend
+    artifact (resolved through the backend registry — compiled closure
+    trace, ...) and batchability summary are computed before the
+    kernels are published, so every later executor — any framework
+    instance, any sweep worker thread — starts hot. On a hit only the
+    host plan is assembled.
     """
     # Imported lazily: codegen must stay importable without dragging in
     # the simulator (and gpusim must never import codegen at top level).
     from ..gpusim import analyze_batchability, get_backend
-    from ..obs import get_tracer
+    from ..obs import default_metrics, get_tracer
     from ..perf import default_plan_cache
 
+    tunables = tunables or Tunables()
     cache = default_plan_cache()
-    key = plan_key(pre, version, n, tunables, backend=backend)
-    plan = cache.get(key)
-    if plan is None:
-        tracer = get_tracer()
-        start = time.perf_counter()
-        with tracer.span(
-            "plan.build", version=version.identifier, n=int(n)
-        ) as span:
-            plan = build_plan(pre, version, n, tunables)
-            span.set(name_=plan.name, steps=len(plan.steps))
-        with tracer.span(
-            "plan.compile", version=version.identifier, n=int(n)
-        ) as span:
-            prepare = get_backend(backend).prepare
-            traces = 0
-            for step in plan.kernel_steps():
-                artifact = prepare(step.kernel)
-                trace = getattr(artifact, "trace", None)
-                if trace is not None:
-                    traces += len(trace)
-                analyze_batchability(step.kernel)
-            span.set(closures=traces, backend=backend)
-        cache.put(key, plan, cost_s=time.perf_counter() - start)
+    key = kernel_key(pre, version, n, tunables, backend=backend)
+    kernels = cache.get(key)
+    if kernels is not None:
+        default_metrics().inc("codegen.kernels_reused", len(kernels))
+        geometry = launch_geometry(version, n, tunables)
+        return _assemble_plan(pre, version, n, geometry, kernels)
+    tracer = get_tracer()
+    start = time.perf_counter()
+    with tracer.span(
+        "plan.build", version=version.identifier, block=tunables.block
+    ) as span:
+        plan = build_plan(pre, version, n, tunables)
+        span.set(name_=plan.name, steps=len(plan.steps))
+    kernels = tuple(step.kernel for step in plan.kernel_steps())
+    with tracer.span(
+        "plan.compile", version=version.identifier, block=tunables.block
+    ) as span:
+        prepare = get_backend(backend).prepare
+        traces = 0
+        for kernel in kernels:
+            artifact = prepare(kernel)
+            trace = getattr(artifact, "trace", None)
+            if trace is not None:
+                traces += len(trace)
+            analyze_batchability(kernel)
+        span.set(closures=traces, backend=backend)
+    cache.put(key, kernels, cost_s=time.perf_counter() - start)
+    default_metrics().inc("codegen.kernels_built", len(kernels))
     return plan
 
 
@@ -252,31 +300,33 @@ def _element_ctype(pre) -> str:
     return str(pre.analyzed.spectrum(pre.spectrum)[0].codelet.return_type)
 
 
-def _build_main_kernel(pre, version, n, geometry, identity) -> Kernel:
+def _build_main_kernel(pre, version, block, unit_stride, identity) -> Kernel:
+    """The version's kernel for one block size. Grid-dependent values
+    are launch constants (:data:`LAUNCH_CONSTANTS`); block-derived ones
+    stay immediates, because shared sizes and tree loops depend on them.
+    ``unit_stride`` bakes a grid-strided version's stride of 1 in."""
     b = IRBuilder()
     tid = b.special("tid")
     ctaid = b.special("ctaid")
     n_reg = b.ld_param("n")
-    grid = geometry["grid"]
-    block = geometry["block"]
-    epb = geometry["epb"]
+    epb = Arg("epb")
 
     # Grid-level sub-container: global index = gbase + k * gstride for
     # k in [0, kcount).
     if version.grid_pattern == "tile":
-        gbase = b.binop("mul", ctaid, Imm(epb))
+        gbase = b.binop("mul", ctaid, epb)
         gstride = Imm(1)
         remaining = b.binop("sub", n_reg, gbase)
         clamped = b.binop("max", remaining, Imm(0))
-        kcount = b.binop("min", clamped, Imm(epb))
+        kcount = b.binop("min", clamped, epb)
     else:  # stride
         gbase = b.mov(ctaid)
-        gstride = Imm(grid)
+        gstride = Imm(1) if unit_stride else Arg("grid")
         numer = b.binop("sub", n_reg, ctaid)
-        numer = b.binop("add", numer, Imm(grid - 1))
+        numer = b.binop("add", numer, Arg("grid_minus_1"))
         numer = b.binop("max", numer, Imm(0))
-        raw = b.binop("div", numer, Imm(grid))
-        kcount = b.binop("min", raw, Imm(epb))
+        raw = b.binop("div", numer, Arg("grid"))
+        kcount = b.binop("min", raw, epb)
 
     if version.block_kind == "coop":
         coop = pre.coop_variant(version.combine)
@@ -296,7 +346,7 @@ def _build_main_kernel(pre, version, n, geometry, identity) -> Kernel:
         }
     else:
         ret, shared, meta = _compile_compound_block(
-            pre, version, b, geometry, gbase, gstride, kcount, identity
+            pre, version, b, block, gbase, gstride, kcount, identity
         )
 
     is_zero = b.binop("eq", tid, 0)
@@ -311,29 +361,41 @@ def _build_main_kernel(pre, version, n, geometry, identity) -> Kernel:
 
     label = fig6_label(version)
     name = f"reduce_{label}" if label else "reduce_block"
+    body = b.finish()
     return Kernel(
         name=name,
-        params=["n"],
+        params=["n", *_launch_constants(body)],
         buffers=buffers,
         shared=shared,
-        body=b.finish(),
+        body=body,
         meta=meta,
     )
 
 
+def _launch_constants(body) -> list:
+    """The launch constants a kernel body reads, in
+    :data:`LAUNCH_CONSTANTS` order."""
+    used = {
+        value.name
+        for instr in walk_instrs(body)
+        for value in vars(instr).values()
+        if isinstance(value, Arg)
+    }
+    return [name for name in LAUNCH_CONSTANTS if name in used]
+
+
 def _compile_compound_block(
-    pre, version, b, geometry, gbase, gstride, kcount, identity
+    pre, version, b, block, gbase, gstride, kcount, identity
 ):
     """Thread-level serial reduction + cooperative combine of partials."""
-    block = geometry["block"]
-    coarsen = geometry["coarsen"]
+    coarsen = Arg("coarsen")
     tid = b.special("tid")
 
     if version.block_pattern == "tile":
-        k0 = b.binop("mul", tid, Imm(coarsen))
+        k0 = b.binop("mul", tid, coarsen)
         t_remaining = b.binop("sub", kcount, k0)
         t_clamped = b.binop("max", t_remaining, Imm(0))
-        tcount = b.binop("min", t_clamped, Imm(coarsen))
+        tcount = b.binop("min", t_clamped, coarsen)
         tstride = gstride
     else:  # stride: k = tid + j * block
         k0 = b.mov(tid)
@@ -343,8 +405,8 @@ def _compile_compound_block(
         tcount = b.binop("div", numer, Imm(block))
         if isinstance(gstride, Imm):
             tstride = Imm(block * gstride.value)
-        else:
-            tstride = b.binop("mul", gstride, Imm(block))
+        else:  # the grid stride block * grid
+            tstride = Arg("grid_stride")
 
     if isinstance(gstride, Imm) and gstride.value == 1:
         scaled_k0 = k0
@@ -372,13 +434,12 @@ def _compile_compound_block(
         "load_pattern": "scalar",
         "uses_shuffle": combine.uses_shuffle,
         "uses_shared_atomic": combine.uses_shared_atomic,
-        "coarsen": coarsen,
         "cross_block_interleaved": version.grid_pattern == "stride",
     }
     return ret, shared, meta
 
 
-def _build_second_kernel(pre, num_partials, identity) -> Kernel:
+def _build_second_kernel(pre, identity) -> Kernel:
     """Single-block reduction of per-block partials (the second launch
     the pruning rule of Section IV-B removes)."""
     b = IRBuilder()

@@ -21,7 +21,8 @@ is shared by every backend:
     ["exec.backend"]``.
 ``prepare(kernel)``
     Build (and memoize) whatever per-kernel artifact the backend needs.
-    Called by the plan cache pre-warm so cached plans ship ready to run.
+    Called by the kernel-cache pre-warm, once per built kernel, so
+    cached kernels ship ready to run.
 ``trace(kernel)``
     Return the closure trace the run state should execute, or ``None``
     to fall back to the tree-walking interpreter (``_exec_body``).

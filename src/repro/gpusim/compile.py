@@ -5,7 +5,7 @@ dispatch chain, operand re-resolution and an active-warp count for every
 instruction of every loop iteration of every launch. This module walks a
 kernel body **once** and emits a flat *trace* — a list of specialized
 closures, one per instruction, with the opcode dispatch, the operand
-kinds (``Reg``/``Imm``), the numpy implementation and the event-counter
+kinds (``Reg``/``Imm``/``Arg``), the numpy implementation and the event-counter
 key all resolved at compile time. Executing a body then degenerates to
 
     for fn in trace: fn(state, mask)
@@ -81,6 +81,7 @@ from ..vir.analysis import (
     written_regs,
 )
 from ..vir.instructions import (
+    Arg,
     AtomGlobal,
     AtomShared,
     Bar,
@@ -107,6 +108,7 @@ from .engine import (
     _coerce_bool,
     _int_div,
     _is_integer,
+    launch_constant,
     memoize_by_identity,
 )
 
@@ -128,6 +130,8 @@ def _reader(operand):
     if isinstance(operand, Imm):
         value = operand.value
         return lambda state: value
+    if isinstance(operand, Arg):
+        return lambda state: launch_constant(state, operand)
     if isinstance(operand, Reg):
         name = operand.name
 
@@ -488,9 +492,10 @@ _COMPILE_MEMO = {}
 def compile_kernel(kernel) -> CompiledKernel:
     """Compile (and memoize) a kernel's closure trace.
 
-    Keyed by kernel object identity: plans are built once and reused
-    (see :func:`repro.codegen.synthesize.build_plan_cached`), so every
-    launch, block and batch chunk of a cached plan shares one trace.
+    Keyed by kernel object identity: kernels are built once per
+    (version, block) and reused by every plan of that pair (see
+    :func:`repro.codegen.synthesize.build_plan_cached`), so every
+    launch, block and batch chunk of every such plan shares one trace.
     """
     return memoize_by_identity(_COMPILE_MEMO, kernel, _compile_fresh)
 

@@ -59,6 +59,7 @@ import numpy as np
 
 from ..obs import default_metrics, get_tracer
 from ..vir.instructions import (
+    Arg,
     AtomGlobal,
     AtomShared,
     Bar,
@@ -189,6 +190,18 @@ EXECUTION_MODES = ("auto", "batched", "sequential")
 EXECUTION_BACKENDS = backend_names()
 
 
+def launch_constant(state, arg):
+    """The value of launch constant ``arg`` in a run state's launch: the
+    host scalar of ``KernelStep.args``, as is (a Python ``int`` reads
+    exactly like the :class:`~repro.vir.instructions.Imm` it replaces)."""
+    try:
+        return state.step.args[arg.name]
+    except KeyError:
+        raise SimulationError(
+            f"kernel {state.kernel.name!r}: launch has no argument for {arg}"
+        ) from None
+
+
 def parse_engine_spec(spec):
     """Parse an engine spec string into ``(mode, backend)``.
 
@@ -231,12 +244,12 @@ def memoize_by_identity(memo: dict, obj, build):
 
 #: Launch-hot caches over immutable-once-executed objects (see
 #: :func:`memoize_by_identity` for the recycled-id guard).
-_PLAN_VALIDATED = {}
+_KERNELS_VALIDATED = {}
 _REGISTER_COUNTS = {}
 
 
-def _validate_plan(plan):
-    plan.validate()
+def _validate(kernel):
+    kernel.validate()
     return True
 
 
@@ -391,11 +404,12 @@ class Executor:
         execute; when it kicks in, the profile is marked sampled and the
         numeric result is not meaningful.
         """
-        # Kernels and plans are immutable once executed (the compile
-        # memo already relies on this), so the structural
-        # validation walk runs once per plan object rather than on
-        # every launch.
-        memoize_by_identity(_PLAN_VALIDATED, plan, _validate_plan)
+        # Kernels are immutable once executed (the compile memo already
+        # relies on this), so the structural validation walk runs once
+        # per kernel object, not per plan or launch: the plans of a
+        # sweep share their kernels.
+        for step in plan.kernel_steps():
+            memoize_by_identity(_KERNELS_VALIDATED, step.kernel, _validate)
         dtype = np.dtype(plan.meta.get("dtype", "float32"))
         for name, size in plan.scratch.items():
             if name not in self.device:
@@ -727,11 +741,16 @@ class _BatchedRun:
         every non-data register ends with its simulated value.
         """
         reason = self.loop_fallback or summary.reason
+        loads = None
+        if reason is None:
+            loads = self._launch_loads(summary)
+            if loads is None:
+                reason = "launch_constant"
         if reason is not None:
             self.loop_stats["fallback." + reason] += 1
             period = None
         else:
-            period = self._loop_period(summary)
+            period = self._loop_period(loads)
         active = mask.copy()
         iterations = skipped = 0
         stretch = None  # (trip, events) where the current stretch began
@@ -747,7 +766,7 @@ class _BatchedRun:
                     stretch = (iterations, dict(self.events))
                 elif iterations - stretch[0] == period:
                     trips = self._skip_periods(
-                        summary, staying, iterations, period, stretch[1]
+                        summary, loads, staying, iterations, period, stretch[1]
                     )
                     if trips < 0:
                         self.loop_stats["fallback.bounds"] += 1
@@ -770,18 +789,32 @@ class _BatchedRun:
                 )
             self._run_trace(body_trace, active)
 
-    def _loop_period(self, summary) -> int:
+    def _launch_loads(self, summary):
+        """``summary.loads`` with every per-trip step an int at this
+        launch (launch-constant multiples resolved), or None when a
+        launch constant makes one a non-int."""
+        loads = []
+        for buf, idx, per_trip, width in summary.loads:
+            if not isinstance(per_trip, int):
+                per_trip = per_trip.resolve(self.step.args)
+                if not _is_integer(per_trip):
+                    return None
+            loads.append((buf, idx, int(per_trip), width))
+        return loads
+
+    def _loop_period(self, loads) -> int:
         """Trips after which every load index has moved by a whole number
         of 128-byte segments, so the per-warp segment counts repeat."""
         period = 1
-        for buf, _idx, per_trip, _width in summary.loads:
+        for buf, _idx, per_trip, _width in loads:
             per_segment = max(1, 128 // self.device.get(buf).dtype.itemsize)
             period = math.lcm(
                 period, per_segment // math.gcd(per_trip % per_segment, per_segment)
             )
         return period
 
-    def _skip_periods(self, summary, active, trip, period, start_events) -> int:
+    def _skip_periods(self, summary, loads, active, trip, period,
+                      start_events) -> int:
         """Skip whole periods from trip ``trip`` (about to run its body);
         returns the trips skipped, or -1 when the skipped trips' loads
         might leave their buffers (those trips are then simulated, so the
@@ -817,7 +850,7 @@ class _BatchedRun:
         trips = room // period * period
         if trips <= 0:
             return 0
-        for buf, idx, per_trip, width in summary.loads:
+        for buf, idx, per_trip, width in loads:
             if per_trip == 0:
                 continue
             # The register holds the index of trip - 1 or of trip, so the
@@ -853,6 +886,8 @@ class _BatchedRun:
                     f"{operand}"
                 )
             return self.regs[operand.name]
+        if isinstance(operand, Arg):
+            return launch_constant(self, operand)
         raise SimulationError(f"bad operand {operand!r}")
 
     def _write(self, reg: Reg, value, mask) -> None:

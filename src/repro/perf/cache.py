@@ -297,24 +297,27 @@ def default_cache() -> ProfileCache:
         return _default_cache
 
 
-#: Default bound on cached built plans (each holds kernels + compiled
-#: closure traces; hundreds cover any realistic sweep grid).
+#: Default bound on cached built kernels (each entry holds one plan's
+#: kernels + compiled closure traces; a sweep needs one per version and
+#: block size).
 DEFAULT_PLAN_ENTRIES = 512
 
 _default_plan_cache = None
 
 
 def default_plan_cache() -> ProfileCache:
-    """The process-wide cache of *built plans*.
+    """The process-wide cache of *built kernels* behind plans.
 
-    Keys hash everything that determines a synthesized plan — operator,
-    element ctype, version identifier, input size, tunables and the
-    preprocessing pass log (see
-    :func:`repro.codegen.synthesize.plan_key`); values are fully built
-    :class:`~repro.vir.program.Plan` objects whose kernels carry
-    memoized compiled closure traces and batchability summaries. Memory
-    tier only: the whole point is sharing the in-process objects (and
-    their id-keyed memos), so a pickled copy would be useless.
+    Keys hash everything that shapes a synthesized kernel — operator,
+    element ctype, version identifier, block size and the preprocessing
+    pass log, but not the input size or grid, which kernels read as
+    launch arguments (see :func:`repro.codegen.synthesize.kernel_key`);
+    values are tuples of :class:`~repro.vir.program.Kernel` objects
+    carrying memoized compiled closure traces and batchability
+    summaries, which :func:`~repro.codegen.synthesize.build_plan_cached`
+    assembles into a plan per call. Memory tier only: the whole point
+    is sharing the in-process objects (and their id-keyed memos), so a
+    pickled copy would be useless.
     """
     global _default_plan_cache
     with _default_lock:

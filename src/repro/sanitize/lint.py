@@ -36,6 +36,7 @@ from ..vir.analysis import (
     eval_uniform_instr,
 )
 from ..vir.instructions import (
+    Arg,
     Bar,
     BinOp,
     If,
@@ -199,7 +200,7 @@ def _check_rmw(kernel, store: StShared, body, defs, uniform_env,
 
 
 def _uniform_idx(idx, uniform_env) -> bool:
-    if isinstance(idx, Imm):
+    if isinstance(idx, (Imm, Arg)):
         return True
     if isinstance(idx, Reg):
         return bool(uniform_env.get(idx.name, False))
@@ -209,6 +210,8 @@ def _uniform_idx(idx, uniform_env) -> bool:
 def _same_operand(a, b) -> bool:
     if isinstance(a, Imm) and isinstance(b, Imm):
         return a.value == b.value
+    if isinstance(a, Arg) and isinstance(b, Arg):
+        return a.name == b.name
     if isinstance(a, Reg) and isinstance(b, Reg):
         return a.name == b.name
     return False

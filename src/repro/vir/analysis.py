@@ -11,8 +11,8 @@ provides the conservative abstract interpreter that proves it:
   point (it was written unconditionally from immediates / other uniform
   constants);
 * anything else — special registers, loads, shuffles, parameters,
-  writes under divergent control flow — poisons the destination to
-  :data:`UNKNOWN`.
+  launch constants (:class:`~repro.vir.instructions.Arg`), writes under
+  divergent control flow — poisons the destination to :data:`UNKNOWN`.
 
 Scalar evaluation mirrors the engine's numpy semantics exactly for the
 cases it accepts (C-style floor division, bool-as-int coercion); any
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .instructions import (
+    Arg,
     AtomGlobal,
     AtomShared,
     Bar,
@@ -235,7 +236,8 @@ def eval_uniform_instr(instr, env) -> None:
     register seeded from ``ld.param`` or ``%ctaid`` is uniform without
     being constant. The sanitizer's static lint uses it to decide
     whether a shared-memory address is provably written by every active
-    lane of a region (a uniform index under a multi-lane mask).
+    lane of a region (a uniform index under a multi-lane mask). Launch
+    constants are uniform.
 
     Conservative like its twin: loads, shuffles, atomics and writes
     under (possibly divergent) ``If``/``While`` control poison their
@@ -283,7 +285,7 @@ def eval_uniform_instr(instr, env) -> None:
 
 
 def _uniform_operand(operand, env) -> bool:
-    if isinstance(operand, Imm):
+    if isinstance(operand, (Imm, Arg)):
         return True
     if isinstance(operand, Reg):
         return env.get(operand.name, False)
@@ -415,9 +417,11 @@ class LoopSummary:
     * the loop condition is ``induction <op> bound`` (``op`` one of
       ``lt``/``le``/``gt``/``ge``), where ``induction`` is one of the
       above with a compile-time constant start value and ``bound`` a
-      per-lane loop invariant (``Reg`` or ``Imm``);
+      per-lane loop invariant (``Reg``, ``Imm`` or ``Arg``);
     * ``loads`` — ``(buf, idx, elements_per_trip, width)`` for every
-      ``LdGlobal``: its index moves by that constant each trip.
+      ``LdGlobal``: its index moves by that constant each trip, a
+      compile-time int or an :class:`ArgMultiple` the engine resolves
+      at launch.
 
     Otherwise ``reason`` is a short slug (used in metric names) and
     ``detail`` says what broke the proof.
@@ -432,12 +436,26 @@ class LoopSummary:
     loads: tuple = ()
 
 
+class ArgMultiple(NamedTuple):
+    """``factor * arg``: a per-trip index step that is an int multiple
+    of a launch constant (the grid stride ``block * grid`` of a kernel
+    built once for every grid), known when the loop runs."""
+
+    factor: int
+    arg: Arg
+
+    def resolve(self, args):
+        """The step at a launch with arguments ``args``."""
+        return self.factor * args[self.arg.name]
+
+
 class _Aff(NamedTuple):
     """A value ``base + coef * trip`` with a loop-invariant per-lane
-    ``base``; ``const`` is the value itself when ``coef == 0`` and it is a
-    known compile-time constant, else UNKNOWN."""
+    ``base``. ``coef`` is an int or an :class:`ArgMultiple`. ``const`` is
+    the value itself when ``coef == 0`` and it is a known compile-time
+    constant or a launch constant (:class:`Arg`), else UNKNOWN."""
 
-    coef: int
+    coef: object
     const: object = UNKNOWN
 
 
@@ -667,6 +685,8 @@ def _trip_kinds(trip, init, consts) -> list:
 def _operand_kind(operand, env, consts):
     if isinstance(operand, Imm):
         return _Aff(0, operand.value)
+    if isinstance(operand, Arg):
+        return _Aff(0, operand)
     kind = env.get(operand.name)
     if kind is None:
         return _Aff(0, consts.get(operand.name, UNKNOWN))
@@ -675,8 +695,37 @@ def _operand_kind(operand, env, consts):
 
 def _int_affine(kind) -> bool:
     """Adding this value keeps an int index an int: a trip-varying or
-    unknown value, or a known int constant."""
-    return kind.coef != 0 or kind.const is UNKNOWN or _is_int(kind.const)
+    unknown value (a launch constant included), or a known int."""
+    return (
+        kind.coef != 0
+        or kind.const is UNKNOWN
+        or isinstance(kind.const, Arg)
+        or _is_int(kind.const)
+    )
+
+
+def _add_coefs(a, b):
+    """``a + b`` for per-trip coefficients, or None when the sum is not
+    an int or one :class:`ArgMultiple`."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b
+    if b == 0:
+        return a
+    if a == 0:
+        return b
+    return None
+
+
+def _scale_coef(coef, const):
+    """``coef * const`` for an invariant ``const``, or None when the
+    product is not an int or one :class:`ArgMultiple`."""
+    if _is_int(const):
+        if isinstance(coef, ArgMultiple):
+            return ArgMultiple(coef.factor * const, coef.arg) if const else 0
+        return coef * const
+    if isinstance(const, Arg) and isinstance(coef, int):
+        return ArgMultiple(coef, const) if coef else 0
+    return None
 
 
 def _result_kind(instr, kinds):
@@ -693,16 +742,19 @@ def _result_kind(instr, kinds):
         return kinds["a"]
     if all(kind.coef == 0 for kind in values):
         return _Aff(0)
+    coef = None
     if isinstance(instr, UnOp) and instr.op == "neg":
-        return _Aff(-kinds["a"].coef)
-    if isinstance(instr, BinOp):
+        coef = _scale_coef(kinds["a"].coef, -1)
+    elif isinstance(instr, BinOp):
         a, b = kinds["a"], kinds["b"]
         if instr.op in ("add", "sub") and _int_affine(a) and _int_affine(b):
-            sign = 1 if instr.op == "add" else -1
-            return _Aff(a.coef + sign * b.coef)
-        if instr.op == "mul":
+            b_coef = b.coef if instr.op == "add" else _scale_coef(b.coef, -1)
+            coef = _add_coefs(a.coef, b_coef)
+        elif instr.op == "mul":
             for x, y in ((a, b), (b, a)):
-                if y.coef == 0 and _is_int(y.const):
-                    return _Aff(x.coef * y.const)
-    return _OTHER
+                if y.coef == 0:
+                    coef = _scale_coef(x.coef, y.const)
+                    if coef is not None:
+                        break
+    return _OTHER if coef is None else _Aff(coef)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 
 from .instructions import (
+    Arg,
     AtomGlobal,
     AtomShared,
     Bar,
@@ -59,6 +60,8 @@ def _parse_operand(text: str):
     text = text.strip()
     if text.startswith("%"):
         return Reg(text[1:])
+    if re.fullmatch(r"\$\w+", text):
+        return Arg(text[1:])
     if text == "True":
         return Imm(True)
     if text == "False":

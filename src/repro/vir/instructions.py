@@ -5,6 +5,8 @@ The synthesized codelets are lowered to VIR, which the GPU simulator in
 generated CUDA touches:
 
 * per-thread virtual registers and ALU ops;
+* launch constants (:class:`Arg`): operands read from the launch's
+  arguments, like SASS reads kernel parameters from the constant bank;
 * special registers (``tid``, ``ctaid``, ``ntid``, ``nctaid``,
   ``laneid``, ``warpid``);
 * global/shared loads and stores (with optional vectorized global loads,
@@ -50,12 +52,28 @@ class Imm:
         return repr(self.value)
 
 
-Operand = (Reg, Imm)
+@dataclass(frozen=True)
+class Arg:
+    """A launch constant: the value of ``KernelStep.args[name]``.
+
+    Unlike :class:`LdParam` it issues no instruction and occupies no
+    register; it behaves exactly like the :class:`Imm` holding the same
+    value, except that one kernel serves every value (the launch
+    geometry of a sweep, say). Block-uniform, unknown at compile time.
+    """
+
+    name: str
+
+    def __str__(self) -> str:
+        return f"${self.name}"
+
+
+Operand = (Reg, Imm, Arg)
 
 
 def as_operand(value):
     """Coerce Python scalars to :class:`Imm`; pass operands through."""
-    if isinstance(value, (Reg, Imm)):
+    if isinstance(value, Operand):
         return value
     if isinstance(value, (bool, int, float)):
         return Imm(value)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instructions import LdParam, Reg, walk_instrs
+from .instructions import Arg, LdParam, Reg, walk_instrs
 
 
 @dataclass
@@ -29,7 +29,8 @@ class SharedDecl:
 @dataclass
 class Kernel:
     name: str
-    params: list = field(default_factory=list)  # scalar param names
+    #: scalar param names, read by ``ld.param`` or as :class:`Arg`
+    params: list = field(default_factory=list)
     buffers: list = field(default_factory=list)  # global buffer param names
     shared: list = field(default_factory=list)  # SharedDecl
     body: list = field(default_factory=list)  # Instr
@@ -60,10 +61,15 @@ class Kernel:
         buffer_names = set(self.buffers)
         param_names = set(self.params)
         for instr in walk_instrs(self.body):
-            if isinstance(instr, LdParam) and instr.name not in param_names:
-                raise ValueError(
-                    f"kernel {self.name!r}: unknown param {instr.name!r}"
-                )
+            names = [instr.name] if isinstance(instr, LdParam) else [
+                value.name for value in vars(instr).values()
+                if isinstance(value, Arg)
+            ]
+            for name in names:
+                if name not in param_names:
+                    raise ValueError(
+                        f"kernel {self.name!r}: unknown param {name!r}"
+                    )
             buf = getattr(instr, "buf", None)
             if buf is None:
                 continue

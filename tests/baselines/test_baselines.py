@@ -7,6 +7,19 @@ from repro.baselines import build_cub_plan, build_kokkos_plan, cub_grid
 from repro.cpu import POWER8, openmp_reduce, openmp_reduce_time
 
 
+class TestKernelReuse:
+    @pytest.mark.parametrize("build", [build_cub_plan, build_kokkos_plan])
+    def test_kernels_built_once_per_op(self, build):
+        """Baseline kernels read every size as a param, so all sizes of
+        one operator share the kernel objects."""
+        small, large = build(1000), build(10_000_000)
+        for a, b in zip(small.kernel_steps(), large.kernel_steps()):
+            assert a.kernel is b.kernel
+        assert small.kernel_steps()[0].args != large.kernel_steps()[0].args
+        other = build(1000, op="max")
+        assert other.kernel_steps()[0].kernel is not small.kernel_steps()[0].kernel
+
+
 class TestCubStructure:
     def test_two_kernels_always(self):
         """CUB has no small-array special case (Section IV-C-1)."""

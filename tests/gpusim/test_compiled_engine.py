@@ -8,7 +8,7 @@ kernel it produces bit-identical results AND identical per-step event
 counters to the tree-walking interpreter, under both the sequential and
 batched execution modes. These tests sweep the full Figure 6 catalog
 for every supported (op, ctype) pair, plus the engine-spec parsing, the
-compile/batchability memos and the process-wide plan cache.
+compile/batchability memos and the process-wide kernel cache.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.codegen import Tunables, build_plan_cached, plan_key
+from repro.codegen import Tunables, build_plan_cached, kernel_key
 from repro.gpusim import (
     EVENT_KEYS,
     EXECUTION_BACKENDS,
@@ -273,30 +273,40 @@ class TestCompilation:
         assert analyze_batchability(kernel) == analyze_batchability(kernel)
 
 
+def _kernels(plan):
+    return [step.kernel for step in plan.kernel_steps()]
+
+
 class TestPlanCache:
     def test_same_point_shares_one_plan(self):
+        """Plans of one (version, block) share their kernels, across
+        framework instances and across n and grid."""
         fw1 = ReductionFramework(op="add")
         fw2 = ReductionFramework(op="add")
         t = Tunables(block=64, grid=8)
         p1 = fw1.build("b", 4096, t)
         p2 = fw2.build("b", 4096, t)
-        assert p1 is p2  # one built plan across framework instances
+        assert _kernels(p1) == _kernels(p2)
+        assert all(a is b for a, b in zip(_kernels(p1), _kernels(p2)))
         assert fw1.pre is fw2.pre  # frontend memoized too
-        assert fw1.build("b", 8192, t) is not p1  # different n, new plan
+        p3 = fw1.build("b", 8192, Tunables(block=64, grid=16))
+        assert _kernels(p3)[0] is _kernels(p1)[0]  # new n and grid
+        assert p3.kernel_steps()[0].args["n"] == 8192
 
     def test_key_separates_configurations(self):
         fw_add = ReductionFramework(op="add")
         fw_max = ReductionFramework(op="max")
         v = fw_add.resolve("b")
         t = Tunables(block=64, grid=8)
-        assert plan_key(fw_add.pre, v, 4096, t) != plan_key(
+        assert kernel_key(fw_add.pre, v, 4096, t) != kernel_key(
             fw_max.pre, v, 4096, t
         )
-        assert plan_key(fw_add.pre, v, 4096, t) != plan_key(
-            fw_add.pre, v, 8192, t
+        assert kernel_key(fw_add.pre, v, 4096, t) != kernel_key(
+            fw_add.pre, v, 4096, Tunables(block=128, grid=8)
         )
-        assert plan_key(fw_add.pre, v, 4096, t) == plan_key(
-            fw_add.pre, v, 4096, Tunables(block=64, grid=8)
+        # n and grid are launch arguments, not part of the kernel
+        assert kernel_key(fw_add.pre, v, 4096, t) == kernel_key(
+            fw_add.pre, v, 8192, Tunables(block=64, grid=512)
         )
 
     def test_hit_statistics_recorded(self):
@@ -305,7 +315,7 @@ class TestPlanCache:
         t = Tunables(block=96, grid=5)  # unlikely to be cached already
         fw.build("b", 5000, t)
         hits = cache.stats.hits
-        fw.build("b", 5000, t)
+        fw.build("b", 7000, t)
         assert cache.stats.hits == hits + 1
 
     def test_cached_plan_is_prewarmed(self):
@@ -319,15 +329,70 @@ class TestPlanCache:
             assert id(step.kernel) in _COMPILE_MEMO
 
     def test_cached_plans_still_correct(self):
-        """A plan served from the cache (shared kernels, shared traces)
-        reduces correctly for fresh executors and data."""
+        """A plan around cached kernels (shared kernels, shared traces)
+        reduces correctly for fresh executors, data and sizes."""
         fw = ReductionFramework(op="add")
         t = Tunables(block=64, grid=8)
-        for seed in (1, 2):
-            data = _data("float", 4096, seed=seed)
+        for seed, n in ((1, 4096), (2, 4096), (3, 3001)):
+            data = _data("float", n, seed=seed)
             result = fw.run(data, "b", t)
-            ref = _run(fw.build("b", 4096, t), data, backend="interpreted")
+            ref = _run(fw.build("b", n, t), data, backend="interpreted")
             assert result.value == ref.result
+
+
+class TestKernelSharing:
+    @pytest.mark.parametrize("label", sorted(FIG6_LABELS))
+    def test_tune_grid_points_share_one_kernel(self, frameworks, label):
+        """Every n and grid of a (version, block) tuning point runs the
+        same kernel object."""
+        from repro.autotune.tuner import DEFAULT_BLOCKS, DEFAULT_GRIDS
+
+        fw = frameworks[("add", "float")]
+        version = fw.resolve(label)
+        for block in DEFAULT_BLOCKS:
+            kernels = {
+                id(_kernels(fw.build(version, n, Tunables(block, grid)))[0])
+                for n in (1 << 10, 1 << 16, 1 << 22)
+                for grid in DEFAULT_GRIDS
+            }
+            assert len(kernels) == 1, (label, block)
+
+    def test_tune_grid_builds_one_kernel_per_version_and_block(self):
+        """The 720-point tuning grid compiles at most one kernel per
+        (version, block) — 64 — and reuses it everywhere else."""
+        from repro.autotune.tuner import sweep_specs
+
+        fw = ReductionFramework(op="add", ctype="float")
+        specs = sweep_specs(fw, (1 << 10, 1 << 16, 1 << 22))
+        assert len(specs) == 720
+        before = _counters()
+        for version, n, tunables in specs:
+            fw.build(version, n, tunables)
+        after = _counters()
+        assert after.get("compile.kernels", 0) - before.get(
+            "compile.kernels", 0
+        ) <= 64
+        built = after.get("codegen.kernels_built", 0) - before.get(
+            "codegen.kernels_built", 0
+        )
+        reused = after.get("codegen.kernels_reused", 0) - before.get(
+            "codegen.kernels_reused", 0
+        )
+        assert built <= 64 and built + reused == 720
+
+    def test_unit_stride_grid_gets_its_own_kernel(self, frameworks):
+        """Version k's element stride is the grid; a one-block grid bakes
+        the stride 1 in (one multiply fewer), like the immediate did."""
+        fw = frameworks[("add", "float")]
+        one = _kernels(fw.build("k", 64, Tunables(block=64)))[0]
+        many = _kernels(fw.build("k", 4096, Tunables(block=64)))[0]
+        also_one = _kernels(fw.build("k", 4096, Tunables(block=64, grid=1)))[0]
+        assert one is not many and one is also_one
+        assert one.instruction_count() == many.instruction_count() - 1
+
+
+def _counters():
+    return default_metrics().snapshot(include_caches=False)["counters"]
 
 
 class TestPlanCacheBackendKeying:
@@ -335,17 +400,17 @@ class TestPlanCacheBackendKeying:
         fw = ReductionFramework(op="add")
         v = fw.resolve("b")
         t = Tunables(block=64, grid=8)
-        assert plan_key(fw.pre, v, 4096, t, backend="compiled") != plan_key(
+        assert kernel_key(fw.pre, v, 4096, t, backend="compiled") != kernel_key(
             fw.pre, v, 4096, t, backend="interpreted"
         )
-        # Default keeps the historical key: one shared plan per config.
-        assert plan_key(fw.pre, v, 4096, t) == plan_key(
+        # Default keeps the historical key: one shared kernel per config.
+        assert kernel_key(fw.pre, v, 4096, t) == kernel_key(
             fw.pre, v, 4096, t, backend="compiled"
         )
 
     def test_warm_backend_misses_other_backend(self):
-        """A plan pre-warmed for one backend is a miss for the other:
-        same config, different backend, distinct plan entries."""
+        """Kernels pre-warmed for one backend are a miss for the other:
+        same config, different backend, distinct kernel entries."""
         fw = ReductionFramework(op="add")
         v = fw.resolve("b")
         t = Tunables(block=96, grid=7)  # unlikely to be cached already
@@ -354,18 +419,21 @@ class TestPlanCacheBackendKeying:
         misses = cache.stats.misses
         p_interp = build_plan_cached(fw.pre, v, 4100, t, backend="interpreted")
         assert cache.stats.misses == misses + 1  # not served from warm
-        assert p_interp is not p_compiled
-        # Hitting each key again returns the same object per backend.
-        assert build_plan_cached(fw.pre, v, 4100, t) is p_compiled
-        assert (
-            build_plan_cached(fw.pre, v, 4100, t, backend="interpreted")
-            is p_interp
+        assert _kernels(p_interp)[0] is not _kernels(p_compiled)[0]
+        # Hitting each key again returns the same kernels per backend.
+        assert _kernels(build_plan_cached(fw.pre, v, 4100, t))[0] is (
+            _kernels(p_compiled)[0]
         )
+        assert _kernels(
+            build_plan_cached(fw.pre, v, 4100, t, backend="interpreted")
+        )[0] is _kernels(p_interp)[0]
 
     def test_framework_engine_spec_selects_backend(self):
         """A framework constructed with an interpreted engine spec builds
-        interpreted-keyed plans."""
+        interpreted-keyed kernels."""
         t = Tunables(block=64, grid=8)
         fw_int = ReductionFramework(op="add", engine="batched-interpreted")
         fw_def = ReductionFramework(op="add")
-        assert fw_int.build("b", 4096, t) is not fw_def.build("b", 4096, t)
+        assert _kernels(fw_int.build("b", 4096, t))[0] is not _kernels(
+            fw_def.build("b", 4096, t)
+        )[0]

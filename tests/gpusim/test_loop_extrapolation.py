@@ -17,8 +17,13 @@ from repro.gpusim.device import Device
 from repro.gpusim.engine import _BatchedRun
 from repro.obs import default_metrics
 from repro.sanitize import Sanitizer
-from repro.vir import KernelStep, While
-from repro.vir.analysis import data_dependence, eval_const_instr, summarize_loop
+from repro.vir import Arg, KernelStep, While
+from repro.vir.analysis import (
+    ArgMultiple,
+    data_dependence,
+    eval_const_instr,
+    summarize_loop,
+)
 from repro.vir.assembler import parse_kernel
 from repro.vir.program import Plan
 
@@ -59,6 +64,13 @@ LOOP = """
 """
 
 
+#: LOOP with its load stride read as a launch constant, as the
+#: synthesized grid-strided kernels read ``block * grid``.
+ARG_LOOP = LOOP.replace("params: n;", "params: n, stride;").replace(
+    "%off = mul %i, 64", "%off = mul %i, $stride"
+)
+
+
 def _variant(body="", cond="%c = lt %i, %len", head="", step="%i = add %i, 1"):
     """LOOP with ``body`` inserted before the induction step, a different
     condition or step, or ``head`` instructions before the loop."""
@@ -78,13 +90,15 @@ def _summary(text):
 
 
 def _launch(kernel, n=None, backend="compiled", sample_limit=3, size=None,
-            **executor_args):
+            stride=64, **executor_args):
     n = GRID * BLOCK * TRIPS - 5 if n is None else n
     device = Device()
     device.alloc("in", n if size is None else size, dtype=np.float32)
     device.alloc("out", GRID, dtype=np.float32)
     executor = Executor(device=device, backend=backend, **executor_args)
-    step = KernelStep(kernel, grid=GRID, block=BLOCK, args={"n": n},
+    args = {"n": n, "stride": stride}
+    step = KernelStep(kernel, grid=GRID, block=BLOCK,
+                      args={name: args[name] for name in kernel.params},
                       buffers={"in": "in", "out": "out"})
     return executor.run_plan(Plan(name="p", steps=[step]),
                              sample_limit=sample_limit)
@@ -113,6 +127,38 @@ class TestLoopProof:
             ("in", 64)
         ]
         assert data_dependence(parse_kernel(LOOP).body) is None
+
+    def test_launch_constant_stride(self):
+        summary = _summary(ARG_LOOP)
+        assert summary.reason is None, summary.detail
+        assert [per_trip for _buf, _idx, per_trip, _w in summary.loads] == [
+            ArgMultiple(1, Arg("stride"))
+        ]
+
+    @pytest.mark.parametrize(
+        "offset, per_trip",
+        [
+            ("%off = mul $stride, %i", ArgMultiple(1, Arg("stride"))),
+            ("%i2 = mul %i, 3\n    %off = mul %i2, $stride",
+             ArgMultiple(3, Arg("stride"))),
+            ("%s2 = mul $stride, 2\n    %off = mul %i, %s2", None),
+            ("%off = mul %i, $stride\n    %off2 = add %off, %i", None),
+        ],
+    )
+    def test_launch_constant_coefficients(self, offset, per_trip):
+        """Only an int multiple of one launch constant is a step the
+        engine can resolve: a constant derived inside the kernel, or an
+        int added to a launch-constant step, is not affine."""
+        text = ARG_LOOP.replace("%off = mul %i, $stride", offset).replace(
+            "%idx = add %start, %off", "%idx = add %start, " + (
+                "%off2" if "%off2" in offset else "%off"
+            )
+        )
+        summary = _summary(text)
+        if per_trip is None:
+            assert summary.reason == "index", summary
+        else:
+            assert summary.loads[0][2] == per_trip, summary
 
     def test_swapped_comparison(self):
         summary = _summary(_variant(cond="%c = gt %len, %i"))
@@ -194,6 +240,23 @@ class TestEngineExtrapolation:
         # Observability only: the profile carries no loop counters.
         assert not any(k.startswith("exec.") for k in got.steps[0].events)
 
+    def test_launch_constant_stride_skips_with_identical_events(self):
+        kernel = parse_kernel(ARG_LOOP)
+        ref = _launch(kernel, backend="interpreted")
+        got, loops = _loop_counters(lambda: _launch(kernel))
+        assert dict(got.steps[0].events) == dict(ref.steps[0].events)
+        assert loops["exec.loop.trips_extrapolated"] > 0
+
+    def test_non_int_launch_constant_step_simulates_every_trip(self):
+        # A float launch constant makes the per-trip step a float: no
+        # period exists, so every trip runs (indices still truncate).
+        kernel = parse_kernel(ARG_LOOP)
+        ref = _launch(kernel, backend="interpreted", stride=64.0)
+        got, loops = _loop_counters(lambda: _launch(kernel, stride=64.0))
+        assert dict(got.steps[0].events) == dict(ref.steps[0].events)
+        assert "exec.loop.trips_extrapolated" not in loops
+        assert loops["exec.loop.fallback.launch_constant"] >= 1
+
     def test_period_follows_the_segment_pattern(self):
         # Consecutive lanes step one element per trip: a warp touches one
         # 128-byte segment when its first index is aligned, else two, so
@@ -273,6 +336,18 @@ class TestEngineExtrapolation:
         # range, so its loads run off it at trip 4 of a 40-trip stretch.
         # The closed-form check refuses the skip; simulation raises.
         kernel = parse_kernel(LOOP)
+        n = GRID * BLOCK * TRIPS
+        size = n - BLOCK * TRIPS + 300
+        interpreted = _error(kernel=kernel, n=n, size=size,
+                             backend="interpreted")
+        compiled = _error(kernel=kernel, n=n, size=size)
+        assert compiled == interpreted
+        assert "out-of-bounds access to global buffer 'in'" in compiled
+        assert -1 in skips
+
+    def test_out_of_bounds_with_launch_constant_stride(self, skips):
+        # As above, with the per-trip step resolved from the launch.
+        kernel = parse_kernel(ARG_LOOP)
         n = GRID * BLOCK * TRIPS
         size = n - BLOCK * TRIPS + 300
         interpreted = _error(kernel=kernel, n=n, size=size,

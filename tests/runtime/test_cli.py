@@ -54,6 +54,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "<- best" in out
 
+    def test_tune_cache_stats_reports_kernel_reuse(self, capsys):
+        """An in-process tune builds one kernel per block size and
+        reuses it for every grid."""
+        import re
+
+        from repro.obs import default_metrics
+
+        metrics = default_metrics()
+        before = {
+            name: metrics.counter(f"codegen.kernels_{name}")
+            for name in ("built", "reused")
+        }
+        assert main(["tune", "6007", "--version", "b", "--jobs", "1",
+                     "--cache-stats"]) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"^\[kernels\] built=(\d+) reused=(\d+)$", out, re.M)
+        built = int(match.group(1)) - before["built"]
+        reused = int(match.group(2)) - before["reused"]
+        assert built <= 4 and built + reused == 20
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

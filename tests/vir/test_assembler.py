@@ -90,6 +90,26 @@ class TestParsing:
         kernel = parse_kernel(text)
         assert format_kernel(parse_kernel(format_kernel(kernel))) == format_kernel(kernel)
 
+    def test_launch_constants(self):
+        text = """
+.kernel k(params: n, epb; buffers: in)
+  %t = %tid
+  %b = %ctaid
+  %base = mul %b, $epb
+  %i = add %base, %t
+  %v = ld.global [in + %i]
+  %w = shfl.down %v, $epb, w=32
+  st.global [in + $epb], %w
+"""
+        kernel = parse_kernel(text)
+        from repro.vir import Arg
+
+        assert kernel.body[2].b == Arg("epb")
+        assert kernel.body[5].offset == Arg("epb")
+        assert kernel.body[6].idx == Arg("epb")
+        kernel.validate()
+        assert format_kernel(parse_kernel(format_kernel(kernel))) == format_kernel(kernel)
+
     def test_comments_preserved(self):
         text = """
 .kernel k(params: -; buffers: -)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.vir import (
+    Arg,
     AtomGlobal,
     Bar,
     BinOp,
@@ -41,6 +42,25 @@ class TestOperands:
     def test_as_operand_rejects_junk(self):
         with pytest.raises(TypeError):
             as_operand("nope")
+
+    def test_launch_constant_is_an_operand(self):
+        arg = Arg("epb")
+        assert as_operand(arg) is arg
+        assert format_instr(BinOp(Reg("d"), "mul", Reg("t"), arg)) == (
+            "%d = mul %t, $epb"
+        )
+
+    def test_launch_constant_costs_no_register(self):
+        b = IRBuilder()
+        tid = b.special("tid")
+        b.binop("mul", tid, Arg("epb"))
+        with_arg = Kernel("k", params=["epb"], body=b.finish())
+        b = IRBuilder()
+        tid = b.special("tid")
+        b.binop("mul", tid, 7)
+        with_imm = Kernel("k", body=b.finish())
+        assert with_arg.register_count() == with_imm.register_count()
+        assert with_arg.instruction_count() == with_imm.instruction_count()
 
 
 class TestInstructionValidation:
@@ -154,6 +174,14 @@ class TestKernel:
         kernel.params = []
         with pytest.raises(ValueError):
             kernel.validate()
+
+    def test_validate_catches_unknown_launch_constant(self):
+        kernel = self._kernel()
+        kernel.body.append(BinOp(Reg("x"), "add", Reg("x"), Arg("epb")))
+        with pytest.raises(ValueError, match="epb"):
+            kernel.validate()
+        kernel.params.append("epb")
+        kernel.validate()
 
 
 class TestLaunchValidation:
