@@ -57,8 +57,12 @@ LARGE_N = 1 << 20
 LARGE_TUNABLES = Tunables(block=256, grid=64)
 
 
-def _profile_large(mode: str, backend: str, reps: int = 3) -> float:
+def _profile_large(sequential: bool, backend: str, reps: int = 3) -> float:
     """Seconds to profile version (b) at LARGE_N, fully executed.
+
+    Version (b) is batchable, so its launches run batched; ``sequential``
+    sets ``BATCH_LANES = 1`` to run the same launches in one-block
+    chunks, the sequential order's chunking.
 
     ``fw.build`` goes through the (backend-keyed) plan cache, which
     pre-warms every kernel's backend artifact — so the compiled backend
@@ -71,11 +75,11 @@ def _profile_large(mode: str, backend: str, reps: int = 3) -> float:
     first few launches pay allocator warm-up that the slow interpreter
     legs amortize within one launch — so callers bump ``reps`` there.
     """
-    fw = ReductionFramework(
-        op="add", cache=ProfileCache(), engine=f"{mode}-{backend}"
-    )
+    fw = ReductionFramework(op="add", cache=ProfileCache(), engine=backend)
     plan = fw.build("b", LARGE_N, LARGE_TUNABLES)
-    executor = Executor(mode=mode, backend=backend)
+    executor = Executor(backend=backend)
+    if sequential:
+        executor.BATCH_LANES = 1
     executor.device.alloc("in", LARGE_N, dtype=np.float32)
     best = float("inf")
     for _ in range(reps):
@@ -88,11 +92,9 @@ def _profile_large(mode: str, backend: str, reps: int = 3) -> float:
 def _profile_large_compiled(reps: int = 25) -> float:
     """Warm compiled seconds for the batched LARGE_N profile: min of
     ``reps`` launches after one untimed warm-up launch."""
-    fw = ReductionFramework(
-        op="add", cache=ProfileCache(), engine="batched-compiled"
-    )
+    fw = ReductionFramework(op="add", cache=ProfileCache(), engine="compiled")
     plan = fw.build("b", LARGE_N, LARGE_TUNABLES)
-    executor = Executor(mode="batched", backend="compiled")
+    executor = Executor(backend="compiled")
     executor.device.alloc("in", LARGE_N, dtype=np.float32)
     executor.run_plan(plan)  # untimed warm-up launch
     # Collector hygiene: a gen-2 pass landing mid launch adds a constant
@@ -170,8 +172,8 @@ def _noop_tracer_overhead() -> float:
 
 
 def measure():
-    sequential_s = _profile_large("sequential", "interpreted")
-    batched_s = _profile_large("batched", "interpreted")
+    sequential_s = _profile_large(sequential=True, backend="interpreted")
+    batched_s = _profile_large(sequential=False, backend="interpreted")
     compiled_s = _profile_large_compiled()
     compile_cold_s = _compile_cold()
 

@@ -48,26 +48,3 @@ def emit_block_tree_reduce(
         b.bar()
         b.binop("div", offset, 2, dst=offset)
     return b.ld_shared(smem, 0)
-
-
-def emit_serial_strided_reduce(
-    b: IRBuilder,
-    buf: str,
-    start: Reg,
-    stride,
-    limit,
-    op: str = "add",
-    identity: float = None,
-) -> Reg:
-    """Grid-stride serial accumulation: ``for (i = start; i < limit; i += stride)``."""
-    acc = b.mov(Imm(identity if identity is not None else identity_of(op)))
-    i = b.mov(start)
-    cond = b.fresh("ser_c")
-    loop = b.while_(cond)
-    with loop.cond:
-        b.binop("lt", i, limit, dst=cond)
-    with loop.body:
-        value = b.ld_global(buf, i)
-        b.binop(combine_op(op), acc, value, dst=acc)
-        b.binop("add", i, stride, dst=i)
-    return acc

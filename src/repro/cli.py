@@ -57,25 +57,29 @@ def _resolve_size(args, parser) -> None:
 
 
 def _engine_spec(value: str) -> str:
-    """argparse type for ``--engine``: validate, keep the raw spec."""
-    from .gpusim import parse_engine_spec
+    """argparse type for ``--engine``: a registered backend name."""
+    from .gpusim import get_backend
 
     try:
-        parse_engine_spec(value)
+        get_backend(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return value
 
 
+def _engine_list(value: str) -> tuple:
+    """argparse type for ``sanitize --engine``: comma-separated engines,
+    each validated like ``--engine``."""
+    return tuple(_engine_spec(part) for part in value.split(","))
+
+
 def _engine_help() -> str:
     """``--engine`` help text, listing backends from the live registry."""
-    from .gpusim import EXECUTION_MODES, backend_names
+    from .gpusim import backend_names
 
-    modes = " | ".join(EXECUTION_MODES)
     backends = " | ".join(backend_names())
-    return (f"simulator engine spec: an execution mode ({modes}), a "
-            f"dispatch backend ({backends}), or mode-backend (default: "
-            "auto, i.e. compiled dispatch)")
+    return (f"simulator backend ({backends}; default: compiled). Each "
+            "launch's block order is derived from its kernel")
 
 
 def _write_json(payload, path, label) -> None:
@@ -99,7 +103,7 @@ def _framework(args):
     return ReductionFramework(
         op=args.op,
         unroll=getattr(args, "unroll", False),
-        engine=getattr(args, "engine", None) or "auto",
+        engine=getattr(args, "engine", None) or "compiled",
     )
 
 
@@ -167,9 +171,7 @@ def cmd_reduce(args) -> int:
     ) else None
     if tunables is None and args.block:
         tunables = Tunables(block=args.block)
-    result = fw.run(
-        data, version=args.version, tunables=tunables, engine_mode=args.engine
-    )
+    result = fw.run(data, version=args.version, tunables=tunables)
     reference = {
         "add": float(data.sum(dtype=np.float64)),
         "max": float(data.max()),
@@ -255,7 +257,7 @@ def cmd_sweep(args) -> int:
     fw = ReductionFramework(
         op=args.op,
         unroll=args.unroll,
-        engine=args.engine or "auto",
+        engine=args.engine or "compiled",
         cache=cache,
     )
     specs = sweep_specs(fw, sizes, candidates, blocks, grids)
@@ -279,9 +281,7 @@ def cmd_sanitize(args) -> int:
 
     from .sanitize import DEFAULT_ENGINES
 
-    engines = (
-        tuple(args.engine.split(",")) if args.engine else DEFAULT_ENGINES
-    )
+    engines = args.engine or DEFAULT_ENGINES
     versions = args.versions.split(",") if args.versions else None
     ops = (args.op,) if args.op != "all" else ("add", "max", "min")
     ctypes = (args.ctype,) if args.ctype != "all" else ("float", "int")
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, default=None)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="auto", type=_engine_spec,
+    p.add_argument("--engine", default="compiled", type=_engine_spec,
                    help=_engine_help())
     p.set_defaults(func=cmd_reduce)
 
@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size(p)
     p.add_argument("--versions", default=None,
                    help="comma-separated labels (default: m,n,p,b)")
-    p.add_argument("--engine", default="auto", type=_engine_spec,
-                   help="simulator engine spec used for profiling (see "
+    p.add_argument("--engine", default="compiled", type=_engine_spec,
+                   help="simulator backend used for profiling (see "
                         "'reduce --engine')")
     p.add_argument("--cache-stats", action="store_true",
                    help="print profile-cache statistics afterwards")
@@ -521,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unroll", action="store_true")
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel profiling workers (default: auto)")
-    p.add_argument("--engine", default="auto", type=_engine_spec,
-                   help="simulator engine spec used for profiling (see "
+    p.add_argument("--engine", default="compiled", type=_engine_spec,
+                   help="simulator backend used for profiling (see "
                         "'reduce --engine')")
     p.set_defaults(func=cmd_sweep)
 
@@ -548,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: the full catalog)")
     from .sanitize.report import DEFAULT_ENGINES
 
-    p.add_argument("--engine", default=None,
-                   help="comma-separated engine specs to execute under "
+    p.add_argument("--engine", default=None, type=_engine_list,
+                   help="comma-separated engines to execute under "
                         f"(default: {','.join(DEFAULT_ENGINES)})")
     p.add_argument("--no-lint", dest="lint", action="store_false",
                    help="skip the static VIR lint pass")
@@ -628,8 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full payload as JSON "
                         "('-' for stdout)")
-    p.add_argument("--engine", default="auto", type=_engine_spec,
-                   help="simulator engine spec used for profiling (see "
+    p.add_argument("--engine", default="compiled", type=_engine_spec,
+                   help="simulator backend used for profiling (see "
                         "'reduce --engine')")
     p.set_defaults(func=cmd_explain)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..lang import AnalyzedProgram, CodeletInfo, PARTITION_INDEX_NAME, ast
+from ..lang import AnalyzedProgram, CodeletInfo, ast
 from ..lang.errors import TransformError
 
 
@@ -128,15 +128,6 @@ def classify_partition(info: CodeletInfo, map_index: int = 0) -> str:
         f"(tiled) or the partition count (strided)",
         inc_expr.span,
     )
-
-
-def sequence_is_partition_index(info: CodeletInfo, name: str) -> bool:
-    """True when a Sequence is just ``Sequence s(i)`` (the strided start)."""
-    decl = info.sequences.get(name)
-    if decl is None:
-        return False
-    expr = decl.ctor_args[0]
-    return isinstance(expr, ast.Ident) and expr.name == PARTITION_INDEX_NAME
 
 
 def apply_global_atomic(

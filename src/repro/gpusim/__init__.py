@@ -5,11 +5,9 @@ from .backend import Backend, backend_names, get_backend, register_backend
 from .device import Device, DeviceError
 from .engine import (
     EXECUTION_BACKENDS,
-    EXECUTION_MODES,
     Executor,
     SimulationError,
     analyze_batchability,
-    parse_engine_spec,
     run_plan,
 )
 from .compile import CompiledKernel, compile_kernel
@@ -29,7 +27,6 @@ __all__ = [
     "DeviceError",
     "EVENT_KEYS",
     "EXECUTION_BACKENDS",
-    "EXECUTION_MODES",
     "Backend",
     "CompiledKernel",
     "Executor",
@@ -37,7 +34,6 @@ __all__ = [
     "backend_names",
     "compile_kernel",
     "get_backend",
-    "parse_engine_spec",
     "register_backend",
     "KEPLER",
     "MAXWELL",

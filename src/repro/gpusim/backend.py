@@ -3,10 +3,11 @@
 The :class:`~repro.gpusim.engine.Executor` used to hardcode its backend
 dispatch (``if self.backend == "compiled": ...``), which meant adding a
 backend touched ``engine.py`` internals.  This module extracts the
-contract into a small protocol so backends plug in through a registry
-and :func:`~repro.gpusim.engine.parse_engine_spec` picks them up
-automatically (the Vortex paper in PAPERS.md motivates keeping this
-swappable for future hardware / software-warp-op targets).
+contract into a small protocol so backends plug in through a registry.
+An engine spec (``--engine``, ``ReductionFramework(engine=)``) is a
+backend name, so a registered backend is selectable everywhere (the
+Vortex paper in PAPERS.md motivates keeping this swappable for future
+hardware / software-warp-op targets).
 
 Backend protocol
 ----------------
@@ -96,11 +97,14 @@ def register_backend(backend: Backend) -> Backend:
 
 
 def get_backend(name: str) -> Backend:
+    """The registered backend ``name``. An engine spec is a backend
+    name, so this is also the one engine-spec validator."""
     try:
         return _REGISTRY[name]
     except KeyError:
         raise ValueError(
-            f"backend must be one of {backend_names()}, got {name!r}"
+            f"unknown engine {name!r}: expected a backend in "
+            f"{backend_names()}"
         ) from None
 
 

@@ -12,8 +12,8 @@ key all resolved at compile time. Executing a body then degenerates to
 
 in the run state (:class:`~repro.gpusim.engine._BatchedRun`): the
 closures only touch the per-chunk *state* object, so one compilation
-serves both execution modes and every chunk — one block per chunk
-under ``sequential``, many under ``batched``.
+serves both block orders and every chunk — one block per chunk under
+``sequential``, many under ``batched``.
 
 Closure contract
 ----------------

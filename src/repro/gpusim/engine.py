@@ -16,7 +16,8 @@ Reduction kernels have block-uniform control flow, so every per-thread
 vector op, mask and event counter simply gains a leading block axis;
 one pass over the instruction stream then services every block of the
 chunk at once, which removes the dominant Python interpretation
-overhead. The execution mode only picks the chunk size:
+overhead. The block order is derived from the kernel, never set by the
+caller; it only picks the chunk size:
 
 * **batched** — chunks of ``Executor.BATCH_LANES // block`` blocks (the
   whole launch when it fits);
@@ -24,15 +25,16 @@ overhead. The execution mode only picks the chunk size:
   are trivially atomic across blocks and later blocks observe earlier
   blocks' global stores (the ordering reference).
 
-:func:`analyze_batchability` decides per kernel whether the batched mode
-is observationally equivalent to the sequential order — ``auto`` falls
-back to sequential when a kernel reads a global buffer it also writes
+:func:`analyze_batchability` decides per kernel whether the batched order
+is observationally equivalent to the sequential one. A launch runs
+sequential when its kernel reads a global buffer it also writes
 (cross-block read-after-write), stores to global memory inside a loop,
 or issues order-sensitive floating-point global atomics from inside a
-loop / from multiple sites, and for single-block grids. On batchable
-kernels both modes produce bit-identical numeric results **and**
-bit-identical event counters (verified exhaustively by
-``tests/gpusim/test_batched_engine.py``).
+loop / from multiple sites, and when its grid has a single block. On
+batchable kernels both orders produce bit-identical numeric results
+**and** bit-identical event counters (verified exhaustively by
+``tests/gpusim/test_batched_engine.py``, which sets ``BATCH_LANES = 1``
+to get the one-block chunks of the sequential order).
 
 Profiling counts warp-instructions (one unit per warp with ≥1 active
 lane), global-memory transactions at 128-byte-segment granularity
@@ -180,9 +182,6 @@ _ATOMIC_UFUNC = {
 }
 
 
-#: Execution-mode names accepted by :class:`Executor`.
-EXECUTION_MODES = ("auto", "batched", "sequential")
-
 #: Executor backends, from the registry in :mod:`repro.gpusim.backend`:
 #: ``compiled`` runs kernels as pre-compiled closure traces
 #: (:mod:`repro.gpusim.compile`), ``interpreted`` is the reference
@@ -200,31 +199,6 @@ def launch_constant(state, arg):
         raise SimulationError(
             f"kernel {state.kernel.name!r}: launch has no argument for {arg}"
         ) from None
-
-
-def parse_engine_spec(spec):
-    """Parse an engine spec string into ``(mode, backend)``.
-
-    Accepts a mode (``auto`` | ``batched`` | ``sequential``), a
-    registered backend name (see
-    :func:`repro.gpusim.backend.backend_names`), or a hyphenated
-    combination such as ``sequential-interpreted``; omitted parts
-    default to ``auto`` and ``compiled``.
-    """
-    mode = backend = None
-    backends = backend_names()
-    for part in str(spec).split("-"):
-        if part in EXECUTION_MODES and mode is None:
-            mode = part
-        elif part in backends and backend is None:
-            backend = part
-        else:
-            raise ValueError(
-                f"unknown engine {spec!r}: expected a mode in "
-                f"{EXECUTION_MODES} and/or a backend in "
-                f"{backends}, hyphen-separated"
-            )
-    return mode or "auto", backend or "compiled"
 
 
 def memoize_by_identity(memo: dict, obj, build):
@@ -361,33 +335,23 @@ class Executor:
 
     #: Iteration cap per structured loop — a backstop against kernels
     #: that never converge (well above any legitimate coarsening loop).
-    DEFAULT_LOOP_CAP = 2_000_000
+    LOOP_CAP = 2_000_000
 
     #: Cap on simulated lanes (blocks × threads) held in memory at once
-    #: by the batched mode; larger launches run in block-ordered chunks.
+    #: by a batched launch; larger launches run in block-ordered chunks.
     BATCH_LANES = 1 << 17
 
     def __init__(
         self,
         device: Device = None,
-        check_races: bool = False,
-        loop_cap: int = None,
-        mode: str = "auto",
         backend: str = "compiled",
         sanitizer=None,
     ):
-        if mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"mode must be one of {EXECUTION_MODES}, got {mode!r}"
-            )
         #: Backend object resolved from the registry (raises ValueError
         #: for unknown names); ``self.backend`` keeps the plain name for
         #: profile metadata.
         self._backend = get_backend(backend)
         self.device = device if device is not None else Device()
-        self.check_races = check_races
-        self.loop_cap = loop_cap or self.DEFAULT_LOOP_CAP
-        self.mode = mode
         self.backend = backend
         #: Optional :class:`repro.sanitize.Sanitizer`. When set, every
         #: launch feeds shadow-state hooks (memory accesses, barriers,
@@ -439,9 +403,9 @@ class Executor:
     # -- kernel level ------------------------------------------------------
 
     def execution_mode(self, step: KernelStep) -> str:
-        """Resolve the execution mode used for one launch."""
-        if self.mode != "auto":
-            return self.mode
+        """The block order of one launch: ``batched`` when its kernel is
+        batchable (:func:`analyze_batchability`) and its grid has more
+        than one block, else ``sequential``."""
         if step.grid <= 1:
             return "sequential"  # nothing to batch
         ok, _ = analyze_batchability(step.kernel, self.device)
@@ -453,16 +417,14 @@ class Executor:
 
         Skipped trips leave loaded registers, and so device buffers,
         unspecified. That is safe only when the launch is sampled (its
-        results are not meaningful anyway), nothing observes individual
-        accesses (sanitizer, race checks), and no kernel that runs on
-        those buffers lets data steer its events.
+        results are not meaningful anyway), no sanitizer observes
+        individual accesses, and no kernel that runs on those buffers
+        lets data steer its events.
         """
         if not sampled:
             return "unsampled"
         if self.sanitizer is not None:
             return "sanitizer"
-        if self.check_races:
-            return "check_races"
         for kernel in kernels:
             artifact = self._backend.prepare(kernel)
             if artifact is None:
@@ -519,9 +481,9 @@ class Executor:
             san = None
             if self.sanitizer is not None:
                 san = self.sanitizer.begin_kernel(step, self.device)
-            # Sequential mode is an ordering policy: one block per chunk,
-            # block-ascending, so every block observes the global writes
-            # of the blocks before it.
+            # The sequential order: one block per chunk, block-ascending,
+            # so every block observes the global writes of the blocks
+            # before it.
             if mode == "sequential":
                 batch = 1
             else:
@@ -782,10 +744,10 @@ class _BatchedRun:
                     self.loop_stats["trips_extrapolated"] += skipped
                 return
             iterations += 1
-            if iterations > self.executor.loop_cap:
+            if iterations > self.executor.LOOP_CAP:
                 raise SimulationError(
                     f"kernel {self.kernel.name!r}: loop exceeded iteration cap "
-                    f"({self.executor.loop_cap})"
+                    f"({self.executor.LOOP_CAP})"
                 )
             self._run_trace(body_trace, active)
 
@@ -844,7 +806,7 @@ class _BatchedRun:
             first = int((gap // rate).min()) + 1
         # Skipped trips count toward the cap: stop short of it and let
         # simulation raise the same error at the same trip.
-        room = self.executor.loop_cap - trip
+        room = self.executor.LOOP_CAP - trip
         if first is not None:
             room = min(room, first - 1)
         trips = room // period * period
@@ -1036,10 +998,10 @@ class _BatchedRun:
                 self.loop_stats["trips_simulated"] += iterations
                 return
             iterations += 1
-            if iterations > self.executor.loop_cap:
+            if iterations > self.executor.LOOP_CAP:
                 raise SimulationError(
                     f"kernel {self.kernel.name!r}: loop exceeded iteration cap "
-                    f"({self.executor.loop_cap})"
+                    f"({self.executor.LOOP_CAP})"
                 )
             self._exec_body(instr.body, active)
 
@@ -1151,10 +1113,6 @@ class _BatchedRun:
         arr = self.device.get(instr.buf)
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
-        self._maybe_check_race(
-            self._brow[mask], idx[mask], src[mask], len(arr),
-            f"global buffer {instr.buf!r}",
-        )
         # C-order flattening applies the store block-major: the same
         # order as one-block chunks run block-ascending.
         arr[idx[mask]] = src[mask].astype(arr.dtype)
@@ -1214,10 +1172,6 @@ class _BatchedRun:
         arr = self.shared[instr.buf]
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
-        self._maybe_check_race(
-            self._brow[mask], idx[mask], src[mask], arr.shape[1],
-            f"shared buffer {instr.buf!r}",
-        )
         arr[self._brow[mask], idx[mask]] = src[mask]
         self._count("inst.st.shared", mask)
         self._count_bank_replays(idx, mask)
@@ -1227,23 +1181,6 @@ class _BatchedRun:
         if value.ndim == 0:
             value = np.broadcast_to(value, self.shape).astype(np.float64)
         return value
-
-    def _maybe_check_race(self, brow, idx, values, span, what) -> None:
-        """Same-cycle conflicting stores *within one block* are races."""
-        if not self.executor.check_races or idx.size < 2:
-            return
-        key = brow * span + idx
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        sorted_vals = np.asarray(values)[order]
-        dup = sorted_key[1:] == sorted_key[:-1]
-        conflicting = dup & (sorted_vals[1:] != sorted_vals[:-1])
-        if conflicting.any():
-            raise SimulationError(
-                f"kernel {self.kernel.name!r}: write-write race on {what} "
-                f"(same-cycle conflicting stores to index "
-                f"{int(sorted_key[1:][conflicting][0] % span)})"
-            )
 
     # -- atomics -----------------------------------------------------------
 

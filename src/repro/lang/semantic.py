@@ -115,13 +115,6 @@ class AnalyzedProgram:
             raise SemanticError(f"unknown spectrum {name!r}")
         return infos
 
-    def spectrum_names(self) -> list:
-        seen = []
-        for info in self.codelets:
-            if info.name not in seen:
-                seen.append(info.name)
-        return seen
-
     def find(self, name: str, tag: str) -> CodeletInfo:
         """Codelet of spectrum ``name`` with the given ``__tag``."""
         for info in self.spectrum(name):

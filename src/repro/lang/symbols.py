@@ -26,10 +26,6 @@ class Symbol:
     dims: list = field(default_factory=list)
 
     @property
-    def is_shared(self) -> bool:
-        return self.kind == "shared"
-
-    @property
     def is_array(self) -> bool:
         return bool(self.dims)
 
@@ -63,6 +59,3 @@ class Scope:
         if symbol is None:
             raise UnknownSymbolError(f"use of undeclared identifier {name!r}", span)
         return symbol
-
-    def local_names(self) -> list:
-        return list(self._symbols)

@@ -240,13 +240,6 @@ class Tracer:
         write_chrome_trace(spans, path)
         return len(spans)
 
-    def export_jsonl(self, path) -> int:
-        from .export import write_jsonl
-
-        spans = self.spans
-        write_jsonl(spans, path)
-        return len(spans)
-
     def export_collapsed(self, path) -> int:
         """Write a collapsed-stack flamegraph (``flamegraph.pl`` /
         speedscope input); returns the number of stack lines."""

@@ -70,21 +70,19 @@ def _profile_spec(spec):
     """Worker entry point: profile one (version, n, tunables) point.
 
     ``spec`` is ``(op, ctype, unroll, version, n, tunables,
-    sample_limit, engine_mode, engine_backend)`` with a picklable
-    frozen-dataclass version/tunables; the engine pair is the calling
-    framework's spec, so every launch runs on the engine it asked for.
+    sample_limit, engine)`` with a picklable frozen-dataclass
+    version/tunables; ``engine`` is the calling framework's backend, so
+    every launch runs on the engine it asked for.
     Returns ``(profile, num_memsets, cost_s)``.
     """
-    (op, ctype, unroll, version, n, tunables, sample_limit,
-     engine_mode, engine_backend) = spec
-    memo_key = (op, ctype, unroll, engine_mode, engine_backend)
+    op, ctype, unroll, version, n, tunables, sample_limit, engine = spec
+    memo_key = (op, ctype, unroll, engine)
     framework = _worker_frameworks.get(memo_key)
     if framework is None:
         from ..runtime.session import ReductionFramework
 
         framework = ReductionFramework(
-            op=op, ctype=ctype, unroll=unroll,
-            engine=f"{engine_mode}-{engine_backend}",
+            op=op, ctype=ctype, unroll=unroll, engine=engine
         )
         _worker_frameworks[memo_key] = framework
     start = time.perf_counter()

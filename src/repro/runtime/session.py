@@ -20,7 +20,6 @@ fan out over the :mod:`repro.perf.parallel` pool.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
@@ -28,7 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines import CUB_HOST_OVERHEAD_S, build_cub_plan, build_kokkos_plan
-from ..codegen.synthesize import Tunables, build_plan_cached
+from ..codegen.synthesize import (
+    Tunables,
+    _pipeline_fingerprint,
+    build_plan_cached,
+)
 from ..core.pipeline import PreprocessResult, preprocess
 from ..core.sources import load_reduction_program
 from ..core.variants import (
@@ -45,7 +48,7 @@ from ..gpusim import (
     Executor,
     PlanProfile,
     get_architecture,
-    parse_engine_spec,
+    get_backend,
     plan_time,
 )
 from ..obs import default_metrics, get_tracer
@@ -124,25 +127,21 @@ class ReductionFramework:
         ctype: str = "float",
         unroll: bool = False,
         cache: ProfileCache = None,
-        engine: str = "auto",
+        engine: str = "compiled",
     ):
         self.op = op
         self.ctype = ctype
         self.unroll = unroll
-        # ``engine`` is a simulator spec ("auto", "batched", "compiled",
-        # "sequential-interpreted", ...) applied to every run/profile of
-        # this instance unless overridden per call.
-        self.engine_mode, self.engine_backend = parse_engine_spec(engine)
+        # ``engine`` names the simulator backend ("compiled" or
+        # "interpreted") of every run/profile of this instance; the block
+        # order of each launch is derived from its kernel.
+        get_backend(engine)
+        self.engine_backend = engine
         self.analyzed, self.pre = _frontend(op, ctype, unroll)
         self.all_versions = enumerate_versions()
         self.versions = prune_versions(self.all_versions)
         self.catalog = dict(FIG6)
         self.cache = cache if cache is not None else default_cache()
-        # The pass log fingerprints the preprocessing configuration, so
-        # cached profiles invalidate when any pass changes behaviour.
-        self._pipeline_sig = hashlib.sha256(
-            "\n".join(self.pre.log).encode("utf-8")
-        ).hexdigest()[:16]
 
     # -- version resolution ------------------------------------------------
 
@@ -182,30 +181,19 @@ class ReductionFramework:
         data: np.ndarray,
         version="p",
         tunables: Tunables = None,
-        engine_mode: str = None,
     ) -> ReduceResult:
-        """Reduce ``data`` with one synthesized version, fully executed.
-
-        ``engine_mode`` is an engine spec combining an execution mode
-        (``auto`` | ``batched`` | ``sequential``) and a dispatch backend
-        (``compiled`` | ``interpreted``), e.g. ``"batched"``,
-        ``"interpreted"`` or ``"sequential-interpreted"``. Every
-        combination is bit-identical in results and event counts;
-        ``batched`` + ``compiled`` (the default) is the fastest. ``None``
-        uses the spec the framework was constructed with.
-        """
+        """Reduce ``data`` with one synthesized version, fully executed
+        on the framework's engine (both backends are bit-identical in
+        results and event counts; ``compiled`` is the faster)."""
         data = np.ascontiguousarray(data, dtype=self.dtype)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("run() needs a non-empty 1-D array")
         resolved = self.resolve(version)
-        if engine_mode is None:
-            mode, backend = self.engine_mode, self.engine_backend
-        else:
-            mode, backend = parse_engine_spec(engine_mode)
         plan = build_plan_cached(
-            self.pre, resolved, data.size, tunables, backend=backend
+            self.pre, resolved, data.size, tunables,
+            backend=self.engine_backend,
         )
-        executor = Executor(mode=mode, backend=backend)
+        executor = Executor(backend=self.engine_backend)
         executor.device.upload("in", data)
         profile = executor.run_plan(plan)
         return ReduceResult(
@@ -234,7 +222,9 @@ class ReductionFramework:
             block=t.block,
             grid=t.grid,
             unroll=self.unroll,
-            passes=self._pipeline_sig,
+            # The pass-log fingerprint: cached profiles invalidate when
+            # any pass changes behaviour.
+            passes=_pipeline_fingerprint(self.pre),
             sample=sample_limit,
         )
 
@@ -259,11 +249,7 @@ class ReductionFramework:
                 backend=self.engine_backend,
             )
             profile = _profile_plan(
-                plan,
-                n,
-                sample_limit,
-                mode=self.engine_mode,
-                backend=self.engine_backend,
+                plan, n, sample_limit, backend=self.engine_backend
             )
         num_memsets = sum(
             1 for step in plan.steps if isinstance(step, MemsetStep)
@@ -314,7 +300,6 @@ class ReductionFramework:
                     resolved[index][1],
                     resolved[index][2],
                     sample_limit,
-                    self.engine_mode,
                     self.engine_backend,
                 )
                 for index in missing
@@ -404,7 +389,6 @@ def _profile_plan(
     plan,
     n: int,
     sample_limit: int = None,
-    mode: str = "auto",
     backend: str = "compiled",
 ) -> PlanProfile:
     # The input buffer's dtype must match the plan's element type — an
@@ -413,7 +397,7 @@ def _profile_plan(
     dtype = np.dtype(plan.meta.get("dtype", "float32"))
     device = Device()
     device.alloc("in", n, dtype=dtype)
-    executor = Executor(device=device, mode=mode, backend=backend)
+    executor = Executor(device=device, backend=backend)
     if sample_limit is None:
         max_grid = max(step.grid for step in plan.kernel_steps())
         sample_limit = (

@@ -3,10 +3,10 @@
 An opt-in mode of :class:`repro.gpusim.Executor` (pass ``sanitizer=``).
 The engine's one run state feeds three hooks from its memory, barrier
 and shuffle implementations, with the ``(blocks, threads)`` mask of the
-current chunk. Every mode (sequential one-block chunks, batched
-multi-block chunks) and every dispatch backend goes through them, so
-one sanitizer covers every engine combination without touching results
-or event counters.
+current chunk. Both block orders (sequential one-block chunks, batched
+multi-block chunks) and every dispatch backend go through them, so one
+sanitizer covers every engine without touching results or event
+counters.
 
 Hazard model (see ``docs/SANITIZER.md`` for the full write-up):
 

@@ -12,15 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gpusim import Executor, parse_engine_spec
+from ..gpusim import Executor
 from .dynamic import Sanitizer
 from .lint import lint_plan
 from .negatives import all_negatives
 
-#: One spec per execution mode and per dispatch backend: the sweep
-#: covers every backend and both execution modes without running the
-#: full mode×backend cross product per variant.
-DEFAULT_ENGINES = ("batched-compiled", "sequential-interpreted")
+#: Every dispatch backend. Each launch's block order is derived from its
+#: kernel, so the sweep covers both orders whatever the backend.
+DEFAULT_ENGINES = ("compiled", "interpreted")
 
 DEFAULT_OPS = ("add", "max", "min")
 DEFAULT_CTYPES = ("float", "int")
@@ -33,7 +32,7 @@ class VariantReport:
     version: str
     op: str
     ctype: str
-    dynamic: dict = field(default_factory=dict)  # engine spec -> [Diagnostic]
+    dynamic: dict = field(default_factory=dict)  # engine -> [Diagnostic]
     lint: list = field(default_factory=list)
 
     @property
@@ -54,7 +53,7 @@ class NegativeReport:
     """Did the sanitizer flag one deliberately-broken codelet?"""
 
     name: str
-    dynamic: dict = field(default_factory=dict)  # engine spec -> [Diagnostic]
+    dynamic: dict = field(default_factory=dict)  # engine -> [Diagnostic]
     lint: list = field(default_factory=list)
     missing: list = field(default_factory=list)  # expected kinds not seen
 
@@ -71,9 +70,8 @@ def _input_for(n: int, dtype) -> np.ndarray:
 
 def run_sanitized(plan, data, engine: str) -> list:
     """Run one plan under the dynamic sanitizer; returns diagnostics."""
-    mode, backend = parse_engine_spec(engine)
     sanitizer = Sanitizer()
-    executor = Executor(mode=mode, backend=backend, sanitizer=sanitizer)
+    executor = Executor(backend=engine, sanitizer=sanitizer)
     executor.device.upload("in", data)
     executor.run_plan(plan)
     return sanitizer.diagnostics

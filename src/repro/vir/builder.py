@@ -136,9 +136,6 @@ class IRBuilder:
         self.emit(instr)
         return _Region(self, instr.then)
 
-    def else_(self, if_instr: If) -> "_Region":
-        return _Region(self, if_instr.otherwise)
-
     def if_else(self, cond: Reg):
         """Returns ``(if_instr, then_region, else_region)``."""
         instr = If(cond=cond)

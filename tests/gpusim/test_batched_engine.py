@@ -27,8 +27,17 @@ def _tunables(version):
     return Tunables(block=64, grid=8)
 
 
-def _run(fw, plan, data, mode, sample_limit=None):
-    executor = Executor(mode=mode)
+def _executor(sequential):
+    """An executor in its derived block order, or with one-block chunks
+    (``BATCH_LANES = 1``): the sequential ordering reference."""
+    executor = Executor()
+    if sequential:
+        executor.BATCH_LANES = 1
+    return executor
+
+
+def _run(fw, plan, data, sequential, sample_limit=None):
+    executor = _executor(sequential)
     executor.device.upload("in", data)
     return executor.run_plan(plan, sample_limit=sample_limit)
 
@@ -61,8 +70,8 @@ class TestFigure6Equivalence:
             data = rng.random(n).astype(np.float32)
         version = fw.resolve(label)
         plan = fw.build(version, n, _tunables(version))
-        seq = _run(fw, plan, data, "sequential")
-        bat = _run(fw, plan, data, "batched")
+        seq = _run(fw, plan, data, sequential=True)
+        bat = _run(fw, plan, data, sequential=False)
         _assert_profiles_identical(seq, bat)
 
     def test_device_buffers_identical(self, frameworks):
@@ -73,12 +82,12 @@ class TestFigure6Equivalence:
         version = fw.resolve("b")
         plan = fw.build(version, len(data), Tunables(block=64, grid=8))
         outs = {}
-        for mode in ("sequential", "batched"):
-            executor = Executor(mode=mode)
+        for sequential in (True, False):
+            executor = _executor(sequential)
             executor.device.upload("in", data)
             executor.run_plan(plan)
-            outs[mode] = executor.device.download("out").copy()
-        np.testing.assert_array_equal(outs["sequential"], outs["batched"])
+            outs[sequential] = executor.device.download("out").copy()
+        np.testing.assert_array_equal(outs[True], outs[False])
 
     def test_min_max_ops_identical(self, frameworks):
         for op in ("min", "max"):
@@ -87,8 +96,8 @@ class TestFigure6Equivalence:
             data = rng.random(1500).astype(np.float32)
             version = fw.resolve("p")
             plan = fw.build(version, len(data), Tunables(block=64, grid=4))
-            seq = _run(fw, plan, data, "sequential")
-            bat = _run(fw, plan, data, "batched")
+            seq = _run(fw, plan, data, sequential=True)
+            bat = _run(fw, plan, data, sequential=False)
             _assert_profiles_identical(seq, bat)
 
     def test_sampled_run_identical(self, frameworks):
@@ -99,8 +108,8 @@ class TestFigure6Equivalence:
         data = rng.random(1 << 16).astype(np.float32)
         version = fw.resolve("b")
         plan = fw.build(version, len(data), Tunables(block=128, grid=32))
-        seq = _run(fw, plan, data, "sequential", sample_limit=3)
-        bat = _run(fw, plan, data, "batched", sample_limit=3)
+        seq = _run(fw, plan, data, sequential=True, sample_limit=3)
+        bat = _run(fw, plan, data, sequential=False, sample_limit=3)
         for s, b in zip(seq.steps, bat.steps):
             assert b.sampled_blocks == s.sampled_blocks
             assert dict(b.events) == dict(s.events)
@@ -113,15 +122,15 @@ class TestFigure6Equivalence:
         data = rng.random(40000).astype(np.float32)
         version = fw.resolve("b")
         plan = fw.build(version, len(data), Tunables(block=64, grid=48))
-        seq = _run(fw, plan, data, "sequential")
-        executor = Executor(mode="batched")
+        seq = _run(fw, plan, data, sequential=True)
+        executor = Executor()
         executor.BATCH_LANES = 64 * 7  # force several uneven chunks
         executor.device.upload("in", data)
         bat = executor.run_plan(plan)
         _assert_profiles_identical(seq, bat)
-        # One-block chunks: the batched mode cut exactly like the
-        # sequential order.
-        executor = Executor(mode="batched")
+        # One-block chunks by lane count: a batched launch cut exactly
+        # like the sequential order.
+        executor = Executor()
         executor.BATCH_LANES = 64
         executor.device.upload("in", data)
         one = executor.run_plan(plan)
@@ -129,25 +138,11 @@ class TestFigure6Equivalence:
 
 
 class TestExecutionModeSelection:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Executor(mode="turbo")
-
-    def test_forced_modes_recorded_in_meta(self):
-        fw = ReductionFramework(op="add")
-        data = np.ones(4096, dtype=np.float32)
-        plan = fw.build("b", len(data), Tunables(block=64, grid=8))
-        for mode in ("batched", "sequential"):
-            executor = Executor(mode=mode)
-            executor.device.upload("in", data)
-            profile = executor.run_plan(plan)
-            assert all(s.meta["exec.mode"] == mode for s in profile.steps)
-
     def test_auto_batches_reduction_kernels(self):
         fw = ReductionFramework(op="add")
         data = np.ones(4096, dtype=np.float32)
         plan = fw.build("b", len(data), Tunables(block=64, grid=8))
-        executor = Executor()  # auto
+        executor = Executor()
         executor.device.upload("in", data)
         profile = executor.run_plan(plan)
         multi = [s for s in profile.steps if s.grid > 1]

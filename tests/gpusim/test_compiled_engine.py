@@ -23,7 +23,6 @@ from repro.gpusim import (
     Executor,
     analyze_batchability,
     compile_kernel,
-    parse_engine_spec,
 )
 from repro.obs import default_metrics
 from repro.perf import default_plan_cache
@@ -47,8 +46,10 @@ def _data(ctype, n, seed=7):
     return rng.random(n).astype(np.float32)
 
 
-def _run(plan, data, mode="auto", backend="compiled"):
-    executor = Executor(mode=mode, backend=backend)
+def _run(plan, data, sequential=False, backend="compiled"):
+    executor = Executor(backend=backend)
+    if sequential:
+        executor.BATCH_LANES = 1  # one-block chunks
     executor.device.upload("in", data)
     return executor.run_plan(plan)
 
@@ -85,17 +86,17 @@ class TestFigure6Equivalence:
 
     @pytest.mark.parametrize("label", ["b", "p"])
     def test_all_mode_backend_combinations(self, frameworks, label):
-        """Both backends × both forced modes agree with the reference
+        """Both backends × both block orders agree with the reference
         sequential interpreter."""
         fw = frameworks[("add", "float")]
         n = 2048
         data = _data("float", n, seed=11)
         version = fw.resolve(label)
         plan = fw.build(version, n, _tunables(version))
-        ref = _run(plan, data, mode="sequential", backend="interpreted")
-        for mode in ("sequential", "batched"):
+        ref = _run(plan, data, sequential=True, backend="interpreted")
+        for sequential in (True, False):
             for backend in EXECUTION_BACKENDS:
-                got = _run(plan, data, mode=mode, backend=backend)
+                got = _run(plan, data, sequential=sequential, backend=backend)
                 _assert_profiles_identical(ref, got)
 
     def test_device_buffers_identical(self, frameworks):
@@ -164,34 +165,21 @@ def _trips_extrapolated():
 
 class TestEngineSpec:
     def test_defaults(self):
-        assert parse_engine_spec("auto") == ("auto", "compiled")
-        assert parse_engine_spec("compiled") == ("auto", "compiled")
-        assert parse_engine_spec("interpreted") == ("auto", "interpreted")
-        assert parse_engine_spec("batched") == ("batched", "compiled")
-        assert parse_engine_spec("sequential") == ("sequential", "compiled")
-
-    def test_combined_specs(self):
-        assert parse_engine_spec("batched-interpreted") == (
-            "batched",
-            "interpreted",
-        )
-        assert parse_engine_spec("sequential-compiled") == (
-            "sequential",
-            "compiled",
-        )
-        # order-independent
-        assert parse_engine_spec("interpreted-batched") == (
-            "batched",
-            "interpreted",
-        )
+        assert ReductionFramework(op="add").engine_backend == "compiled"
+        for backend in EXECUTION_BACKENDS:
+            fw = ReductionFramework(op="add", engine=backend)
+            assert fw.engine_backend == backend
 
     @pytest.mark.parametrize(
         "spec",
-        ["turbo", "batched-sequential", "compiled-interpreted", "auto-auto", ""],
+        ["turbo", "batched-sequential", "compiled-interpreted", "auto-auto", "",
+         "auto", "batched", "sequential", "sequential-interpreted"],
     )
     def test_invalid_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
-            parse_engine_spec(spec)
+        """An engine is a backend name; the retired execution modes and
+        mode-backend pairs are unknown engines."""
+        with pytest.raises(ValueError, match="unknown engine"):
+            ReductionFramework(op="add", engine=spec)
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -208,22 +196,15 @@ class TestEngineSpec:
             )
 
     def test_framework_engine_spec_applied(self):
-        fw = ReductionFramework(op="add", engine="sequential-interpreted")
+        fw = ReductionFramework(op="add", engine="interpreted")
         data = np.ones(2048, dtype=np.float32)
         result = fw.run(data, "b", Tunables(block=64, grid=8))
         steps = result.profile.steps
-        assert all(s.meta["exec.mode"] == "sequential" for s in steps)
         assert all(s.meta["exec.backend"] == "interpreted" for s in steps)
-        # per-call override wins
-        result = fw.run(
-            data, "b", Tunables(block=64, grid=8), engine_mode="batched"
-        )
-        multi = [s for s in result.profile.steps if s.grid > 1]
-        assert multi and all(s.meta["exec.mode"] == "batched" for s in multi)
-        assert all(
-            s.meta["exec.backend"] == "compiled"
-            for s in result.profile.steps
-        )
+        # The block order is derived per launch, whatever the backend.
+        assert [s.meta["exec.mode"] for s in steps] == [
+            "batched" if s.grid > 1 else "sequential" for s in steps
+        ]
 
 
 class TestCompilation:
@@ -432,7 +413,7 @@ class TestPlanCacheBackendKeying:
         """A framework constructed with an interpreted engine spec builds
         interpreted-keyed kernels."""
         t = Tunables(block=64, grid=8)
-        fw_int = ReductionFramework(op="add", engine="batched-interpreted")
+        fw_int = ReductionFramework(op="add", engine="interpreted")
         fw_def = ReductionFramework(op="add")
         assert _kernels(fw_int.build("b", 4096, t))[0] is not _kernels(
             fw_def.build("b", 4096, t)

@@ -1,6 +1,9 @@
 """Regressions for loop-divergence accounting, the shuffle warp-boundary
 clamp, and exact engine error messages — locked across every
-(mode × backend) execution combination."""
+(block order × backend) execution combination.
+
+``sequential`` runs one-block chunks (``BATCH_LANES = 1``); ``batched``
+runs the executor's derived order."""
 
 import numpy as np
 import pytest
@@ -17,8 +20,14 @@ COMBOS = [
 
 
 def run_combo(kernel, grid, block, mode, backend, out_size=64,
-              out_dtype=np.float64, in_data=None, loop_cap=None):
-    executor = Executor(mode=mode, backend=backend, loop_cap=loop_cap)
+              out_dtype=np.float64, in_data=None, **constants):
+    """Run one launch; ``constants`` override executor class constants
+    (``LOOP_CAP``, ...) on this instance."""
+    executor = Executor(backend=backend)
+    if mode == "sequential":
+        executor.BATCH_LANES = 1
+    for name, value in constants.items():
+        setattr(executor, name, value)
     buffers = {}
     if "in" in kernel.buffers:
         executor.device.upload("in", in_data)
@@ -247,7 +256,7 @@ class TestExactErrorMessages:
             SimulationError,
             match=r"kernel 'spin': loop exceeded iteration cap \(7\)$",
         ):
-            run_combo(kernel, 1, 32, mode, backend, loop_cap=7)
+            run_combo(kernel, 1, 32, mode, backend, LOOP_CAP=7)
 
     @pytest.mark.parametrize("mode,backend", COMBOS)
     def test_read_of_unwritten_register(self, mode, backend):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gpusim.device import Device, DeviceError
-from repro.gpusim.engine import Executor, SimulationError
+from repro.gpusim.engine import EXECUTION_BACKENDS, Executor, SimulationError
+from repro.sanitize import Sanitizer
 from repro.vir import (
     IRBuilder,
     Imm,
@@ -120,7 +121,8 @@ class TestControlFlow:
         with loop.body:
             b.mov(Imm(0))
         kernel = Kernel("inf", body=b.finish())
-        executor = Executor(loop_cap=100)
+        executor = Executor()
+        executor.LOOP_CAP = 100
         step = KernelStep(kernel, grid=1, block=32)
         with pytest.raises(SimulationError, match="iteration cap"):
             executor.run_kernel(step)
@@ -200,16 +202,25 @@ class TestMemory:
         assert profile.events["mem.shared.replays"] == 31
 
     def test_race_detection_opt_in(self):
+        """Race detection is the opt-in sanitizer: a same-instruction
+        store of different values to one index is a write-write hazard
+        on every backend."""
         b = IRBuilder()
         tid = b.special("tid")
         b.st_global("out", Imm(0), tid)  # all lanes write index 0
         kernel = Kernel("race", buffers=["out"], body=b.finish())
-        device = Device()
-        device.alloc("out", 4)
-        executor = Executor(device=device, check_races=True)
-        step = KernelStep(kernel, grid=1, block=32, buffers={"out": "out"})
-        with pytest.raises(SimulationError, match="race"):
+        for backend in EXECUTION_BACKENDS:
+            device = Device()
+            device.alloc("out", 4)
+            sanitizer = Sanitizer()
+            executor = Executor(
+                device=device, backend=backend, sanitizer=sanitizer
+            )
+            step = KernelStep(kernel, grid=1, block=32,
+                              buffers={"out": "out"})
             executor.run_kernel(step)
+            kinds = {d.kind for d in sanitizer.diagnostics}
+            assert kinds == {"write-write-hazard"}, (backend, kinds)
 
 
 class TestAtomics:
@@ -400,11 +411,13 @@ class TestPlansAndSampling:
             b.atom_global("add", "out", ctaid, Imm(1.0))
         kernel = Kernel(f"agree_{pattern}", buffers=["out"], body=b.finish())
         results = {}
-        for mode in ("batched", "sequential"):
+        for sequential in (False, True):
             for sample_limit in (None, 4):
                 device = Device()
                 device.alloc("out", 64)
-                executor = Executor(device=device, mode=mode)
+                executor = Executor(device=device)
+                if sequential:
+                    executor.BATCH_LANES = 1  # one-block chunks
                 step = KernelStep(kernel, grid=64, block=32,
                                   buffers={"out": "out"})
                 profile = executor.run_kernel(step, sample_limit=sample_limit)

@@ -90,12 +90,16 @@ def _summary(text):
 
 
 def _launch(kernel, n=None, backend="compiled", sample_limit=3, size=None,
-            stride=64, **executor_args):
+            stride=64, sanitizer=None, **constants):
+    """One sampled launch of ``kernel``; ``constants`` override executor
+    class constants (``LOOP_CAP``, ...) on this instance."""
     n = GRID * BLOCK * TRIPS - 5 if n is None else n
     device = Device()
     device.alloc("in", n if size is None else size, dtype=np.float32)
     device.alloc("out", GRID, dtype=np.float32)
-    executor = Executor(device=device, backend=backend, **executor_args)
+    executor = Executor(device=device, backend=backend, sanitizer=sanitizer)
+    for name, value in constants.items():
+        setattr(executor, name, value)
     args = {"n": n, "stride": stride}
     step = KernelStep(kernel, grid=GRID, block=BLOCK,
                       args={name: args[name] for name in kernel.params},
@@ -288,12 +292,11 @@ class TestEngineExtrapolation:
         assert loops["exec.loop.trips_extrapolated"] > 0
 
     @pytest.mark.parametrize(
-        "reason", ["sanitizer", "check_races", "unsampled", "interpreted"]
+        "reason", ["sanitizer", "unsampled", "interpreted"]
     )
     def test_fallbacks_simulate_every_trip(self, reason):
         args = {
             "sanitizer": {"sanitizer": Sanitizer()},
-            "check_races": {"check_races": True},
             "unsampled": {"sample_limit": None},
             "interpreted": {"backend": "interpreted"},
         }[reason]
@@ -364,8 +367,8 @@ class TestEngineExtrapolation:
             "    %off = mul %i, 64\n    %idx = add %start, %off\n", ""
         ).replace("[in + %idx]", "[in + %t]")
         kernel = parse_kernel(text)
-        interpreted = _error(kernel=kernel, backend="interpreted", loop_cap=3000)
-        compiled = _error(kernel=kernel, loop_cap=3000)
+        interpreted = _error(kernel=kernel, backend="interpreted", LOOP_CAP=3000)
+        compiled = _error(kernel=kernel, LOOP_CAP=3000)
         assert compiled == interpreted
         assert "iteration cap (3000)" in compiled
         assert sum(t for t in skips if t > 0) > 2900

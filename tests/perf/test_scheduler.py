@@ -302,7 +302,7 @@ class TestFaultTolerance:
         fw = ReductionFramework(op="add", cache=ProfileCache())
         specs = [
             (fw.op, fw.ctype, fw.unroll, fw.resolve(version), n, tunables,
-             None, fw.engine_mode, fw.engine_backend)
+             None, fw.engine_backend)
             for version, n, tunables in _specs()
         ]
         expected = parallel_mod.map_profiles(specs, max_workers=1)
@@ -332,7 +332,7 @@ class TestFaultTolerance:
             shutdown_scheduler()
 
 
-ENGINE = "sequential-interpreted"
+ENGINE = "interpreted"
 
 
 def _assert_engine(entries):
@@ -343,7 +343,6 @@ def _assert_engine(entries):
     for profile, _memsets in entries:
         assert profile.steps
         for step in profile.steps:
-            assert step.meta["exec.mode"] == "sequential"
             assert step.meta["exec.backend"] == "interpreted"
 
 

@@ -3,7 +3,8 @@
 Hypothesis draws (version, element type, size, launch shape) points and
 asserts the strongest form of the batched engine's contract: identical
 reduction results (bitwise, no tolerance) AND identical per-step event
-counters across both execution paths.
+counters across both block orders (``sequential`` is one-block chunks,
+``BATCH_LANES = 1``).
 """
 
 import numpy as np
@@ -30,8 +31,10 @@ def _data(rng, ctype, n):
     return (rng.random(n).astype(np.float32) - np.float32(0.5)) * 8
 
 
-def _run(plan, data, mode):
-    executor = Executor(mode=mode)
+def _run(plan, data, sequential):
+    executor = Executor()
+    if sequential:
+        executor.BATCH_LANES = 1
     executor.device.upload("in", data)
     return executor.run_plan(plan)
 
@@ -56,8 +59,8 @@ def test_batched_equals_sequential(label, op, ctype, n, block, grid, seed):
     plan = fw.build(version, n, tunables)
     data = _data(np.random.default_rng(seed), ctype, n)
 
-    seq = _run(plan, data, "sequential")
-    bat = _run(plan, data, "batched")
+    seq = _run(plan, data, sequential=True)
+    bat = _run(plan, data, sequential=False)
 
     assert bat.result == seq.result
     assert len(bat.steps) == len(seq.steps)

@@ -4,7 +4,8 @@ Hypothesis draws (version, op, element type, size, launch shape) points
 and asserts the strongest form of the compiled executor's contract:
 identical reduction results (bitwise, no tolerance) AND identical
 per-step event counters against the tree-walking interpreter, under
-both the sequential and the batched execution mode.
+both block orders (``sequential`` is one-block chunks,
+``BATCH_LANES = 1``).
 """
 
 import numpy as np
@@ -31,8 +32,10 @@ def _data(rng, ctype, n):
     return (rng.random(n).astype(np.float32) - np.float32(0.5)) * 8
 
 
-def _run(plan, data, mode, backend):
-    executor = Executor(mode=mode, backend=backend)
+def _run(plan, data, sequential, backend):
+    executor = Executor(backend=backend)
+    if sequential:
+        executor.BATCH_LANES = 1
     executor.device.upload("in", data)
     return executor.run_plan(plan)
 
@@ -57,9 +60,9 @@ def test_compiled_equals_interpreted(label, op, ctype, n, block, grid, seed):
     plan = fw.build(version, n, tunables)
     data = _data(np.random.default_rng(seed), ctype, n)
 
-    ref = _run(plan, data, "sequential", "interpreted")
-    for mode in ("sequential", "batched"):
-        got = _run(plan, data, mode, "compiled")
+    ref = _run(plan, data, True, "interpreted")
+    for sequential in (True, False):
+        got = _run(plan, data, sequential, "compiled")
         assert got.result == ref.result
         assert len(got.steps) == len(ref.steps)
         for r, g in zip(ref.steps, got.steps):

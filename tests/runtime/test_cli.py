@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import main
-from repro.gpusim import EXECUTION_MODES
 
 
 class TestCli:
@@ -84,11 +83,23 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "spec",
-        ["native"] + [f"{mode}-native" for mode in EXECUTION_MODES]
-        + ["vector", "batched-vector", "sequential-vector"],
+        ["native", "auto-native", "batched-native", "sequential-native",
+         "vector", "batched-vector", "sequential-vector",
+         # Execution modes are derived, not set: mode specs are retired.
+         "auto", "sequential", "batched-compiled", "sequential-interpreted"],
     )
     def test_retired_native_engine_rejected(self, spec, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reduce", "4096", "--engine", spec])
         assert exc.value.code != 0
         assert "unknown engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engines", ["bogus", "compiled,bogus"])
+    def test_sanitize_unknown_engine_is_usage_error(self, engines, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sanitize", "-n", "4096", "--versions", "b",
+                  "--engine", engines])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown engine 'bogus'" in err
+        assert "Traceback" not in err

@@ -17,10 +17,19 @@ COMBOS = [
 SPECS = [f"{mode}-{backend}" for mode, backend in COMBOS]
 
 
+def _executor(mode, backend, sanitizer=None):
+    """An executor on ``backend``; ``sequential`` runs one-block chunks
+    (``BATCH_LANES = 1``), ``batched`` the derived block order."""
+    executor = Executor(backend=backend, sanitizer=sanitizer)
+    if mode == "sequential":
+        executor.BATCH_LANES = 1
+    return executor
+
+
 def sanitize_kernel(kernel, grid, block, mode="sequential",
                     backend="interpreted", n_in=None):
     sanitizer = Sanitizer()
-    executor = Executor(mode=mode, backend=backend, sanitizer=sanitizer)
+    executor = _executor(mode, backend, sanitizer)
     buffers = {}
     if "in" in kernel.buffers:
         size = n_in if n_in is not None else grid * block
@@ -202,12 +211,16 @@ class TestShflInactiveSource:
 
 
 class TestCatalogAndIdentity:
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_catalog_subset_clean(self, spec, fw_add):
+    @pytest.mark.parametrize("mode,backend", COMBOS, ids=SPECS)
+    def test_catalog_subset_clean(self, mode, backend, fw_add):
         data = (np.arange(3000) % 17).astype(np.float32)
         for label in ("a", "b", "m", "n", "p"):
             plan = fw_add.build(label, data.size)
-            diags = run_sanitized(plan, data, spec)
+            sanitizer = Sanitizer()
+            executor = _executor(mode, backend, sanitizer)
+            executor.device.upload("in", data)
+            executor.run_plan(plan)
+            diags = sanitizer.diagnostics
             assert not diags, (label, [d.render() for d in diags])
 
     def test_int_catalog_subset_clean(self):
@@ -215,25 +228,20 @@ class TestCatalogAndIdentity:
         data = (np.arange(3000) % 17 - 8).astype(np.int32)
         for label in ("a", "m", "n", "p"):
             plan = fw.build(label, data.size)
-            diags = run_sanitized(plan, data, "batched-compiled")
+            diags = run_sanitized(plan, data, "compiled")
             assert not diags, (label, [d.render() for d in diags])
 
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_sanitizer_off_bit_identity(self, spec, fw_add):
+    @pytest.mark.parametrize("mode,backend", COMBOS, ids=SPECS)
+    def test_sanitizer_off_bit_identity(self, mode, backend, fw_add):
         """Sanitizer on vs off: identical results and event counters."""
-        from repro.gpusim import parse_engine_spec
-
-        mode, backend = parse_engine_spec(spec)
         data = (np.arange(4096) % 13).astype(np.float32)
         plan = fw_add.build("m", data.size)
 
-        plain = Executor(mode=mode, backend=backend)
+        plain = _executor(mode, backend)
         plain.device.upload("in", data)
         ref = plain.run_plan(plan)
 
-        sanitized = Executor(
-            mode=mode, backend=backend, sanitizer=Sanitizer()
-        )
+        sanitized = _executor(mode, backend, Sanitizer())
         sanitized.device.upload("in", data)
         got = sanitized.run_plan(plan)
 

@@ -2,14 +2,16 @@
 
 import numpy as np
 
-from repro.sanitize import all_negatives, check_negatives
+from repro.gpusim import Executor
+from repro.sanitize import Sanitizer, all_negatives, check_negatives
 from repro.sanitize.report import run_sanitized
 
-ALL_SPECS = (
-    "sequential-interpreted",
-    "sequential-compiled",
-    "batched-interpreted",
-    "batched-compiled",
+#: (one-block chunks?, backend): both block orders on both backends.
+ALL_COMBOS = (
+    (True, "interpreted"),
+    (True, "compiled"),
+    (False, "interpreted"),
+    (False, "compiled"),
 )
 
 
@@ -23,17 +25,27 @@ def test_every_negative_flagged_default_engines():
 
 
 def test_every_negative_flagged_all_four_combos():
-    reports = check_negatives(engines=ALL_SPECS)
-    for report in reports:
-        assert report.flagged, (report.name, report.missing)
-        for spec in ALL_SPECS:
-            assert report.dynamic[spec], (report.name, spec)
+    """Each engine flags every negative with its expected kinds, in the
+    derived block order and in one-block chunks (``BATCH_LANES = 1``)."""
+    for negative in all_negatives():
+        data = (np.arange(negative.n) % 7).astype(np.float32)
+        for sequential, backend in ALL_COMBOS:
+            sanitizer = Sanitizer()
+            executor = Executor(backend=backend, sanitizer=sanitizer)
+            if sequential:
+                executor.BATCH_LANES = 1
+            executor.device.upload("in", data)
+            executor.run_plan(negative.plan)
+            seen = {d.kind for d in sanitizer.diagnostics}
+            assert set(negative.expect_dynamic) <= seen, (
+                negative.name, sequential, backend, seen
+            )
 
 
 def test_diagnostics_name_kernel_instruction_and_lanes():
     for negative in all_negatives():
         data = (np.arange(negative.n) % 7).astype(np.float32)
-        diags = run_sanitized(negative.plan, data, "sequential-interpreted")
+        diags = run_sanitized(negative.plan, data, "interpreted")
         expected = set(negative.expect_dynamic)
         seen = {d.kind for d in diags}
         assert expected <= seen, (negative.name, seen)
