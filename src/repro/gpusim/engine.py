@@ -42,6 +42,15 @@ lane), global-memory transactions at 128-byte-segment granularity
 serialization, divergent branches and barriers — the inputs of the
 timing model in :mod:`repro.gpusim.timing`.
 
+Address-dependent counters are counted exactly on sorted 32-lane warp
+rows, with a ``-1`` sentinel in inactive and pad lanes: distinct
+segments per row, distinct words per bank (one ``bincount``), longest
+runs of equal atomic addresses. When every block row of a chunk's
+shared-memory index is row 0 plus a row constant under the same mask,
+the shift-invariant shared counters count row 0 once per block
+(:meth:`_BatchedRun._row_pattern`); global segment counts and global
+atomic tallies are always counted on every row.
+
 Large launches can be *sampled*: only a representative subset of blocks
 executes and counters are scaled to the full grid. Sampled runs produce
 profiles, not valid numerical results: device buffers after a sampled
@@ -553,8 +562,8 @@ class _BatchedRun:
 
     The one SIMT run state: registers and masks are ``(B, T)`` arrays,
     shared memory is ``(B, S)``, and every per-thread operation is one
-    numpy op over the whole chunk. Per-warp statistics group by a flat
-    ``block*warps_per_block + warp`` id, so summed event counters do not
+    numpy op over the whole chunk. Per-warp statistics are counted per
+    32-lane warp row of each block, so summed event counters do not
     depend on how a launch is cut into chunks.
 
     The chunk size is the executor's ordering policy. Batched launches
@@ -595,15 +604,10 @@ class _BatchedRun:
             for decl in self.kernel.shared
         }
         self.nwarps = (self.nthreads + WARP - 1) // WARP
-        self._warp_of_lane = np.arange(self.nthreads) // WARP
         self._warp_starts = np.arange(0, self.nthreads, WARP)
-        #: row (block slot) index per lane, and flat per-warp group id.
+        #: row (block slot) index per lane.
         self._brow = np.broadcast_to(
             np.arange(self.nblocks, dtype=np.int64)[:, None], self.shape
-        )
-        self._gid = (
-            np.arange(self.nblocks, dtype=np.int64)[:, None] * self.nwarps
-            + self._warp_of_lane[None, :]
         )
         #: Compiled-trace state: active-warp count / all-lanes-active of
         #: the current trace mask (None while interpreting), and a per-run
@@ -1031,20 +1035,7 @@ class _BatchedRun:
         """Count unique 128-byte segments per (block, warp) group."""
         arr = self.device.get(buf)
         per_segment = max(1, 128 // arr.dtype.itemsize)
-        if self._cur_warps is not None:
-            total = self._count_segments_sorted(idx, mask, per_segment, width)
-        else:
-            segment_space = len(arr) // per_segment + width + 1
-            gid = self._gid[mask]
-            base = idx[mask]
-            if width == 1:
-                keys = gid * segment_space + base // per_segment
-            else:
-                keys = np.concatenate(
-                    [gid * segment_space + (base + k) // per_segment
-                     for k in range(width)]
-                )
-            total = int(np.unique(keys).size)
+        total = self._count_segments_sorted(idx, mask, per_segment, width)
         self.events[f"mem.global.{kind}.trans"] += total
         self.events["mem.global.bytes"] += total * 128
         active = mask.size if self._cur_all else int(mask.sum())
@@ -1053,30 +1044,53 @@ class _BatchedRun:
         )
 
     def _count_segments_sorted(self, idx, mask, per_segment, width) -> int:
-        """Unique active segments per (block, warp), summed — the same
-        quantity the interpreted path gets from one ``np.unique`` over
-        ``group * segment_space + segment`` keys, computed instead by
-        sorting fixed 32-lane warp rows (inactive lanes hold a ``-1``
-        sentinel). Sorting many short rows beats one global unique and
-        materializes no key array; per sorted row the distinct
-        non-sentinel count is ``adjacent-changes + (first != -1)``."""
-        nw = self.nwarps
-        lanes = nw * WARP
-        planes = []
-        for k in range(width):
-            seg = (idx if k == 0 else idx + k) // per_segment
-            if not self._cur_all:
-                seg = np.where(mask, seg, -1)
-            if self.nthreads != lanes:
-                pad = np.full((self.nblocks, lanes), -1, dtype=seg.dtype)
-                pad[:, : self.nthreads] = seg
-                seg = pad
-            planes.append(seg.reshape(self.nblocks * nw, WARP))
+        """Unique active segments per (block, warp), summed: each warp's
+        ``width`` segment planes side by side in one row, sorted, and
+        the runs of equal non-sentinel segments counted. Segment counts
+        are not shift-invariant (a row constant can move a warp across a
+        segment boundary), so every row is counted."""
+        planes = [
+            self._warp_rows((idx if k == 0 else idx + k) // per_segment, mask)
+            for k in range(width)
+        ]
         rows = planes[0] if width == 1 else np.concatenate(planes, axis=1)
         rows.sort(axis=1)
-        changes = int(np.count_nonzero(rows[:, 1:] != rows[:, :-1]))
-        nonempty = int(np.count_nonzero(rows[:, 0] != -1))
-        return changes + nonempty
+        return int(np.count_nonzero(_run_starts(rows)))
+
+    def _warp_rows(self, values, mask) -> np.ndarray:
+        """``values`` of a ``(blocks, threads)`` chunk — or of its first
+        block row — as fixed 32-lane warp rows ``(blocks * warps, 32)``,
+        a fresh array safe to sort in place. Inactive lanes and the pad
+        lanes of a ragged last warp hold the ``-1`` sentinel, which
+        sorts first and is never a valid index."""
+        nblocks = values.shape[0]
+        if not self._cur_all:
+            values = np.where(mask, values, -1)
+        lanes = self.nwarps * WARP
+        if self.nthreads == lanes:
+            rows = np.array(values, dtype=np.int64)
+        else:
+            rows = np.full((nblocks, lanes), -1, dtype=np.int64)
+            rows[:, : self.nthreads] = values
+        return rows.reshape(nblocks * self.nwarps, WARP)
+
+    def _row_pattern(self, idx, mask):
+        """``(idx, mask, copies)`` for a shift-invariant per-warp count.
+
+        Adding a warp-uniform constant to every lane's word address
+        permutes the banks and keeps equal addresses equal, so per-warp
+        bank-replay and same-address counts do not change. When every
+        block row of ``idx`` is row 0 plus a row constant and every mask
+        row equals row 0 (checked here, one O(blocks × threads) compare),
+        counting row 0 ``copies = nblocks`` times is exact; otherwise the
+        whole chunk is counted once.
+        """
+        if self.nblocks > 1:
+            if self._cur_all or (mask[1:] == mask[0]).all():
+                shift = idx - idx[:, :1]
+                if (shift[1:] == shift[0]).all():
+                    return idx[:1], mask[:1], self.nblocks
+        return idx, mask, 1
 
     def _ld_global(self, instr, mask) -> None:
         idx = self._global_indices(instr.idx, mask, instr.buf)
@@ -1124,7 +1138,7 @@ class _BatchedRun:
         if idx.shape != self.shape:
             idx = np.broadcast_to(idx, self.shape)
         arr = self.shared[buf]
-        active_idx = idx[mask]
+        active_idx = idx if self._cur_all else idx[mask]
         if active_idx.size and (
             active_idx.min() < 0 or active_idx.max() >= arr.shape[1]
         ):
@@ -1133,25 +1147,26 @@ class _BatchedRun:
                 f"buffer {buf!r} (size {arr.shape[1]}, index range "
                 f"[{active_idx.min()}, {active_idx.max()}])"
             )
+        if self._cur_warps is not None:
+            # Compiled path: callers never mutate the index array.
+            return idx.astype(np.int64, copy=False)
         return idx.astype(np.int64)
 
     def _count_bank_replays(self, idx, mask) -> None:
-        """Shared memory has 32 banks; distinct words in one bank replay."""
-        if not mask.any():
-            return
-        gid = self._gid[mask]
-        addr = idx[mask]
-        span = int(addr.max()) + 1
-        # Unique (group, address) pairs, then per-group per-bank counts.
-        unique_keys = np.unique(gid * span + addr)
-        ugroup = unique_keys // span
-        ubank = (unique_keys % span) % 32
-        ngroups = int(ugroup[-1]) + 1
-        counts = np.bincount(
-            ugroup * 32 + ubank, minlength=ngroups * 32
-        ).reshape(ngroups, 32)
-        present = counts.any(axis=1)
-        total = int(counts.max(axis=1)[present].sum()) - int(present.sum())
+        """Shared memory has 32 banks; distinct words in one bank replay.
+
+        Per sorted warp row, each distinct word is tallied on its bank
+        (one ``bincount``); a warp replays its fullest bank's count
+        minus one."""
+        idx, mask, copies = self._row_pattern(idx, mask)
+        rows = self._warp_rows(idx, mask)
+        rows.sort(axis=1)
+        row, col = np.nonzero(_run_starts(rows))
+        per_bank = np.bincount(
+            row * WARP + rows[row, col] % WARP, minlength=rows.size
+        ).reshape(rows.shape)
+        fullest = per_bank.max(axis=1)
+        total = (int(fullest.sum()) - int(np.count_nonzero(fullest))) * copies
         if total:
             self.events["mem.shared.replays"] += total
 
@@ -1184,37 +1199,28 @@ class _BatchedRun:
 
     # -- atomics -----------------------------------------------------------
 
-    def _group_max_sum(self, group_keys, span) -> int:
-        """Sum over groups of the max same-address count in each group.
-
-        ``group_keys`` are ``group * span + address`` for every active
-        lane; groups with no active lanes contribute nothing.
-        """
-        unique_keys, counts = np.unique(group_keys, return_counts=True)
-        group = unique_keys // span
-        starts = np.r_[0, np.flatnonzero(np.diff(group)) + 1]
-        return int(np.maximum.reduceat(counts, starts).sum())
-
     def _atom_shared(self, instr, mask) -> None:
         idx = self._shared_indices(instr.idx, mask, instr.buf)
         src = self._value_array(instr.src, mask)
         arr = self.shared[instr.buf]
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
-        rows = self._brow[mask]
-        cols = idx[mask]
-        _ATOMIC_UFUNC[instr.op].at(arr, (rows, cols), src[mask])
+        _ATOMIC_UFUNC[instr.op].at(arr, (self._brow[mask], idx[mask]), src[mask])
         ops = int(mask.sum())
         self.events["atom.shared.ops"] += ops
-        span = arr.shape[1]
+        idx, mask, copies = self._row_pattern(idx, mask)
         # Per-warp serialization: ops to the same address inside one warp
         # execute one at a time.
-        self.events["atom.shared.warp_serial"] += self._group_max_sum(
-            self._gid[mask] * span + cols, span
+        warp_rows = self._warp_rows(idx, mask)
+        warp_rows.sort(axis=1)
+        self.events["atom.shared.warp_serial"] += (
+            int(_longest_runs(warp_rows).sum()) * copies
         )
         # Block-level: total ops per address bound the block's critical path.
-        self.events["atom.shared.block_max_same_addr"] += self._group_max_sum(
-            rows * span + cols, span
+        block_rows = np.where(mask, idx, -1)
+        block_rows.sort(axis=1)
+        self.events["atom.shared.block_max_same_addr"] += (
+            int(_longest_runs(block_rows).sum()) * copies
         )
 
     def _atom_global(self, instr, mask) -> None:
@@ -1229,18 +1235,29 @@ class _BatchedRun:
         _ATOMIC_UFUNC[instr.op].at(arr, idx[mask], src[mask].astype(arr.dtype))
         self.events["atom.global.ops"] += int(mask.sum())
         counts = self.atomic_addr_counts
-        for row in range(self.nblocks):
+        if len(counts) > _ATOMIC_TRACK_CAP:
+            return
+        # One sort for the chunk: per block row, the runs of equal
+        # active addresses, in (row, address) order.
+        rows = np.where(mask, idx, -1)
+        rows.sort(axis=1)
+        row, col = np.nonzero(_run_starts(rows))
+        # A run ends where the next one starts, or at its row's end.
+        starts = row * self.nthreads + col
+        ends = np.minimum(np.append(starts[1:], rows.size),
+                          (row + 1) * self.nthreads)
+        bounds = np.searchsorted(row, np.arange(self.nblocks + 1)).tolist()
+        addresses = rows[row, col].tolist()
+        per_addr = (ends - starts).tolist()
+        block_ids = self.block_ids.tolist()
+        buf = instr.buf
+        for r in range(self.nblocks):
             if len(counts) > _ATOMIC_TRACK_CAP:
-                continue  # cap checked per block: chunking-independent
-            row_mask = mask[row]
-            if not row_mask.any():
-                continue
-            block_id = int(self.block_ids[row])
-            addresses, per_addr = np.unique(
-                idx[row][row_mask], return_counts=True
-            )
-            for address, count in zip(addresses.tolist(), per_addr.tolist()):
-                key = (instr.buf, int(address))
+                break  # cap checked per block: chunking-independent
+            lo, hi = bounds[r], bounds[r + 1]
+            block_id = block_ids[r]
+            for address, count in zip(addresses[lo:hi], per_addr[lo:hi]):
+                key = (buf, address)
                 entry = counts.get(key)
                 if entry is None:
                     # [ops, first block to touch, touched cross-block];
@@ -1295,6 +1312,26 @@ class _BatchedRun:
         result = np.take_along_axis(src, source_lane, axis=1)
         self._write(instr.dst, result, mask)
         self._count("inst.shfl", mask)
+
+
+def _run_starts(rows) -> np.ndarray:
+    """Of rows sorted with ``-1`` sentinels first: True where a run of
+    equal non-sentinel values starts (one per distinct value)."""
+    first = np.empty(rows.shape, dtype=bool)
+    first[:, 0] = rows[:, 0] != -1
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
+    return first
+
+
+def _longest_runs(rows) -> np.ndarray:
+    """Per sorted row, the length of its longest run of equal
+    non-sentinel values (0 for a row of ``-1`` only)."""
+    pos = np.arange(rows.shape[1])
+    start = np.where(_run_starts(rows), pos, 0)
+    np.maximum.accumulate(start, axis=1, out=start)
+    run = pos - start + 1
+    run[rows == -1] = 0
+    return run.max(axis=1)
 
 
 def _promote_dtype(dtype):

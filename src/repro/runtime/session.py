@@ -142,6 +142,9 @@ class ReductionFramework:
         self.versions = prune_versions(self.all_versions)
         self.catalog = dict(FIG6)
         self.cache = cache if cache is not None else default_cache()
+        #: profile_key memo by raw field tuple. The other key fields come
+        #: from attributes that are never written after ``__init__``.
+        self._profile_keys = {}
 
     # -- version resolution ------------------------------------------------
 
@@ -210,23 +213,31 @@ class ReductionFramework:
         self, version, n: int, tunables: Tunables = None, sample_limit: int = None
     ) -> str:
         """Unified-cache key for one profiling point (content hash)."""
-        resolved = self.resolve(version)
+        identifier = self.resolve(version).identifier
         t = tunables or Tunables()
-        return content_key(
-            kind="profile",
-            op=self.op,
-            ctype=self.ctype,
-            dtype=str(np.dtype(self.dtype)),
-            version=resolved.identifier,
-            n=int(n),
-            block=t.block,
-            grid=t.grid,
-            unroll=self.unroll,
-            # The pass-log fingerprint: cached profiles invalidate when
-            # any pass changes behaviour.
-            passes=_pipeline_fingerprint(self.pre),
-            sample=sample_limit,
-        )
+        # Equal numbers of different types (64, np.int64(64)) hash alike
+        # but repr, and so hash into the key, differently.
+        fields = (identifier, int(n), t.block, t.grid, sample_limit,
+                  type(t.block), type(t.grid), type(sample_limit))
+        key = self._profile_keys.get(fields)
+        if key is None:
+            key = content_key(
+                kind="profile",
+                op=self.op,
+                ctype=self.ctype,
+                dtype=str(np.dtype(self.dtype)),
+                version=identifier,
+                n=int(n),
+                block=t.block,
+                grid=t.grid,
+                unroll=self.unroll,
+                # The pass-log fingerprint: cached profiles invalidate
+                # when any pass changes behaviour.
+                passes=_pipeline_fingerprint(self.pre),
+                sample=sample_limit,
+            )
+            self._profile_keys[fields] = key
+        return key
 
     def profile(
         self, version, n: int, tunables: Tunables = None, sample_limit: int = None
@@ -234,6 +245,9 @@ class ReductionFramework:
         """Sampled event profile of one version at size n (cached)."""
         resolved = self.resolve(version)
         key = self.profile_key(resolved, n, tunables, sample_limit)
+        return self._profile(resolved, n, tunables, sample_limit, key)
+
+    def _profile(self, resolved, n, tunables, sample_limit, key):
         entry = self.cache.get(key)
         if entry is not None:
             return entry
@@ -325,8 +339,8 @@ class ReductionFramework:
         metrics.inc("sweep.points", len(resolved))
         metrics.inc("sweep.misses", len(missing))
         return [
-            self.profile(version, n, tunables, sample_limit)
-            for version, n, tunables in resolved
+            self._profile(version, n, tunables, sample_limit, key)
+            for (version, n, tunables), key in zip(resolved, keys)
         ]
 
     def time(

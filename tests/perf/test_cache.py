@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import Tunables
+from repro.codegen.synthesize import _pipeline_fingerprint
 from repro.perf import (
     CacheStats,
     ProfileCache,
@@ -240,6 +241,28 @@ class TestFrameworkKeying:
         assert base != fw.profile_key(
             "b", 4096, Tunables(block=64, grid=8), sample_limit=3
         )
+
+    def test_key_is_content_key_of_its_fields(self, fw):
+        """Memoized keys stay byte-identical to the content hash of the
+        point's fields, so disk-tier entries stay valid; equal numbers
+        of different types keep their distinct keys."""
+        points = [
+            ("b", 4096, Tunables(block=64, grid=8), None),
+            ("b", 4096, Tunables(block=64, grid=8), 3),
+            (fw.resolve("m"), 1 << 20, None, None),
+            ("p", 193, Tunables(block=np.int64(64)), None),
+            ("p", 193, Tunables(block=64), None),
+        ]
+        for version, n, tunables, sample in points:
+            t = tunables or Tunables()
+            expected = content_key(
+                kind="profile", op="add", ctype="float", dtype="float32",
+                version=fw.resolve(version).identifier, n=n,
+                block=t.block, grid=t.grid, unroll=False,
+                passes=_pipeline_fingerprint(fw.pre), sample=sample,
+            )
+            for _ in range(2):  # a miss, then a memo hit
+                assert fw.profile_key(version, n, tunables, sample) == expected
 
     def test_key_varies_with_framework_config(self, fw):
         key = fw.profile_key("b", 4096)
