@@ -102,7 +102,7 @@ class Histogram:
             ],
             scratch={"hist": self.bins},
             result_buffer="hist",
-            meta={"dtype": "float64", "bins": self.bins,
+            meta={"dtype": "int32", "bins": self.bins,
                   "strategy": self.strategy},
         )
         plan.validate()
@@ -197,22 +197,10 @@ class Histogram:
     def time(self, n: int, arch) -> float:
         """Modelled wall time of the histogram on one architecture."""
         from ..gpusim import get_architecture, plan_time
-        from ..gpusim.device import Device
-        from ..runtime.session import (
-            PROFILE_SAMPLE_BLOCKS,
-            SAMPLING_GRID_LIMIT,
-        )
+        from ..runtime.session import _profile_plan
 
         arch = arch if not isinstance(arch, str) else get_architecture(arch)
-        plan = self.build_plan(n)
-        device = Device()
-        device.alloc("in", n, dtype=np.int32)
-        executor = Executor(device=device)
-        grid = plan.kernel_steps()[0].grid
-        sample = (
-            None if grid <= SAMPLING_GRID_LIMIT else PROFILE_SAMPLE_BLOCKS
-        )
-        profile = executor.run_plan(plan, sample_limit=sample)
+        profile = _profile_plan(self.build_plan(n), n)
         return plan_time(profile, arch, num_memsets=1)
 
 

@@ -37,12 +37,16 @@ is shared by every backend:
 Every backend must be **bit-identical** to the reference interpreter on
 results, event counters and profiles; ``tests/gpusim`` enforces this.
 One exception is by design: after a *sampled* launch device buffers
-are unspecified (only the sampled blocks run, and ``compiled`` may skip
-proven-periodic loop trips of a data-oblivious plan, see
-``_BatchedRun._exec_while_c``), so only the event counters of a sampled
-launch must match, and they must match exactly. An artifact that
-``prepare`` returns carries ``data_dependence`` (None when the kernel
-is data-oblivious); a backend without artifacts never skips trips.
+are unspecified (only the sampled blocks run), so only the event
+counters of a sampled launch must match, and they must match exactly.
+An artifact that ``prepare`` returns carries ``data_dependence`` (None
+when the kernel is data-oblivious) and ``event_trace_for(kernel)``, the
+kernel's *event trace*: the trace with every value-only instruction
+reduced to its events. A sampled launch of a plan whose kernels are all
+data-oblivious, with no sanitizer, runs that event trace instead of
+``trace(kernel)`` and may skip proven-periodic loop trips (see
+``Executor._loop_fallback`` and ``_BatchedRun._exec_while_c``); a
+backend without artifacts always runs the full trace, every trip.
 """
 
 from __future__ import annotations

@@ -60,6 +60,16 @@ hooks (:mod:`repro.sanitize`) and the runtime shfl mode/width
 validation live in exactly one place and cover the compiled backend
 for free.
 
+The same compiler also emits a data-oblivious kernel's *event trace*
+(:meth:`CompiledKernel.event_trace_for`, built on the first sampled
+launch): given the kernel's data registers
+(:func:`repro.vir.analysis.data_registers`), an ALU instruction whose
+destination is data compiles to a bare ``inst.alu`` count, and memory,
+atomic and shuffle instructions call the *event half* of their run-state
+method (``_ld_global_events``, ...: indices, bounds checks, validation,
+counters) and move no value. Unrolling and loop summaries are decided
+exactly as for the full trace, so both traces count the same events.
+
 Results and event counters are bit-identical to the interpreter on every
 kernel; ``tests/gpusim/test_compiled_engine.py`` enforces this
 exhaustively over the Figure 6 catalog.
@@ -75,6 +85,7 @@ import numpy as np
 from ..vir.analysis import (
     LoopSummary,
     data_dependence,
+    data_registers,
     eval_const_instr,
     summarize_loop,
     uniform_trip_count,
@@ -282,6 +293,16 @@ def _c_ldparam(instr):
     return run
 
 
+def _c_alu_count(instr):
+    """Event-trace closure of an ALU instruction whose destination holds
+    data: its ``inst.alu`` event, and no value."""
+
+    def run(state, mask):
+        state.events["inst.alu"] += state._cur_warps
+
+    return run
+
+
 def _c_bar(instr):
     def run(state, mask):
         state._bar(mask)
@@ -360,11 +381,36 @@ class CompiledKernel:
     #: Why loaded data can steer this kernel's events, or None when it
     #: is data-oblivious (see :func:`repro.vir.analysis.data_dependence`).
     data_dependence: str = None
+    #: The event trace (:meth:`event_trace_for`), None until first built.
+    event_trace: list = None
+
+    def event_trace_for(self, kernel) -> list:
+        """The event trace of ``kernel``, this artifact's data-oblivious
+        kernel: ``trace`` with every ALU instruction whose destination
+        holds data reduced to its ``inst.alu`` count, and memory, atomic
+        and shuffle instructions running only the event half of their
+        run-state method. It produces every event of ``trace`` and moves
+        no value. Built on first use (a sampled launch) and memoized
+        here; the artifact does not keep ``kernel`` alive, so the caller
+        passes it."""
+        if self.event_trace is None:
+            from ..obs import default_metrics  # runtime import: obs is standalone
+
+            self.event_trace = _KernelCompiler(
+                kernel, data=data_registers(kernel.body)
+            ).compile()
+            default_metrics().inc("compile.event_traces")
+        return self.event_trace
 
 
 class _KernelCompiler:
-    def __init__(self, kernel, max_trips=MAX_TRIPS, max_splice=MAX_SPLICE):
+    """Compiles one kernel body to a closure trace: the full trace, or
+    with ``data`` (the kernel's data registers) the event trace."""
+
+    def __init__(self, kernel, data=None, max_trips=MAX_TRIPS,
+                 max_splice=MAX_SPLICE):
         self.kernel = kernel
+        self.data = data
         self.max_trips = max_trips
         self.max_splice = max_splice
         self.top_level = {id(instr) for instr in kernel.body}
@@ -376,14 +422,8 @@ class _KernelCompiler:
             "unrolled_trips": 0,
         }
 
-    def compile(self) -> CompiledKernel:
-        trace = self._compile_body(self.kernel.body, {})
-        return CompiledKernel(
-            kernel_name=self.kernel.name,
-            trace=trace,
-            stats=self.stats,
-            data_dependence=data_dependence(self.kernel.body),
-        )
+    def compile(self) -> list:
+        return self._compile_body(self.kernel.body, {})
 
     def _compile_body(self, body, env) -> list:
         """Compile one region, threading the uniform-constant env
@@ -403,11 +443,17 @@ class _KernelCompiler:
             return  # the interpreter executes nothing for comments
         builder = _ALU_OPS.get(cls)
         if builder is not None:
+            if self.data is not None and cls is not Bar and (
+                instr.dst.name in self.data
+            ):
+                builder = _c_alu_count
             self._emit(builder(instr), trace)
             eval_const_instr(instr, env)
             return
         method = _METHOD_OPS.get(cls)
         if method is not None:
+            if self.data is not None:
+                method += "_events"
             self._emit(_c_method(instr, method), trace)
             eval_const_instr(instr, env)
             return
@@ -503,7 +549,13 @@ def compile_kernel(kernel) -> CompiledKernel:
 def _compile_fresh(kernel) -> CompiledKernel:
     from ..obs import default_metrics  # runtime import: obs is standalone
 
-    compiled = _KernelCompiler(kernel).compile()
+    compiler = _KernelCompiler(kernel)
+    compiled = CompiledKernel(
+        kernel_name=kernel.name,
+        trace=compiler.compile(),
+        stats=compiler.stats,
+        data_dependence=data_dependence(kernel.body),
+    )
     metrics = default_metrics()
     metrics.inc("compile.kernels")
     metrics.observe("compile.trace_len", len(compiled.trace))

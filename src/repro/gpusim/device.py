@@ -30,6 +30,15 @@ class Device:
         self._buffers[name] = data.copy()
         return self._buffers[name]
 
+    def bind(self, name: str, array: np.ndarray) -> np.ndarray:
+        """Make ``array`` buffer ``name`` as is, without the copy
+        :meth:`upload` makes: a read-only view stays read-only, so a
+        store into it raises."""
+        if array.ndim != 1:
+            raise DeviceError("only 1-D buffers are supported")
+        self._buffers[name] = array
+        return array
+
     def download(self, name: str) -> np.ndarray:
         return self.get(name).copy()
 

@@ -55,9 +55,14 @@ Large launches can be *sampled*: only a representative subset of blocks
 executes and counters are scaled to the full grid. Sampled runs produce
 profiles, not valid numerical results: device buffers after a sampled
 launch are unspecified, while every event counter stays exact. On the
-``compiled`` backend a sampled launch of a data-oblivious plan also
-skips the trips of a proven-periodic loop and adds their events in
-closed form (:meth:`_BatchedRun._exec_while_c`).
+``compiled`` backend a sampled launch of a data-oblivious plan, with no
+sanitizer attached, goes further (see :meth:`Executor._loop_fallback`):
+it runs the kernel's *event trace*, in which value-only instructions
+are reduced to their event counts and memory, atomic and shuffle
+instructions run only the event half of their run-state method, and it
+skips the trips of a proven-periodic loop, adding their events in
+closed form (:meth:`_BatchedRun._exec_while_c`). ``StepProfile.meta
+["exec.trace"]`` records which trace ran (``events`` or ``full``).
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ import numpy as np
 
 from ..obs import default_metrics, get_tracer
 from ..vir.instructions import (
+    SHFL_MODES,
     Arg,
     AtomGlobal,
     AtomShared,
@@ -333,9 +339,9 @@ def analyze_batchability(kernel, device: Device = None):
 
 
 #: Shuffle widths hardware accepts (power-of-two warp segments). The
-#: instruction dataclass validates these at construction; the engines
-#: re-validate at execution time so hand-built or mutated instructions
-#: fail identically under the interpreted and compiled backends.
+#: instruction dataclass validates widths and modes at construction;
+#: the engines re-validate at execution time so hand-built or mutated
+#: instructions fail identically under every backend and trace.
 _SHFL_WIDTHS = frozenset({1, 2, 4, 8, 16, 32})
 
 
@@ -420,34 +426,41 @@ class Executor:
         ok, _ = analyze_batchability(step.kernel, self.device)
         return "batched" if ok else "sequential"
 
-    def _loop_fallback(self, sampled: bool, kernels) -> str:
-        """Why a launch must simulate every loop trip, or None when it
-        may extrapolate proven-periodic trips.
+    def _loop_fallback(self, sampled: bool, kernel, kernels):
+        """``(reason, artifact)``: why a launch of ``kernel`` must
+        simulate every loop trip and every value, or ``(None, artifact)``
+        with ``kernel``'s backend artifact when it may extrapolate
+        proven-periodic trips and run the artifact's event trace.
 
-        Skipped trips leave loaded registers, and so device buffers,
-        unspecified. That is safe only when the launch is sampled (its
-        results are not meaningful anyway), no sanitizer observes
-        individual accesses, and no kernel that runs on those buffers
-        lets data steer its events.
+        Skipped trips and unmoved values leave registers, and so device
+        buffers, unspecified. That is safe only when the launch is
+        sampled (its results are not meaningful anyway), no sanitizer
+        observes individual accesses, and no kernel of ``kernels`` (the
+        plan's, which run on those buffers; ``kernel`` among them) lets
+        data steer its events.
         """
         if not sampled:
-            return "unsampled"
+            return "unsampled", None
         if self.sanitizer is not None:
-            return "sanitizer"
-        for kernel in kernels:
-            artifact = self._backend.prepare(kernel)
+            return "sanitizer", None
+        own = None
+        for other in kernels:
+            artifact = self._backend.prepare(other)
             if artifact is None:
-                return self.backend
+                return self.backend, None
             if artifact.data_dependence is not None:
-                return "data_dependent"
-        return None
+                return "data_dependent", None
+            if other is kernel:
+                own = artifact
+        return None, own
 
     def run_kernel(
         self, step: KernelStep, sample_limit: int = None, plan: Plan = None
     ) -> StepProfile:
-        """Run one launch. ``plan`` is the plan it belongs to: trips are
-        only extrapolated when every kernel of it is data-oblivious
-        (without one, the launch's own kernel decides)."""
+        """Run one launch. ``plan`` is the plan it belongs to: a sampled
+        launch skips proven-periodic trips and runs the event trace only
+        when every kernel of it is data-oblivious (without one, the
+        launch's own kernel decides)."""
         kernel = step.kernel
         profile = StepProfile(
             kernel_name=kernel.name,
@@ -470,7 +483,15 @@ class Executor:
         mode = self.execution_mode(step)
         profile.meta["exec.mode"] = mode
         profile.meta["exec.backend"] = self.backend
-        trace = self._backend.trace(kernel)
+        kernels = [s.kernel for s in plan.kernel_steps()] if plan else [kernel]
+        fallback, artifact = self._loop_fallback(
+            bool(profile.sampled_blocks), kernel, kernels
+        )
+        if fallback is None:
+            trace_kind, trace = "events", artifact.event_trace_for(kernel)
+        else:
+            trace_kind, trace = "full", self._backend.trace(kernel)
+        profile.meta["exec.trace"] = trace_kind
         tracer = get_tracer()
         with tracer.span(
             "exec.launch",
@@ -479,14 +500,11 @@ class Executor:
             block=step.block,
             mode=mode,
             backend=self.backend,
+            trace=trace_kind,
             sampled_blocks=profile.sampled_blocks,
         ) as span:
             atomic_addr_counts = {}
             loop_stats = Counter()
-            kernels = (
-                [s.kernel for s in plan.kernel_steps()] if plan else [kernel]
-            )
-            fallback = self._loop_fallback(bool(profile.sampled_blocks), kernels)
             san = None
             if self.sanitizer is not None:
                 san = self.sanitizer.begin_kernel(step, self.device)
@@ -528,6 +546,8 @@ class Executor:
         counters = {f"sim.{key}": int(value)
                     for key, value in profile.events.items()}
         counters[f"exec.launch.{mode}"] = 1
+        if trace_kind == "events":
+            counters["exec.trace.events"] = 1
         counters.update(
             (f"exec.loop.{key}", value) for key, value in loop_stats.items()
         )
@@ -1092,11 +1112,34 @@ class _BatchedRun:
                     return idx[:1], mask[:1], self.nblocks
         return idx, mask, 1
 
+    # Each memory, atomic and shuffle instruction is an *event half*
+    # (index and bounds checks, validation, sanitizer hooks that need no
+    # values, every counter) followed by a *value half* (the gather,
+    # scatter, atomic update or register write). The event trace of a
+    # data-oblivious kernel (repro.gpusim.compile) runs event halves
+    # only; every other trace runs both, so each counter has one
+    # implementation.
+
     def _ld_global(self, instr, mask) -> None:
+        self._ld_global_values(instr, self._ld_global_events(instr, mask), mask)
+
+    def _ld_global_events(self, instr, mask) -> np.ndarray:
         idx = self._global_indices(instr.idx, mask, instr.buf)
-        arr = self.device.get(instr.buf)
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
+        if instr.width != 1:
+            last = idx + (instr.width - 1)
+            if (last[mask] >= len(self.device.get(instr.buf))).any():
+                raise SimulationError(
+                    f"kernel {self.kernel.name!r}: vector load past end of "
+                    f"{instr.buf!r}"
+                )
+        self._count_transactions(idx, mask, instr.buf, "ld", width=instr.width)
+        self._count("inst.ld.global", mask)
+        return idx
+
+    def _ld_global_values(self, instr, idx, mask) -> None:
+        arr = self.device.get(instr.buf)
         if instr.width == 1:
             if self._cur_all:
                 # Full mask: the masked scatter below degenerates to a
@@ -1106,32 +1149,29 @@ class _BatchedRun:
                 value = np.zeros(self.shape, dtype=np.float64)
                 value[mask] = arr[idx[mask]]
             self._write(instr.dst, value, mask)
-            self._count_transactions(idx, mask, instr.buf, "ld")
-        else:
-            last = idx + (instr.width - 1)
-            if (last[mask] >= len(arr)).any():
-                raise SimulationError(
-                    f"kernel {self.kernel.name!r}: vector load past end of "
-                    f"{instr.buf!r}"
-                )
-            for k, dst in enumerate(instr.dst):
-                value = np.zeros(self.shape, dtype=np.float64)
-                value[mask] = arr[idx[mask] + k]
-                self._write(dst, value, mask)
-            self._count_transactions(idx, mask, instr.buf, "ld", width=instr.width)
-        self._count("inst.ld.global", mask)
+            return
+        for k, dst in enumerate(instr.dst):
+            value = np.zeros(self.shape, dtype=np.float64)
+            value[mask] = arr[idx[mask] + k]
+            self._write(dst, value, mask)
 
     def _st_global(self, instr, mask) -> None:
+        self._st_global_values(instr, self._st_global_events(instr, mask), mask)
+
+    def _st_global_events(self, instr, mask) -> np.ndarray:
         idx = self._global_indices(instr.idx, mask, instr.buf)
-        src = self._value_array(instr.src, mask)
-        arr = self.device.get(instr.buf)
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
+        self._count_transactions(idx, mask, instr.buf, "st")
+        self._count("inst.st.global", mask)
+        return idx
+
+    def _st_global_values(self, instr, idx, mask) -> None:
+        src = self._value_array(instr.src, mask)
+        arr = self.device.get(instr.buf)
         # C-order flattening applies the store block-major: the same
         # order as one-block chunks run block-ascending.
         arr[idx[mask]] = src[mask].astype(arr.dtype)
-        self._count_transactions(idx, mask, instr.buf, "st")
-        self._count("inst.st.global", mask)
 
     def _shared_indices(self, operand, mask, buf) -> np.ndarray:
         idx = np.asarray(self._read(operand, mask))
@@ -1171,25 +1211,45 @@ class _BatchedRun:
             self.events["mem.shared.replays"] += total
 
     def _ld_shared(self, instr, mask) -> None:
+        self._ld_shared_values(instr, self._ld_shared_events(instr, mask), mask)
+
+    def _ld_shared_events(self, instr, mask) -> np.ndarray:
         idx = self._shared_indices(instr.idx, mask, instr.buf)
-        arr = self.shared[instr.buf]
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
-        value = np.zeros(self.shape, dtype=np.float64)
-        value[mask] = arr[self._brow[mask], idx[mask]]
-        self._write(instr.dst, value, mask)
         self._count("inst.ld.shared", mask)
         self._count_bank_replays(idx, mask)
+        return idx
+
+    def _ld_shared_values(self, instr, idx, mask) -> None:
+        arr = self.shared[instr.buf]
+        if self._cur_all:
+            # Full mask: a plain gather (bit-identical, no zeros container).
+            value = arr[self._brow, idx]
+        else:
+            value = np.zeros(self.shape, dtype=np.float64)
+            value[mask] = arr[self._brow[mask], idx[mask]]
+        self._write(instr.dst, value, mask)
 
     def _st_shared(self, instr, mask) -> None:
+        self._st_shared_values(instr, self._st_shared_events(instr, mask), mask)
+
+    def _st_shared_events(self, instr, mask) -> np.ndarray:
         idx = self._shared_indices(instr.idx, mask, instr.buf)
-        src = self._value_array(instr.src, mask)
-        arr = self.shared[instr.buf]
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
-        arr[self._brow[mask], idx[mask]] = src[mask]
         self._count("inst.st.shared", mask)
         self._count_bank_replays(idx, mask)
+        return idx
+
+    def _st_shared_values(self, instr, idx, mask) -> None:
+        src = self._value_array(instr.src, mask)
+        arr = self.shared[instr.buf]
+        if self._cur_all:
+            # Full mask: a plain scatter, in the same C order.
+            arr[self._brow, idx] = src
+        else:
+            arr[self._brow[mask], idx[mask]] = src[mask]
 
     def _value_array(self, operand, mask) -> np.ndarray:
         value = np.asarray(self._read(operand, mask))
@@ -1200,40 +1260,52 @@ class _BatchedRun:
     # -- atomics -----------------------------------------------------------
 
     def _atom_shared(self, instr, mask) -> None:
+        self._atom_shared_values(
+            instr, self._atom_shared_events(instr, mask), mask
+        )
+
+    def _atom_shared_events(self, instr, mask) -> np.ndarray:
         idx = self._shared_indices(instr.idx, mask, instr.buf)
-        src = self._value_array(instr.src, mask)
-        arr = self.shared[instr.buf]
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
-        _ATOMIC_UFUNC[instr.op].at(arr, (self._brow[mask], idx[mask]), src[mask])
-        ops = int(mask.sum())
-        self.events["atom.shared.ops"] += ops
-        idx, mask, copies = self._row_pattern(idx, mask)
+        self.events["atom.shared.ops"] += int(mask.sum())
+        rows, row_mask, copies = self._row_pattern(idx, mask)
         # Per-warp serialization: ops to the same address inside one warp
         # execute one at a time.
-        warp_rows = self._warp_rows(idx, mask)
+        warp_rows = self._warp_rows(rows, row_mask)
         warp_rows.sort(axis=1)
         self.events["atom.shared.warp_serial"] += (
             int(_longest_runs(warp_rows).sum()) * copies
         )
         # Block-level: total ops per address bound the block's critical path.
-        block_rows = np.where(mask, idx, -1)
+        block_rows = np.where(row_mask, rows, -1)
         block_rows.sort(axis=1)
         self.events["atom.shared.block_max_same_addr"] += (
             int(_longest_runs(block_rows).sum()) * copies
         )
+        return idx
+
+    def _atom_shared_values(self, instr, idx, mask) -> None:
+        src = self._value_array(instr.src, mask)
+        arr = self.shared[instr.buf]
+        _ATOMIC_UFUNC[instr.op].at(arr, (self._brow[mask], idx[mask]), src[mask])
 
     def _atom_global(self, instr, mask) -> None:
+        self._atom_global_values(
+            instr, self._atom_global_events(instr, mask), mask
+        )
+
+    def _atom_global_events(self, instr, mask) -> np.ndarray:
         idx = self._global_indices(instr.idx, mask, instr.buf)
-        src = self._value_array(instr.src, mask)
-        arr = self.device.get(instr.buf)
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
-        # ufunc.at applies updates in flattened (block-major) order — the
-        # same order one-block chunks produce, so float accumulation does
-        # not depend on the chunking.
-        _ATOMIC_UFUNC[instr.op].at(arr, idx[mask], src[mask].astype(arr.dtype))
         self.events["atom.global.ops"] += int(mask.sum())
+        self._tally_global_atomics(instr.buf, idx, mask)
+        return idx
+
+    def _tally_global_atomics(self, buf, idx, mask) -> None:
+        """Feed the launch's per-address ``[ops, first_block,
+        cross_block]`` tallies, block by block."""
         counts = self.atomic_addr_counts
         if len(counts) > _ATOMIC_TRACK_CAP:
             return
@@ -1250,7 +1322,6 @@ class _BatchedRun:
         addresses = rows[row, col].tolist()
         per_addr = (ends - starts).tolist()
         block_ids = self.block_ids.tolist()
-        buf = instr.buf
         for r in range(self.nblocks):
             if len(counts) > _ATOMIC_TRACK_CAP:
                 break  # cap checked per block: chunking-independent
@@ -1268,50 +1339,79 @@ class _BatchedRun:
                     if entry[1] != block_id:
                         entry[2] = True
 
+    def _atom_global_values(self, instr, idx, mask) -> None:
+        src = self._value_array(instr.src, mask)
+        arr = self.device.get(instr.buf)
+        # ufunc.at applies updates in flattened (block-major) order — the
+        # same order one-block chunks produce, so float accumulation does
+        # not depend on the chunking.
+        _ATOMIC_UFUNC[instr.op].at(arr, idx[mask], src[mask].astype(arr.dtype))
+
     # -- shuffles -----------------------------------------------------------
 
     def _shfl(self, instr, mask) -> None:
+        self._shfl_events(instr, mask)
+        self._shfl_values(instr, mask)
+
+    def _shfl_events(self, instr, mask) -> None:
         if instr.width not in _SHFL_WIDTHS:
             raise SimulationError(
                 f"kernel {self.kernel.name!r}: invalid shfl width "
                 f"{instr.width!r}"
             )
+        if instr.mode not in SHFL_MODES:
+            raise SimulationError(
+                f"kernel {self.kernel.name!r}: invalid shfl mode "
+                f"{instr.mode!r}"
+            )
+        self._count("inst.shfl", mask)
+
+    def _shfl_values(self, instr, mask) -> None:
         src = np.asarray(self._read(instr.src, mask))
         if src.shape != self.shape:
             src = np.broadcast_to(src, self.shape)
+        if isinstance(instr.offset, Imm):
+            # An immediate offset gives every block row the same source
+            # lanes: one (threads,) row per run state.
+            key = ("shfl", instr.mode, instr.width, instr.offset.value)
+            source_lane = self._cache.get(key)
+            if source_lane is None:
+                source_lane = self._shfl_source(instr, instr.offset.value)
+                self._cache[key] = source_lane
+        else:
+            source_lane = self._shfl_source(
+                instr, np.asarray(self._read(instr.offset, mask))
+            )
+        if self.san is not None:
+            self.san.on_shfl(
+                self, instr, np.broadcast_to(source_lane, self.shape), mask
+            )
+        if source_lane.ndim == 1:
+            result = src[:, source_lane]
+        else:
+            result = np.take_along_axis(src, source_lane, axis=1)
+        self._write(instr.dst, result, mask)
+
+    def _shfl_source(self, instr, offset) -> np.ndarray:
+        """Source lane of every lane: a ``(threads,)`` row for a scalar
+        ``offset``, ``(blocks, threads)`` for a per-lane one."""
         lanes = np.arange(self.nthreads, dtype=np.int64)
         sub = lanes % instr.width
         base = lanes - sub
-        offset = np.asarray(self._read(instr.offset, mask))
-        if offset.shape != self.shape:
-            offset = np.broadcast_to(offset, self.shape)
         if instr.mode == "down":
             target = sub + offset
         elif instr.mode == "up":
             target = sub - offset
         elif instr.mode == "xor":
-            target = np.bitwise_xor(sub, offset.astype(np.int64))
-        elif instr.mode == "idx":
-            target = offset.astype(np.int64)
-        else:
-            raise SimulationError(
-                f"kernel {self.kernel.name!r}: invalid shfl mode "
-                f"{instr.mode!r}"
-            )
-        if target.shape != self.shape:
-            target = np.broadcast_to(target, self.shape)
+            target = np.bitwise_xor(sub, np.asarray(offset).astype(np.int64))
+        else:  # idx
+            target = np.asarray(offset).astype(np.int64)
         # Identity fallback for any source lane outside the width segment
         # *or* past the block's last thread: hardware reads the caller's
         # own value there, it never wraps into the next warp segment.
         source = base + target
         valid = (target >= 0) & (target < instr.width) & (source < self.nthreads)
-        source_lane = np.where(valid, source, np.broadcast_to(lanes, self.shape))
-        source_lane = source_lane.astype(np.int64)
-        if self.san is not None:
-            self.san.on_shfl(self, instr, source_lane, mask)
-        result = np.take_along_axis(src, source_lane, axis=1)
-        self._write(instr.dst, result, mask)
-        self._count("inst.shfl", mask)
+        return np.where(valid, source, lanes).astype(np.int64)
 
 
 def _run_starts(rows) -> np.ndarray:

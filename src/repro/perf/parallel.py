@@ -8,9 +8,8 @@ embarrassingly parallel.  :func:`map_profiles` runs it on:
 * a **persistent, lazily-created process pool** shared by every
   ``map_profiles`` / ``profile_many`` / ``tune_all`` /
   ``DynamicSelector.build`` call in the process (workers keep their
-  per-``(op, ctype, unroll, engine)`` framework memo warm across
-  sweeps); it is recreated when the worker count changes or the pool
-  breaks;
+  frontend and kernel memos warm across sweeps); it is recreated when
+  the worker count changes or the pool breaks;
 * **cost-ordered dispatch** — specs are submitted in
   :func:`dispatch_order` (largest unsampled profiles first), so
   stragglers start before the cheap tail;
@@ -49,9 +48,6 @@ _AUTO_WORKER_LIMIT = 8
 #: Below this many outstanding profiles a pool costs more than it saves.
 MIN_PARALLEL_SPECS = 4
 
-_worker_frameworks = {}
-
-
 def resolve_workers(max_workers=None) -> int:
     """Effective worker count: explicit arg > env var > capped cpu count."""
     if max_workers is None:
@@ -72,22 +68,17 @@ def _profile_spec(spec):
     ``spec`` is ``(op, ctype, unroll, version, n, tunables,
     sample_limit, engine)`` with a picklable frozen-dataclass
     version/tunables; ``engine`` is the calling framework's backend, so
-    every launch runs on the engine it asked for.
+    every launch runs on the engine it asked for. No profile cache is
+    read or written here: the caller inserts the result into its own.
     Returns ``(profile, num_memsets, cost_s)``.
     """
-    op, ctype, unroll, version, n, tunables, sample_limit, engine = spec
-    memo_key = (op, ctype, unroll, engine)
-    framework = _worker_frameworks.get(memo_key)
-    if framework is None:
-        from ..runtime.session import ReductionFramework
+    from ..runtime.session import _frontend, profile_point
 
-        framework = ReductionFramework(
-            op=op, ctype=ctype, unroll=unroll, engine=engine
-        )
-        _worker_frameworks[memo_key] = framework
+    op, ctype, unroll, version, n, tunables, sample_limit, engine = spec
+    _analyzed, pre = _frontend(op, ctype, unroll)
     start = time.perf_counter()
-    profile, num_memsets = framework.profile(
-        version, n, tunables, sample_limit=sample_limit
+    profile, num_memsets = profile_point(
+        pre, version, n, tunables, sample_limit, engine
     )
     return profile, num_memsets, time.perf_counter() - start
 

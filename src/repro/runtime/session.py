@@ -252,23 +252,9 @@ class ReductionFramework:
         if entry is not None:
             return entry
         start = time.perf_counter()
-        with get_tracer().span(
-            "sweep.point", version=resolved.identifier, n=int(n)
-        ):
-            plan = build_plan_cached(
-                self.pre,
-                resolved,
-                n,
-                tunables,
-                backend=self.engine_backend,
-            )
-            profile = _profile_plan(
-                plan, n, sample_limit, backend=self.engine_backend
-            )
-        num_memsets = sum(
-            1 for step in plan.steps if isinstance(step, MemsetStep)
+        entry = profile_point(
+            self.pre, resolved, n, tunables, sample_limit, self.engine_backend
         )
-        entry = (profile, num_memsets)
         self.cache.put(key, entry, cost_s=time.perf_counter() - start)
         return entry
 
@@ -281,12 +267,14 @@ class ReductionFramework:
         """Profile many ``(version, n, tunables)`` points, fanning the
         missing ones out over the :mod:`repro.perf.parallel` pool.
 
-        Each completed profile **streams** into the shared cache the
-        moment its worker finishes (so concurrent readers see results
-        mid-sweep), then the cache's LRU recency is re-established in
-        spec order — the final cache state is deterministic regardless
-        of worker completion order. Results are returned aligned with
-        ``specs``.
+        Each point is looked up once in this framework's cache (a hit or
+        a miss in its stats). Misses are computed without touching any
+        cache; each completed profile **streams** into this framework's
+        cache the moment its worker finishes (so concurrent readers see
+        results mid-sweep), then the cache's LRU recency is
+        re-established in spec order — the final cache state is
+        deterministic regardless of worker completion order. Results
+        are returned aligned with ``specs``.
         """
         resolved = [
             (self.resolve(version), int(n), tunables)
@@ -296,10 +284,9 @@ class ReductionFramework:
             self.profile_key(version, n, tunables, sample_limit)
             for version, n, tunables in resolved
         ]
+        entries = [self.cache.get(key) for key in keys]
         missing = [
-            index
-            for index, key in enumerate(keys)
-            if key not in self.cache
+            index for index, entry in enumerate(entries) if entry is None
         ]
         # Every miss — including a single one — goes through map_profiles,
         # so cost_s accounting and metrics are identical whether the pool
@@ -331,17 +318,18 @@ class ReductionFramework:
             map_profiles(
                 worker_specs, max_workers=max_workers, on_result=_insert
             )
-            # Completion order varies run to run; touching in spec order
-            # restores deterministic LRU recency (and thus eviction
-            # order) identical to a serial sweep.
-            self.cache.touch(missing_keys)
+            for index in missing:
+                entries[index] = self._profile(
+                    *resolved[index], sample_limit, keys[index]
+                )
+        # Completion order varies run to run; touching in spec order
+        # restores deterministic LRU recency (and thus eviction order)
+        # identical to a serial sweep.
+        self.cache.touch(keys)
         metrics = default_metrics()
         metrics.inc("sweep.points", len(resolved))
         metrics.inc("sweep.misses", len(missing))
-        return [
-            self._profile(version, n, tunables, sample_limit, key)
-            for (version, n, tunables), key in zip(resolved, keys)
-        ]
+        return entries
 
     def time(
         self,
@@ -394,6 +382,19 @@ class ReductionFramework:
         return best_key, best_time
 
 
+def profile_point(pre, version, n, tunables, sample_limit, backend):
+    """``(profile, num_memsets)`` of one sweep point of the frontend
+    result ``pre``, computed without touching any profile cache: callers
+    own the caching (:meth:`ReductionFramework._profile`, and the
+    sweep workers of :mod:`repro.perf.parallel`, whose results the
+    calling framework inserts)."""
+    with get_tracer().span("sweep.point", version=version.identifier, n=int(n)):
+        plan = build_plan_cached(pre, version, n, tunables, backend=backend)
+        profile = _profile_plan(plan, n, sample_limit, backend=backend)
+    num_memsets = sum(1 for step in plan.steps if isinstance(step, MemsetStep))
+    return profile, num_memsets
+
+
 # ---------------------------------------------------------------------
 # Baseline timing helpers (shared by benches and examples)
 # ---------------------------------------------------------------------
@@ -405,12 +406,16 @@ def _profile_plan(
     sample_limit: int = None,
     backend: str = "compiled",
 ) -> PlanProfile:
+    """Event profile of ``plan`` on an ``n``-element input of zeros,
+    under the profiling sampling policy unless ``sample_limit`` is set."""
     # The input buffer's dtype must match the plan's element type — an
     # int-element framework profiles against an int32 device array (the
-    # transaction/coalescing counters depend on the element width).
+    # transaction/coalescing counters depend on the element width). The
+    # input is a read-only zero-stride view: every reader sees zeros and
+    # no n-element buffer is allocated.
     dtype = np.dtype(plan.meta.get("dtype", "float32"))
     device = Device()
-    device.alloc("in", n, dtype=dtype)
+    device.bind("in", np.broadcast_to(np.zeros(1, dtype=dtype), (n,)))
     executor = Executor(device=device, backend=backend)
     if sample_limit is None:
         max_grid = max(step.grid for step in plan.kernel_steps())

@@ -359,22 +359,20 @@ def _dst_names(instr) -> list:
     return []
 
 
-def data_dependence(body):
-    """Why loaded data can steer a kernel's events, or None if it cannot.
+def _taint(body):
+    """The taint pass behind :func:`data_dependence` and
+    :func:`data_registers`: ``(data, sinks)``, the set of registers that
+    hold data and the ``(operand, where it steers events)`` sinks.
 
-    A taint pass: the results of ``LdGlobal``, ``LdShared`` and ``Shfl``
-    are data, and data flows through every ALU operand (a ``Sel``
-    condition included). The kernel is *data-oblivious* — None — when no
-    data reaches an ``If`` or ``While`` condition, a memory index or a
-    shuffle offset: masks, addresses and shuffle lanes, and with them
-    every event counter, are then functions of the launch shape alone.
+    The results of ``LdGlobal``, ``LdShared`` and ``Shfl`` are data, and
+    data flows through every ALU operand (a ``Sel`` condition included).
     The pass is flow-insensitive — a register is data when any write to
     it reads data — and iterates to a fixpoint, so loop-carried flows
     and partial writes under a mask are covered without tracking
     program points.
     """
     writes = []  # (destinations, registers read, is a data source)
-    sinks = []  # (operand, where it steers events)
+    sinks = []
     for instr in walk_instrs(body):
         kind = type(instr).__name__
         if isinstance(instr, _MEMORY_OPS):
@@ -398,10 +396,34 @@ def data_dependence(body):
             if flows and not tainted.issuperset(dsts):
                 tainted.update(dsts)
                 grew = True
+    return tainted, sinks
+
+
+def data_dependence(body):
+    """Why loaded data can steer a kernel's events, or None if it cannot.
+
+    The kernel is *data-oblivious* — None — when no data (see
+    :func:`_taint`) reaches an ``If`` or ``While`` condition, a memory
+    index or a shuffle offset: masks, addresses and shuffle lanes, and
+    with them every event counter, are then functions of the launch
+    shape alone.
+    """
+    tainted, sinks = _taint(body)
     for operand, where in sinks:
         if isinstance(operand, Reg) and operand.name in tainted:
             return f"loaded value {operand} reaches {where}"
     return None
+
+
+def data_registers(body) -> frozenset:
+    """Names of the registers of ``body`` that hold data.
+
+    In a data-oblivious kernel, data registers are read only to compute
+    other data registers and as the value operand of a store, an atomic
+    or a shuffle, so a trace that never writes them still computes every
+    mask, address and shuffle lane, and with them every event (the
+    event trace of :mod:`repro.gpusim.compile`)."""
+    return frozenset(_taint(body)[0])
 
 
 @dataclass(frozen=True)

@@ -110,3 +110,20 @@ class TestTiming:
             direct = Histogram(bins=64, strategy="global").time(n, arch)
             gap[arch] = direct / shared
         assert gap["maxwell"] > gap["kepler"]
+
+    @pytest.mark.parametrize("strategy, coarsen, n, kepler, pascal", [
+        # 20 (and 5) blocks: every block runs.
+        ("shared", 1, 5000, 1.9655021849366145e-05, 4.328658887789859e-06),
+        ("global", 1, 5000, 4.731563057419836e-05, 1.53132149401242e-05),
+        ("global", 4, 5000, 4.73590735272185e-05, 1.5324114648332028e-05),
+        # 1,172 (and 293) blocks: sampled.
+        ("shared", 1, 300000, 0.00026345137618692514, 9.331459201898995e-06),
+        ("global", 1, 300000, 0.002324751049863286, 0.0006541526987681694),
+        ("global", 4, 300000, 0.0024001525132488193, 0.0006753266653447787),
+    ])
+    def test_modelled_time_pinned(self, strategy, coarsen, n, kepler, pascal):
+        """Times pinned from the app's own profiling copy (an int32 input
+        of zeros), before it was routed through ``_profile_plan``."""
+        hist = Histogram(bins=64, strategy=strategy, coarsen=coarsen)
+        assert hist.time(n, "kepler") == kepler
+        assert hist.time(n, "pascal") == pascal

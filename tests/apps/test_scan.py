@@ -78,3 +78,16 @@ class TestStrategies:
             t_shared = Scan(strategy="shared").time(n, arch)
             t_shuffle = Scan(strategy="shuffle").time(n, arch)
             assert t_shuffle < t_shared, arch
+
+    @pytest.mark.parametrize("strategy, n, seconds", [
+        # 20 blocks: every block runs.
+        ("shuffle", 5000, 2.1136701715137957e-05),
+        ("shared", 5000, 2.2544923191648022e-05),
+        # 1,172 blocks: sampled.
+        ("shuffle", 300000, 7.736006165382384e-05),
+        ("shared", 300000, 9.559395006214266e-05),
+    ])
+    def test_modelled_time_pinned(self, strategy, n, seconds):
+        """Kepler times pinned from the app's own profiling copy, before
+        it was routed through the framework's ``_profile_plan``."""
+        assert Scan(strategy=strategy).time(n, "kepler") == seconds

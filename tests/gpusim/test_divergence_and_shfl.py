@@ -236,6 +236,44 @@ class TestShflBoundaryClamp:
         expected[:4] = data[28:32]
         np.testing.assert_array_equal(device.get("out"), expected)
 
+    @pytest.mark.parametrize("mode,backend", COMBOS)
+    @pytest.mark.parametrize("shfl_mode", ["up", "down", "xor", "idx"])
+    @pytest.mark.parametrize("block,width", [(48, 32), (20, 8)])
+    def test_offsets_match_lane_oracle(self, mode, backend, shfl_mode,
+                                       block, width):
+        """Immediate offsets read a source-lane row built once per
+        (mode, width, offset); register offsets compute lanes per call.
+        Both must match a per-lane oracle, for several offsets in one
+        kernel, over several blocks with a ragged last warp."""
+        grid, offsets = 3, (1, 3, 6)
+        n = grid * block
+        b = IRBuilder()
+        tid = b.special("tid")
+        gid = b.binop("add", b.binop("mul", b.special("ctaid"), block), tid)
+        v = b.ld_global("in", gid)
+        for k, offset in enumerate(offsets):
+            for j, operand in enumerate((offset, b.mov(offset))):
+                w = b.shfl(v, shfl_mode, operand, width=width)
+                b.st_global("out", b.binop("add", gid, (2 * k + j) * n), w)
+        kernel = Kernel("shflrow", buffers=["in", "out"], body=b.finish())
+        data = np.arange(n).astype(np.float32) * 7.0
+        device, _ = run_combo(kernel, grid, block, mode, backend,
+                              out_size=2 * len(offsets) * n,
+                              out_dtype=np.float32, in_data=data)
+        out = device.get("out").reshape(len(offsets), 2, n)
+        for k, offset in enumerate(offsets):
+            expected = np.empty(n, dtype=np.float32)
+            for g in range(n):
+                lane = g % block
+                sub = lane % width
+                target = {"up": sub - offset, "down": sub + offset,
+                          "xor": sub ^ offset, "idx": offset}[shfl_mode]
+                source = lane - sub + target
+                ok = 0 <= target < width and source < block
+                expected[g] = data[g - lane + (source if ok else lane)]
+            np.testing.assert_array_equal(out[k, 0], expected)
+            np.testing.assert_array_equal(out[k, 1], expected)
+
 
 class TestExactErrorMessages:
     """Compiled traces must fail with the interpreter's exact messages."""

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.codegen import Tunables
-from repro.perf import ProfileCache, shutdown_scheduler
+from repro.perf import ProfileCache, default_cache, shutdown_scheduler
 from repro.perf import parallel as parallel_mod
 from repro.perf.parallel import (
     MAX_WORKERS_ENV,
@@ -354,8 +354,7 @@ class TestEngineReachesSweep:
     every profile is computed by the sweep under test."""
 
     @pytest.fixture(autouse=True)
-    def _fresh_workers(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_worker_frameworks", {})
+    def _fresh_workers(self):
         shutdown_scheduler()
         yield
         shutdown_scheduler()
@@ -426,3 +425,33 @@ class TestEngineReachesSweep:
         ]
         cache = ProfileCache(disk_dir=tmp_path)
         _assert_engine(cache.get(key) for key in keys)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_profile_many_uses_only_its_own_cache(workers, tmp_path, monkeypatch):
+    """A framework with its own cache computes its sweep misses without
+    reading or writing the process default cache, serial or pooled.
+    Pool workers fork after the default cache gains a disk tier, so a
+    worker that stored into its (inherited) default cache would leave a
+    file there."""
+    default = default_cache()
+    monkeypatch.setattr(default, "disk_dir", tmp_path)
+    shutdown_scheduler()
+    before = default.stats.as_dict()
+    fw = ReductionFramework(op="add", cache=ProfileCache())
+    specs = [
+        ("b", 5003 + workers, Tunables(block=64, grid=grid))
+        for grid in (4, 8, 16, 32)
+    ]
+    try:
+        entries = fw.profile_many(specs, max_workers=workers)
+    finally:
+        shutdown_scheduler()
+    after = default.stats.as_dict()
+    for counter in ("stores", "hits", "misses", "disk_hits"):
+        assert after[counter] == before[counter], counter
+    assert list(tmp_path.iterdir()) == []
+    assert (fw.cache.stats.misses, fw.cache.stats.stores) == (
+        len(specs), len(specs)
+    )
+    assert [fw.cache.get(fw.profile_key(*spec)) for spec in specs] == entries
