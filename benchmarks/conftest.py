@@ -5,11 +5,9 @@ evaluation (Section IV). Results are printed and also written to
 ``benchmarks/out/<name>.txt`` so EXPERIMENTS.md can reference them.
 
 The profiles behind the timing model are architecture-independent and
-live in the unified :mod:`repro.perf` cache. The harness enables the
-cache's on-disk tier under ``benchmarks/out/cache/`` (override with
-``REPRO_CACHE_DIR``), so a *repeat* benchmark run skips re-simulation
-entirely — delete that directory or run ``python -m repro cache --clear``
-to force cold numbers.
+live in the unified in-memory :mod:`repro.perf` cache, shared by every
+bench in one pytest process. Nothing persists across processes, so
+every run is cold.
 """
 
 import os
@@ -17,10 +15,7 @@ from pathlib import Path
 
 import pytest
 
-_OUT = Path(__file__).parent / "out"
-os.environ.setdefault("REPRO_CACHE_DIR", str(_OUT / "cache"))
-
-from repro import ReductionFramework, Tunables  # noqa: E402  (after env setup)
+from repro import ReductionFramework, Tunables
 
 #: The paper's x-axis: array sizes from 64 to ~260M 32-bit elements.
 PAPER_SIZES = [

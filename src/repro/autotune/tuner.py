@@ -60,10 +60,8 @@ def sweep_specs(
     """The full ``(version, n, tunables)`` grid a tuning sweep profiles.
 
     One canonical enumeration — sorted sizes × catalog order ×
-    :func:`configurations` — shared by :func:`tune_all`,
-    :meth:`~repro.autotune.selector.DynamicSelector.build` and the
-    ``repro sweep`` CLI, so a ``repro sweep`` profiles *exactly* the
-    grid ``tune_all`` would.
+    :func:`configurations` — shared by :func:`tune_all` and
+    :meth:`~repro.autotune.selector.DynamicSelector.build`.
     """
     candidates = (
         candidates if candidates is not None else list(framework.catalog)

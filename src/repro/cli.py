@@ -8,9 +8,7 @@ Commands:
 * ``reduce``    — run a reduction on random data on the simulator;
 * ``time``      — modelled wall times across architectures;
 * ``tune``      — sweep tunable parameters for one version;
-* ``sweep``     — profile a tuning grid into the profile cache;
 * ``sanitize``  — race/barrier-divergence sanitizer over the catalog;
-* ``cache``     — inspect or clear the unified profile cache;
 * ``trace``     — run any command with tracing on, write a Chrome trace
   (and, with ``--flame``, a collapsed-stack flamegraph);
 * ``stats``     — dump the metrics-registry snapshot;
@@ -19,9 +17,9 @@ Commands:
 * ``bench``     — report on the append-only bench ledger
   (``BENCH_ledger.jsonl``) with per-metric regression attribution.
 
-Set ``REPRO_CACHE_DIR`` to persist profiles on disk across invocations;
-``--cache-stats`` on ``time``/``tune`` prints hit/miss/time-saved
-statistics for the invocation. Set ``REPRO_TRACE=<path>`` to trace any
+Profiles are cached in process memory only. ``--cache-stats`` on
+``time``/``tune`` prints hit/miss/time-saved statistics for the
+invocation. Set ``REPRO_TRACE=<path>`` to trace any
 invocation (or any library use) without the ``trace`` verb.
 """
 
@@ -141,7 +139,7 @@ def _print_cache_stats() -> None:
 
     stats = default_cache().stats
     print(
-        f"[cache] hits={stats.hits} (disk {stats.disk_hits}) "
+        f"[cache] hits={stats.hits} "
         f"misses={stats.misses} stores={stats.stores} "
         f"simulation saved={stats.time_saved_s:.2f}s "
         f"spent={stats.compute_time_s:.2f}s"
@@ -166,11 +164,9 @@ def cmd_reduce(args) -> int:
     fw = _framework(args)
     rng = np.random.default_rng(args.seed)
     data = rng.random(args.n).astype(np.float32)
-    tunables = Tunables(block=args.block, grid=args.grid) if (
-        args.block or args.grid
-    ) else None
-    if tunables is None and args.block:
-        tunables = Tunables(block=args.block)
+    tunables = None
+    if args.block or args.grid:
+        tunables = Tunables(block=args.block or Tunables.block, grid=args.grid)
     result = fw.run(data, version=args.version, tunables=tunables)
     reference = {
         "add": float(data.sum(dtype=np.float64)),
@@ -225,51 +221,6 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    import time as _time
-
-    from .autotune.tuner import DEFAULT_BLOCKS, DEFAULT_GRIDS, sweep_specs
-    from .perf import default_cache
-    from .runtime import ReductionFramework
-
-    if args.sizes:
-        sizes = [int(token) for token in args.sizes.split(",") if token]
-    elif args.n is not None:
-        sizes = [args.n]
-    else:
-        print("repro sweep: input size required (-n or --sizes)",
-              file=sys.stderr)
-        return 2
-    blocks = (
-        tuple(int(token) for token in args.blocks.split(","))
-        if args.blocks else DEFAULT_BLOCKS
-    )
-    grids = (
-        tuple(
-            None if token.lower() == "none" else int(token)
-            for token in args.grids.split(",")
-        )
-        if args.grids else DEFAULT_GRIDS
-    )
-    candidates = args.versions.split(",") if args.versions else None
-
-    cache = default_cache()
-    fw = ReductionFramework(
-        op=args.op,
-        unroll=args.unroll,
-        engine=args.engine or "compiled",
-        cache=cache,
-    )
-    specs = sweep_specs(fw, sizes, candidates, blocks, grids)
-    start = _time.perf_counter()
-    fw.profile_many(specs, max_workers=args.jobs)
-    wall = _time.perf_counter() - start
-    print(f"[sweep] {len(specs)} grid points in {wall:.3f}s")
-    stats = cache.stats.as_dict()
-    print("[sweep] cache: " + ", ".join(f"{k}={v}" for k, v in stats.items()))
-    return 0
-
-
 def cmd_sanitize(args) -> int:
     from .sanitize import (
         check_negatives,
@@ -316,35 +267,6 @@ def cmd_sanitize(args) -> int:
            f"unflagged" if negative_reports else "")
     )
     return 1 if (dirty or unflagged) else 0
-
-
-def cmd_cache(args) -> int:
-    from .perf import default_cache, default_plan_cache
-
-    cache = default_cache()
-    if args.clear:
-        cache.clear(memory=True, disk=True)
-        default_plan_cache().clear(memory=True)
-        print("cache cleared (memory + disk)")
-        return 0
-    info = cache.disk_info()
-    if info["dir"]:
-        print(f"disk tier: {info['dir']}")
-        print(f"  entries: {info['entries']}")
-        print(f"  size:    {info['bytes'] / 1024:.1f} KiB")
-    else:
-        print("disk tier: disabled (set REPRO_CACHE_DIR to enable)")
-    print(f"memory tier: {len(cache)}/{cache.max_entries} entries")
-    stats = cache.stats.as_dict()
-    print("this process: " + ", ".join(f"{k}={v}" for k, v in stats.items()))
-    plans = default_plan_cache()
-    print(f"plan cache (memory only): {len(plans)}/{plans.max_entries} entries")
-    plan_stats = plans.stats.as_dict()
-    print(
-        "this process: "
-        + ", ".join(f"{k}={v}" for k, v in plan_stats.items())
-    )
-    return 0
 
 
 def cmd_trace(args) -> int:
@@ -494,39 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser(
-        "sweep",
-        help="profile a tuning grid into the profile cache",
-        description=(
-            "Profile the canonical tune_all grid — sizes × version "
-            "catalog × tunables — on the persistent process pool into "
-            "the default profile cache. Set REPRO_CACHE_DIR to keep "
-            "the profiles on disk for later 'repro tune' / 'repro "
-            "time' runs."
-        ),
-    )
-    _add_common(p)
-    p.add_argument("-n", "--size", type=int, dest="n", default=None,
-                   help="single input size (elements)")
-    p.add_argument("--sizes", default=None,
-                   help="comma-separated input sizes (overrides -n)")
-    p.add_argument("--versions", default=None,
-                   help="comma-separated Figure 6 labels "
-                        "(default: the full catalog)")
-    p.add_argument("--blocks", default=None,
-                   help="comma-separated block sizes (default: the "
-                        "tuner's grid)")
-    p.add_argument("--grids", default=None,
-                   help="comma-separated grid sizes, 'none' for "
-                        "size-derived (default: the tuner's grid)")
-    p.add_argument("--unroll", action="store_true")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel profiling workers (default: auto)")
-    p.add_argument("--engine", default="compiled", type=_engine_spec,
-                   help="simulator backend used for profiling (see "
-                        "'reduce --engine')")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
         "sanitize",
         help="run the SIMT sanitizer over generated variants",
         description=(
@@ -559,18 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the full report as JSON")
     p.set_defaults(func=cmd_sanitize)
-
-    p = sub.add_parser(
-        "cache",
-        help="inspect or clear the profile cache",
-        description=(
-            "Show profile- and plan-cache statistics, or drop every "
-            "cached profile with --clear."
-        ),
-    )
-    p.add_argument("--clear", action="store_true",
-                   help="drop every cached profile (memory + disk)")
-    p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser(
         "trace",

@@ -25,7 +25,6 @@ from ..core.pipeline import PreprocessResult
 from ..core.sources import identity_value
 from ..core.variants import Version, fig6_label
 from ..lang.errors import SynthesisError
-from ..perf import content_key
 from ..vir import (
     Arg,
     IRBuilder,
@@ -203,8 +202,8 @@ def kernel_key(
     n: int,
     tunables: Tunables = None,
     backend: str = "compiled",
-) -> str:
-    """Content-hash key of the kernels behind one plan (see
+) -> tuple:
+    """Key of the kernels behind one plan in the plan cache (see
     ``repro.perf``).
 
     Everything that shapes a kernel's code is in the key: operator,
@@ -216,15 +215,15 @@ def kernel_key(
     kernel object identity.
     """
     t = tunables or Tunables()
-    return content_key(
-        kind="kernels",
-        op=pre.reduction_op,
-        ctype=_element_ctype(pre),
-        version=version.identifier,
-        block=t.block,
-        unit_stride=_unit_stride(version, launch_geometry(version, n, t)),
-        passes=_pipeline_fingerprint(pre),
-        backend=backend,
+    return (
+        "kernels",
+        pre.reduction_op,
+        _element_ctype(pre),
+        version.identifier,
+        t.block,
+        _unit_stride(version, launch_geometry(version, n, t)),
+        _pipeline_fingerprint(pre),
+        backend,
     )
 
 

@@ -162,14 +162,8 @@ def explain_profile(profile, num_memsets, arch, label=None) -> dict:
     }
 
 
-def explain_variant(
-    framework,
-    version,
-    n: int,
-    arch="pascal",
-    tunables=None,
-    sample_limit=None,
-) -> dict:
+def explain_variant(framework, version, n: int, arch="pascal",
+                    tunables=None) -> dict:
     """Explain one Figure-6 variant at size ``n`` on one architecture."""
     from ..gpusim import get_architecture
     from ..gpusim.arch import Architecture
@@ -177,9 +171,7 @@ def explain_variant(
     if not isinstance(arch, Architecture):
         arch = get_architecture(arch)
     resolved = framework.resolve(version)
-    profile, num_memsets = framework.profile(
-        resolved, n, tunables, sample_limit=sample_limit
-    )
+    profile, num_memsets = framework.profile(resolved, n, tunables)
     label = version if isinstance(version, str) else resolved.identifier
     explanation = explain_profile(profile, num_memsets, arch, label=label)
     explanation["identifier"] = resolved.identifier
@@ -251,13 +243,11 @@ def diff_explanations(a: dict, b: dict) -> dict:
     }
 
 
-def explain_diff(
-    framework, version_a, version_b, n: int, arch="pascal", tunables=None,
-    sample_limit=None,
-) -> dict:
+def explain_diff(framework, version_a, version_b, n: int, arch="pascal",
+                 tunables=None) -> dict:
     """A/B attribution between two variants (``repro explain --diff``)."""
-    a = explain_variant(framework, version_a, n, arch, tunables, sample_limit)
-    b = explain_variant(framework, version_b, n, arch, tunables, sample_limit)
+    a = explain_variant(framework, version_a, n, arch, tunables)
+    b = explain_variant(framework, version_b, n, arch, tunables)
     return diff_explanations(a, b)
 
 

@@ -202,10 +202,6 @@ def _cache_stats() -> dict:
     }
     stats["profile"]["entries"] = len(profile)
     stats["plan"]["entries"] = len(plan)
-    disk = profile.disk_info()
-    if disk["dir"]:
-        stats["profile"]["disk_entries"] = disk["entries"]
-        stats["profile"]["disk_bytes"] = disk["bytes"]
     return stats
 
 

@@ -1,19 +1,16 @@
 """Performance layer: unified profile cache + parallel sweep evaluation.
 
-See :mod:`repro.perf.cache` for the content-hash-keyed two-tier cache
-and :mod:`repro.perf.parallel` for the profiling pool. The batched
+See :mod:`repro.perf.cache` for the bounded in-memory LRU cache and
+:mod:`repro.perf.parallel` for the profiling pool. The batched
 simulator itself lives in :mod:`repro.gpusim.engine`; ``docs/PERFORMANCE.md``
 describes how the three pieces compose.
 """
 
 from .cache import (
-    CACHE_DIR_ENV,
     CacheStats,
     DEFAULT_MAX_ENTRIES,
     DEFAULT_PLAN_ENTRIES,
     ProfileCache,
-    configure,
-    content_key,
     default_cache,
     default_plan_cache,
 )
@@ -25,14 +22,11 @@ from .parallel import (
 )
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "CacheStats",
     "DEFAULT_MAX_ENTRIES",
     "DEFAULT_PLAN_ENTRIES",
     "MAX_WORKERS_ENV",
     "ProfileCache",
-    "configure",
-    "content_key",
     "default_cache",
     "default_plan_cache",
     "map_profiles",

@@ -65,21 +65,19 @@ def resolve_workers(max_workers=None) -> int:
 def _profile_spec(spec):
     """Worker entry point: profile one (version, n, tunables) point.
 
-    ``spec`` is ``(op, ctype, unroll, version, n, tunables,
-    sample_limit, engine)`` with a picklable frozen-dataclass
-    version/tunables; ``engine`` is the calling framework's backend, so
-    every launch runs on the engine it asked for. No profile cache is
+    ``spec`` is ``(op, ctype, unroll, version, n, tunables, engine)``
+    with a picklable frozen-dataclass version/tunables; ``engine`` is
+    the calling framework's backend, so every launch runs on the engine
+    it asked for. No profile cache is
     read or written here: the caller inserts the result into its own.
     Returns ``(profile, num_memsets, cost_s)``.
     """
     from ..runtime.session import _frontend, profile_point
 
-    op, ctype, unroll, version, n, tunables, sample_limit, engine = spec
+    op, ctype, unroll, version, n, tunables, engine = spec
     _analyzed, pre = _frontend(op, ctype, unroll)
     start = time.perf_counter()
-    profile, num_memsets = profile_point(
-        pre, version, n, tunables, sample_limit, engine
-    )
+    profile, num_memsets = profile_point(pre, version, n, tunables, engine)
     return profile, num_memsets, time.perf_counter() - start
 
 
@@ -110,12 +108,9 @@ def predicted_cost(spec) -> float:
 
     n = int(spec[4])
     tunables = spec[5]
-    sample_limit = spec[6]
     block = getattr(tunables, "block", None) or 256
     grid = getattr(tunables, "grid", None) or max(1, -(-n // block))
-    if sample_limit is not None:
-        blocks = min(grid, max(1, int(sample_limit)))
-    elif grid > SAMPLING_GRID_LIMIT:
+    if grid > SAMPLING_GRID_LIMIT:
         blocks = PROFILE_SAMPLE_BLOCKS
     else:
         blocks = grid

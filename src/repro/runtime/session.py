@@ -12,9 +12,9 @@
 Timing runs execute a *sampled* subset of blocks on the functional
 simulator to collect events, then feed the analytic per-architecture
 model. Events are architecture-independent, so one profile serves all
-three GPUs; profiles live in the unified content-hash-keyed cache of
-:mod:`repro.perf` (shared across framework instances, with an optional
-on-disk tier), and sweeps over many (version × size × tunables) points
+three GPUs; profiles live in the unified in-memory cache of
+:mod:`repro.perf` (shared across framework instances in the process),
+and sweeps over many (version × size × tunables) points
 fan out over the :mod:`repro.perf.parallel` pool.
 """
 
@@ -52,7 +52,7 @@ from ..gpusim import (
     plan_time,
 )
 from ..obs import default_metrics, get_tracer
-from ..perf import ProfileCache, content_key, default_cache, map_profiles
+from ..perf import ProfileCache, default_cache, map_profiles
 from ..vir import MemsetStep
 
 #: The profiling sampling policy: a launch whose grid exceeds
@@ -142,9 +142,6 @@ class ReductionFramework:
         self.versions = prune_versions(self.all_versions)
         self.catalog = dict(FIG6)
         self.cache = cache if cache is not None else default_cache()
-        #: profile_key memo by raw field tuple. The other key fields come
-        #: from attributes that are never written after ``__init__``.
-        self._profile_keys = {}
 
     # -- version resolution ------------------------------------------------
 
@@ -209,61 +206,41 @@ class ReductionFramework:
 
     # -- timing ---------------------------------------------------------------
 
-    def profile_key(
-        self, version, n: int, tunables: Tunables = None, sample_limit: int = None
-    ) -> str:
-        """Unified-cache key for one profiling point (content hash)."""
-        identifier = self.resolve(version).identifier
+    def profile_key(self, version, n: int, tunables: Tunables = None) -> tuple:
+        """Unified-cache key for one profiling point."""
         t = tunables or Tunables()
-        # Equal numbers of different types (64, np.int64(64)) hash alike
-        # but repr, and so hash into the key, differently.
-        fields = (identifier, int(n), t.block, t.grid, sample_limit,
-                  type(t.block), type(t.grid), type(sample_limit))
-        key = self._profile_keys.get(fields)
-        if key is None:
-            key = content_key(
-                kind="profile",
-                op=self.op,
-                ctype=self.ctype,
-                dtype=str(np.dtype(self.dtype)),
-                version=identifier,
-                n=int(n),
-                block=t.block,
-                grid=t.grid,
-                unroll=self.unroll,
-                # The pass-log fingerprint: cached profiles invalidate
-                # when any pass changes behaviour.
-                passes=_pipeline_fingerprint(self.pre),
-                sample=sample_limit,
-            )
-            self._profile_keys[fields] = key
-        return key
+        return (
+            "profile",
+            self.op,
+            self.ctype,  # determines the device dtype too
+            self.resolve(version).identifier,
+            int(n),
+            t.block,
+            t.grid,
+            self.unroll,
+            # The pass-log fingerprint: cached profiles invalidate
+            # when any pass changes behaviour.
+            _pipeline_fingerprint(self.pre),
+        )
 
-    def profile(
-        self, version, n: int, tunables: Tunables = None, sample_limit: int = None
-    ):
+    def profile(self, version, n: int, tunables: Tunables = None):
         """Sampled event profile of one version at size n (cached)."""
         resolved = self.resolve(version)
-        key = self.profile_key(resolved, n, tunables, sample_limit)
-        return self._profile(resolved, n, tunables, sample_limit, key)
+        key = self.profile_key(resolved, n, tunables)
+        return self._profile(resolved, n, tunables, key)
 
-    def _profile(self, resolved, n, tunables, sample_limit, key):
+    def _profile(self, resolved, n, tunables, key):
         entry = self.cache.get(key)
         if entry is not None:
             return entry
         start = time.perf_counter()
         entry = profile_point(
-            self.pre, resolved, n, tunables, sample_limit, self.engine_backend
+            self.pre, resolved, n, tunables, self.engine_backend
         )
         self.cache.put(key, entry, cost_s=time.perf_counter() - start)
         return entry
 
-    def profile_many(
-        self,
-        specs,
-        sample_limit: int = None,
-        max_workers: int = None,
-    ):
+    def profile_many(self, specs, max_workers: int = None):
         """Profile many ``(version, n, tunables)`` points, fanning the
         missing ones out over the :mod:`repro.perf.parallel` pool.
 
@@ -281,7 +258,7 @@ class ReductionFramework:
             for version, n, tunables in specs
         ]
         keys = [
-            self.profile_key(version, n, tunables, sample_limit)
+            self.profile_key(version, n, tunables)
             for version, n, tunables in resolved
         ]
         entries = [self.cache.get(key) for key in keys]
@@ -300,7 +277,6 @@ class ReductionFramework:
                     resolved[index][0],
                     resolved[index][1],
                     resolved[index][2],
-                    sample_limit,
                     self.engine_backend,
                 )
                 for index in missing
@@ -319,9 +295,7 @@ class ReductionFramework:
                 worker_specs, max_workers=max_workers, on_result=_insert
             )
             for index in missing:
-                entries[index] = self._profile(
-                    *resolved[index], sample_limit, keys[index]
-                )
+                entries[index] = self._profile(*resolved[index], keys[index])
         # Completion order varies run to run; touching in spec order
         # restores deterministic LRU recency (and thus eviction order)
         # identical to a serial sweep.
@@ -331,17 +305,10 @@ class ReductionFramework:
         metrics.inc("sweep.misses", len(missing))
         return entries
 
-    def time(
-        self,
-        n: int,
-        version,
-        arch,
-        tunables: Tunables = None,
-        sample_limit: int = None,
-    ) -> float:
+    def time(self, n: int, version, arch, tunables: Tunables = None) -> float:
         """Modelled wall time (seconds) of one version on one architecture."""
         arch = _resolve_arch(arch)
-        profile, num_memsets = self.profile(version, n, tunables, sample_limit)
+        profile, num_memsets = self.profile(version, n, tunables)
         with get_tracer().span(
             "timing.model",
             arch=arch.name,
@@ -382,7 +349,7 @@ class ReductionFramework:
         return best_key, best_time
 
 
-def profile_point(pre, version, n, tunables, sample_limit, backend):
+def profile_point(pre, version, n, tunables, backend):
     """``(profile, num_memsets)`` of one sweep point of the frontend
     result ``pre``, computed without touching any profile cache: callers
     own the caching (:meth:`ReductionFramework._profile`, and the
@@ -390,7 +357,7 @@ def profile_point(pre, version, n, tunables, sample_limit, backend):
     calling framework inserts)."""
     with get_tracer().span("sweep.point", version=version.identifier, n=int(n)):
         plan = build_plan_cached(pre, version, n, tunables, backend=backend)
-        profile = _profile_plan(plan, n, sample_limit, backend=backend)
+        profile = _profile_plan(plan, n, backend=backend)
     num_memsets = sum(1 for step in plan.steps if isinstance(step, MemsetStep))
     return profile, num_memsets
 
@@ -400,14 +367,11 @@ def profile_point(pre, version, n, tunables, sample_limit, backend):
 # ---------------------------------------------------------------------
 
 
-def _profile_plan(
-    plan,
-    n: int,
-    sample_limit: int = None,
-    backend: str = "compiled",
-) -> PlanProfile:
+def _profile_plan(plan, n: int, backend: str = "compiled") -> PlanProfile:
     """Event profile of ``plan`` on an ``n``-element input of zeros,
-    under the profiling sampling policy unless ``sample_limit`` is set."""
+    under the profiling sampling policy: a launch grid above
+    ``SAMPLING_GRID_LIMIT`` blocks runs ``PROFILE_SAMPLE_BLOCKS``
+    sampled blocks."""
     # The input buffer's dtype must match the plan's element type — an
     # int-element framework profiles against an int32 device array (the
     # transaction/coalescing counters depend on the element width). The
@@ -417,20 +381,17 @@ def _profile_plan(
     device = Device()
     device.bind("in", np.broadcast_to(np.zeros(1, dtype=dtype), (n,)))
     executor = Executor(device=device, backend=backend)
-    if sample_limit is None:
-        max_grid = max(step.grid for step in plan.kernel_steps())
-        sample_limit = (
-            None if max_grid <= SAMPLING_GRID_LIMIT else PROFILE_SAMPLE_BLOCKS
-        )
+    max_grid = max(step.grid for step in plan.kernel_steps())
+    sample_limit = (
+        None if max_grid <= SAMPLING_GRID_LIMIT else PROFILE_SAMPLE_BLOCKS
+    )
     return executor.run_plan(plan, sample_limit=sample_limit)
 
 
 def _baseline_profile(kind: str, n: int, op: str, build) -> PlanProfile:
     """Profile a baseline plan through the unified (bounded) cache."""
     cache = default_cache()
-    key = content_key(
-        kind=kind, op=op, n=int(n), dtype="float32", ctype="float"
-    )
+    key = (kind, op, int(n))
 
     def compute():
         return _profile_plan(build(n, op), n)

@@ -23,7 +23,6 @@ def _run(argv, cwd, extra_env=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_TRACE", None)  # isolate from an env-traced test run
-    env.pop("REPRO_CACHE_DIR", None)  # fresh process must really miss
     if extra_env:
         env.update(extra_env)
     return subprocess.run(

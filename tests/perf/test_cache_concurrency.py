@@ -1,13 +1,9 @@
-"""Disk-tier cache races: regression tests for concurrent cache use.
+"""Cache races: regression tests for concurrent cache use.
 
-The original implementation performed pickle I/O while holding the
-cache lock (convoying every other session on a slow disk) and could
-crash in ``disk_info`` when a concurrent ``clear(disk=True)`` unlinked
-files mid-listing.  Any caller may share the process-wide cache across
-threads, so these tests hammer one cache from many threads and assert
-its invariants: no exceptions, no lost entries, consistent stats
-accounting, and in-process entry identity (the first-published object
-wins).
+Any caller may share the process-wide cache across threads, so these
+tests hammer one cache from many threads and assert its invariants: no
+exceptions, no lost entries, consistent stats accounting, and a bound
+that holds under contention.
 """
 
 import threading
@@ -16,9 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.perf import ProfileCache
 
 
-class TestDiskTierRaces:
-    def test_hammer_get_put_with_disk_tier(self, tmp_path):
-        cache = ProfileCache(max_entries=64, disk_dir=tmp_path)
+class TestCacheRaces:
+    def test_hammer_get_put_from_threads(self):
+        cache = ProfileCache(max_entries=64)
         keys = [f"key-{i}" for i in range(16)]
         errors = []
         barrier = threading.Barrier(8)
@@ -44,72 +40,8 @@ class TestDiskTierRaces:
         for key in keys:
             assert cache.get(key) == {"key": key}
         stats = cache.stats
-        assert stats.hits + stats.misses + stats.disk_hits > 0
+        assert stats.hits + stats.misses > 0
         assert stats.stores >= len(keys)
-
-    def test_disk_promotion_prefers_in_process_entry(self, tmp_path):
-        # Two caches share a disk dir (two processes, in effect).  After
-        # cache B writes, cache A must promote the disk entry — but once
-        # an in-process object exists, repeated gets return THAT object,
-        # because id-keyed memos downstream rely on identity.
-        a = ProfileCache(disk_dir=tmp_path)
-        b = ProfileCache(disk_dir=tmp_path)
-        b.put("shared", {"origin": "b"})
-        first = a.get("shared")
-        assert first == {"origin": "b"}
-        assert a.get("shared") is first
-        assert a.stats.disk_hits == 1
-
-    def test_clear_races_disk_info(self, tmp_path):
-        cache = ProfileCache(disk_dir=tmp_path)
-        for i in range(32):
-            cache.put(f"k{i}", i)
-        errors = []
-        stop = threading.Event()
-
-        def lister():
-            while not stop.is_set():
-                try:
-                    info = cache.disk_info()
-                    assert info["entries"] >= 0
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(repr(exc))
-
-        thread = threading.Thread(target=lister)
-        thread.start()
-        try:
-            for _ in range(20):
-                cache.clear(memory=True, disk=True)
-                for i in range(8):
-                    cache.put(f"k{i}", i)
-        finally:
-            stop.set()
-            thread.join()
-        assert errors == []
-
-    def test_concurrent_writers_last_one_wins_without_corruption(
-        self, tmp_path
-    ):
-        cache = ProfileCache(disk_dir=tmp_path)
-        barrier = threading.Barrier(6)
-
-        def writer(tag):
-            barrier.wait()
-            for _ in range(30):
-                cache.put("contested", {"tag": tag})
-
-        threads = [
-            threading.Thread(target=writer, args=(i,)) for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Whatever won, the value must be a complete write of SOME tag.
-        value = cache.get("contested")
-        assert value["tag"] in range(6)
-        fresh = ProfileCache(disk_dir=tmp_path)
-        assert fresh.get("contested")["tag"] in range(6)
 
     def test_lru_eviction_stays_bounded_under_threads(self):
         cache = ProfileCache(max_entries=10)

@@ -24,17 +24,18 @@ from repro.perf.parallel import (
 from repro.runtime import ReductionFramework
 
 
-def _spec(n, block=64, grid=8, sample_limit=None):
+def _spec(n, block=64, grid=8):
     return ("add", "float", False, None, n, Tunables(block=block, grid=grid),
-            sample_limit)
+            "compiled")
 
 
 class TestDispatchOrder:
     def test_large_unsampled_cost_dominates(self):
         # Unsampled profiles touch every element (cost ~ n); a sampled
-        # profile of the same n touches a few blocks' worth.
+        # profile of the same n (a grid above the sampling limit)
+        # touches a few blocks' worth.
         big_unsampled = _spec(1 << 20, block=256, grid=64)
-        big_sampled = _spec(1 << 20, block=256, grid=4096, sample_limit=3)
+        big_sampled = _spec(1 << 20, block=256, grid=4096)
         small = _spec(1024, block=64, grid=8)
         assert predicted_cost(big_unsampled) > predicted_cost(big_sampled)
         assert predicted_cost(big_unsampled) > predicted_cost(small)
@@ -48,7 +49,7 @@ class TestDispatchOrder:
         assert order[2:] == [0, 2]  # equal costs keep submission order
 
     def test_none_tunables_are_schedulable(self):
-        spec = ("add", "float", False, None, 4096, None, None)
+        spec = ("add", "float", False, None, 4096, None, "compiled")
         assert predicted_cost(spec) > 0
 
 
@@ -302,7 +303,7 @@ class TestFaultTolerance:
         fw = ReductionFramework(op="add", cache=ProfileCache())
         specs = [
             (fw.op, fw.ctype, fw.unroll, fw.resolve(version), n, tunables,
-             None, fw.engine_backend)
+             fw.engine_backend)
             for version, n, tunables in _specs()
         ]
         expected = parallel_mod.map_profiles(specs, max_workers=1)
@@ -405,37 +406,12 @@ class TestEngineReachesSweep:
         )
         _assert_engine(self._cached(fw))
 
-    def test_cli_sweep(self, workers, tmp_path, monkeypatch):
-        from repro.cli import main
-        from repro.perf import CACHE_DIR_ENV
-        from repro.perf import cache as cache_mod
-
-        # `repro sweep` profiles into the default cache; point its disk
-        # tier at tmp_path and read back every profile the sweep wrote.
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(cache_mod, "_default_cache", None)
-        assert main([
-            "sweep", "--sizes", str(3501 + workers), "--versions", "b,p",
-            "--blocks", "64,128", "--grids", "none,8", "--engine", ENGINE,
-            "--jobs", str(workers),
-        ]) == 0
-        suffix = cache_mod._DISK_SUFFIX
-        keys = [
-            path.name[: -len(suffix)] for path in tmp_path.glob(f"*{suffix}")
-        ]
-        cache = ProfileCache(disk_dir=tmp_path)
-        _assert_engine(cache.get(key) for key in keys)
-
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_profile_many_uses_only_its_own_cache(workers, tmp_path, monkeypatch):
+def test_profile_many_uses_only_its_own_cache(workers):
     """A framework with its own cache computes its sweep misses without
-    reading or writing the process default cache, serial or pooled.
-    Pool workers fork after the default cache gains a disk tier, so a
-    worker that stored into its (inherited) default cache would leave a
-    file there."""
+    reading or writing the process default cache, serial or pooled."""
     default = default_cache()
-    monkeypatch.setattr(default, "disk_dir", tmp_path)
     shutdown_scheduler()
     before = default.stats.as_dict()
     fw = ReductionFramework(op="add", cache=ProfileCache())
@@ -448,9 +424,8 @@ def test_profile_many_uses_only_its_own_cache(workers, tmp_path, monkeypatch):
     finally:
         shutdown_scheduler()
     after = default.stats.as_dict()
-    for counter in ("stores", "hits", "misses", "disk_hits"):
+    for counter in ("stores", "hits", "misses"):
         assert after[counter] == before[counter], counter
-    assert list(tmp_path.iterdir()) == []
     assert (fw.cache.stats.misses, fw.cache.stats.stores) == (
         len(specs), len(specs)
     )

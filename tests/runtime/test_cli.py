@@ -38,6 +38,13 @@ class TestCli:
         assert main(["reduce", "5000", "--version", "b", "--block", "128",
                      "--grid", "32"]) == 0
 
+    @pytest.mark.parametrize("tunable", [["--grid", "32"],
+                                         ["--block", "128"]])
+    def test_reduce_with_one_tunable(self, tunable, capsys):
+        """Either tunable alone runs; the other keeps its default."""
+        assert main(["reduce", "5000", "--version", "b", *tunable]) == 0
+        assert "relative error" in capsys.readouterr().out
+
     def test_reduce_max(self, capsys):
         assert main(["reduce", "3000", "--op", "max", "--version", "n"]) == 0
 
@@ -76,6 +83,13 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("verb", ["sweep", "cache"])
+    def test_retired_cache_verbs_rejected(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb])
+        assert exc.value.code != 0
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_version_errors(self):
         with pytest.raises(KeyError):
