@@ -38,12 +38,37 @@ def _add_common(parser):
     )
 
 
+def _positive_int(value: str) -> int:
+    """argparse type for sizes and launch geometry: an int >= 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {number}")
+    return number
+
+
+def _block_size(value: str) -> int:
+    """argparse type for ``--block``: a block size ``Tunables`` accepts."""
+    from .codegen import Tunables
+    from .lang import SynthesisError
+
+    block = _positive_int(value)
+    try:
+        Tunables(block=block)
+    except SynthesisError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return block
+
+
 def _add_size(parser):
     """Input size: positional (``reduce 1000``) or ``-n`` (``reduce -n
     1000``) — the option form reads naturally under the ``trace`` verb."""
-    parser.add_argument("n", type=int, nargs="?", default=None,
+    parser.add_argument("n", type=_positive_int, nargs="?", default=None,
                         help="input size (elements)")
-    parser.add_argument("-n", "--size", type=int, dest="n_opt", default=None,
+    parser.add_argument("-n", "--size", type=_positive_int, dest="n_opt",
+                        default=None,
                         help="input size (alternative to the positional)")
 
 
@@ -165,8 +190,9 @@ def cmd_reduce(args) -> int:
     rng = np.random.default_rng(args.seed)
     data = rng.random(args.n).astype(np.float32)
     tunables = None
-    if args.block or args.grid:
-        tunables = Tunables(block=args.block or Tunables.block, grid=args.grid)
+    if args.block is not None or args.grid is not None:
+        block = Tunables.block if args.block is None else args.block
+        tunables = Tunables(block=block, grid=args.grid)
     result = fw.run(data, version=args.version, tunables=tunables)
     reference = {
         "add": float(data.sum(dtype=np.float64)),
@@ -384,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_size(p)
     p.add_argument("--version", default="p")
-    p.add_argument("--block", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--block", type=_block_size, default=None)
+    p.add_argument("--grid", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="compiled", type=_engine_spec,
                    help=_engine_help())

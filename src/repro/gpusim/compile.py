@@ -33,24 +33,11 @@ state's ``_run_trace``:
 Structured control flow compiles to closures holding pre-compiled
 sub-traces (``If``/``While`` delegate to the run state's ``_exec_if_c`` /
 ``_exec_while_c``, which mirror the interpreted region semantics
-exactly). On top of that, loops whose trip count is a **block-uniform
-compile-time constant** — proven by the abstract interpreter in
-:mod:`repro.vir.analysis`, e.g. the Listing 4 reduction-tree loops whose
-induction registers are seeded from immediates — are **unrolled**: the
-trace splices ``cond_block + trips × (body + cond_block)`` straight-line
-into the parent, which is instruction-for-instruction the interpreter's
-dynamic sequence (a uniform-true condition leaves the active mask equal
-to the entry mask, and the dropped ``active &= cond`` updates produce no
-events or register changes). Unrolling also preserves the
-``branch.divergent`` loop accounting bit-for-bit: only *divergent*
-back-edge tests count, and a loop is only unrolled when its condition
-is block-uniform — i.e. provably never divergent — so both backends
-report the same (zero) contribution for it.
-
-Loops that stay loops carry the periodicity proof of
-:func:`repro.vir.analysis.summarize_loop` (top-level loops only) into
-their closure, so a sampled launch can skip proven-periodic trips
-(``_BatchedRun._exec_while_c``); the kernel's
+exactly), so every loop — the Listing 4 reduction trees included — runs
+as a loop and the trace has one closure per top-level instruction. Each
+top-level loop closure carries the periodicity proof of
+:func:`repro.vir.analysis.summarize_loop`, so a sampled launch can skip
+proven-periodic trips (``_BatchedRun._exec_while_c``); the kernel's
 :func:`~repro.vir.analysis.data_dependence` verdict rides on the
 :class:`CompiledKernel`.
 
@@ -67,8 +54,8 @@ launch): given the kernel's data registers
 destination is data compiles to a bare ``inst.alu`` count, and memory,
 atomic and shuffle instructions call the *event half* of their run-state
 method (``_ld_global_events``, ...: indices, bounds checks, validation,
-counters) and move no value. Unrolling and loop summaries are decided
-exactly as for the full trace, so both traces count the same events.
+counters) and move no value. Loop summaries are decided exactly as for
+the full trace, so both traces count the same events.
 
 Results and event counters are bit-identical to the interpreter on every
 kernel; ``tests/gpusim/test_compiled_engine.py`` enforces this
@@ -78,7 +65,7 @@ exhaustively over the Figure 6 catalog.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,8 +75,6 @@ from ..vir.analysis import (
     data_registers,
     eval_const_instr,
     summarize_loop,
-    uniform_trip_count,
-    written_regs,
 )
 from ..vir.instructions import (
     Arg,
@@ -112,7 +97,6 @@ from ..vir.instructions import (
     StShared,
     UnOp,
     While,
-    walk_instrs,
 )
 from .engine import (
     SimulationError,
@@ -122,14 +106,6 @@ from .engine import (
     launch_constant,
     memoize_by_identity,
 )
-
-#: Unrolling bounds: a loop unrolls only when the abstract interpreter
-#: proves a trip count <= MAX_TRIPS and the spliced closures (trips ×
-#: body, nested splices included) stay under MAX_SPLICE — past that, the
-#: loop closure is cheaper than the trace it would expand to.
-MAX_TRIPS = 256
-MAX_SPLICE = 4096
-
 
 # ---------------------------------------------------------------------
 # operand readers and ALU implementations
@@ -367,17 +343,16 @@ _INNER_LOOP = LoopSummary(reason="inner", detail="loop is not at the top level")
 
 
 # ---------------------------------------------------------------------
-# kernel compilation with uniform-loop unrolling
+# kernel compilation
 # ---------------------------------------------------------------------
 
 
 @dataclass
 class CompiledKernel:
-    """A kernel's flat closure trace plus compilation statistics."""
+    """A kernel's flat closure trace and its data-dependence verdict."""
 
     kernel_name: str
     trace: list
-    stats: dict = field(default_factory=dict)
     #: Why loaded data can steer this kernel's events, or None when it
     #: is data-oblivious (see :func:`repro.vir.analysis.data_dependence`).
     data_dependence: str = None
@@ -407,125 +382,58 @@ class _KernelCompiler:
     """Compiles one kernel body to a closure trace: the full trace, or
     with ``data`` (the kernel's data registers) the event trace."""
 
-    def __init__(self, kernel, data=None, max_trips=MAX_TRIPS,
-                 max_splice=MAX_SPLICE):
+    def __init__(self, kernel, data=None):
         self.kernel = kernel
         self.data = data
-        self.max_trips = max_trips
-        self.max_splice = max_splice
-        self.top_level = {id(instr) for instr in kernel.body}
-        self.stats = {
-            "instructions": sum(1 for _ in walk_instrs(kernel.body)),
-            "closures": 0,
-            "loops": 0,
-            "unrolled_loops": 0,
-            "unrolled_trips": 0,
-        }
 
     def compile(self) -> list:
-        return self._compile_body(self.kernel.body, {})
+        return self._compile_body(self.kernel.body, env={})
 
-    def _compile_body(self, body, env) -> list:
-        """Compile one region, threading the uniform-constant env
-        (mutated in place) through it."""
+    def _compile_body(self, body, env=None) -> list:
+        """Compile one region. ``env``, the uniform-constant env, is
+        threaded through the top-level body only (mutated in place):
+        :func:`~repro.vir.analysis.summarize_loop` reads it at the entry
+        of each top-level loop. Nested regions pass none, and their
+        loops carry :data:`_INNER_LOOP`."""
         trace = []
         for instr in body:
-            self._compile_instr(instr, env, trace)
+            if type(instr) is While:
+                summary = (
+                    _INNER_LOOP if env is None else summarize_loop(instr, env)
+                )
+                trace.append(_c_while(
+                    instr,
+                    self._compile_body(instr.cond_block),
+                    self._compile_body(instr.body),
+                    summary,
+                ))
+            elif type(instr) is not Comment:  # comments execute nothing
+                trace.append(self._compile_instr(instr))
+            if env is not None:
+                eval_const_instr(instr, env)
         return trace
 
-    def _emit(self, closure, trace) -> None:
-        trace.append(closure)
-        self.stats["closures"] += 1
-
-    def _compile_instr(self, instr, env, trace) -> None:
+    def _compile_instr(self, instr):
         cls = type(instr)
-        if cls is Comment:
-            return  # the interpreter executes nothing for comments
         builder = _ALU_OPS.get(cls)
         if builder is not None:
             if self.data is not None and cls is not Bar and (
                 instr.dst.name in self.data
             ):
                 builder = _c_alu_count
-            self._emit(builder(instr), trace)
-            eval_const_instr(instr, env)
-            return
+            return builder(instr)
         method = _METHOD_OPS.get(cls)
         if method is not None:
             if self.data is not None:
                 method += "_events"
-            self._emit(_c_method(instr, method), trace)
-            eval_const_instr(instr, env)
-            return
+            return _c_method(instr, method)
         if cls is If:
-            then_trace = self._compile_body(instr.then, dict(env))
-            else_trace = (
-                self._compile_body(instr.otherwise, dict(env))
-                if instr.otherwise
-                else []
+            return _c_if(
+                instr,
+                self._compile_body(instr.then),
+                self._compile_body(instr.otherwise),
             )
-            self._emit(_c_if(instr, then_trace, else_trace), trace)
-            eval_const_instr(instr, env)  # poison branch-written regs
-            return
-        if cls is While:
-            self._compile_while(instr, env, trace)
-            return
         raise SimulationError(f"cannot compile {cls.__name__}")
-
-    def _compile_while(self, instr, env, trace) -> None:
-        self.stats["loops"] += 1
-        trips, _ = uniform_trip_count(instr, env, self.max_trips)
-        if trips is not None:
-            spliced = self._try_unroll(instr, trips, env)
-            if spliced is not None:
-                self.stats["unrolled_loops"] += 1
-                self.stats["unrolled_trips"] += trips
-                trace.extend(spliced)
-                return
-        # Regular loop closure. The one compiled body must be valid for
-        # *every* iteration, so its env drops everything the loop writes.
-        written = written_regs([instr])
-        stripped = {k: v for k, v in env.items() if k not in written}
-        cond_trace = self._compile_body(instr.cond_block, dict(stripped))
-        body_trace = self._compile_body(instr.body, dict(stripped))
-        summary = _INNER_LOOP
-        if id(instr) in self.top_level:
-            summary = summarize_loop(instr, env)
-        self._emit(_c_while(instr, cond_trace, body_trace, summary), trace)
-        eval_const_instr(instr, env)  # poison loop-written regs
-
-    def _try_unroll(self, instr, trips, env):
-        """Splice ``cond_block + trips × (body + cond_block)`` compiled
-        under the *evolving* env — exactly the interpreter's dynamic
-        instruction sequence for a uniform-constant loop (nested uniform
-        loops unroll per iteration, with per-iteration envs). Returns
-        the closure list, or None past the size cap; on success the
-        parent env is advanced to the post-loop register state."""
-        spliced = []
-        budget = self.max_splice - self.stats["closures"]
-        trial = dict(env)
-        saved = dict(self.stats)
-        try:
-            self._splice_body(instr.cond_block, trial, spliced, budget)
-            for _ in range(trips):
-                self._splice_body(instr.body, trial, spliced, budget)
-                self._splice_body(instr.cond_block, trial, spliced, budget)
-        except _SpliceOverflow:
-            self.stats.update(saved)  # drop closures counted mid-splice
-            return None
-        env.clear()
-        env.update(trial)
-        return spliced
-
-    def _splice_body(self, body, env, trace, budget) -> None:
-        for instr in body:
-            self._compile_instr(instr, env, trace)
-            if len(trace) > budget:
-                raise _SpliceOverflow
-
-
-class _SpliceOverflow(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------
@@ -549,11 +457,9 @@ def compile_kernel(kernel) -> CompiledKernel:
 def _compile_fresh(kernel) -> CompiledKernel:
     from ..obs import default_metrics  # runtime import: obs is standalone
 
-    compiler = _KernelCompiler(kernel)
     compiled = CompiledKernel(
         kernel_name=kernel.name,
-        trace=compiler.compile(),
-        stats=compiler.stats,
+        trace=_KernelCompiler(kernel).compile(),
         data_dependence=data_dependence(kernel.body),
     )
     metrics = default_metrics()

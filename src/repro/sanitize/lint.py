@@ -1,8 +1,7 @@
 """Static SIMT lint: a VIR pass over kernels, no execution required.
 
 Built on the abstract interpreters in :mod:`repro.vir.analysis` — the
-uniform-constant evaluator (which the closure compiler already uses to
-unroll tree loops) and the block-uniformity tracker. Two checks:
+uniform-constant evaluator and the block-uniformity tracker. Two checks:
 
 * **missing-barrier-in-tree-loop** — a ``While`` body that stores to a
   shared buffer and loads a *different* address of the same buffer with
@@ -267,8 +266,8 @@ def _check_tree_loop(kernel, loop: While, defs, const_env, diags) -> None:
 def _max_offset(loop: While, offset_regs, const_env):
     """Largest constant value any offset register takes across the loop.
 
-    Simulates the loop over the uniform-constant environment (the same
-    interpreter the compiler's unroller uses). Returns ``None`` when a
+    Simulates the loop over the uniform-constant environment (see
+    :func:`repro.vir.analysis.eval_const_instr`). Returns ``None`` when a
     relevant register is never a known constant or the loop does not
     terminate constantly — callers treat that as "cannot prove
     intra-warp".

@@ -1,10 +1,9 @@
-"""Static analysis over VIR: uniform constants, trip counts, data flow.
+"""Static analysis over VIR: uniform constants, data flow, loop proofs.
 
-The closure compiler in :mod:`repro.gpusim.compile` unrolls structured
-loops whose trip counts are statically known — the Listing 4 reduction
-tree loops, whose induction registers are seeded from immediates and
-stepped with constant arithmetic (``offset >>= 1`` style). This module
-provides the conservative abstract interpreter that proves it:
+The core is a conservative abstract interpreter over *uniform
+constants* (:func:`eval_const_instr`). :func:`summarize_loop` reads it
+for a loop's induction start and invariants, and the sanitizer's static
+lint (:mod:`repro.sanitize.lint`) for a tree loop's offsets:
 
 * a register is tracked as a **uniform constant** when every lane of
   every block provably holds the same scalar value at that program
@@ -18,8 +17,8 @@ Scalar evaluation mirrors the engine's numpy semantics exactly for the
 cases it accepts (C-style floor division, bool-as-int coercion); any
 case where Python and numpy could disagree (division by zero, NaN
 ordering, out-of-range shifts) conservatively returns ``UNKNOWN``, so a
-failed analysis can never change observable behaviour — the loop simply
-stays a loop.
+failed analysis can never change observable behaviour — a proof simply
+does not hold.
 
 Two further proofs let sampled launches skip loop trips without
 changing a single event counter (see :func:`data_dependence` and
@@ -290,29 +289,6 @@ def _uniform_operand(operand, env) -> bool:
     if isinstance(operand, Reg):
         return env.get(operand.name, False)
     return False
-
-
-def uniform_trip_count(loop: While, env, max_trips: int = 256):
-    """Trip count of a ``While`` whose condition is uniform-constant.
-
-    Simulates the loop's condition block and body over a copy of the
-    uniform-constant environment. Returns ``(trips, env_after)`` when
-    the loop provably executes its body exactly ``trips`` times for
-    every lane of every block (``env_after`` is the register state after
-    the final condition evaluation); ``(None, None)`` otherwise.
-    """
-    env = dict(env)
-    trips = 0
-    while trips <= max_trips:
-        eval_const_body(loop.cond_block, env)
-        cond = env.get(loop.cond.name, UNKNOWN)
-        if cond is UNKNOWN:
-            return None, None
-        if not cond:
-            return trips, env
-        eval_const_body(loop.body, env)
-        trips += 1
-    return None, None
 
 
 # ---------------------------------------------------------------------

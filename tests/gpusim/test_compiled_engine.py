@@ -1,8 +1,8 @@
 """Compiled vs interpreted execution: bit-identical results and events.
 
 The compiled backend walks each kernel body once and emits a flat list
-of specialized closures (with block-uniform constant loops unrolled into
-the trace), so per-instruction dispatch disappears from the hot loop.
+of specialized closures (one per top-level instruction; loops run as
+loop closures), so per-instruction dispatch disappears from the hot loop.
 Its contract (ISSUE: closure-compiled VIR executor) is that on *every*
 kernel it produces bit-identical results AND identical per-step event
 counters to the tree-walking interpreter, under both the sequential and
@@ -27,6 +27,7 @@ from repro.gpusim import (
 from repro.obs import default_metrics
 from repro.perf import default_plan_cache
 from repro.runtime import ReductionFramework
+from repro.vir import Comment
 
 FIG6_LABELS = "abcdefghijklmnop"
 OPS = ("add", "max", "min")
@@ -215,34 +216,23 @@ class TestCompilation:
         first = compile_kernel(kernel)
         assert compile_kernel(kernel) is first
         assert first.kernel_name == kernel.name
-        # "closures" counts every emitted closure including those inside
-        # If/While sub-traces, so it bounds the top-level trace length.
-        assert 0 < len(first.trace) <= first.stats["closures"]
 
-    def test_tree_loops_unroll(self):
-        """Shuffle/shared-tree loops have block-uniform constant trip
-        counts and must unroll into the trace."""
+    @pytest.mark.parametrize("block", [64, 256])
+    def test_one_closure_per_top_level_instruction(self, block):
+        """Every loop compiles to one loop closure, so the trace holds
+        exactly one closure per top-level instruction."""
         fw = ReductionFramework(op="add")
-        plan = fw.build("p", 4096, Tunables(block=64))
-        kernel = list(plan.kernel_steps())[0].kernel
-        stats = compile_kernel(kernel).stats
-        assert stats["unrolled_loops"] >= 1
-        assert stats["unrolled_trips"] >= 1
-
-    def test_runtime_trip_loops_stay_loops(self):
-        """The per-thread coarsening loop's trip count depends on tid, so
-        it must remain a loop closure, not unroll."""
-        fw = ReductionFramework(op="add")
-        found_loop = False
         for label in FIG6_LABELS:
             version = fw.resolve(label)
-            plan = fw.build(version, 4096, _tunables(version))
-            for step in plan.kernel_steps():
-                stats = compile_kernel(step.kernel).stats
-                assert stats["unrolled_loops"] <= stats["loops"]
-                if stats["loops"] > stats["unrolled_loops"]:
-                    found_loop = True
-        assert found_loop
+            tunables = Tunables(block=block)
+            if version.block_kind != "coop":
+                tunables = Tunables(block=block, grid=8)
+            plan = fw.build(version, 4096, tunables)
+            for kernel in _kernels(plan):
+                expected = sum(
+                    not isinstance(instr, Comment) for instr in kernel.body
+                )
+                assert len(compile_kernel(kernel).trace) == expected
 
     def test_batchability_memoized(self):
         from repro.gpusim.engine import _kernel_access_summary

@@ -75,9 +75,9 @@ class TestWhileDivergence:
         )
 
     @pytest.mark.parametrize("mode,backend", COMBOS)
-    def test_uniform_trip_count_not_divergent(self, mode, backend):
-        # Constant trip count: all lanes exit together. The compiled
-        # backend unrolls this loop entirely; both must report zero.
+    def test_constant_trip_count_not_divergent(self, mode, backend):
+        # Constant trip count: all lanes exit together, so no back-edge
+        # test splits a warp and both backends must report zero.
         b = IRBuilder()
         tid = b.special("tid")
         i = b.mov(0)
@@ -96,8 +96,7 @@ class TestWhileDivergence:
     @pytest.mark.parametrize("mode,backend", COMBOS)
     def test_warp_uniform_exit_not_divergent(self, mode, backend):
         # Trip count varies per *warp* but not within any warp: no lane
-        # split, so no divergence (and the loop is not unrollable, so
-        # both backends exercise the live While path).
+        # split, so no divergence.
         b = IRBuilder()
         tid = b.special("tid")
         warp = b.special("warpid")

@@ -45,6 +45,27 @@ class TestCli:
         assert main(["reduce", "5000", "--version", "b", *tunable]) == 0
         assert "relative error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "0"],
+        ["reduce", "-3"],
+        ["reduce", "-n", "0"],
+        ["time", "0"],
+        ["tune", "0"],
+        ["sanitize", "-n", "0"],
+        ["reduce", "100", "--block", "0"],
+        ["reduce", "100", "--grid", "0"],
+        ["reduce", "100", "--block", "48"],
+    ], ids="-".join)
+    def test_bad_size_or_geometry_is_usage_error(self, argv, capsys):
+        """Non-positive sizes, grids and block sizes Tunables rejects
+        exit 2 with a usage message, never a traceback or a default."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+
     def test_reduce_max(self, capsys):
         assert main(["reduce", "3000", "--op", "max", "--version", "n"]) == 0
 
