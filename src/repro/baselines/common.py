@@ -1,8 +1,13 @@
-"""Shared VIR emission helpers for the hand-written baseline kernels."""
+"""Shared VIR builders for the hand-written baseline kernels."""
 
 from __future__ import annotations
 
-from ..vir import IRBuilder, Imm, Reg
+from ..vir import IRBuilder, Imm, Kernel, Reg, SharedDecl
+
+#: Threads per block of every baseline kernel.
+BLOCK = 256
+#: Elements per vectorized load (one float4).
+VECTOR_WIDTH = 4
 
 _COMBINE = {"add": "add", "max": "max", "min": "min"}
 
@@ -48,3 +53,89 @@ def emit_block_tree_reduce(
         b.bar()
         b.binop("div", offset, 2, dst=offset)
     return b.ld_shared(smem, 0)
+
+
+def accumulate_kernel(name: str, out: str, op: str, meta: dict) -> Kernel:
+    """Grid-stride accumulate of ``in`` with float4 loads and a scalar
+    tail, then a block tree reduce; thread 0 stores its block's total to
+    ``out[ctaid]``. Reads params ``n`` and ``n4`` (whole float4s)."""
+    b = IRBuilder()
+    tid = b.special("tid")
+    ctaid = b.special("ctaid")
+    ntid = b.special("ntid")
+    nctaid = b.special("nctaid")
+    n = b.ld_param("n")
+    n4 = b.ld_param("n4")
+
+    gid = b.binop("add", b.binop("mul", ctaid, ntid), tid)
+    gsize = b.binop("mul", ntid, nctaid)
+    acc = b.mov(Imm(identity_of(op)))
+
+    # vectorized main loop: thread handles float4 number i
+    i = b.mov(gid)
+    cond = b.fresh("vec_c")
+    loop = b.while_(cond)
+    with loop.cond:
+        b.binop("lt", i, n4, dst=cond)
+    with loop.body:
+        base = b.binop("mul", i, Imm(VECTOR_WIDTH))
+        lanes = b.ld_global_vec("in", base, width=VECTOR_WIDTH)
+        for value in lanes:
+            b.binop(combine_op(op), acc, value, dst=acc)
+        b.binop("add", i, gsize, dst=i)
+
+    # scalar tail: elements [4*n4, n)
+    tail_start = b.binop("mul", n4, Imm(VECTOR_WIDTH))
+    j = b.binop("add", tail_start, gid)
+    cond2 = b.fresh("tail_c")
+    loop2 = b.while_(cond2)
+    with loop2.cond:
+        b.binop("lt", j, n, dst=cond2)
+    with loop2.body:
+        value = b.ld_global("in", j)
+        b.binop(combine_op(op), acc, value, dst=acc)
+        b.binop("add", j, gsize, dst=j)
+
+    total = emit_block_tree_reduce(b, acc, BLOCK, "smem", op)
+    is_zero = b.binop("eq", tid, 0)
+    with b.if_(is_zero):
+        b.st_global(out, ctaid, total)
+    return Kernel(
+        name=name,
+        params=["n", "n4"],
+        buffers=["in", out],
+        shared=[SharedDecl("smem", BLOCK)],
+        body=b.finish(),
+        meta=meta,
+    )
+
+
+def combine_kernel(name: str, partials: str, out: str, op: str,
+                   meta: dict) -> Kernel:
+    """One block combines ``count`` (a param) per-block partials of
+    ``partials`` into ``out[0]``."""
+    b = IRBuilder()
+    tid = b.special("tid")
+    count = b.ld_param("count")
+    acc = b.mov(Imm(identity_of(op)))
+    i = b.mov(tid)
+    cond = b.fresh("comb_c")
+    loop = b.while_(cond)
+    with loop.cond:
+        b.binop("lt", i, count, dst=cond)
+    with loop.body:
+        value = b.ld_global(partials, i)
+        b.binop(combine_op(op), acc, value, dst=acc)
+        b.binop("add", i, Imm(BLOCK), dst=i)
+    total = emit_block_tree_reduce(b, acc, BLOCK, "smem", op)
+    is_zero = b.binop("eq", tid, 0)
+    with b.if_(is_zero):
+        b.st_global(out, 0, total)
+    return Kernel(
+        name=name,
+        params=["count"],
+        buffers=[partials, out],
+        shared=[SharedDecl("smem", BLOCK)],
+        body=b.finish(),
+        meta=meta,
+    )

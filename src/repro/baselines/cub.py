@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import functools
 
-from ..vir import IRBuilder, Imm, Kernel, KernelStep, Plan, SharedDecl
-from .common import combine_op, emit_block_tree_reduce, identity_of
+from ..vir import KernelStep, Plan
+from .common import BLOCK, VECTOR_WIDTH, accumulate_kernel, combine_kernel
 
-_BLOCK = 256
-_ITEMS_PER_THREAD = 4  # one float4 per iteration
 _GRID_CAP = 512
 
 #: Host-side temp-storage management per DeviceReduce call (seconds).
@@ -37,97 +35,19 @@ CUB_HOST_OVERHEAD_S = 20e-6
 
 
 def cub_grid(n: int) -> int:
-    per_block = _BLOCK * _ITEMS_PER_THREAD
+    per_block = BLOCK * VECTOR_WIDTH  # one float4 per thread
     return max(1, min(_GRID_CAP, -(-n // per_block)))
-
-
-def _build_upsweep_kernel(op: str) -> Kernel:
-    """Kernel 1: vectorized grid-stride accumulate + block tree reduce."""
-    b = IRBuilder()
-    tid = b.special("tid")
-    ctaid = b.special("ctaid")
-    ntid = b.special("ntid")
-    nctaid = b.special("nctaid")
-    n = b.ld_param("n")
-    n4 = b.ld_param("n4")  # number of whole float4s
-
-    gid = b.binop("add", b.binop("mul", ctaid, ntid), tid)
-    gsize = b.binop("mul", ntid, nctaid)
-    acc = b.mov(Imm(identity_of(op)))
-
-    # vectorized main loop: thread handles float4 number i
-    i = b.mov(gid)
-    cond = b.fresh("vec_c")
-    loop = b.while_(cond)
-    with loop.cond:
-        b.binop("lt", i, n4, dst=cond)
-    with loop.body:
-        base = b.binop("mul", i, Imm(4))
-        lanes = b.ld_global_vec("in", base, width=4)
-        for value in lanes:
-            b.binop(combine_op(op), acc, value, dst=acc)
-        b.binop("add", i, gsize, dst=i)
-
-    # scalar tail: elements [4*n4, n)
-    tail_start = b.binop("mul", n4, Imm(4))
-    j = b.binop("add", tail_start, gid)
-    cond2 = b.fresh("tail_c")
-    loop2 = b.while_(cond2)
-    with loop2.cond:
-        b.binop("lt", j, n, dst=cond2)
-    with loop2.body:
-        value = b.ld_global("in", j)
-        b.binop(combine_op(op), acc, value, dst=acc)
-        b.binop("add", j, gsize, dst=j)
-
-    total = emit_block_tree_reduce(b, acc, _BLOCK, "smem", op)
-    is_zero = b.binop("eq", tid, 0)
-    with b.if_(is_zero):
-        b.st_global("partials", ctaid, total)
-    return Kernel(
-        name="cub_device_reduce",
-        params=["n", "n4"],
-        buffers=["in", "partials"],
-        shared=[SharedDecl("smem", _BLOCK)],
-        body=b.finish(),
-        meta={"load_pattern": "vector", "baseline": "cub"},
-    )
-
-
-def _build_single_tile_kernel(op: str) -> Kernel:
-    """Kernel 2: one block combines the per-block partials."""
-    b = IRBuilder()
-    tid = b.special("tid")
-    count = b.ld_param("count")
-    acc = b.mov(Imm(identity_of(op)))
-    i = b.mov(tid)
-    cond = b.fresh("st_c")
-    loop = b.while_(cond)
-    with loop.cond:
-        b.binop("lt", i, count, dst=cond)
-    with loop.body:
-        value = b.ld_global("partials", i)
-        b.binop(combine_op(op), acc, value, dst=acc)
-        b.binop("add", i, Imm(_BLOCK), dst=i)
-    total = emit_block_tree_reduce(b, acc, _BLOCK, "smem", op)
-    is_zero = b.binop("eq", tid, 0)
-    with b.if_(is_zero):
-        b.st_global("out", 0, total)
-    return Kernel(
-        name="cub_single_tile",
-        params=["count"],
-        buffers=["partials", "out"],
-        shared=[SharedDecl("smem", _BLOCK)],
-        body=b.finish(),
-        meta={"load_pattern": "vector", "baseline": "cub"},
-    )
 
 
 @functools.cache
 def _kernels(op: str) -> tuple:
     """Both kernels, built once per operator: they read ``n``, ``n4``
     and ``count`` as params, so every input size shares them."""
-    return _build_upsweep_kernel(op), _build_single_tile_kernel(op)
+    meta = {"load_pattern": "vector", "baseline": "cub"}
+    return (
+        accumulate_kernel("cub_device_reduce", "partials", op, dict(meta)),
+        combine_kernel("cub_single_tile", "partials", "out", op, dict(meta)),
+    )
 
 
 def build_cub_plan(n: int, op: str = "add") -> Plan:
@@ -140,14 +60,14 @@ def build_cub_plan(n: int, op: str = "add") -> Plan:
         KernelStep(
             upsweep,
             grid=grid,
-            block=_BLOCK,
+            block=BLOCK,
             args={"n": n, "n4": n // 4},
             buffers={"in": "in", "partials": "partials"},
         ),
         KernelStep(
             single,
             grid=1,
-            block=_BLOCK,
+            block=BLOCK,
             args={"count": grid},
             buffers={"partials": "partials", "out": "out"},
         ),

@@ -21,91 +21,11 @@ from __future__ import annotations
 
 import functools
 
-from ..vir import IRBuilder, Imm, Kernel, KernelStep, Plan, SharedDecl
-from .common import combine_op, emit_block_tree_reduce, identity_of
+from ..vir import IRBuilder, Kernel, KernelStep, Plan
+from .common import BLOCK, VECTOR_WIDTH, accumulate_kernel, combine_kernel
 
-_BLOCK = 256
 _GRID = 256
-_VECTOR_WIDTH = 4
-
-
-def _build_stage_kernel(op: str) -> Kernel:
-    b = IRBuilder()
-    tid = b.special("tid")
-    ctaid = b.special("ctaid")
-    ntid = b.special("ntid")
-    nctaid = b.special("nctaid")
-    n = b.ld_param("n")
-    n4 = b.ld_param("n4")
-
-    gid = b.binop("add", b.binop("mul", ctaid, ntid), tid)
-    gsize = b.binop("mul", ntid, nctaid)
-    acc = b.mov(Imm(identity_of(op)))
-
-    i = b.mov(gid)
-    cond = b.fresh("kst_c")
-    loop = b.while_(cond)
-    with loop.cond:
-        b.binop("lt", i, n4, dst=cond)
-    with loop.body:
-        base = b.binop("mul", i, Imm(_VECTOR_WIDTH))
-        lanes = b.ld_global_vec("in", base, width=_VECTOR_WIDTH)
-        for value in lanes:
-            b.binop(combine_op(op), acc, value, dst=acc)
-        b.binop("add", i, gsize, dst=i)
-
-    tail_start = b.binop("mul", n4, Imm(_VECTOR_WIDTH))
-    j = b.binop("add", tail_start, gid)
-    cond2 = b.fresh("ktl_c")
-    loop2 = b.while_(cond2)
-    with loop2.cond:
-        b.binop("lt", j, n, dst=cond2)
-    with loop2.body:
-        value = b.ld_global("in", j)
-        b.binop(combine_op(op), acc, value, dst=acc)
-        b.binop("add", j, gsize, dst=j)
-
-    total = emit_block_tree_reduce(b, acc, _BLOCK, "smem", op)
-    is_zero = b.binop("eq", tid, 0)
-    with b.if_(is_zero):
-        b.st_global("staged", ctaid, total)
-    return Kernel(
-        name="kokkos_stage",
-        params=["n", "n4"],
-        buffers=["in", "staged"],
-        shared=[SharedDecl("smem", _BLOCK)],
-        body=b.finish(),
-        meta={"load_pattern": "staged", "baseline": "kokkos"},
-    )
-
-
-def _build_main_kernel(op: str) -> Kernel:
-    """Compute-bound combine of the staged per-block partials."""
-    b = IRBuilder()
-    tid = b.special("tid")
-    count = b.ld_param("count")
-    acc = b.mov(Imm(identity_of(op)))
-    i = b.mov(tid)
-    cond = b.fresh("km_c")
-    loop = b.while_(cond)
-    with loop.cond:
-        b.binop("lt", i, count, dst=cond)
-    with loop.body:
-        value = b.ld_global("staged", i)
-        b.binop(combine_op(op), acc, value, dst=acc)
-        b.binop("add", i, Imm(_BLOCK), dst=i)
-    total = emit_block_tree_reduce(b, acc, _BLOCK, "smem", op)
-    is_zero = b.binop("eq", tid, 0)
-    with b.if_(is_zero):
-        b.st_global("mid", 0, total)
-    return Kernel(
-        name="kokkos_main",
-        params=["count"],
-        buffers=["staged", "mid"],
-        shared=[SharedDecl("smem", _BLOCK)],
-        body=b.finish(),
-        meta={"load_pattern": "staged", "baseline": "kokkos"},
-    )
+_META = {"load_pattern": "staged", "baseline": "kokkos"}
 
 
 def _build_finalize_kernel() -> Kernel:
@@ -121,7 +41,7 @@ def _build_finalize_kernel() -> Kernel:
         buffers=["mid", "out"],
         shared=[],
         body=b.finish(),
-        meta={"load_pattern": "staged", "baseline": "kokkos"},
+        meta=dict(_META),
     )
 
 
@@ -129,7 +49,11 @@ def _build_finalize_kernel() -> Kernel:
 def _kernels(op: str) -> tuple:
     """The three kernels, built once per operator: they read ``n``,
     ``n4`` and ``count`` as params, so every input size shares them."""
-    return _build_stage_kernel(op), _build_main_kernel(op), _build_finalize_kernel()
+    return (
+        accumulate_kernel("kokkos_stage", "staged", op, dict(_META)),
+        combine_kernel("kokkos_main", "staged", "mid", op, dict(_META)),
+        _build_finalize_kernel(),
+    )
 
 
 def build_kokkos_plan(n: int, op: str = "add") -> Plan:
@@ -141,14 +65,14 @@ def build_kokkos_plan(n: int, op: str = "add") -> Plan:
         KernelStep(
             stage,
             grid=_GRID,
-            block=_BLOCK,
-            args={"n": n, "n4": n // _VECTOR_WIDTH},
+            block=BLOCK,
+            args={"n": n, "n4": n // VECTOR_WIDTH},
             buffers={"in": "in", "staged": "staged"},
         ),
         KernelStep(
             main,
             grid=1,
-            block=_BLOCK,
+            block=BLOCK,
             args={"count": _GRID},
             buffers={"staged": "staged", "mid": "mid"},
         ),

@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", default="b")
     p.add_argument("--arch", default="kepler",
                    choices=("kepler", "maxwell", "pascal"))
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="parallel profiling workers (default: auto)")
     p.add_argument("--cache-stats", action="store_true",
                    help="print profile-cache statistics afterwards")
@@ -519,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("version", nargs="?", default=None,
                    help="Figure 6 label to explain (omit with --diff)")
-    p.add_argument("-n", "--size", type=int, dest="n", default=65536,
+    p.add_argument("-n", "--size", type=_positive_int, dest="n",
+                   default=65536,
                    help="input size in elements (default: 65536)")
     p.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
                    help="attribute the timing delta between two labels")

@@ -35,6 +35,7 @@ from ..vir import (
     Plan,
     walk_instrs,
 )
+from ..vir.instructions import reads
 from .compiler import CodeletToVIR, GlobalView, RegisterPartials
 
 #: Default second-kernel block size (reduction of per-block partials).
@@ -375,10 +376,10 @@ def _launch_constants(body) -> list:
     """The launch constants a kernel body reads, in
     :data:`LAUNCH_CONSTANTS` order."""
     used = {
-        value.name
+        op.name
         for instr in walk_instrs(body)
-        for value in vars(instr).values()
-        if isinstance(value, Arg)
+        for op in reads(instr)
+        if isinstance(op, Arg)
     }
     return [name for name in LAUNCH_CONSTANTS if name in used]
 

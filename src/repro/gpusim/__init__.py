@@ -16,7 +16,6 @@ from .timing import (
     MEMSET_OVERHEAD_S,
     TimeBreakdown,
     kernel_time,
-    plan_breakdown,
     plan_time,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "TimeBreakdown",
     "get_architecture",
     "kernel_time",
-    "plan_breakdown",
     "plan_time",
     "run_plan",
 ]

@@ -21,7 +21,8 @@ is shared by every backend:
     Registry key, and the string recorded in ``StepProfile.meta
     ["exec.backend"]``.
 ``prepare(kernel)``
-    Build (and memoize) whatever per-kernel artifact the backend needs.
+    Build whatever per-kernel artifact the backend needs, once per
+    kernel (kept as a kernel fact, :meth:`repro.vir.program.Kernel.fact`).
     Called by the kernel-cache pre-warm, once per built kernel, so
     cached kernels ship ready to run.
 ``trace(kernel)``
@@ -59,7 +60,7 @@ class Backend:
     name = "?"
 
     def prepare(self, kernel):
-        """Build the per-kernel artifact (memoized); may return None."""
+        """Build the per-kernel artifact (once per kernel); may return None."""
         return None
 
     def trace(self, kernel):

@@ -64,7 +64,6 @@ exhaustively over the Figure 6 catalog.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,17 +97,10 @@ from ..vir.instructions import (
     UnOp,
     While,
 )
-from .engine import (
-    SimulationError,
-    _coerce_bool,
-    _int_div,
-    _is_integer,
-    launch_constant,
-    memoize_by_identity,
-)
+from .engine import ALU_IMPL, SimulationError, launch_constant
 
 # ---------------------------------------------------------------------
-# operand readers and ALU implementations
+# operand readers
 # ---------------------------------------------------------------------
 
 
@@ -135,55 +127,6 @@ def _reader(operand):
     raise SimulationError(f"bad operand {operand!r}")
 
 
-def _div(a, b):
-    if _is_integer(a) and _is_integer(b):
-        return _int_div(a, b)
-    return a / b
-
-
-def _arith(fn):
-    """Non-comparison ops see predicates as 0/1 ints (C semantics)."""
-
-    def apply(a, b):
-        return fn(_coerce_bool(a), _coerce_bool(b))
-
-    return apply
-
-
-#: op -> binary implementation, replicating ``engine._np_binop`` exactly
-#: (same coercions, same numpy entry points) with the string dispatch
-#: resolved at compile time.
-_BINOP_IMPL = {
-    "add": _arith(operator.add),
-    "sub": _arith(operator.sub),
-    "mul": _arith(operator.mul),
-    "div": _arith(_div),
-    "idiv": _arith(np.floor_divide),
-    "mod": _arith(operator.mod),
-    "min": _arith(np.minimum),
-    "max": _arith(np.maximum),
-    "and": _arith(np.bitwise_and),
-    "or": _arith(np.bitwise_or),
-    "xor": _arith(np.bitwise_xor),
-    "shl": _arith(np.left_shift),
-    "shr": _arith(np.right_shift),
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "land": np.logical_and,
-    "lor": np.logical_or,
-}
-
-_UNOP_IMPL = {
-    "neg": lambda a: -np.asarray(_coerce_bool(a)),
-    "lnot": np.logical_not,
-    "bnot": lambda a: np.bitwise_not(np.asarray(_coerce_bool(a))),
-}
-
-
 # ---------------------------------------------------------------------
 # per-instruction closures
 # ---------------------------------------------------------------------
@@ -192,7 +135,7 @@ _UNOP_IMPL = {
 def _c_binop(instr):
     ra = _reader(instr.a)
     rb = _reader(instr.b)
-    opf = _BINOP_IMPL[instr.op]
+    opf = ALU_IMPL[instr.op]
     dst = instr.dst
 
     def run(state, mask):
@@ -204,7 +147,7 @@ def _c_binop(instr):
 
 def _c_unop(instr):
     ra = _reader(instr.a)
-    opf = _UNOP_IMPL[instr.op]
+    opf = ALU_IMPL[instr.op]
     dst = instr.dst
 
     def run(state, mask):
@@ -365,9 +308,8 @@ class CompiledKernel:
         holds data reduced to its ``inst.alu`` count, and memory, atomic
         and shuffle instructions running only the event half of their
         run-state method. It produces every event of ``trace`` and moves
-        no value. Built on first use (a sampled launch) and memoized
-        here; the artifact does not keep ``kernel`` alive, so the caller
-        passes it."""
+        no value. Built on first use (a sampled launch) and kept here,
+        with the artifact in ``kernel``'s facts."""
         if self.event_trace is None:
             from ..obs import default_metrics  # runtime import: obs is standalone
 
@@ -436,22 +378,16 @@ class _KernelCompiler:
         raise SimulationError(f"cannot compile {cls.__name__}")
 
 
-# ---------------------------------------------------------------------
-# memoization (shared with the batchability analysis)
-# ---------------------------------------------------------------------
-
-_COMPILE_MEMO = {}
-
-
 def compile_kernel(kernel) -> CompiledKernel:
-    """Compile (and memoize) a kernel's closure trace.
+    """A kernel's compiled artifact, built once and kept as its
+    ``compiled`` fact (:meth:`~repro.vir.program.Kernel.fact`).
 
-    Keyed by kernel object identity: kernels are built once per
-    (version, block) and reused by every plan of that pair (see
-    :func:`repro.codegen.synthesize.build_plan_cached`), so every
-    launch, block and batch chunk of every such plan shares one trace.
+    Kernels are built once per (version, block) and reused by every plan
+    of that pair (see :func:`repro.codegen.synthesize.build_plan_cached`),
+    so every launch, block and batch chunk of every such plan shares one
+    trace.
     """
-    return memoize_by_identity(_COMPILE_MEMO, kernel, _compile_fresh)
+    return kernel.fact("compiled", _compile_fresh)
 
 
 def _compile_fresh(kernel) -> CompiledKernel:

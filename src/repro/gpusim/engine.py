@@ -68,7 +68,7 @@ closed form (:meth:`_BatchedRun._exec_while_c`). ``StepProfile.meta
 from __future__ import annotations
 
 import math
-import weakref
+import operator
 from collections import Counter
 
 import numpy as np
@@ -76,6 +76,7 @@ import numpy as np
 from ..obs import default_metrics, get_tracer
 from ..vir.instructions import (
     SHFL_MODES,
+    SHFL_WIDTHS,
     Arg,
     AtomGlobal,
     AtomShared,
@@ -97,7 +98,7 @@ from ..vir.instructions import (
     UnOp,
     While,
 )
-from ..vir.program import KernelStep, MemsetStep, Plan
+from ..vir.program import Kernel, KernelStep, MemsetStep, Plan
 from .backend import backend_names, get_backend
 from .device import Device
 from .events import PlanProfile, StepProfile
@@ -112,11 +113,6 @@ class SimulationError(Exception):
     """Raised when a kernel does something invalid (OOB access, etc.)."""
 
 
-_CMP_LOGICAL = frozenset(
-    {"lt", "le", "gt", "ge", "eq", "ne", "land", "lor"}
-)
-
-
 def _coerce_bool(value):
     """C semantics: predicates participate in arithmetic as 0/1 ints."""
     if isinstance(value, np.ndarray) and value.dtype == np.bool_:
@@ -126,67 +122,57 @@ def _coerce_bool(value):
     return value
 
 
-def _np_binop(op, a, b):
-    if op not in _CMP_LOGICAL:
-        a = _coerce_bool(a)
-        b = _coerce_bool(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if _is_integer(a) and _is_integer(b):
-            return _int_div(a, b)
-        return a / b
-    if op == "idiv":
-        return np.floor_divide(a, b)
-    if op == "mod":
-        return a % b
-    if op == "min":
-        return np.minimum(a, b)
-    if op == "max":
-        return np.maximum(a, b)
-    if op == "and":
-        return np.bitwise_and(a, b)
-    if op == "or":
-        return np.bitwise_or(a, b)
-    if op == "xor":
-        return np.bitwise_xor(a, b)
-    if op == "shl":
-        return np.left_shift(a, b)
-    if op == "shr":
-        return np.right_shift(a, b)
-    if op == "lt":
-        return a < b
-    if op == "le":
-        return a <= b
-    if op == "gt":
-        return a > b
-    if op == "ge":
-        return a >= b
-    if op == "eq":
-        return a == b
-    if op == "ne":
-        return a != b
-    if op == "land":
-        return np.logical_and(a, b)
-    if op == "lor":
-        return np.logical_or(a, b)
-    raise SimulationError(f"unknown binary op {op!r}")
-
-
 def _is_integer(value) -> bool:
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iub"
     return isinstance(value, (int, np.integer, bool, np.bool_))
 
 
-def _int_div(a, b):
-    """C-style truncating integer division (valid for our kernels, which
-    only divide non-negative quantities)."""
-    return np.floor_divide(a, b)
+def _div(a, b):
+    """``/`` on floats; floor division on ints (C's truncating division
+    for the non-negative quantities our kernels divide)."""
+    if _is_integer(a) and _is_integer(b):
+        return np.floor_divide(a, b)
+    return a / b
+
+
+def _arith(fn):
+    """Non-comparison ops see predicates as 0/1 ints (C semantics)."""
+
+    def apply(a, b):
+        return fn(_coerce_bool(a), _coerce_bool(b))
+
+    return apply
+
+
+#: op -> numpy implementation of every ``BinOp`` and ``UnOp`` opcode.
+#: The interpreter and the closure compiler both dispatch through it.
+ALU_IMPL = {
+    "add": _arith(operator.add),
+    "sub": _arith(operator.sub),
+    "mul": _arith(operator.mul),
+    "div": _arith(_div),
+    "idiv": _arith(np.floor_divide),
+    "mod": _arith(operator.mod),
+    "min": _arith(np.minimum),
+    "max": _arith(np.maximum),
+    "and": _arith(np.bitwise_and),
+    "or": _arith(np.bitwise_or),
+    "xor": _arith(np.bitwise_xor),
+    "shl": _arith(np.left_shift),
+    "shr": _arith(np.right_shift),
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "land": np.logical_and,
+    "lor": np.logical_or,
+    "neg": lambda a: -np.asarray(_coerce_bool(a)),
+    "lnot": np.logical_not,
+    "bnot": lambda a: np.bitwise_not(np.asarray(_coerce_bool(a))),
+}
 
 
 _ATOMIC_UFUNC = {
@@ -216,36 +202,6 @@ def launch_constant(state, arg):
         ) from None
 
 
-def memoize_by_identity(memo: dict, obj, build):
-    """Memoize ``build(obj)`` keyed by ``id(obj)``, guarded by a weakref
-    so a recycled id can never return a stale value. The cached value
-    must not strongly reference ``obj``, or entries would never evict.
-    """
-    key = id(obj)
-    entry = memo.get(key)
-    if entry is not None and entry[0]() is obj:
-        return entry[1]
-    value = build(obj)
-    ref = weakref.ref(obj, lambda _ref, _key=key: memo.pop(_key, None))
-    memo[key] = (ref, value)
-    return value
-
-
-#: Launch-hot caches over immutable-once-executed objects (see
-#: :func:`memoize_by_identity` for the recycled-id guard).
-_KERNELS_VALIDATED = {}
-_REGISTER_COUNTS = {}
-
-
-def _validate(kernel):
-    kernel.validate()
-    return True
-
-
-def _count_registers(kernel):
-    return kernel.register_count()
-
-
 def _walk_while_depth(body, in_while=False):
     """Yield ``(instr, inside_a_While)`` for every instruction in a body."""
     for instr in body:
@@ -258,15 +214,11 @@ def _walk_while_depth(body, in_while=False):
             yield from _walk_while_depth(instr.body, True)
 
 
-#: id(kernel) -> (weakref, access summary); see memoize_by_identity.
-_ACCESS_MEMO = {}
-
-
-def _build_access_summary(kernel) -> dict:
+def _access_summary(kernel) -> dict:
     """One full tree walk collecting the global-memory access facts the
-    batchability verdict needs. Walked once per kernel object — the
-    executor re-resolves the verdict on every launch, and re-walking the
-    tree each time dominated small-launch dispatch."""
+    batchability verdict needs. Walked once per kernel object (a kernel
+    fact) — the executor re-resolves the verdict on every launch, and
+    re-walking the tree each time dominated small-launch dispatch."""
     loads = set()
     stores = set()
     store_in_while = None
@@ -293,10 +245,6 @@ def _build_access_summary(kernel) -> dict:
     }
 
 
-def _kernel_access_summary(kernel) -> dict:
-    return memoize_by_identity(_ACCESS_MEMO, kernel, _build_access_summary)
-
-
 def analyze_batchability(kernel, device: Device = None):
     """Can ``kernel`` run batched with sequential-identical observables?
 
@@ -315,10 +263,10 @@ def analyze_batchability(kernel, device: Device = None):
       on the cross-block interleaving. Integer and min/max atomics are
       order-independent and stay batchable.
 
-    The kernel-tree walk is memoized per kernel object; only the cheap
-    device-dependent dtype check runs per call.
+    The kernel-tree walk is a kernel fact, computed once per kernel
+    object; only the cheap device-dependent dtype check runs per call.
     """
-    summary = _kernel_access_summary(kernel)
+    summary = kernel.fact("access", _access_summary)
     if summary["store_in_while"] is not None:
         return False, f"global store inside a loop ({summary['store_in_while']!r})"
     atomics = summary["atomics"]
@@ -336,13 +284,6 @@ def analyze_batchability(kernel, device: Device = None):
         if order_sensitive and (entry["in_while"] or entry["count"] > 1):
             return False, f"order-sensitive float atomics on {buf!r}"
     return True, "block-uniform"
-
-
-#: Shuffle widths hardware accepts (power-of-two warp segments). The
-#: instruction dataclass validates widths and modes at construction;
-#: the engines re-validate at execution time so hand-built or mutated
-#: instructions fail identically under every backend and trace.
-_SHFL_WIDTHS = frozenset({1, 2, 4, 8, 16, 32})
 
 
 class Executor:
@@ -383,12 +324,11 @@ class Executor:
         execute; when it kicks in, the profile is marked sampled and the
         numeric result is not meaningful.
         """
-        # Kernels are immutable once executed (the compile memo already
-        # relies on this), so the structural validation walk runs once
-        # per kernel object, not per plan or launch: the plans of a
-        # sweep share their kernels.
+        # The structural validation walk is a kernel fact: it runs once
+        # per kernel object, not per plan or launch (the plans of a sweep
+        # share their kernels).
         for step in plan.kernel_steps():
-            memoize_by_identity(_KERNELS_VALIDATED, step.kernel, _validate)
+            step.kernel.fact("valid", Kernel.validate)
         dtype = np.dtype(plan.meta.get("dtype", "float32"))
         for name, size in plan.scratch.items():
             if name not in self.device:
@@ -467,9 +407,6 @@ class Executor:
             grid=step.grid,
             block=step.block,
             shared_bytes=kernel.shared_bytes(),
-            registers=memoize_by_identity(
-                _REGISTER_COUNTS, kernel, _count_registers
-            ),
             meta=dict(kernel.meta),
         )
         if sample_limit is not None and step.grid > sample_limit:
@@ -920,17 +857,11 @@ class _BatchedRun:
         if isinstance(instr, BinOp):
             a = self._read(instr.a, mask)
             b = self._read(instr.b, mask)
-            self._write(instr.dst, _np_binop(instr.op, a, b), mask)
+            self._write(instr.dst, ALU_IMPL[instr.op](a, b), mask)
             self._count("inst.alu", mask)
         elif isinstance(instr, UnOp):
             a = self._read(instr.a, mask)
-            if instr.op == "neg":
-                value = -np.asarray(_coerce_bool(a))
-            elif instr.op == "lnot":
-                value = np.logical_not(a)
-            else:  # bnot
-                value = np.bitwise_not(np.asarray(_coerce_bool(a)))
-            self._write(instr.dst, value, mask)
+            self._write(instr.dst, ALU_IMPL[instr.op](a), mask)
             self._count("inst.alu", mask)
         elif isinstance(instr, Mov):
             self._write(instr.dst, self._read(instr.a, mask), mask)
@@ -1354,7 +1285,10 @@ class _BatchedRun:
         self._shfl_values(instr, mask)
 
     def _shfl_events(self, instr, mask) -> None:
-        if instr.width not in _SHFL_WIDTHS:
+        # The instruction validates its width and mode at construction;
+        # re-validating here makes hand-built or mutated instructions
+        # fail identically under every backend and trace.
+        if instr.width not in SHFL_WIDTHS:
             raise SimulationError(
                 f"kernel {self.kernel.name!r}: invalid shfl width "
                 f"{instr.width!r}"

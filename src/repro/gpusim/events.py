@@ -47,7 +47,6 @@ class StepProfile:
     grid: int
     block: int
     shared_bytes: int
-    registers: int
     events: Counter = field(default_factory=Counter)
     sampled_blocks: int = 0  # 0 means full execution
     meta: dict = field(default_factory=dict)

@@ -47,7 +47,6 @@ class TimeBreakdown:
     """Per-launch timing terms (seconds), for inspection and tests."""
 
     kernel: str
-    launch_overhead: float = 0.0
     compute: float = 0.0
     memory: float = 0.0
     atomic_global: float = 0.0
@@ -213,17 +212,6 @@ def plan_time(
         breakdown = kernel_time(step, arch)
         total += arch.kernel_launch_overhead_us * 1e-6 + breakdown.total
     return total
-
-
-def plan_breakdown(profile: PlanProfile, arch: Architecture) -> list:
-    """Per-launch :class:`TimeBreakdown` list, with launch overhead filled."""
-    results = []
-    for step in profile.steps:
-        breakdown = kernel_time(step, arch)
-        breakdown.launch_overhead = arch.kernel_launch_overhead_us * 1e-6
-        breakdown.total += breakdown.launch_overhead
-        results.append(breakdown)
-    return results
 
 
 # ---------------------------------------------------------------------

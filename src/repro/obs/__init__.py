@@ -20,7 +20,6 @@ from .export import (
     text_summary,
     write_chrome_trace,
     write_collapsed,
-    write_jsonl,
 )
 from .metrics import MetricsRegistry, default_metrics
 from .tracer import (
@@ -46,5 +45,4 @@ __all__ = [
     "text_summary",
     "write_chrome_trace",
     "write_collapsed",
-    "write_jsonl",
 ]

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON, JSONL, text summary.
+"""Trace exporters: Chrome ``trace_event`` JSON, collapsed stacks, summary.
 
 The Chrome format is the ``traceEvents`` array of complete (``"ph":
 "X"``) events understood by ``chrome://tracing`` and
@@ -82,14 +82,6 @@ def write_chrome_trace(spans, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, default=_json_default)
         handle.write("\n")
-
-
-def write_jsonl(spans, path) -> None:
-    """One JSON object per span, in recording order (stream-friendly)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for span in spans:
-            handle.write(json.dumps(span.as_dict(), default=_json_default))
-            handle.write("\n")
 
 
 def _thread_name(tid: int) -> str:

@@ -54,14 +54,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
 
-    def inc_many(self, mapping, prefix: str = "") -> None:
-        """Add every (name, value) of a mapping (e.g. an event Counter)."""
-        with self._lock:
-            counters = self._counters
-            for key, value in mapping.items():
-                name = prefix + key
-                counters[name] = counters.get(name, 0) + int(value)
-
     def gauge(self, name: str, value) -> None:
         with self._lock:
             self._gauges[name] = value

@@ -165,15 +165,6 @@ class Tracer:
             return _NULL_SPAN
         return Span(name, tid=self._tid(), args=args, tracer=self)
 
-    def instant(self, name: str, **args) -> None:
-        """Record a zero-duration event (a point on the timeline)."""
-        if not self.enabled:
-            return
-        span = Span(name, ts=time.perf_counter(), tid=self._tid(),
-                    depth=getattr(self._local, "depth", 0), args=args,
-                    tracer=self)
-        self._record(span)
-
     def _tid(self) -> int:
         # Stored on the thread-local, not keyed by threading.get_ident():
         # the OS recycles idents after a thread exits, so an ident-keyed

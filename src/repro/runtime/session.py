@@ -115,9 +115,10 @@ class ReductionFramework:
     :class:`Device`, the profile being built — is constructed inside
     the call, while all shared state is reached only through
     thread-safe components: the frontend memo above, the process-wide
-    plan/profile caches, and the id-keyed kernel memos (plain dict
-    reads/writes of immutable values, atomic under the GIL; a lost race
-    costs a duplicate build, never a wrong result).
+    plan/profile caches, and each kernel's fact store
+    (:meth:`~repro.vir.program.Kernel.fact`: plain dict reads/writes of
+    values that never change once built, atomic under the GIL; a lost
+    race costs a duplicate build, never a wrong result).
     Instance attributes are never written after ``__init__``.
     """
 

@@ -48,6 +48,7 @@ from ..vir.instructions import (
     StShared,
     UnOp,
     While,
+    reads,
     walk_instrs,
 )
 from ..vir.printer import format_instr
@@ -92,12 +93,6 @@ def _collect_defs(body) -> dict:
     return defs
 
 
-def _operands(instr):
-    for value in vars(instr).values():
-        if isinstance(value, (Reg, Imm)):
-            yield value
-
-
 def _slice_regs(roots, defs) -> set:
     """Transitive closure of registers feeding ``roots`` through defs."""
     seen = set()
@@ -110,9 +105,7 @@ def _slice_regs(roots, defs) -> set:
         instr = defs.get(name)
         if instr is None or isinstance(instr, Special):
             continue
-        for op in _operands(instr):
-            if isinstance(op, Reg) and op.name != name:
-                work.append(op.name)
+        work.extend(op.name for op in reads(instr) if isinstance(op, Reg))
     return seen
 
 

@@ -53,7 +53,10 @@ from .instructions import (
     StShared,
     UnOp,
     While,
+    operands,
+    reads,
     walk_instrs,
+    writes,
 )
 
 #: Sentinel for "not a compile-time uniform constant".
@@ -62,14 +65,7 @@ UNKNOWN = object()
 
 def written_regs(body) -> set:
     """Names of every register written anywhere in ``body`` (nested too)."""
-    regs = set()
-    for instr in walk_instrs(body):
-        dst = getattr(instr, "dst", None)
-        if isinstance(dst, Reg):
-            regs.add(dst.name)
-        elif isinstance(dst, list):
-            regs.update(r.name for r in dst if isinstance(r, Reg))
-    return regs
+    return {reg.name for instr in walk_instrs(body) for reg in writes(instr)}
 
 
 def _read(operand, env):
@@ -81,7 +77,7 @@ def _read(operand, env):
 
 
 def _as_arith(value):
-    """numpy arithmetic coerces bool operands to ints (_coerce_bool)."""
+    """numpy arithmetic coerces bool operands to ints (like the engine)."""
     if isinstance(value, bool):
         return int(value)
     return value
@@ -92,7 +88,7 @@ def _is_int_like(value) -> bool:
 
 
 def _apply_binop(op, a, b):
-    """Scalar twin of the engine's ``_np_binop``; UNKNOWN when unsure."""
+    """Scalar twin of the engine's ``ALU_IMPL``; UNKNOWN when unsure."""
     if isinstance(a, float) and math.isnan(a):
         return UNKNOWN
     if isinstance(b, float) and math.isnan(b):
@@ -129,7 +125,7 @@ def _apply_binop(op, a, b):
         if b == 0:
             return UNKNOWN  # numpy warns and yields 0/inf; stay conservative
         if _is_int_like(a) and _is_int_like(b):
-            return a // b  # floor division, like the engine's _int_div
+            return a // b  # floor division, like the engine's "div"
         return a / b
     if op == "idiv":
         if b == 0:
@@ -201,18 +197,10 @@ def eval_const_instr(instr, env) -> None:
         else:
             env[instr.dst.name] = a if cond else b
         return
-    if isinstance(instr, (If, While)):
-        # Writes under (possibly) divergent control are not uniform.
-        for name in written_regs([instr]):
-            env[name] = UNKNOWN
-        return
-    dst = getattr(instr, "dst", None)
-    if isinstance(dst, Reg):
-        env[dst.name] = UNKNOWN
-    elif isinstance(dst, list):
-        for reg in dst:
-            if isinstance(reg, Reg):
-                env[reg.name] = UNKNOWN
+    # Anything else, and writes under (possibly) divergent control, is
+    # not a uniform constant.
+    for name in written_regs([instr]):
+        env[name] = UNKNOWN
 
 
 def eval_const_body(body, env) -> None:
@@ -242,8 +230,6 @@ def eval_uniform_instr(instr, env) -> None:
     under (possibly divergent) ``If``/``While`` control poison their
     destinations to non-uniform.
     """
-    from .instructions import LdParam, Special
-
     if isinstance(instr, Comment):
         return
     if isinstance(instr, Mov):
@@ -270,17 +256,8 @@ def eval_uniform_instr(instr, env) -> None:
     if isinstance(instr, LdParam):
         env[instr.dst.name] = True
         return
-    if isinstance(instr, (If, While)):
-        for name in written_regs([instr]):
-            env[name] = False
-        return
-    dst = getattr(instr, "dst", None)
-    if isinstance(dst, Reg):
-        env[dst.name] = False
-    elif isinstance(dst, list):
-        for reg in dst:
-            if isinstance(reg, Reg):
-                env[reg.name] = False
+    for name in written_regs([instr]):
+        env[name] = False
 
 
 def _uniform_operand(operand, env) -> bool:
@@ -301,38 +278,8 @@ _DATA_SOURCES = (LdGlobal, LdShared, Shfl)
 #: Instructions that address memory through an ``idx`` operand.
 _MEMORY_OPS = (LdGlobal, StGlobal, LdShared, StShared, AtomGlobal, AtomShared)
 
-#: Operand fields each instruction reads (an ``If`` only its condition).
-_OPERAND_FIELDS = {
-    BinOp: ("a", "b"),
-    UnOp: ("a",),
-    Mov: ("a",),
-    Sel: ("cond", "a", "b"),
-    LdGlobal: ("idx",),
-    StGlobal: ("idx", "src"),
-    LdShared: ("idx",),
-    StShared: ("idx", "src"),
-    AtomGlobal: ("idx", "src"),
-    AtomShared: ("idx", "src"),
-    Shfl: ("src", "offset"),
-    If: ("cond",),
-}
-
-
-def _operands(instr) -> dict:
-    """``field -> operand`` for every operand an instruction reads."""
-    return {
-        name: getattr(instr, name)
-        for name in _OPERAND_FIELDS.get(type(instr), ())
-    }
-
-
-def _dst_names(instr) -> list:
-    dst = getattr(instr, "dst", None)
-    if isinstance(dst, Reg):
-        return [dst.name]
-    if isinstance(dst, list):
-        return [reg.name for reg in dst if isinstance(reg, Reg)]
-    return []
+def _reg_names(regs) -> set:
+    return {reg.name for reg in regs if isinstance(reg, Reg)}
 
 
 def _taint(body):
@@ -347,7 +294,7 @@ def _taint(body):
     and partial writes under a mask are covered without tracking
     program points.
     """
-    writes = []  # (destinations, registers read, is a data source)
+    flows = []  # (destinations, registers read, is a data source)
     sinks = []
     for instr in walk_instrs(body):
         kind = type(instr).__name__
@@ -357,19 +304,18 @@ def _taint(body):
             sinks.append((instr.offset, "a shuffle offset"))
         elif isinstance(instr, (If, While)):
             sinks.append((instr.cond, f"a {kind} condition"))
-        dsts = _dst_names(instr)
+        dsts = _reg_names(writes(instr))
         if dsts:
-            reads = {
-                op.name for op in _operands(instr).values() if isinstance(op, Reg)
-            }
-            writes.append((dsts, reads, isinstance(instr, _DATA_SOURCES)))
+            flows.append(
+                (dsts, _reg_names(reads(instr)), isinstance(instr, _DATA_SOURCES))
+            )
     tainted = set()
     grew = True
     while grew:
         grew = False
-        for dsts, reads, source in writes:
-            flows = source or not reads.isdisjoint(tainted)
-            if flows and not tainted.issuperset(dsts):
+        for dsts, used, source in flows:
+            flows_in = source or not used.isdisjoint(tainted)
+            if flows_in and not tainted.issuperset(dsts):
                 tainted.update(dsts)
                 grew = True
     return tainted, sinks
@@ -534,20 +480,18 @@ def _summarize(loop, consts) -> LoopSummary:
 
     # Where each register is written within one trip, and which ones the
     # loop carries (read in a trip before that trip writes them).
-    writes = {}
+    written = {}
     for position, instr in enumerate(trip):
-        for name in _dst_names(instr):
-            writes.setdefault(name, []).append(position)
+        for reg in writes(instr):
+            written.setdefault(reg.name, []).append(position)
     carried, seen = set(), set()
     for instr in trip:
-        for op in _operands(instr).values():
-            if isinstance(op, Reg) and op.name in writes and op.name not in seen:
-                carried.add(op.name)
-        seen.update(_dst_names(instr))
+        carried.update(_reg_names(reads(instr)) & (written.keys() - seen))
+        seen.update(_reg_names(writes(instr)))
 
     inductions = {}
     for name in sorted(carried):
-        positions = writes[name]
+        positions = written[name]
         if len(positions) == 1 and positions[0] >= body_start:
             step = _induction_step(trip[positions[0]], name, consts)
             if step is not None:
@@ -563,19 +507,19 @@ def _summarize(loop, consts) -> LoopSummary:
         facts = _trip_kinds(trip, init, consts)
         grown = {
             name for name in others
-            if all(facts[pos][1] == _DATA for pos in writes[name])
+            if all(facts[pos][1] == _DATA for pos in written[name])
         }
         if grown == data:
             break
         data = grown
     for name in sorted(others - data):
-        last = trip[writes[name][-1]]
+        last = trip[written[name][-1]]
         if isinstance(last, BinOp) and last.op in ("add", "sub"):
-            operands = [op for op in (last.a, last.b) if op != Reg(name)]
-            if len(operands) == 1:
+            steps = [op for op in (last.a, last.b) if op != Reg(name)]
+            if len(steps) == 1:
                 raise _Refuse(
                     "step",
-                    f"%{name} steps by {operands[0]}, not a compile-time int",
+                    f"%{name} steps by {steps[0]}, not a compile-time int",
                 )
         raise _Refuse("carried", f"%{name} is carried between trips but is not data")
 
@@ -589,7 +533,7 @@ def _summarize(loop, consts) -> LoopSummary:
         if kind == _DATA:
             raise _Refuse("gather", f"a loaded value indexes {instr.buf!r}")
         if kind == _OTHER or (
-            isinstance(instr.idx, Reg) and len(writes.get(instr.idx.name, ())) > 1
+            isinstance(instr.idx, Reg) and len(written.get(instr.idx.name, ())) > 1
         ):
             raise _Refuse(
                 "index", f"index {instr.idx} of {instr.buf!r} is not affine in the trip"
@@ -630,7 +574,8 @@ def _loop_condition(loop, trip, body_start, facts, inductions):
     name, end = loop.cond.name, body_start
     while True:
         position = next(
-            (p for p in reversed(range(end)) if name in _dst_names(trip[p])), None
+            (p for p in reversed(range(end)) if Reg(name) in writes(trip[p])),
+            None,
         )
         if position is None:
             raise _Refuse(
@@ -671,11 +616,11 @@ def _trip_kinds(trip, init, consts) -> list:
     for instr in trip:
         kinds = {
             field: _operand_kind(op, env, consts)
-            for field, op in _operands(instr).items()
+            for field, op in operands(instr).items()
         }
         result = _result_kind(instr, kinds)
-        for name in _dst_names(instr):
-            env[name] = result
+        for reg in writes(instr):
+            env[reg.name] = result
         facts.append((kinds, result))
     return facts
 

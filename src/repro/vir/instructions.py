@@ -101,6 +101,9 @@ SPECIAL_KINDS = frozenset({"tid", "ctaid", "ntid", "nctaid", "laneid", "warpid"}
 
 ATOMIC_SCOPES = frozenset({"device", "block", "system"})
 
+#: Shuffle widths hardware accepts (power-of-two warp segments).
+SHFL_WIDTHS = frozenset({1, 2, 4, 8, 16, 32})
+
 
 # -- instructions ---------------------------------------------------------
 
@@ -287,7 +290,7 @@ class Shfl(Instr):
         if self.mode not in SHFL_MODES:
             raise ValueError(f"unknown shuffle mode {self.mode!r}")
         self.offset = as_operand(self.offset)
-        if self.width not in (1, 2, 4, 8, 16, 32):
+        if self.width not in SHFL_WIDTHS:
             raise ValueError("shuffle width must be a power of two <= 32")
 
 
@@ -321,6 +324,50 @@ class While(Instr):
 @dataclass
 class Comment(Instr):
     text: str
+
+
+# -- operands and destinations ---------------------------------------------
+
+#: The operand fields each instruction reads, in evaluation order (an
+#: ``If`` or ``While`` reads only its condition; its regions are bodies).
+_READ_FIELDS = {
+    BinOp: ("a", "b"),
+    UnOp: ("a",),
+    Mov: ("a",),
+    Sel: ("cond", "a", "b"),
+    LdGlobal: ("idx",),
+    StGlobal: ("idx", "src"),
+    LdShared: ("idx",),
+    StShared: ("idx", "src"),
+    AtomGlobal: ("idx", "src"),
+    AtomShared: ("idx", "src"),
+    Shfl: ("src", "offset"),
+    If: ("cond",),
+    While: ("cond",),
+}
+
+#: Instructions with a ``dst`` (a list of registers for a vector load).
+_WRITERS = frozenset({BinOp, UnOp, Mov, Sel, Special, LdParam, LdGlobal,
+                      LdShared, Shfl})
+
+
+def operands(instr) -> dict:
+    """``field -> operand`` for every operand ``instr`` reads, immediates
+    included."""
+    fields = _READ_FIELDS.get(type(instr), ())
+    return {name: getattr(instr, name) for name in fields}
+
+
+def reads(instr) -> list:
+    """The registers and launch constants ``instr`` reads."""
+    return [op for op in operands(instr).values() if isinstance(op, (Reg, Arg))]
+
+
+def writes(instr) -> list:
+    """The registers ``instr`` itself writes (not those of its regions)."""
+    if type(instr) not in _WRITERS:
+        return []
+    return instr.dst if isinstance(instr.dst, list) else [instr.dst]
 
 
 def walk_instrs(body: list):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instructions import Arg, LdParam, Reg, walk_instrs
+from .instructions import Arg, LdParam, reads, walk_instrs
 
 
 @dataclass
@@ -35,20 +35,24 @@ class Kernel:
     shared: list = field(default_factory=list)  # SharedDecl
     body: list = field(default_factory=list)  # Instr
     meta: dict = field(default_factory=dict)
+    #: Facts derived from the kernel, by :meth:`fact` key: ``valid`` and
+    #: ``access`` (the batchability access summary) from
+    #: :mod:`repro.gpusim.engine`, ``compiled`` (the closure trace and
+    #: its event trace) from :mod:`repro.gpusim.compile`. Kernels are
+    #: immutable once built or executed, so a fact never goes stale;
+    #: equality, repr and ``dataclasses.replace`` ignore it.
+    facts: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def fact(self, key: str, build):
+        """``build(self)``, computed on first use and kept in :attr:`facts`."""
+        if key not in self.facts:
+            self.facts[key] = build(self)
+        return self.facts[key]
 
     def shared_bytes(self, element_size: int = 4) -> int:
         return sum(decl.size for decl in self.shared) * element_size
-
-    def register_count(self) -> int:
-        """Number of distinct virtual registers (occupancy proxy)."""
-        regs = set()
-        for instr in walk_instrs(self.body):
-            for value in vars(instr).values():
-                if isinstance(value, Reg):
-                    regs.add(value.name)
-                elif isinstance(value, list):
-                    regs.update(v.name for v in value if isinstance(v, Reg))
-        return len(regs)
 
     def instruction_count(self) -> int:
         return sum(1 for _ in walk_instrs(self.body))
@@ -62,8 +66,7 @@ class Kernel:
         param_names = set(self.params)
         for instr in walk_instrs(self.body):
             names = [instr.name] if isinstance(instr, LdParam) else [
-                value.name for value in vars(instr).values()
-                if isinstance(value, Arg)
+                op.name for op in reads(instr) if isinstance(op, Arg)
             ]
             for name in names:
                 if name not in param_names:

@@ -27,7 +27,16 @@ from repro.gpusim import (
 from repro.obs import default_metrics
 from repro.perf import default_plan_cache
 from repro.runtime import ReductionFramework
-from repro.vir import Comment
+from repro.gpusim.engine import ALU_IMPL
+from repro.vir import (
+    BINARY_OPS,
+    UNARY_OPS,
+    Comment,
+    IRBuilder,
+    Kernel,
+    KernelStep,
+    Plan,
+)
 
 FIG6_LABELS = "abcdefghijklmnop"
 OPS = ("add", "max", "min")
@@ -235,13 +244,41 @@ class TestCompilation:
                 assert len(compile_kernel(kernel).trace) == expected
 
     def test_batchability_memoized(self):
-        from repro.gpusim.engine import _kernel_access_summary
-
+        """The access summary is a kernel fact, walked once per kernel."""
         fw = ReductionFramework(op="add")
         plan = fw.build("b", 4096, Tunables(block=64, grid=8))
         kernel = list(plan.kernel_steps())[0].kernel
-        assert _kernel_access_summary(kernel) is _kernel_access_summary(kernel)
-        assert analyze_batchability(kernel) == analyze_batchability(kernel)
+        verdict = analyze_batchability(kernel)
+        summary = kernel.facts["access"]
+        assert analyze_batchability(kernel) == verdict
+        assert kernel.facts["access"] is summary
+
+
+class TestAluTable:
+    def test_covers_every_opcode(self):
+        assert set(ALU_IMPL) == BINARY_OPS | UNARY_OPS
+
+    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
+    def test_backend_dispatches_through_it(self, backend, monkeypatch):
+        """Both backends compute BinOp and UnOp through ``ALU_IMPL``."""
+        used = []
+        for op, impl in list(ALU_IMPL.items()):
+            def spy(*values, op=op, impl=impl):
+                used.append(op)
+                return impl(*values)
+
+            monkeypatch.setitem(ALU_IMPL, op, spy)
+        b = IRBuilder()
+        tid = b.special("tid")
+        b.st_global("out", tid, b.unop("neg", b.binop("add", tid, 1)))
+        kernel = Kernel("alu", buffers=["out"], body=b.finish())
+        plan = Plan("alu", steps=[
+            KernelStep(kernel, grid=1, block=32, buffers={"out": "out"})
+        ])
+        executor = Executor(backend=backend)
+        executor.device.alloc("out", 32, dtype=np.dtype("int32"))
+        assert executor.run_plan(plan).result == -1
+        assert used == ["add", "neg"]
 
 
 def _kernels(plan):
@@ -290,14 +327,15 @@ class TestPlanCache:
         assert cache.stats.hits == hits + 1
 
     def test_cached_plan_is_prewarmed(self):
-        from repro.gpusim.compile import _COMPILE_MEMO
-
+        """A published kernel carries its compiled artifact and access
+        summary as facts before any launch."""
         fw = ReductionFramework(op="add")
         plan = build_plan_cached(
             fw.pre, fw.resolve("p"), 2222, Tunables(block=64)
         )
         for step in plan.kernel_steps():
-            assert id(step.kernel) in _COMPILE_MEMO
+            assert {"compiled", "access"} <= step.kernel.facts.keys()
+            assert compile_kernel(step.kernel) is step.kernel.facts["compiled"]
 
     def test_cached_plans_still_correct(self):
         """A plan around cached kernels (shared kernels, shared traces)

@@ -14,7 +14,6 @@ def make_step(grid=100, block=128, sampled=0, **events):
         grid=grid,
         block=block,
         shared_bytes=0,
-        registers=8,
         events=Counter(events),
         sampled_blocks=sampled,
     )

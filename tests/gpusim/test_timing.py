@@ -23,7 +23,6 @@ def make_profile(**overrides):
         grid=60,
         block=256,
         shared_bytes=1024,
-        registers=16,
         events=Counter(
             {
                 "inst.alu": 10_000,

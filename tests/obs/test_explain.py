@@ -38,7 +38,7 @@ def fw():
 def _step(events, grid=4, block=64, **kwargs):
     return StepProfile(
         kernel_name="k", grid=grid, block=block, shared_bytes=0,
-        registers=8, events=Counter(events), **kwargs,
+        events=Counter(events), **kwargs,
     )
 
 

@@ -52,6 +52,9 @@ class TestCli:
         ["time", "0"],
         ["tune", "0"],
         ["sanitize", "-n", "0"],
+        ["explain", "b", "-n", "0"],
+        ["tune", "4096", "--version", "b", "--jobs", "0"],
+        ["tune", "4096", "--version", "b", "--jobs", "-1"],
         ["reduce", "100", "--block", "0"],
         ["reduce", "100", "--grid", "0"],
         ["reduce", "100", "--block", "48"],

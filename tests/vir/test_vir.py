@@ -5,21 +5,30 @@ import pytest
 from repro.vir import (
     Arg,
     AtomGlobal,
+    AtomShared,
     Bar,
     BinOp,
+    Comment,
     If,
     Imm,
+    Instr,
     IRBuilder,
     Kernel,
     KernelStep,
     LdGlobal,
+    LdParam,
+    LdShared,
     MemsetStep,
     Mov,
     Plan,
     Reg,
+    Sel,
     SharedDecl,
     Shfl,
+    Special,
+    StGlobal,
     StShared,
+    UnOp,
     While,
     as_operand,
     format_instr,
@@ -27,6 +36,16 @@ from repro.vir import (
     format_plan,
     walk_instrs,
 )
+from repro.vir.instructions import reads, writes
+
+
+def _registers(kernel) -> set:
+    return {
+        value.name
+        for instr in walk_instrs(kernel.body)
+        for value in reads(instr) + writes(instr)
+        if isinstance(value, Reg)
+    }
 
 
 class TestOperands:
@@ -59,8 +78,61 @@ class TestOperands:
         tid = b.special("tid")
         b.binop("mul", tid, 7)
         with_imm = Kernel("k", body=b.finish())
-        assert with_arg.register_count() == with_imm.register_count()
+        assert _registers(with_arg) == _registers(with_imm)
         assert with_arg.instruction_count() == with_imm.instruction_count()
+
+
+def _every_instruction():
+    """One instance of every instruction class, with a distinct register
+    or launch constant in every operand and destination field."""
+    r = [Reg(f"r{i}") for i in range(9)]
+    a = [Arg(f"a{i}") for i in range(3)]
+    return [
+        BinOp(r[0], "add", r[1], a[0]),
+        UnOp(r[0], "neg", a[0]),
+        Mov(r[0], a[0]),
+        Sel(r[0], r[1], a[0], r[2]),
+        Special(r[0], "tid"),
+        LdParam(r[0], "n"),
+        LdGlobal([r[0], r[1]], "in", a[0], width=2),
+        LdGlobal(r[0], "in", r[1]),
+        StGlobal("out", r[0], a[0]),
+        LdShared(r[0], "s", a[0]),
+        StShared("s", a[0], r[0]),
+        AtomGlobal("add", "out", a[0], r[0]),
+        AtomShared("add", "s", r[0], a[0]),
+        Shfl(r[0], r[1], "down", a[0]),
+        Bar(),
+        If(r[0], then=[Mov(r[1], r[2])], otherwise=[Mov(r[3], 1)]),
+        While([Mov(r[1], r[2])], r[0], body=[Mov(r[3], a[1])]),
+        Comment("text"),
+    ]
+
+
+def _scan(instr) -> list:
+    """Every Reg/Arg value in an instruction's own fields."""
+    found = []
+    for value in vars(instr).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, (Reg, Arg)):
+                found.append(item)
+    return found
+
+
+class TestReadsWrites:
+    def test_every_class_is_covered(self):
+        assert {type(i) for i in _every_instruction()} == set(
+            Instr.__subclasses__()
+        )
+
+    @pytest.mark.parametrize(
+        "instr", _every_instruction(), ids=lambda i: type(i).__name__
+    )
+    def test_reads_and_writes_cover_every_field(self, instr):
+        """No operand or destination field escapes the analyses."""
+        read, written = reads(instr), writes(instr)
+        assert sorted(map(str, read + written)) == sorted(map(str, _scan(instr)))
+        assert all(isinstance(reg, Reg) for reg in written)
 
 
 class TestInstructionValidation:
@@ -144,10 +216,6 @@ class TestKernel:
             shared=[SharedDecl("smem", 64)],
             body=b.finish(),
         )
-
-    def test_register_count(self):
-        kernel = self._kernel()
-        assert kernel.register_count() >= 4
 
     def test_instruction_count_descends_regions(self):
         kernel = self._kernel()
