@@ -62,6 +62,29 @@ def _block_size(value: str) -> int:
     return block
 
 
+def _version(value: str) -> str:
+    """argparse type for a version: a Figure 6 label or a version
+    identifier (what ``ReductionFramework.resolve`` accepts)."""
+    from .core import FIG6, enumerate_versions
+
+    if value not in FIG6 and value not in {
+        version.identifier for version in enumerate_versions()
+    }:
+        raise argparse.ArgumentTypeError(
+            f"unknown version {value!r}: use a Figure 6 label "
+            f"({','.join(FIG6)}) or a version identifier "
+            "(see 'repro variants')"
+        )
+    return value
+
+
+def _version_list(value: str) -> str:
+    """argparse type for a comma-separated list of versions."""
+    for item in value.split(","):
+        _version(item)
+    return value
+
+
 def _add_size(parser):
     """Input size: positional (``reduce 1000``) or ``-n`` (``reduce -n
     1000``) — the option form reads naturally under the ``trace`` verb."""
@@ -403,13 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cuda", help="emit CUDA C for one version")
     _add_common(p)
-    p.add_argument("version", help="Figure 6 label (a-p)")
+    p.add_argument("version", type=_version, help="Figure 6 label (a-p)")
     p.set_defaults(func=cmd_cuda)
 
     p = sub.add_parser("reduce", help="run a reduction on random data")
     _add_common(p)
     _add_size(p)
-    p.add_argument("--version", default="p")
+    p.add_argument("--version", type=_version, default="p")
     p.add_argument("--block", type=_block_size, default=None)
     p.add_argument("--grid", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -420,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("time", help="modelled times across architectures")
     _add_common(p)
     _add_size(p)
-    p.add_argument("--versions", default=None,
+    p.add_argument("--versions", type=_version_list, default=None,
                    help="comma-separated labels (default: m,n,p,b)")
     p.add_argument("--engine", default="compiled", type=_engine_spec,
                    help="simulator backend used for profiling (see "
@@ -432,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="sweep tunables for one version")
     _add_common(p)
     _add_size(p)
-    p.add_argument("--version", default="b")
+    p.add_argument("--version", type=_version, default="b")
     p.add_argument("--arch", default="kepler",
                    choices=("kepler", "maxwell", "pascal"))
     p.add_argument("--jobs", type=_positive_int, default=None,
@@ -458,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ctype", choices=("all", "float", "int"),
                    default="all", help="element type(s) to sweep "
                    "(default: all)")
-    p.add_argument("--versions", default=None,
+    p.add_argument("--versions", type=_version_list, default=None,
                    help="comma-separated Figure 6 labels "
                         "(default: the full catalog)")
     from .sanitize.report import DEFAULT_ENGINES
@@ -517,12 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common(p)
-    p.add_argument("version", nargs="?", default=None,
+    p.add_argument("version", nargs="?", default=None, type=_version,
                    help="Figure 6 label to explain (omit with --diff)")
     p.add_argument("-n", "--size", type=_positive_int, dest="n",
                    default=65536,
                    help="input size in elements (default: 65536)")
     p.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
+                   type=_version,
                    help="attribute the timing delta between two labels")
     p.add_argument("--arch", default="pascal",
                    choices=("kepler", "maxwell", "pascal"))

@@ -43,10 +43,13 @@ counters of a sampled launch must match, and they must match exactly.
 An artifact that ``prepare`` returns carries ``data_dependence`` (None
 when the kernel is data-oblivious) and ``event_trace_for(kernel)``, the
 kernel's *event trace*: the trace with every value-only instruction
-reduced to its events. A sampled launch of a plan whose kernels are all
+reduced to its events, and ``suffix_start``/``suffix_buffers``, its
+launch-invariant suffix (``suffix_start`` None when there is none). A
+sampled or profile launch of a plan whose kernels are all
 data-oblivious, with no sanitizer, runs that event trace instead of
-``trace(kernel)`` and may skip proven-periodic loop trips (see
-``Executor._loop_fallback`` and ``_BatchedRun._exec_while_c``); a
+``trace(kernel)``, may skip proven-periodic loop trips and replays the
+suffix from the kernel's memo (see ``Executor._loop_fallback``,
+``_BatchedRun._exec_while_c`` and ``_BatchedRun._run_suffix``); a
 backend without artifacts always runs the full trace, every trip.
 """
 

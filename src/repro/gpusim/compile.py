@@ -48,14 +48,18 @@ validation live in exactly one place and cover the compiled backend
 for free.
 
 The same compiler also emits a data-oblivious kernel's *event trace*
-(:meth:`CompiledKernel.event_trace_for`, built on the first sampled
-launch): given the kernel's data registers
-(:func:`repro.vir.analysis.data_registers`), an ALU instruction whose
-destination is data compiles to a bare ``inst.alu`` count, and memory,
-atomic and shuffle instructions call the *event half* of their run-state
-method (``_ld_global_events``, ...: indices, bounds checks, validation,
-counters) and move no value. Loop summaries are decided exactly as for
-the full trace, so both traces count the same events.
+(:meth:`CompiledKernel.event_trace_for`, built on the first launch
+that runs it — a sampled or profile launch): given the kernel's data
+registers (:func:`repro.vir.analysis.data_registers`), an ALU
+instruction whose destination is data compiles to a bare ``inst.alu``
+count, and memory, atomic and shuffle instructions call the *event
+half* of their run-state method (``_ld_global_events``, ...: indices,
+bounds checks, validation, counters) and move no value. Loop summaries
+are decided exactly as for the full trace, so both traces count the
+same events. The artifact also records where a data-oblivious kernel's
+launch-invariant suffix starts, as a trace index
+(:func:`repro.vir.analysis.launch_invariant_suffix`), and the global
+buffers it touches, so the run state can memoize that suffix's events.
 
 Results and event counters are bit-identical to the interpreter on every
 kernel; ``tests/gpusim/test_compiled_engine.py`` enforces this
@@ -73,6 +77,7 @@ from ..vir.analysis import (
     data_dependence,
     data_registers,
     eval_const_instr,
+    launch_invariant_suffix,
     summarize_loop,
 )
 from ..vir.instructions import (
@@ -96,6 +101,7 @@ from ..vir.instructions import (
     StShared,
     UnOp,
     While,
+    walk_instrs,
 )
 from .engine import ALU_IMPL, SimulationError, launch_constant
 
@@ -301,6 +307,12 @@ class CompiledKernel:
     data_dependence: str = None
     #: The event trace (:meth:`event_trace_for`), None until first built.
     event_trace: list = None
+    #: Trace index where the event trace's launch-invariant suffix
+    #: starts (:func:`~repro.vir.analysis.launch_invariant_suffix`), or
+    #: None when it is empty or the kernel is data-dependent; and the
+    #: global buffers that suffix touches.
+    suffix_start: int = None
+    suffix_buffers: tuple = ()
 
     def event_trace_for(self, kernel) -> list:
         """The event trace of ``kernel``, this artifact's data-oblivious
@@ -390,13 +402,36 @@ def compile_kernel(kernel) -> CompiledKernel:
     return kernel.fact("compiled", _compile_fresh)
 
 
+def _event_suffix(body, trace_len):
+    """``(suffix_start, suffix_buffers)`` of a data-oblivious kernel: its
+    launch-invariant suffix as a trace index (one closure per top-level
+    instruction, comments excepted) and the global buffers it touches;
+    ``(None, ())`` when the suffix is empty."""
+    start = launch_invariant_suffix(body)
+    index = sum(1 for instr in body[:start] if type(instr) is not Comment)
+    if index == trace_len:
+        return None, ()
+    return index, tuple(sorted({
+        instr.buf for instr in walk_instrs(body[start:])
+        if isinstance(instr, (LdGlobal, StGlobal, AtomGlobal))
+    }))
+
+
 def _compile_fresh(kernel) -> CompiledKernel:
     from ..obs import default_metrics  # runtime import: obs is standalone
 
+    trace = _KernelCompiler(kernel).compile()
+    dependence = data_dependence(kernel.body)
+    start, buffers = (
+        _event_suffix(kernel.body, len(trace)) if dependence is None
+        else (None, ())
+    )
     compiled = CompiledKernel(
         kernel_name=kernel.name,
-        trace=_KernelCompiler(kernel).compile(),
-        data_dependence=data_dependence(kernel.body),
+        trace=trace,
+        data_dependence=dependence,
+        suffix_start=start,
+        suffix_buffers=buffers,
     )
     metrics = default_metrics()
     metrics.inc("compile.kernels")

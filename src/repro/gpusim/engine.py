@@ -54,15 +54,22 @@ atomic tallies are always counted on every row.
 Large launches can be *sampled*: only a representative subset of blocks
 executes and counters are scaled to the full grid. Sampled runs produce
 profiles, not valid numerical results: device buffers after a sampled
-launch are unspecified, while every event counter stays exact. On the
-``compiled`` backend a sampled launch of a data-oblivious plan, with no
-sanitizer attached, goes further (see :meth:`Executor._loop_fallback`):
-it runs the kernel's *event trace*, in which value-only instructions
-are reduced to their event counts and memory, atomic and shuffle
-instructions run only the event half of their run-state method, and it
-skips the trips of a proven-periodic loop, adding their events in
-closed form (:meth:`_BatchedRun._exec_while_c`). ``StepProfile.meta
-["exec.trace"]`` records which trace ran (``events`` or ``full``).
+launch are unspecified, while every event counter stays exact. A caller
+that reads events only says so (``Executor.run_plan(values=False)``, as
+every profile does). On the ``compiled`` backend a launch whose values
+nobody reads — sampled, or part of such a run — of a data-oblivious
+plan, with no sanitizer attached, goes further (see
+:meth:`Executor._loop_fallback`): it runs the kernel's *event trace*, in
+which value-only instructions are reduced to their event counts and
+memory, atomic and shuffle instructions run only the event half of
+their run-state method, and it skips the trips of a proven-periodic
+loop, adding their events in closed form
+(:meth:`_BatchedRun._exec_while_c`). ``StepProfile.meta["exec.trace"]``
+records which trace ran (``events`` or ``full``). The event trace's
+*launch-invariant suffix* — the block combine at the end of every
+reduction kernel, which reads no launch constant — is simulated once
+per launch shape and chunk and replayed from the kernel's memo after
+that (:meth:`_BatchedRun._run_suffix`).
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +112,7 @@ from .device import Device
 from .events import PlanProfile, StepProfile
 
 WARP = 32
+_LANES = np.arange(WARP, dtype=np.int64)
 
 #: Cap on how many distinct atomic addresses are tracked exactly per step.
 _ATOMIC_TRACK_CAP = 4096
@@ -317,12 +326,17 @@ class Executor:
 
     # -- plan level -----------------------------------------------------
 
-    def run_plan(self, plan: Plan, sample_limit: int = None) -> PlanProfile:
+    def run_plan(
+        self, plan: Plan, sample_limit: int = None, values: bool = True
+    ) -> PlanProfile:
         """Run every step of a plan.
 
         ``sample_limit`` bounds how many blocks of each launch actually
         execute; when it kicks in, the profile is marked sampled and the
-        numeric result is not meaningful.
+        numeric result is not meaningful. ``values=False`` declares that
+        the caller reads events only (a profile): every launch of a
+        data-oblivious plan may then run its event trace, device buffers
+        are left unspecified and ``result`` stays None.
         """
         # The structural validation walk is a kernel fact: it runs once
         # per kernel object, not per plan or launch (the plans of a sweep
@@ -340,11 +354,11 @@ class Executor:
                 self.device.memset(step.buffer, step.value)
                 continue
             step_profile = self.run_kernel(
-                step, sample_limit=sample_limit, plan=plan
+                step, sample_limit=sample_limit, plan=plan, values=values
             )
             sampled_any = sampled_any or bool(step_profile.sampled_blocks)
             profile.steps.append(step_profile)
-        if not sampled_any:
+        if values and not sampled_any:
             result_buf = self.device.get(plan.result_buffer)
             index = plan.result_index
             if not 0 <= index < len(result_buf):
@@ -366,20 +380,20 @@ class Executor:
         ok, _ = analyze_batchability(step.kernel, self.device)
         return "batched" if ok else "sequential"
 
-    def _loop_fallback(self, sampled: bool, kernel, kernels):
+    def _loop_fallback(self, values: bool, kernel, kernels):
         """``(reason, artifact)``: why a launch of ``kernel`` must
         simulate every loop trip and every value, or ``(None, artifact)``
         with ``kernel``'s backend artifact when it may extrapolate
         proven-periodic trips and run the artifact's event trace.
 
         Skipped trips and unmoved values leave registers, and so device
-        buffers, unspecified. That is safe only when the launch is
-        sampled (its results are not meaningful anyway), no sanitizer
-        observes individual accesses, and no kernel of ``kernels`` (the
-        plan's, which run on those buffers; ``kernel`` among them) lets
-        data steer its events.
+        buffers, unspecified. That is safe only when nobody reads the
+        launch's ``values`` (it is sampled, or part of a profile), no
+        sanitizer observes individual accesses, and no kernel of
+        ``kernels`` (the plan's, which run on those buffers; ``kernel``
+        among them) lets data steer its events.
         """
-        if not sampled:
+        if values:
             return "unsampled", None
         if self.sanitizer is not None:
             return "sanitizer", None
@@ -395,12 +409,19 @@ class Executor:
         return None, own
 
     def run_kernel(
-        self, step: KernelStep, sample_limit: int = None, plan: Plan = None
+        self,
+        step: KernelStep,
+        sample_limit: int = None,
+        plan: Plan = None,
+        values: bool = True,
     ) -> StepProfile:
         """Run one launch. ``plan`` is the plan it belongs to: a sampled
-        launch skips proven-periodic trips and runs the event trace only
-        when every kernel of it is data-oblivious (without one, the
-        launch's own kernel decides)."""
+        launch, or any launch when ``values`` is False, skips
+        proven-periodic trips and runs the event trace only when every
+        kernel of it is data-oblivious (without one, the launch's own
+        kernel decides). A launch on the event trace runs its kernel's
+        launch-invariant suffix through the kernel's memo
+        (:meth:`_BatchedRun._run_suffix`)."""
         kernel = step.kernel
         profile = StepProfile(
             kernel_name=kernel.name,
@@ -422,10 +443,17 @@ class Executor:
         profile.meta["exec.backend"] = self.backend
         kernels = [s.kernel for s in plan.kernel_steps()] if plan else [kernel]
         fallback, artifact = self._loop_fallback(
-            bool(profile.sampled_blocks), kernel, kernels
+            values and not profile.sampled_blocks, kernel, kernels
         )
+        suffix = None
         if fallback is None:
             trace_kind, trace = "events", artifact.event_trace_for(kernel)
+            if artifact.suffix_start is not None:
+                suffix = (
+                    artifact.suffix_start,
+                    artifact.suffix_buffers,
+                    kernel.fact("suffix", _new_memo),
+                )
         else:
             trace_kind, trace = "full", self._backend.trace(kernel)
         profile.meta["exec.trace"] = trace_kind
@@ -442,6 +470,7 @@ class Executor:
         ) as span:
             atomic_addr_counts = {}
             loop_stats = Counter()
+            suffix_stats = Counter()
             san = None
             if self.sanitizer is not None:
                 san = self.sanitizer.begin_kernel(step, self.device)
@@ -453,7 +482,7 @@ class Executor:
             else:
                 batch = max(1, self.BATCH_LANES // max(1, step.block))
             for start in range(0, len(block_ids), batch):
-                _BatchedRun(
+                outcome = _BatchedRun(
                     self,
                     step,
                     block_ids[start : start + batch],
@@ -463,7 +492,10 @@ class Executor:
                     loop_fallback=fallback,
                     trace=trace,
                     san=san,
+                    suffix=suffix,
                 ).run()
+                if outcome is not None:
+                    suffix_stats[outcome] += 1
 
             executed_blocks = profile.sampled_blocks or step.grid
             profile.events["blocks"] = executed_blocks
@@ -477,6 +509,8 @@ class Executor:
             span.set(events={k: int(v) for k, v in profile.events.items()})
             if loop_stats:
                 span.set(loops=dict(loop_stats))
+            if suffix_stats:
+                span.set(suffix=dict(suffix_stats))
         # One grouped update: a snapshot must never observe the launch
         # counter without the launch's event totals (or vice versa).
         metrics = default_metrics()
@@ -487,6 +521,9 @@ class Executor:
             counters["exec.trace.events"] = 1
         counters.update(
             (f"exec.loop.{key}", value) for key, value in loop_stats.items()
+        )
+        counters.update(
+            (f"exec.suffix.{key}", value) for key, value in suffix_stats.items()
         )
         metrics.record(counters=counters)
         return profile
@@ -537,7 +574,8 @@ class _BatchedRun:
     """
 
     def __init__(self, executor, step, block_ids, events, atomic_addr_counts,
-                 loop_stats, loop_fallback=None, trace=None, san=None):
+                 loop_stats, loop_fallback=None, trace=None, san=None,
+                 suffix=None):
         self.executor = executor
         self.device = executor.device
         self.step = step
@@ -555,6 +593,12 @@ class _BatchedRun:
         self.loop_fallback = loop_fallback
         self.trace = trace
         self.san = san
+        #: ``(trace index, global buffers, memo)`` of the trace's
+        #: launch-invariant suffix, or None (see :meth:`_run_suffix`).
+        self.suffix = suffix
+        #: While a suffix is simulated for the memo: the global-atomic
+        #: tallies it feeds, as :meth:`_tally` arguments.
+        self._tallies = None
         self.regs = {}
         self.shared = {
             decl.name: np.zeros((self.nblocks, decl.size), dtype=np.float64)
@@ -575,12 +619,71 @@ class _BatchedRun:
 
     # -- helpers -------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self):
+        """Run the chunk; with a suffix, return whether it was
+        ``"simulated"`` or ``"reused"`` (else None)."""
         mask = np.ones(self.shape, dtype=bool)
         if self.trace is None:
             self._exec_body(self.kernel.body, mask)
-        else:
+        elif self.suffix is None:
             self._run_trace(self.trace, mask)
+        else:
+            start = self.suffix[0]
+            self._run_trace(self.trace[:start], mask)
+            return self._run_suffix(self.trace[start:], mask)
+        return None
+
+    def _run_suffix(self, trace, mask) -> str:
+        """Run the launch-invariant suffix ``trace`` of an event trace
+        (:func:`repro.vir.analysis.launch_invariant_suffix`) through the
+        kernel's memo.
+
+        Top-level code runs under the full mask, and the suffix reads no
+        launch constant, so its events, loop counters and global-atomic
+        tallies are a function of the key below: the launch geometry,
+        the chunk's block ids, the loop cap and the shape of every global
+        buffer it touches (lengths bound its indices, dtypes size its
+        transactions, a read-only buffer makes a store raise). A hit
+        replays an entry; a miss simulates the suffix against fresh
+        counters, merges them and stores them. Entries are written once
+        and never mutated. Both are skipped when the launch's atomic
+        tallies could pass ``_ATOMIC_TRACK_CAP`` on the way, where
+        replaying would not stop where simulation stops.
+        """
+        _start, buffers, memo = self.suffix
+        shapes = []
+        for buf in buffers:
+            arr = self.device.get(buf)
+            shapes.append((buf, len(arr), arr.dtype.str, arr.flags.writeable))
+        key = (self.step.grid, self.nthreads, self.block_ids.tobytes(),
+               self.executor.LOOP_CAP, tuple(shapes))
+        counts = self.atomic_addr_counts
+        entry = memo.get(key)
+        if entry is not None and (
+            len(counts) + entry.tallied <= _ATOMIC_TRACK_CAP
+        ):
+            _add_counts(self.events, entry.events)
+            _add_counts(self.loop_stats, entry.loops)
+            for tally in entry.tallies:
+                self._tally(*tally)
+            return "reused"
+        events, loop_stats, before = self.events, self.loop_stats, len(counts)
+        self.events, self.loop_stats, self._tallies = Counter(), Counter(), []
+        self._run_trace(trace, mask)
+        fresh = _SuffixEntry(
+            events=tuple(self.events.items()),
+            loops=tuple(self.loop_stats.items()),
+            tallies=tuple(self._tallies),
+            tallied=sum(len(tally[2]) for tally in self._tallies),
+        )
+        self.events, self.loop_stats, self._tallies = events, loop_stats, None
+        _add_counts(events, fresh.events)
+        _add_counts(loop_stats, fresh.loops)
+        # Each logged address adds at most one tally, so below the cap
+        # here no tally was dropped and the log is complete.
+        if entry is None and before + fresh.tallied <= _ATOMIC_TRACK_CAP:
+            memo[key] = fresh
+        return "simulated"
 
     def _count(self, key, mask) -> None:
         if self._cur_warps is not None:
@@ -982,6 +1085,15 @@ class _BatchedRun:
             return idx.astype(np.int64, copy=False)
         return idx.astype(np.int64)
 
+    def _check_writeable(self, buf) -> None:
+        """A store or atomic into a read-only buffer (a profile's input
+        view) raises in its event half, so it raises on every trace."""
+        if not self.device.get(buf).flags.writeable:
+            raise ValueError(
+                f"kernel {self.kernel.name!r}: write to read-only global "
+                f"buffer {buf!r}"
+            )
+
     def _count_transactions(self, idx, mask, buf, kind, width: int = 1) -> None:
         """Count unique 128-byte segments per (block, warp) group."""
         arr = self.device.get(buf)
@@ -995,18 +1107,39 @@ class _BatchedRun:
         )
 
     def _count_segments_sorted(self, idx, mask, per_segment, width) -> int:
-        """Unique active segments per (block, warp), summed: each warp's
-        ``width`` segment planes side by side in one row, sorted, and
-        the runs of equal non-sentinel segments counted. Segment counts
-        are not shift-invariant (a row constant can move a warp across a
-        segment boundary), so every row is counted."""
-        planes = [
-            self._warp_rows((idx if k == 0 else idx + k) // per_segment, mask)
-            for k in range(width)
-        ]
+        """Unique active segments per (block, warp), summed. Segment
+        counts are not shift-invariant (a row constant can move a warp
+        across a segment boundary), so every row is counted.
+
+        A warp row whose 32 lanes are all active and read ``first +
+        lane`` is counted in closed form (:func:`_unit_row_segments`);
+        one vectorised compare finds those rows. Every other row places
+        its ``width`` segment planes side by side, sorts them and counts
+        the runs of equal non-sentinel segments."""
+        if self._cur_all and self.nthreads % WARP == 0:
+            rows = idx.reshape(-1, WARP)  # whole warps, no sentinel lanes
+        else:
+            rows = self._warp_rows(idx, mask)
+        first = rows[:, 0]
+        match = rows == first[:, None] + _LANES
+        # One reduction over the chunk is much cheaper than one per row.
+        if match.all() and first.min() >= 0:
+            return _unit_row_segments(first, per_segment, width)
+        unit = (first >= 0) & match.all(axis=1)
+        total = 0
+        if unit.any():
+            total = _unit_row_segments(first[unit], per_segment, width)
+            rows = rows[~unit]
+        planes = [rows // per_segment]  # the -1 sentinel stays -1
+        if width > 1:
+            inactive = rows < 0
+            planes += [
+                np.where(inactive, -1, (rows + k) // per_segment)
+                for k in range(1, width)
+            ]
         rows = planes[0] if width == 1 else np.concatenate(planes, axis=1)
         rows.sort(axis=1)
-        return int(np.count_nonzero(_run_starts(rows)))
+        return total + int(np.count_nonzero(_run_starts(rows)))
 
     def _warp_rows(self, values, mask) -> np.ndarray:
         """``values`` of a ``(blocks, threads)`` chunk — or of its first
@@ -1091,6 +1224,7 @@ class _BatchedRun:
 
     def _st_global_events(self, instr, mask) -> np.ndarray:
         idx = self._global_indices(instr.idx, mask, instr.buf)
+        self._check_writeable(instr.buf)
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
         self._count_transactions(idx, mask, instr.buf, "st")
@@ -1228,6 +1362,7 @@ class _BatchedRun:
 
     def _atom_global_events(self, instr, mask) -> np.ndarray:
         idx = self._global_indices(instr.idx, mask, instr.buf)
+        self._check_writeable(instr.buf)
         if self.san is not None:
             self.san.on_mem(self, instr, idx, mask)
         self.events["atom.global.ops"] += int(mask.sum())
@@ -1237,8 +1372,7 @@ class _BatchedRun:
     def _tally_global_atomics(self, buf, idx, mask) -> None:
         """Feed the launch's per-address ``[ops, first_block,
         cross_block]`` tallies, block by block."""
-        counts = self.atomic_addr_counts
-        if len(counts) > _ATOMIC_TRACK_CAP:
+        if len(self.atomic_addr_counts) > _ATOMIC_TRACK_CAP:
             return
         # One sort for the chunk: per block row, the runs of equal
         # active addresses, in (row, address) order.
@@ -1254,21 +1388,27 @@ class _BatchedRun:
         per_addr = (ends - starts).tolist()
         block_ids = self.block_ids.tolist()
         for r in range(self.nblocks):
-            if len(counts) > _ATOMIC_TRACK_CAP:
-                break  # cap checked per block: chunking-independent
             lo, hi = bounds[r], bounds[r + 1]
-            block_id = block_ids[r]
-            for address, count in zip(addresses[lo:hi], per_addr[lo:hi]):
-                key = (buf, address)
-                entry = counts.get(key)
-                if entry is None:
-                    # [ops, first block to touch, touched cross-block];
-                    # rows are block-ascending.
-                    counts[key] = [count, block_id, False]
-                else:
-                    entry[0] += count
-                    if entry[1] != block_id:
-                        entry[2] = True
+            self._tally(buf, block_ids[r], addresses[lo:hi], per_addr[lo:hi])
+
+    def _tally(self, buf, block_id, addresses, per_addr) -> None:
+        """Merge one block's runs of equal atomic addresses (and their
+        lengths) into the launch's tallies; blocks arrive ascending."""
+        counts = self.atomic_addr_counts
+        if len(counts) > _ATOMIC_TRACK_CAP:
+            return  # cap checked per block: chunking-independent
+        if self._tallies is not None:
+            self._tallies.append((buf, block_id, addresses, per_addr))
+        for address, count in zip(addresses, per_addr):
+            key = (buf, address)
+            entry = counts.get(key)
+            if entry is None:
+                # [ops, first block to touch, touched cross-block].
+                counts[key] = [count, block_id, False]
+            else:
+                entry[0] += count
+                if entry[1] != block_id:
+                    entry[2] = True
 
     def _atom_global_values(self, instr, idx, mask) -> None:
         src = self._value_array(instr.src, mask)
@@ -1346,6 +1486,37 @@ class _BatchedRun:
         source = base + target
         valid = (target >= 0) & (target < instr.width) & (source < self.nthreads)
         return np.where(valid, source, lanes).astype(np.int64)
+
+
+class _SuffixEntry(NamedTuple):
+    """What simulating a launch-invariant suffix did once: its event and
+    loop-counter deltas as ``(key, delta)`` pairs (every key it touched,
+    zero deltas included), its :meth:`_BatchedRun._tally` calls and the
+    addresses they carry."""
+
+    events: tuple
+    loops: tuple
+    tallies: tuple
+    tallied: int
+
+
+def _new_memo(_kernel) -> dict:
+    """A kernel's ``suffix`` fact: launch-invariant suffix key ->
+    :class:`_SuffixEntry`."""
+    return {}
+
+
+def _add_counts(counter, items) -> None:
+    for key, value in items:
+        counter[key] += value
+
+
+def _unit_row_segments(first, per_segment, width) -> int:
+    """Segments touched by full warp rows that read ``first + lane``,
+    ``width`` elements per lane: each covers the contiguous elements
+    ``[first, last]``, ``last = first + 31 + width - 1``."""
+    last = first + (WARP - 1 + width - 1)
+    return int((last // per_segment - first // per_segment).sum()) + len(first)
 
 
 def _run_starts(rows) -> np.ndarray:

@@ -118,7 +118,8 @@ class ReductionFramework:
     plan/profile caches, and each kernel's fact store
     (:meth:`~repro.vir.program.Kernel.fact`: plain dict reads/writes of
     values that never change once built, atomic under the GIL; a lost
-    race costs a duplicate build, never a wrong result).
+    race costs a duplicate build, never a wrong result — the same holds
+    for the entries of a kernel's launch-invariant suffix memo).
     Instance attributes are never written after ``__init__``.
     """
 
@@ -372,7 +373,9 @@ def _profile_plan(plan, n: int, backend: str = "compiled") -> PlanProfile:
     """Event profile of ``plan`` on an ``n``-element input of zeros,
     under the profiling sampling policy: a launch grid above
     ``SAMPLING_GRID_LIMIT`` blocks runs ``PROFILE_SAMPLE_BLOCKS``
-    sampled blocks."""
+    sampled blocks. A profile reads events only, so no value is
+    computed (a data-oblivious plan runs its event traces) and
+    ``result`` stays None."""
     # The input buffer's dtype must match the plan's element type — an
     # int-element framework profiles against an int32 device array (the
     # transaction/coalescing counters depend on the element width). The
@@ -386,7 +389,7 @@ def _profile_plan(plan, n: int, backend: str = "compiled") -> PlanProfile:
     sample_limit = (
         None if max_grid <= SAMPLING_GRID_LIMIT else PROFILE_SAMPLE_BLOCKS
     )
-    return executor.run_plan(plan, sample_limit=sample_limit)
+    return executor.run_plan(plan, sample_limit=sample_limit, values=False)
 
 
 def _baseline_profile(kind: str, n: int, op: str, build) -> PlanProfile:

@@ -20,10 +20,13 @@ ordering, out-of-range shifts) conservatively returns ``UNKNOWN``, so a
 failed analysis can never change observable behaviour — a proof simply
 does not hold.
 
-Two further proofs let sampled launches skip loop trips without
-changing a single event counter (see :func:`data_dependence` and
-:func:`summarize_loop`; ``docs/PERFORMANCE.md`` explains how the engine
-uses them).
+Two further proofs let sampled and profile launches skip loop trips
+without changing a single event counter (see :func:`data_dependence`
+and :func:`summarize_loop`), and a launch-constant taint with control
+dependence (:func:`launch_invariant_suffix`) finds the top-level tail
+of a kernel whose events depend on the launch geometry only, so the
+engine simulates it once per launch shape (``docs/PERFORMANCE.md``
+explains how the engine uses them).
 """
 
 from __future__ import annotations
@@ -346,6 +349,71 @@ def data_registers(body) -> frozenset:
     mask, address and shuffle lane, and with them every event (the
     event trace of :mod:`repro.gpusim.compile`)."""
     return frozenset(_taint(body)[0])
+
+
+def _guarded_flows(body, guards=frozenset()):
+    """``(instr, condition registers of its enclosing regions)`` for
+    every instruction of ``body``, nested ones included."""
+    for instr in body:
+        yield instr, guards
+        if isinstance(instr, (If, While)):
+            inner = guards | {instr.cond.name}
+            regions = (
+                (instr.then, instr.otherwise) if isinstance(instr, If)
+                else (instr.cond_block, instr.body)
+            )
+            for region in regions:
+                yield from _guarded_flows(region, inner)
+
+
+def _reads_launch_constant(instr, tainted) -> bool:
+    return isinstance(instr, LdParam) or any(
+        isinstance(op, Arg) or op.name in tainted for op in reads(instr)
+    )
+
+
+def launch_invariant_suffix(body) -> int:
+    """Index of the first top-level instruction of ``body`` from which
+    no instruction, nested ones included, reads a launch constant
+    (an :class:`~repro.vir.instructions.Arg` or ``ld.param``) or a
+    register that depends on one; ``len(body)`` when there is no such
+    suffix.
+
+    A register depends on a launch constant when a write to it reads
+    one or such a register, or sits under an ``If``/``While`` whose
+    condition does (control dependence), to a fixpoint. Special
+    registers are not launch constants: the suffix may read ``tid``,
+    ``ctaid`` and ``nctaid``, so its events are a function of the launch
+    geometry, the block ids it runs and the global buffers it touches.
+    The kernel's data registers (:func:`data_registers`) are ignored,
+    which is sound only for a data-oblivious kernel run on its event
+    trace, where they are never computed (``docs/PERFORMANCE.md``).
+    """
+    data = data_registers(body)
+    flows = [
+        (_reg_names(writes(instr)) - data, instr, guards)
+        for instr, guards in _guarded_flows(body)
+    ]
+    flows = [flow for flow in flows if flow[0]]
+    tainted = set()
+    grew = True
+    while grew:
+        grew = False
+        for dsts, instr, guards in flows:
+            if tainted.issuperset(dsts):
+                continue
+            if not guards.isdisjoint(tainted) or _reads_launch_constant(
+                instr, tainted
+            ):
+                tainted.update(dsts)
+                grew = True
+    start = len(body)
+    while start and not any(
+        _reads_launch_constant(instr, tainted)
+        for instr in walk_instrs(body[start - 1 : start])
+    ):
+        start -= 1
+    return start
 
 
 @dataclass(frozen=True)

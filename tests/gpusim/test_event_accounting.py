@@ -242,3 +242,50 @@ def test_atomic_track_cap(sample_limit, expected, backend, chunking):
                       buffers={"ix": "ix", "out": "out"})
     events = executor.run_kernel(step, sample_limit=sample_limit).events
     assert events["atom.global.max_same_addr"] == expected
+
+
+def _segment_case(name, rng):
+    """``(ix, mask)`` of a 3-block chunk for the segment-count oracle."""
+    block = 100 if name == "ragged" else 128
+    lanes = np.arange(block)
+    starts = rng.integers(0, 4 * WARP, size=3)
+    if name == "unit-aligned":
+        starts = np.array([0, 4 * WARP, 7 * WARP])
+    if name == "strided":
+        lanes = lanes * 3
+    if name == "random":
+        ix = rng.integers(0, 8 * block, size=(3, block))
+    else:
+        ix = starts[:, None] + lanes[None, :]
+    mask = np.ones(ix.shape, dtype=bool)
+    if name == "partly-masked":
+        mask = rng.random(ix.shape) < 0.7
+        mask[0] = True  # one whole-row block next to masked ones
+    if name == "lane0-masked":
+        # Lane 0 of every warp is inactive and lane l reads l - 1: with
+        # the -1 sentinel every row reads like ``-1 + lane``.
+        ix = np.broadcast_to(lanes % WARP - 1, (3, block)).copy()
+        mask = ix >= 0
+    return ix, mask
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("per_segment", [32, 16])
+@pytest.mark.parametrize("name", [
+    "unit-aligned", "unit", "strided", "ragged", "partly-masked",
+    "lane0-masked", "random",
+])
+def test_segment_counts_match_oracle(name, per_segment, width):
+    """Global segment counts, closed-form unit-stride rows included,
+    against the per-warp set of touched segments."""
+    from repro.gpusim.engine import _BatchedRun
+
+    ix, mask = _segment_case(name, np.random.default_rng(sum(map(ord, name))))
+    grid, block = ix.shape
+    step = KernelStep(KERNEL, grid=grid, block=block,
+                      buffers={name: name for name in KERNEL.buffers})
+    run = _BatchedRun(Executor(), step, np.arange(grid), Counter(), {},
+                      Counter())
+    run._cur_all = bool(mask.all())  # as the compiled trace sets it
+    got = run._count_segments_sorted(ix, mask, per_segment, width)
+    assert got == _segments(ix, mask, per_segment, width)

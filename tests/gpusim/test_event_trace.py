@@ -1,11 +1,12 @@
-"""Event-only sampled launches.
+"""Event-only launches.
 
 A sampled ``compiled`` launch of a plan whose kernels are all
-data-oblivious runs the kernel's event trace
+data-oblivious, and every launch of such a plan in a profile, runs the
+kernel's event trace
 (:meth:`repro.gpusim.CompiledKernel.event_trace_for`): every value-only
 instruction reduced to its events. It must give the full trace's events
-bit for bit, raise the full trace's errors, be built only for a sampled
-launch, and never run where values are observable.
+bit for bit, raise the full trace's errors, be built only for a launch
+whose values nobody reads, and never run where values are observable.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.baselines import build_cub_plan, build_kokkos_plan
 from repro.codegen import Tunables
 from repro.gpusim import CompiledKernel, Executor, SimulationError, compile_kernel
 from repro.gpusim.device import Device
+from repro.gpusim.engine import _BatchedRun
 from repro.obs import default_metrics, get_tracer
 from repro.runtime.session import _profile_plan
 from repro.sanitize import Sanitizer
@@ -35,9 +37,14 @@ GRID = 16
 
 def _full_trace(monkeypatch):
     """Make every launch that would run an event trace run the full one
-    (trip skipping stays on, so only the trace differs)."""
+    and simulate its launch-invariant suffix, never reading the suffix
+    memo (trip skipping stays on, so only the trace differs)."""
     monkeypatch.setattr(
         CompiledKernel, "event_trace_for", lambda self, kernel: self.trace
+    )
+    monkeypatch.setattr(
+        _BatchedRun, "_run_suffix",
+        lambda self, trace, mask: self._run_trace(trace, mask),
     )
 
 
@@ -46,11 +53,9 @@ def _assert_events_match_full(plan, n, monkeypatch):
     with monkeypatch.context() as patch:
         _full_trace(patch)
         ref = _profile_plan(plan, n)
+    # Every launch of a data-oblivious profile runs the event trace.
     kinds = [step.meta["exec.trace"] for step in got.steps]
-    assert kinds == [
-        "events" if step.sampled_blocks else "full" for step in got.steps
-    ]
-    assert "events" in kinds
+    assert kinds == ["events"] * len(got.steps)
     assert len(got.steps) == len(ref.steps)
     for step, ref_step in zip(got.steps, ref.steps):
         assert dict(step.events) == dict(ref_step.events), step.kernel_name
@@ -244,16 +249,25 @@ def test_data_dependent_plans_are_full_trace():
     assert profile.steps[0].meta["exec.trace"] == "full"
 
 
-def test_profile_input_is_a_read_only_zero_view():
+#: The last instruction of TEMPLATE, and writes into the input instead.
+WRITES_INTO_INPUT = {
+    "store": "st.global [in + %b], %r",
+    "atomic": "atom.global.device.add [in + %b], %r",
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES_INTO_INPUT))
+@pytest.mark.parametrize("grid", [GRID, 200])  # unsampled, sampled
+def test_profile_input_is_a_read_only_zero_view(grid, write):
     """Profiles read an input of zeros that is never allocated, and a
-    store into it raises."""
+    store or atomic into it raises, whatever trace the launch runs."""
     kernel = parse_kernel(
         TEMPLATE.format(body="  %r = ld.global [in + %i]").replace(
-            "st.global [out + %b], %r", "st.global [in + %b], %r"
+            "st.global [out + %b], %r", WRITES_INTO_INPUT[write]
         )
     )
     plan = Plan(name="p", steps=[KernelStep(
-        kernel, grid=GRID, block=BLOCK, buffers={"in": "in", "out": "out"}
-    )], scratch={"out": GRID})
+        kernel, grid=grid, block=BLOCK, buffers={"in": "in", "out": "out"}
+    )], scratch={"out": grid})
     with pytest.raises(ValueError, match="read-only"):
-        _profile_plan(plan, GRID * BLOCK)
+        _profile_plan(plan, grid * BLOCK)

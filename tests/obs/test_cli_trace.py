@@ -107,10 +107,11 @@ class TestTraceVerb:
 
     def test_trace_propagates_inner_exit_code(self, tmp_path):
         out = tmp_path / "x.json"
-        # unknown version -> the wrapped command raises; the trace file
-        # must still be written before the error surfaces
+        # an unwritable --json path -> the wrapped command raises; the
+        # trace file must still be written before the error surfaces
         proc = _run(
-            ["trace", "--out", str(out), "cuda", "zz"], cwd=tmp_path
+            ["trace", "--out", str(out), "stats", "--json",
+             str(tmp_path / "missing" / "stats.json")], cwd=tmp_path
         )
         assert proc.returncode != 0
         assert out.exists()

@@ -9,9 +9,11 @@ import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.codegen import Tunables
+from repro.gpusim.device import Device
 from repro.perf import CacheStats, ProfileCache
 from repro.runtime import ReductionFramework
 
@@ -125,12 +127,21 @@ class TestFrameworkKeying:
         twin.profile("b", 2048, Tunables(block=64, grid=4))
         assert fw.cache.stats.stores == stores  # shared across instances
 
-    def test_int_framework_profiles_int_dtype(self):
+    def test_int_framework_profiles_int_dtype(self, monkeypatch):
         """Satellite (a): the profiling device buffer must honour the
         framework element type, not hard-code float32."""
+        bound = []
+        bind = Device.bind
+
+        def spy(device, name, array):
+            bound.append((name, array.dtype))
+            return bind(device, name, array)
+
+        monkeypatch.setattr(Device, "bind", spy)
         fw = ReductionFramework(op="add", ctype="int", cache=ProfileCache())
         profile, _ = fw.profile("b", 1024, Tunables(block=64, grid=4))
-        assert profile.result == float(int(profile.result))
+        assert bound == [("in", np.dtype(np.int32))]
+        assert profile.result is None  # a profile computes no values
 
     def test_profile_entries_picklable(self, fw):
         """Pooled sweep workers ship profiles back pickled; they must

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ReductionFramework
 from repro.cli import main
 
 
@@ -69,6 +70,33 @@ class TestCli:
         assert "usage:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "100", "--version", "zz"],
+        ["time", "-n", "4096", "--versions", "zz"],
+        ["time", "-n", "4096", "--versions", "a,zz"],
+        ["tune", "4096", "--version", "zz"],
+        ["explain", "zz"],
+        ["explain", "--diff", "a", "zz"],
+        ["cuda", "zz"],
+        ["sanitize", "100", "--versions", "zz"],
+        ["sanitize", "100", "--versions", "a,,b"],
+    ], ids="-".join)
+    def test_unknown_version_is_usage_error(self, argv, capsys):
+        """Unknown version labels exit 2 with a usage message naming the
+        valid labels, never a KeyError traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p" in err
+        assert "Traceback" not in err
+
+    def test_version_identifier_is_accepted(self, capsys):
+        identifier = ReductionFramework().resolve("b").identifier
+        assert main(["reduce", "1000", "--version", identifier]) == 0
+        assert "relative error" in capsys.readouterr().out
+
     def test_reduce_max(self, capsys):
         assert main(["reduce", "3000", "--op", "max", "--version", "n"]) == 0
 
@@ -116,8 +144,10 @@ class TestCli:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_version_errors(self):
+        """The library raises KeyError for an unknown label; the CLI
+        rejects it at argparse (test_unknown_version_is_usage_error)."""
         with pytest.raises(KeyError):
-            main(["cuda", "zz"])
+            ReductionFramework().resolve("zz")
 
     @pytest.mark.parametrize(
         "spec",
