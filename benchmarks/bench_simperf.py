@@ -64,9 +64,9 @@ def _profile_large(sequential: bool, backend: str, reps: int = 3) -> float:
     sets ``BATCH_LANES = 1`` to run the same launches in one-block
     chunks, the sequential order's chunking.
 
-    ``fw.build`` goes through the (backend-keyed) plan cache, which
-    pre-warms every kernel's backend artifact — so the compiled backend
-    is measured *warm*, with no compilation inside the timed region (the
+    ``fw.build`` goes through the plan cache, which pre-warms every
+    kernel's compiled artifact — so the compiled backend is measured
+    *warm*, with no compilation inside the timed region (the
     one-time cold cost is measured separately by :func:`_compile_cold`).
 
     Min-of-``reps``: single launches jitter enough (GC, allocator,
@@ -75,7 +75,7 @@ def _profile_large(sequential: bool, backend: str, reps: int = 3) -> float:
     first few launches pay allocator warm-up that the slow interpreter
     legs amortize within one launch — so callers bump ``reps`` there.
     """
-    fw = ReductionFramework(op="add", cache=ProfileCache(), engine=backend)
+    fw = ReductionFramework(op="add", cache=ProfileCache())
     plan = fw.build("b", LARGE_N, LARGE_TUNABLES)
     executor = Executor(backend=backend)
     if sequential:
@@ -92,7 +92,7 @@ def _profile_large(sequential: bool, backend: str, reps: int = 3) -> float:
 def _profile_large_compiled(reps: int = 25) -> float:
     """Warm compiled seconds for the batched LARGE_N profile: min of
     ``reps`` launches after one untimed warm-up launch."""
-    fw = ReductionFramework(op="add", cache=ProfileCache(), engine="compiled")
+    fw = ReductionFramework(op="add", cache=ProfileCache())
     plan = fw.build("b", LARGE_N, LARGE_TUNABLES)
     executor = Executor(backend="compiled")
     executor.device.alloc("in", LARGE_N, dtype=np.float32)

@@ -62,14 +62,22 @@ def _block_size(value: str) -> int:
     return block
 
 
-def _version(value: str) -> str:
-    """argparse type for a version: a Figure 6 label or a version
-    identifier (what ``ReductionFramework.resolve`` accepts)."""
+def _is_version(value: str) -> bool:
+    """Is ``value`` a Figure 6 label or a version identifier (what
+    ``ReductionFramework.resolve`` accepts)?"""
     from .core import FIG6, enumerate_versions
 
-    if value not in FIG6 and value not in {
+    return value in FIG6 or value in {
         version.identifier for version in enumerate_versions()
-    }:
+    }
+
+
+def _version(value: str) -> str:
+    """argparse type for a version: a Figure 6 label or a version
+    identifier."""
+    if not _is_version(value):
+        from .core import FIG6
+
         raise argparse.ArgumentTypeError(
             f"unknown version {value!r}: use a Figure 6 label "
             f"({','.join(FIG6)}) or a version identifier "
@@ -78,11 +86,20 @@ def _version(value: str) -> str:
     return value
 
 
-def _version_list(value: str) -> str:
-    """argparse type for a comma-separated list of versions."""
-    for item in value.split(","):
-        _version(item)
-    return value
+def _version_list(value: str) -> tuple:
+    """argparse type for a comma-separated list of versions, parsed to a
+    tuple. Identifiers may contain commas (``DT,A / V``), so pieces are
+    joined greedily until they name a version; a piece left over at the
+    end is an unknown version."""
+    versions, pending = [], []
+    for piece in value.split(","):
+        pending.append(piece)
+        if _is_version(",".join(pending)):
+            versions.append(",".join(pending))
+            pending = []
+    if pending:
+        _version(",".join(pending))
+    return tuple(versions)
 
 
 def _add_size(parser):
@@ -100,32 +117,6 @@ def _resolve_size(args, parser) -> None:
         args.n = args.n_opt
     if args.n is None:
         parser.error(f"{args.command}: input size required (positional or -n)")
-
-
-def _engine_spec(value: str) -> str:
-    """argparse type for ``--engine``: a registered backend name."""
-    from .gpusim import get_backend
-
-    try:
-        get_backend(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
-def _engine_list(value: str) -> tuple:
-    """argparse type for ``sanitize --engine``: comma-separated engines,
-    each validated like ``--engine``."""
-    return tuple(_engine_spec(part) for part in value.split(","))
-
-
-def _engine_help() -> str:
-    """``--engine`` help text, listing backends from the live registry."""
-    from .gpusim import backend_names
-
-    backends = " | ".join(backend_names())
-    return (f"simulator backend ({backends}; default: compiled). Each "
-            "launch's block order is derived from its kernel")
 
 
 def _write_json(payload, path, label) -> None:
@@ -147,9 +138,7 @@ def _framework(args):
     from .runtime import ReductionFramework
 
     return ReductionFramework(
-        op=args.op,
-        unroll=getattr(args, "unroll", False),
-        engine=getattr(args, "engine", None) or "compiled",
+        op=args.op, unroll=getattr(args, "unroll", False)
     )
 
 
@@ -235,7 +224,7 @@ def cmd_time(args) -> int:
     from .runtime import cub_time, kokkos_time, openmp_time
 
     fw = _framework(args)
-    labels = args.versions.split(",") if args.versions else ["m", "n", "p", "b"]
+    labels = args.versions or ("m", "n", "p", "b")
     print(f"{'arch':>8}" + "".join(f"  ({label})".rjust(12) for label in labels)
           + f"{'CUB':>12}{'Kokkos':>12}{'OpenMP':>12}")
     for arch in ("kepler", "maxwell", "pascal"):
@@ -279,18 +268,14 @@ def cmd_sanitize(args) -> int:
         sweep_catalog,
     )
 
-    from .sanitize import DEFAULT_ENGINES
-
-    engines = args.engine or DEFAULT_ENGINES
-    versions = args.versions.split(",") if args.versions else None
     ops = (args.op,) if args.op != "all" else ("add", "max", "min")
     ctypes = (args.ctype,) if args.ctype != "all" else ("float", "int")
     print(f"sanitizing catalog at n={args.n} "
           f"(ops={','.join(ops)} ctypes={','.join(ctypes)} "
-          f"engines={','.join(engines)} lint={'on' if args.lint else 'off'})")
+          f"lint={'on' if args.lint else 'off'})")
     reports = sweep_catalog(
-        args.n, versions=versions, ops=ops, ctypes=ctypes,
-        engines=engines, lint=args.lint,
+        args.n, versions=args.versions, ops=ops, ctypes=ctypes,
+        lint=args.lint,
     )
     for report in reports:
         for line in format_variant(report):
@@ -299,7 +284,7 @@ def cmd_sanitize(args) -> int:
     negative_reports = []
     if args.negatives:
         print("negative codelets (each must be flagged):")
-        negative_reports = check_negatives(engines)
+        negative_reports = check_negatives()
         for report in negative_reports:
             for line in format_negative(report):
                 print(line)
@@ -436,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=_block_size, default=None)
     p.add_argument("--grid", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="compiled", type=_engine_spec,
-                   help=_engine_help())
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("time", help="modelled times across architectures")
@@ -445,9 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size(p)
     p.add_argument("--versions", type=_version_list, default=None,
                    help="comma-separated labels (default: m,n,p,b)")
-    p.add_argument("--engine", default="compiled", type=_engine_spec,
-                   help="simulator backend used for profiling (see "
-                        "'reduce --engine')")
     p.add_argument("--cache-stats", action="store_true",
                    help="print profile-cache statistics afterwards")
     p.set_defaults(func=cmd_time)
@@ -484,11 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--versions", type=_version_list, default=None,
                    help="comma-separated Figure 6 labels "
                         "(default: the full catalog)")
-    from .sanitize.report import DEFAULT_ENGINES
-
-    p.add_argument("--engine", default=None, type=_engine_list,
-                   help="comma-separated engines to execute under "
-                        f"(default: {','.join(DEFAULT_ENGINES)})")
     p.add_argument("--no-lint", dest="lint", action="store_false",
                    help="skip the static VIR lint pass")
     p.add_argument("--negatives", action="store_true",
@@ -556,9 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full payload as JSON "
                         "('-' for stdout)")
-    p.add_argument("--engine", default="compiled", type=_engine_spec,
-                   help="simulator backend used for profiling (see "
-                        "'reduce --engine')")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser(

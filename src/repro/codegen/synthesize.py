@@ -202,7 +202,6 @@ def kernel_key(
     version: Version,
     n: int,
     tunables: Tunables = None,
-    backend: str = "compiled",
 ) -> tuple:
     """Key of the kernels behind one plan in the plan cache (see
     ``repro.perf``).
@@ -210,10 +209,7 @@ def kernel_key(
     Everything that shapes a kernel's code is in the key: operator,
     element ctype, preprocessing passes, version and block size. ``n``
     and the grid are not — the kernel reads them as launch arguments —
-    except for whether a grid-strided version has a unit stride. The
-    execution backend is in the key too: a cached kernel is pre-warmed
-    for exactly one backend's artifact, and artifacts are memoized by
-    kernel object identity.
+    except for whether a grid-strided version has a unit stride.
     """
     t = tunables or Tunables()
     return (
@@ -224,7 +220,6 @@ def kernel_key(
         t.block,
         _unit_stride(version, launch_geometry(version, n, t)),
         _pipeline_fingerprint(pre),
-        backend,
     )
 
 
@@ -233,19 +228,18 @@ def build_plan_cached(
     version: Version,
     n: int,
     tunables: Tunables = None,
-    backend: str = "compiled",
 ) -> Plan:
     """:func:`build_plan` around kernels from the process-wide cache.
 
     Kernels are cached in ``repro.perf.default_plan_cache`` under
     :func:`kernel_key`, so every ``n`` and grid of a (version, block)
     shares one kernel object. On a miss the plan is built with fresh
-    kernels, which are validated and *pre-warmed*: each one's backend
-    artifact (resolved through the backend registry — compiled closure
-    trace, ...) and batchability summary are computed before the
-    kernels are published, so every later executor — any framework
-    instance, any sweep worker thread — starts hot. On a hit only the
-    host plan is assembled.
+    kernels, which are validated and *pre-warmed*: each one's
+    ``compiled`` artifact (its closure traces, resolved through
+    :func:`repro.gpusim.get_backend` at call time) and batchability
+    summary are computed before the kernels are published, so every
+    later executor — any framework instance, any sweep worker thread —
+    starts hot. On a hit only the host plan is assembled.
     """
     # Imported lazily: codegen must stay importable without dragging in
     # the simulator (and gpusim must never import codegen at top level).
@@ -255,7 +249,7 @@ def build_plan_cached(
 
     tunables = tunables or Tunables()
     cache = default_plan_cache()
-    key = kernel_key(pre, version, n, tunables, backend=backend)
+    key = kernel_key(pre, version, n, tunables)
     kernels = cache.get(key)
     if kernels is not None:
         default_metrics().inc("codegen.kernels_reused", len(kernels))
@@ -272,15 +266,12 @@ def build_plan_cached(
     with tracer.span(
         "plan.compile", version=version.identifier, block=tunables.block
     ) as span:
-        prepare = get_backend(backend).prepare
+        prepare = get_backend("compiled").prepare
         traces = 0
         for kernel in kernels:
-            artifact = prepare(kernel)
-            trace = getattr(artifact, "trace", None)
-            if trace is not None:
-                traces += len(trace)
+            traces += len(prepare(kernel).trace)
             analyze_batchability(kernel)
-        span.set(closures=traces, backend=backend)
+        span.set(closures=traces)
     cache.put(key, kernels, cost_s=time.perf_counter() - start)
     default_metrics().inc("codegen.kernels_built", len(kernels))
     return plan

@@ -1,15 +1,9 @@
 """GPU simulator substrate: device, functional SIMT engine, timing model."""
 
 from .arch import ARCHITECTURES, Architecture, KEPLER, MAXWELL, PASCAL, get_architecture
-from .backend import Backend, backend_names, get_backend, register_backend
+from .backend import get_backend
 from .device import Device, DeviceError
-from .engine import (
-    EXECUTION_BACKENDS,
-    Executor,
-    SimulationError,
-    analyze_batchability,
-    run_plan,
-)
+from .engine import Executor, SimulationError, analyze_batchability
 from .compile import CompiledKernel, compile_kernel
 from .events import EVENT_KEYS, PlanProfile, StepProfile
 from .timing import (
@@ -25,15 +19,11 @@ __all__ = [
     "Device",
     "DeviceError",
     "EVENT_KEYS",
-    "EXECUTION_BACKENDS",
-    "Backend",
     "CompiledKernel",
     "Executor",
     "analyze_batchability",
-    "backend_names",
     "compile_kernel",
     "get_backend",
-    "register_backend",
     "KEPLER",
     "MAXWELL",
     "MEMSET_OVERHEAD_S",
@@ -45,5 +35,4 @@ __all__ = [
     "get_architecture",
     "kernel_time",
     "plan_time",
-    "run_plan",
 ]

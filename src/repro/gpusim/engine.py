@@ -107,7 +107,7 @@ from ..vir.instructions import (
     While,
 )
 from ..vir.program import Kernel, KernelStep, MemsetStep, Plan
-from .backend import backend_names, get_backend
+from .backend import get_backend
 from .device import Device
 from .events import PlanProfile, StepProfile
 
@@ -190,13 +190,6 @@ _ATOMIC_UFUNC = {
     "min": np.minimum,
     "max": np.maximum,
 }
-
-
-#: Executor backends, from the registry in :mod:`repro.gpusim.backend`:
-#: ``compiled`` runs kernels as pre-compiled closure traces
-#: (:mod:`repro.gpusim.compile`), ``interpreted`` is the reference
-#: per-instruction dispatch path. Both are bit-identical.
-EXECUTION_BACKENDS = backend_names()
 
 
 def launch_constant(state, arg):
@@ -312,8 +305,10 @@ class Executor:
         backend: str = "compiled",
         sanitizer=None,
     ):
-        #: Backend object resolved from the registry (raises ValueError
-        #: for unknown names); ``self.backend`` keeps the plain name for
+        #: ``compiled`` (closure traces) or ``interpreted`` (the
+        #: reference tree-walker, for tests), resolved by
+        #: :func:`~repro.gpusim.backend.get_backend` (ValueError for any
+        #: other name); ``self.backend`` keeps the plain name for
         #: profile metadata.
         self._backend = get_backend(backend)
         self.device = device if device is not None else Device()
@@ -1546,9 +1541,3 @@ def _promote_dtype(dtype):
     if dtype.kind == "b":
         return np.bool_
     return np.float64
-
-
-def run_plan(plan: Plan, device: Device = None, sample_limit: int = None):
-    """One-shot convenience wrapper around :class:`Executor`."""
-    executor = Executor(device=device)
-    return executor.run_plan(plan, sample_limit=sample_limit), executor.device

@@ -65,19 +65,17 @@ def resolve_workers(max_workers=None) -> int:
 def _profile_spec(spec):
     """Worker entry point: profile one (version, n, tunables) point.
 
-    ``spec`` is ``(op, ctype, unroll, version, n, tunables, engine)``
-    with a picklable frozen-dataclass version/tunables; ``engine`` is
-    the calling framework's backend, so every launch runs on the engine
-    it asked for. No profile cache is
+    ``spec`` is ``(op, ctype, unroll, version, n, tunables)`` with a
+    picklable frozen-dataclass version/tunables. No profile cache is
     read or written here: the caller inserts the result into its own.
     Returns ``(profile, num_memsets, cost_s)``.
     """
     from ..runtime.session import _frontend, profile_point
 
-    op, ctype, unroll, version, n, tunables, engine = spec
+    op, ctype, unroll, version, n, tunables = spec
     _analyzed, pre = _frontend(op, ctype, unroll)
     start = time.perf_counter()
-    profile, num_memsets = profile_point(pre, version, n, tunables, engine)
+    profile, num_memsets = profile_point(pre, version, n, tunables)
     return profile, num_memsets, time.perf_counter() - start
 
 

@@ -48,7 +48,6 @@ from ..gpusim import (
     Executor,
     PlanProfile,
     get_architecture,
-    get_backend,
     plan_time,
 )
 from ..obs import default_metrics, get_tracer
@@ -129,16 +128,10 @@ class ReductionFramework:
         ctype: str = "float",
         unroll: bool = False,
         cache: ProfileCache = None,
-        engine: str = "compiled",
     ):
         self.op = op
         self.ctype = ctype
         self.unroll = unroll
-        # ``engine`` names the simulator backend ("compiled" or
-        # "interpreted") of every run/profile of this instance; the block
-        # order of each launch is derived from its kernel.
-        get_backend(engine)
-        self.engine_backend = engine
         self.analyzed, self.pre = _frontend(op, ctype, unroll)
         self.all_versions = enumerate_versions()
         self.versions = prune_versions(self.all_versions)
@@ -165,13 +158,7 @@ class ReductionFramework:
     # -- functional execution -------------------------------------------------
 
     def build(self, version, n: int, tunables: Tunables = None):
-        return build_plan_cached(
-            self.pre,
-            self.resolve(version),
-            n,
-            tunables,
-            backend=self.engine_backend,
-        )
+        return build_plan_cached(self.pre, self.resolve(version), n, tunables)
 
     @property
     def dtype(self):
@@ -185,17 +172,13 @@ class ReductionFramework:
         tunables: Tunables = None,
     ) -> ReduceResult:
         """Reduce ``data`` with one synthesized version, fully executed
-        on the framework's engine (both backends are bit-identical in
-        results and event counts; ``compiled`` is the faster)."""
+        on the simulator."""
         data = np.ascontiguousarray(data, dtype=self.dtype)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("run() needs a non-empty 1-D array")
         resolved = self.resolve(version)
-        plan = build_plan_cached(
-            self.pre, resolved, data.size, tunables,
-            backend=self.engine_backend,
-        )
-        executor = Executor(backend=self.engine_backend)
+        plan = build_plan_cached(self.pre, resolved, data.size, tunables)
+        executor = Executor()
         executor.device.upload("in", data)
         profile = executor.run_plan(plan)
         return ReduceResult(
@@ -236,9 +219,7 @@ class ReductionFramework:
         if entry is not None:
             return entry
         start = time.perf_counter()
-        entry = profile_point(
-            self.pre, resolved, n, tunables, self.engine_backend
-        )
+        entry = profile_point(self.pre, resolved, n, tunables)
         self.cache.put(key, entry, cost_s=time.perf_counter() - start)
         return entry
 
@@ -279,7 +260,6 @@ class ReductionFramework:
                     resolved[index][0],
                     resolved[index][1],
                     resolved[index][2],
-                    self.engine_backend,
                 )
                 for index in missing
             ]
@@ -351,15 +331,15 @@ class ReductionFramework:
         return best_key, best_time
 
 
-def profile_point(pre, version, n, tunables, backend):
+def profile_point(pre, version, n, tunables):
     """``(profile, num_memsets)`` of one sweep point of the frontend
     result ``pre``, computed without touching any profile cache: callers
     own the caching (:meth:`ReductionFramework._profile`, and the
     sweep workers of :mod:`repro.perf.parallel`, whose results the
     calling framework inserts)."""
     with get_tracer().span("sweep.point", version=version.identifier, n=int(n)):
-        plan = build_plan_cached(pre, version, n, tunables, backend=backend)
-        profile = _profile_plan(plan, n, backend=backend)
+        plan = build_plan_cached(pre, version, n, tunables)
+        profile = _profile_plan(plan, n)
     num_memsets = sum(1 for step in plan.steps if isinstance(step, MemsetStep))
     return profile, num_memsets
 
@@ -369,7 +349,7 @@ def profile_point(pre, version, n, tunables, backend):
 # ---------------------------------------------------------------------
 
 
-def _profile_plan(plan, n: int, backend: str = "compiled") -> PlanProfile:
+def _profile_plan(plan, n: int) -> PlanProfile:
     """Event profile of ``plan`` on an ``n``-element input of zeros,
     under the profiling sampling policy: a launch grid above
     ``SAMPLING_GRID_LIMIT`` blocks runs ``PROFILE_SAMPLE_BLOCKS``
@@ -384,7 +364,7 @@ def _profile_plan(plan, n: int, backend: str = "compiled") -> PlanProfile:
     dtype = np.dtype(plan.meta.get("dtype", "float32"))
     device = Device()
     device.bind("in", np.broadcast_to(np.zeros(1, dtype=dtype), (n,)))
-    executor = Executor(device=device, backend=backend)
+    executor = Executor(device=device)
     max_grid = max(step.grid for step in plan.kernel_steps())
     sample_limit = (
         None if max_grid <= SAMPLING_GRID_LIMIT else PROFILE_SAMPLE_BLOCKS

@@ -13,7 +13,6 @@ from .dynamic import Diagnostic, Sanitizer
 from .lint import lint_kernel, lint_plan
 from .negatives import NEGATIVE_BUILDERS, all_negatives
 from .report import (
-    DEFAULT_ENGINES,
     NegativeReport,
     VariantReport,
     check_negatives,
@@ -32,7 +31,6 @@ __all__ = [
     "lint_plan",
     "NEGATIVE_BUILDERS",
     "all_negatives",
-    "DEFAULT_ENGINES",
     "NegativeReport",
     "VariantReport",
     "check_negatives",

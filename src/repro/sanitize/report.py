@@ -17,35 +17,26 @@ from .dynamic import Sanitizer
 from .lint import lint_plan
 from .negatives import all_negatives
 
-#: Every dispatch backend. Each launch's block order is derived from its
-#: kernel, so the sweep covers both orders whatever the backend.
-DEFAULT_ENGINES = ("compiled", "interpreted")
-
 DEFAULT_OPS = ("add", "max", "min")
 DEFAULT_CTYPES = ("float", "int")
 
 
 @dataclass
 class VariantReport:
-    """Sanitizer verdict for one (version, op, ctype) across engines."""
+    """Sanitizer verdict for one (version, op, ctype)."""
 
     version: str
     op: str
     ctype: str
-    dynamic: dict = field(default_factory=dict)  # engine -> [Diagnostic]
+    dynamic: list = field(default_factory=list)  # [Diagnostic]
     lint: list = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.lint and all(
-            not diags for diags in self.dynamic.values()
-        )
+        return not self.lint and not self.dynamic
 
     def all_diagnostics(self) -> list:
-        out = list(self.lint)
-        for diags in self.dynamic.values():
-            out.extend(diags)
-        return out
+        return self.lint + self.dynamic
 
 
 @dataclass
@@ -53,7 +44,7 @@ class NegativeReport:
     """Did the sanitizer flag one deliberately-broken codelet?"""
 
     name: str
-    dynamic: dict = field(default_factory=dict)  # engine -> [Diagnostic]
+    dynamic: list = field(default_factory=list)  # [Diagnostic]
     lint: list = field(default_factory=list)
     missing: list = field(default_factory=list)  # expected kinds not seen
 
@@ -68,31 +59,28 @@ def _input_for(n: int, dtype) -> np.ndarray:
     return base.astype(dtype)
 
 
-def run_sanitized(plan, data, engine: str) -> list:
+def run_sanitized(plan, data) -> list:
     """Run one plan under the dynamic sanitizer; returns diagnostics."""
     sanitizer = Sanitizer()
-    executor = Executor(backend=engine, sanitizer=sanitizer)
+    executor = Executor(sanitizer=sanitizer)
     executor.device.upload("in", data)
     executor.run_plan(plan)
     return sanitizer.diagnostics
 
 
-def sanitize_variant(fw, version, n: int, engines=DEFAULT_ENGINES,
-                     lint: bool = True) -> VariantReport:
+def sanitize_variant(fw, version, n: int, lint: bool = True) -> VariantReport:
     """Sanitize one synthesized version at size ``n``."""
     plan = fw.build(version, n)
     report = VariantReport(version=str(version), op=fw.op, ctype=fw.ctype)
-    data = _input_for(n, fw.dtype)
-    for engine in engines:
-        report.dynamic[engine] = run_sanitized(plan, data, engine)
+    report.dynamic = run_sanitized(plan, _input_for(n, fw.dtype))
     if lint:
         report.lint = lint_plan(plan)
     return report
 
 
 def sweep_catalog(n: int, versions=None, ops=DEFAULT_OPS,
-                  ctypes=DEFAULT_CTYPES, engines=DEFAULT_ENGINES,
-                  lint: bool = True, progress=None) -> list:
+                  ctypes=DEFAULT_CTYPES, lint: bool = True,
+                  progress=None) -> list:
     """Sanitize the catalog cross product; returns VariantReports."""
     from ..core import FIG6
     from ..runtime import ReductionFramework
@@ -103,24 +91,22 @@ def sweep_catalog(n: int, versions=None, ops=DEFAULT_OPS,
         for ctype in ctypes:
             fw = ReductionFramework(op=op, ctype=ctype)
             for label in labels:
-                report = sanitize_variant(fw, label, n, engines, lint)
+                report = sanitize_variant(fw, label, n, lint)
                 reports.append(report)
                 if progress is not None:
                     progress(report)
     return reports
 
 
-def check_negatives(engines=DEFAULT_ENGINES) -> list:
+def check_negatives() -> list:
     """Run every negative codelet; each must be flagged as expected."""
     reports = []
     for negative in all_negatives():
         report = NegativeReport(name=negative.name)
-        data = _input_for(negative.n, np.float32)
-        seen_dynamic = set()
-        for engine in engines:
-            diags = run_sanitized(negative.plan, data, engine)
-            report.dynamic[engine] = diags
-            seen_dynamic.update(d.kind for d in diags)
+        report.dynamic = run_sanitized(
+            negative.plan, _input_for(negative.n, np.float32)
+        )
+        seen_dynamic = {d.kind for d in report.dynamic}
         report.lint = lint_plan(negative.plan)
         seen_lint = {d.kind for d in report.lint}
         report.missing = [
@@ -141,10 +127,7 @@ def format_variant(report: VariantReport) -> list:
     if report.clean:
         return [f"  {head}: clean"]
     lines = [f"  {head}: {len(report.all_diagnostics())} diagnostic(s)"]
-    for engine, diags in report.dynamic.items():
-        for diag in diags:
-            lines.append(f"    [{engine}] {diag.render()}")
-    for diag in report.lint:
+    for diag in report.dynamic + report.lint:
         lines.append(f"    {diag.render()}")
     return lines
 
@@ -154,10 +137,7 @@ def format_negative(report: NegativeReport) -> list:
         f"NOT FLAGGED (missing: {', '.join(report.missing)})"
     )
     lines = [f"  {report.name}: {verdict}"]
-    kinds = set()
-    for diags in report.dynamic.values():
-        kinds.update(d.render() for d in diags)
-    kinds.update(d.render() for d in report.lint)
+    kinds = {d.render() for d in report.dynamic + report.lint}
     for text in sorted(kinds):
         lines.append(f"    {text}")
     return lines
@@ -190,10 +170,7 @@ def report_json(variant_reports, negative_reports, n: int) -> dict:
                 "op": r.op,
                 "ctype": r.ctype,
                 "clean": r.clean,
-                "dynamic": {
-                    engine: [_diag_dict(d) for d in diags]
-                    for engine, diags in r.dynamic.items()
-                },
+                "dynamic": [_diag_dict(d) for d in r.dynamic],
                 "lint": [_diag_dict(d) for d in r.lint],
             }
             for r in variant_reports
@@ -203,10 +180,7 @@ def report_json(variant_reports, negative_reports, n: int) -> dict:
                 "name": r.name,
                 "flagged": r.flagged,
                 "missing": r.missing,
-                "dynamic": {
-                    engine: [_diag_dict(d) for d in diags]
-                    for engine, diags in r.dynamic.items()
-                },
+                "dynamic": [_diag_dict(d) for d in r.dynamic],
                 "lint": [_diag_dict(d) for d in r.lint],
             }
             for r in negative_reports

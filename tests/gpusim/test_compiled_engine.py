@@ -7,7 +7,7 @@ Its contract (ISSUE: closure-compiled VIR executor) is that on *every*
 kernel it produces bit-identical results AND identical per-step event
 counters to the tree-walking interpreter, under both the sequential and
 batched execution modes. These tests sweep the full Figure 6 catalog
-for every supported (op, ctype) pair, plus the engine-spec parsing, the
+for every supported (op, ctype) pair, plus backend-name validation, the
 compile/batchability memos and the process-wide kernel cache.
 """
 
@@ -19,7 +19,6 @@ import pytest
 from repro.codegen import Tunables, build_plan_cached, kernel_key
 from repro.gpusim import (
     EVENT_KEYS,
-    EXECUTION_BACKENDS,
     Executor,
     analyze_batchability,
     compile_kernel,
@@ -39,6 +38,7 @@ from repro.vir import (
 )
 
 FIG6_LABELS = "abcdefghijklmnop"
+BACKENDS = ("compiled", "interpreted")
 OPS = ("add", "max", "min")
 CTYPES = ("float", "int")
 
@@ -105,7 +105,7 @@ class TestFigure6Equivalence:
         plan = fw.build(version, n, _tunables(version))
         ref = _run(plan, data, sequential=True, backend="interpreted")
         for sequential in (True, False):
-            for backend in EXECUTION_BACKENDS:
+            for backend in BACKENDS:
                 got = _run(plan, data, sequential=sequential, backend=backend)
                 _assert_profiles_identical(ref, got)
 
@@ -115,7 +115,7 @@ class TestFigure6Equivalence:
         data = _data("float", 2048, seed=13)
         plan = fw.build("b", len(data), Tunables(block=64, grid=8))
         outs = {}
-        for backend in EXECUTION_BACKENDS:
+        for backend in BACKENDS:
             executor = Executor(backend=backend)
             executor.device.upload("in", data)
             executor.run_plan(plan)
@@ -174,22 +174,16 @@ def _trips_extrapolated():
 
 
 class TestEngineSpec:
-    def test_defaults(self):
-        assert ReductionFramework(op="add").engine_backend == "compiled"
-        for backend in EXECUTION_BACKENDS:
-            fw = ReductionFramework(op="add", engine=backend)
-            assert fw.engine_backend == backend
-
     @pytest.mark.parametrize(
         "spec",
         ["turbo", "batched-sequential", "compiled-interpreted", "auto-auto", "",
          "auto", "batched", "sequential", "sequential-interpreted"],
     )
     def test_invalid_specs_rejected(self, spec):
-        """An engine is a backend name; the retired execution modes and
-        mode-backend pairs are unknown engines."""
-        with pytest.raises(ValueError, match="unknown engine"):
-            ReductionFramework(op="add", engine=spec)
+        """An executor backend is ``compiled`` or ``interpreted``; the
+        retired execution modes and mode-backend pairs are unknown."""
+        with pytest.raises(ValueError, match="unknown backend"):
+            Executor(backend=spec)
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -199,19 +193,20 @@ class TestEngineSpec:
         fw = ReductionFramework(op="add")
         data = np.ones(4096, dtype=np.float32)
         plan = fw.build("b", len(data), Tunables(block=64, grid=8))
-        for backend in EXECUTION_BACKENDS:
+        for backend in BACKENDS:
             profile = _run(plan, data, backend=backend)
             assert all(
                 s.meta["exec.backend"] == backend for s in profile.steps
             )
 
     def test_framework_engine_spec_applied(self):
-        fw = ReductionFramework(op="add", engine="interpreted")
+        """The framework runs every launch on ``compiled``."""
+        fw = ReductionFramework(op="add")
         data = np.ones(2048, dtype=np.float32)
         result = fw.run(data, "b", Tunables(block=64, grid=8))
         steps = result.profile.steps
-        assert all(s.meta["exec.backend"] == "interpreted" for s in steps)
-        # The block order is derived per launch, whatever the backend.
+        assert all(s.meta["exec.backend"] == "compiled" for s in steps)
+        # The block order is derived per launch.
         assert [s.meta["exec.mode"] for s in steps] == [
             "batched" if s.grid > 1 else "sequential" for s in steps
         ]
@@ -258,7 +253,7 @@ class TestAluTable:
     def test_covers_every_opcode(self):
         assert set(ALU_IMPL) == BINARY_OPS | UNARY_OPS
 
-    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_dispatches_through_it(self, backend, monkeypatch):
         """Both backends compute BinOp and UnOp through ``ALU_IMPL``."""
         used = []
@@ -403,46 +398,3 @@ class TestKernelSharing:
 def _counters():
     return default_metrics().snapshot(include_caches=False)["counters"]
 
-
-class TestPlanCacheBackendKeying:
-    def test_key_includes_backend(self):
-        fw = ReductionFramework(op="add")
-        v = fw.resolve("b")
-        t = Tunables(block=64, grid=8)
-        assert kernel_key(fw.pre, v, 4096, t, backend="compiled") != kernel_key(
-            fw.pre, v, 4096, t, backend="interpreted"
-        )
-        # Default keeps the historical key: one shared kernel per config.
-        assert kernel_key(fw.pre, v, 4096, t) == kernel_key(
-            fw.pre, v, 4096, t, backend="compiled"
-        )
-
-    def test_warm_backend_misses_other_backend(self):
-        """Kernels pre-warmed for one backend are a miss for the other:
-        same config, different backend, distinct kernel entries."""
-        fw = ReductionFramework(op="add")
-        v = fw.resolve("b")
-        t = Tunables(block=96, grid=7)  # unlikely to be cached already
-        cache = default_plan_cache()
-        p_compiled = build_plan_cached(fw.pre, v, 4100, t)
-        misses = cache.stats.misses
-        p_interp = build_plan_cached(fw.pre, v, 4100, t, backend="interpreted")
-        assert cache.stats.misses == misses + 1  # not served from warm
-        assert _kernels(p_interp)[0] is not _kernels(p_compiled)[0]
-        # Hitting each key again returns the same kernels per backend.
-        assert _kernels(build_plan_cached(fw.pre, v, 4100, t))[0] is (
-            _kernels(p_compiled)[0]
-        )
-        assert _kernels(
-            build_plan_cached(fw.pre, v, 4100, t, backend="interpreted")
-        )[0] is _kernels(p_interp)[0]
-
-    def test_framework_engine_spec_selects_backend(self):
-        """A framework constructed with an interpreted engine spec builds
-        interpreted-keyed kernels."""
-        t = Tunables(block=64, grid=8)
-        fw_int = ReductionFramework(op="add", engine="interpreted")
-        fw_def = ReductionFramework(op="add")
-        assert _kernels(fw_int.build("b", 4096, t))[0] is not _kernels(
-            fw_def.build("b", 4096, t)
-        )[0]

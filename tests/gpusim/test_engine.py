@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim.device import Device, DeviceError
-from repro.gpusim.engine import EXECUTION_BACKENDS, Executor, SimulationError
+from repro.gpusim.engine import Executor, SimulationError
 from repro.sanitize import Sanitizer
 from repro.vir import (
     IRBuilder,
@@ -209,7 +209,7 @@ class TestMemory:
         tid = b.special("tid")
         b.st_global("out", Imm(0), tid)  # all lanes write index 0
         kernel = Kernel("race", buffers=["out"], body=b.finish())
-        for backend in EXECUTION_BACKENDS:
+        for backend in ("compiled", "interpreted"):
             device = Device()
             device.alloc("out", 4)
             sanitizer = Sanitizer()

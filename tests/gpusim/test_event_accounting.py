@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from repro.gpusim import Device, Executor
-from repro.gpusim.engine import EXECUTION_BACKENDS
 from repro.vir import Imm, IRBuilder, Kernel, KernelStep, SharedDecl
 
 WARP = 32
 SHARED = 1024
 WIDTH = 4  # vector-load width
 CHUNKINGS = ["multi-block-chunks", "one-block-chunks"]
+BACKENDS = ("compiled", "interpreted")
 
 
 def _kernel():
@@ -173,7 +173,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("chunking", CHUNKINGS)
-@pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", CASES)
 def test_counters_match_oracle(name, backend, chunking):
     ix, mask = _case(name)
@@ -181,7 +181,7 @@ def test_counters_match_oracle(name, backend, chunking):
 
 
 @pytest.mark.parametrize("chunking", CHUNKINGS)
-@pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("block", [100, 193])
 @pytest.mark.parametrize("stride", range(1, 33))
 def test_strided_rows_match_oracle(stride, block, backend, chunking):
@@ -214,7 +214,7 @@ def _cap_pattern():
 
 
 @pytest.mark.parametrize("chunking", CHUNKINGS)
-@pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("sample_limit, expected", [
     # Blocks are checked against the cap one at a time, in block order:
     # the table is exactly full before block 4, so the pile-ups of

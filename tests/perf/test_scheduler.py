@@ -25,8 +25,7 @@ from repro.runtime import ReductionFramework
 
 
 def _spec(n, block=64, grid=8):
-    return ("add", "float", False, None, n, Tunables(block=block, grid=grid),
-            "compiled")
+    return ("add", "float", False, None, n, Tunables(block=block, grid=grid))
 
 
 class TestDispatchOrder:
@@ -49,7 +48,7 @@ class TestDispatchOrder:
         assert order[2:] == [0, 2]  # equal costs keep submission order
 
     def test_none_tunables_are_schedulable(self):
-        spec = ("add", "float", False, None, 4096, None, "compiled")
+        spec = ("add", "float", False, None, 4096, None)
         assert predicted_cost(spec) > 0
 
 
@@ -302,8 +301,7 @@ class TestFaultTolerance:
 
         fw = ReductionFramework(op="add", cache=ProfileCache())
         specs = [
-            (fw.op, fw.ctype, fw.unroll, fw.resolve(version), n, tunables,
-             fw.engine_backend)
+            (fw.op, fw.ctype, fw.unroll, fw.resolve(version), n, tunables)
             for version, n, tunables in _specs()
         ]
         expected = parallel_mod.map_profiles(specs, max_workers=1)
@@ -333,24 +331,23 @@ class TestFaultTolerance:
             shutdown_scheduler()
 
 
-ENGINE = "interpreted"
-
-
 def _assert_engine(entries):
-    """Every launch of every ``(profile, num_memsets)`` entry ran on
-    ``ENGINE``, whichever process profiled it."""
+    """Every launch of every ``(profile, num_memsets)`` entry ran the
+    ``compiled`` event trace, whichever process profiled it: profiles
+    read events only and every catalog plan is data-oblivious."""
     entries = list(entries)
     assert entries
     for profile, _memsets in entries:
         assert profile.steps
         for step in profile.steps:
-            assert step.meta["exec.backend"] == "interpreted"
+            assert step.meta["exec.backend"] == "compiled"
+            assert step.meta["exec.trace"] == "events"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 class TestEngineReachesSweep:
-    """A framework's engine spec must reach every profile behind the
-    sweep entry points, serial and pooled. Each test sweeps sizes no
+    """The one engine, and its event trace, reach every profile behind
+    the sweep entry points, serial and pooled. Each test sweeps sizes no
     other test uses, into a fresh cache on freshly forked workers, so
     every profile is computed by the sweep under test."""
 
@@ -362,9 +359,7 @@ class TestEngineReachesSweep:
 
     @staticmethod
     def _fw():
-        return ReductionFramework(
-            op="add", engine=ENGINE, cache=ProfileCache()
-        )
+        return ReductionFramework(op="add", cache=ProfileCache())
 
     @staticmethod
     def _cached(fw):

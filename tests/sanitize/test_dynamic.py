@@ -228,7 +228,7 @@ class TestCatalogAndIdentity:
         data = (np.arange(3000) % 17 - 8).astype(np.int32)
         for label in ("a", "m", "n", "p"):
             plan = fw.build(label, data.size)
-            diags = run_sanitized(plan, data, "compiled")
+            diags = run_sanitized(plan, data)
             assert not diags, (label, [d.render() for d in diags])
 
     @pytest.mark.parametrize("mode,backend", COMBOS, ids=SPECS)

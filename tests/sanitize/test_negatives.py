@@ -42,10 +42,22 @@ def test_every_negative_flagged_all_four_combos():
             )
 
 
+def _interpreted_diagnostics(plan, data):
+    """``run_sanitized`` on the reference interpreter."""
+    sanitizer = Sanitizer()
+    executor = Executor(backend="interpreted", sanitizer=sanitizer)
+    executor.device.upload("in", data)
+    executor.run_plan(plan)
+    return sanitizer.diagnostics
+
+
 def test_diagnostics_name_kernel_instruction_and_lanes():
     for negative in all_negatives():
         data = (np.arange(negative.n) % 7).astype(np.float32)
-        diags = run_sanitized(negative.plan, data, "interpreted")
+        diags = _interpreted_diagnostics(negative.plan, data)
+        assert [d.render() for d in diags] == [
+            d.render() for d in run_sanitized(negative.plan, data)
+        ], negative.name
         expected = set(negative.expect_dynamic)
         seen = {d.kind for d in diags}
         assert expected <= seen, (negative.name, seen)
