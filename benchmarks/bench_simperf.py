@@ -225,7 +225,9 @@ def test_simperf_snapshot(benchmark):
     # Append this run to the trajectory and judge it against the
     # trailing window *before* asserting, so a failing run is still on
     # record (the ledger is append-only; a red run is data too).
-    ledger.append_entry(ledger.make_entry(data), LEDGER_PATH)
+    ledger.append_entry(
+        ledger.make_entry(data, cwd=LEDGER_PATH.parent), LEDGER_PATH
+    )
     regressions = ledger.detect_regressions(ledger.read_ledger(LEDGER_PATH))
     large = data["profile_large"]
     compiled = data["compiled_executor"]

@@ -193,6 +193,10 @@ def _print_cache_stats() -> None:
         f"[kernels] built={metrics.counter('codegen.kernels_built')} "
         f"reused={metrics.counter('codegen.kernels_reused')}"
     )
+    print(
+        f"[suffix] simulated={metrics.counter('exec.suffix.simulated')} "
+        f"reused={metrics.counter('exec.suffix.reused')}"
+    )
 
 
 def cmd_reduce(args) -> int:

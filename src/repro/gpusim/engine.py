@@ -62,14 +62,18 @@ plan, with no sanitizer attached, goes further (see
 :meth:`Executor._loop_fallback`): it runs the kernel's *event trace*, in
 which value-only instructions are reduced to their event counts and
 memory, atomic and shuffle instructions run only the event half of
-their run-state method, and it skips the trips of a proven-periodic
-loop, adding their events in closed form
+their run-state method, and a proven loop runs about two trips per
+constant-mask stretch: the first, with its global loads logged, and the
+last. The trips between are added in closed form, their segment counts
+taken on the logged indices shifted per trip
 (:meth:`_BatchedRun._exec_while_c`). ``StepProfile.meta["exec.trace"]``
 records which trace ran (``events`` or ``full``). The event trace's
 *launch-invariant suffix* — the block combine at the end of every
 reduction kernel, which reads no launch constant — is simulated once
-per launch shape and chunk and replayed from the kernel's memo after
-that (:meth:`_BatchedRun._run_suffix`).
+per chunk shape and replayed from the kernel's memo after that
+(:meth:`_BatchedRun._run_suffix`). The shape is the chunk's block
+count and block size, plus the grid and block ids only when the suffix
+reads the block id.
 """
 
 from __future__ import annotations
@@ -116,6 +120,11 @@ _LANES = np.arange(WARP, dtype=np.int64)
 
 #: Cap on how many distinct atomic addresses are tracked exactly per step.
 _ATOMIC_TRACK_CAP = 4096
+
+#: The counters a loop stretch's closed form counts on shifted indices
+#: instead of scaling (:meth:`_BatchedRun._skip_stretch`): in a proven
+#: loop only global loads feed them.
+_SEGMENT_KEYS = frozenset({"mem.global.ld.trans", "mem.global.bytes"})
 
 
 class SimulationError(Exception):
@@ -447,6 +456,7 @@ class Executor:
                 suffix = (
                     artifact.suffix_start,
                     artifact.suffix_buffers,
+                    artifact.suffix_reads_block_id,
                     kernel.fact("suffix", _new_memo),
                 )
         else:
@@ -588,12 +598,16 @@ class _BatchedRun:
         self.loop_fallback = loop_fallback
         self.trace = trace
         self.san = san
-        #: ``(trace index, global buffers, memo)`` of the trace's
-        #: launch-invariant suffix, or None (see :meth:`_run_suffix`).
+        #: ``(trace index, global buffers, reads the block id, memo)`` of
+        #: the trace's launch-invariant suffix, or None (see
+        #: :meth:`_run_suffix`).
         self.suffix = suffix
         #: While a suffix is simulated for the memo: the global-atomic
         #: tallies it feeds, as :meth:`_tally` arguments.
         self._tallies = None
+        #: While the first trip of a loop stretch runs: its global loads,
+        #: as ``(instr, idx, mask)`` (see :meth:`_exec_while_c`).
+        self._load_log = None
         self.regs = {}
         self.shared = {
             decl.name: np.zeros((self.nblocks, decl.size), dtype=np.float64)
@@ -635,23 +649,29 @@ class _BatchedRun:
 
         Top-level code runs under the full mask, and the suffix reads no
         launch constant, so its events, loop counters and global-atomic
-        tallies are a function of the key below: the launch geometry,
-        the chunk's block ids, the loop cap and the shape of every global
-        buffer it touches (lengths bound its indices, dtypes size its
-        transactions, a read-only buffer makes a store raise). A hit
+        tallies are a function of the key below: the chunk's blocks, the
+        block size, the loop cap and the shape of every global buffer it
+        touches (lengths bound its indices, dtypes size its
+        transactions, a read-only buffer makes a store raise). The
+        chunk's blocks are its grid and block ids when the suffix reads
+        the block id, else only their number. Tallies are logged by
+        chunk position and replayed through ``self.block_ids``. A hit
         replays an entry; a miss simulates the suffix against fresh
         counters, merges them and stores them. Entries are written once
         and never mutated. Both are skipped when the launch's atomic
         tallies could pass ``_ATOMIC_TRACK_CAP`` on the way, where
         replaying would not stop where simulation stops.
         """
-        _start, buffers, memo = self.suffix
+        _start, buffers, reads_block_id, memo = self.suffix
         shapes = []
         for buf in buffers:
             arr = self.device.get(buf)
             shapes.append((buf, len(arr), arr.dtype.str, arr.flags.writeable))
-        key = (self.step.grid, self.nthreads, self.block_ids.tobytes(),
-               self.executor.LOOP_CAP, tuple(shapes))
+        blocks = (
+            (self.step.grid, self.block_ids.tobytes()) if reads_block_id
+            else self.nblocks
+        )
+        key = (blocks, self.nthreads, self.executor.LOOP_CAP, tuple(shapes))
         counts = self.atomic_addr_counts
         entry = memo.get(key)
         if entry is not None and (
@@ -751,30 +771,28 @@ class _BatchedRun:
 
     def _exec_while_c(self, cond_trace, cond_read, body_trace, mask, summary):
         """Run a loop; with a proof (``summary``) and an eligible launch,
-        skip whole periods of each constant-mask stretch.
+        add each constant-mask stretch in closed form.
 
-        Once ``period`` trips have run under an unchanged mask, the
-        events between the stretch's first trip and now are one period's
-        delta. Every trip up to the one before the next lane exits then
-        repeats it, so whole periods are added in closed form and the
-        inductions advanced exactly; the last trip of every stretch is
-        always simulated, so lanes never exit inside a skipped range and
-        every non-data register ends with its simulated value.
+        The first trip of a stretch runs with its global loads logged.
+        When the mask still holds after it, every trip up to the one
+        before the next lane exit repeats that trip's events except its
+        global segment counts, so :meth:`_skip_stretch` adds them in
+        closed form and advances the inductions exactly. The last trip
+        of every stretch is always simulated, so lanes never exit inside
+        a skipped range and every non-data register ends with its
+        simulated value.
         """
         reason = self.loop_fallback or summary.reason
-        loads = None
+        steps = None
         if reason is None:
-            loads = self._launch_loads(summary)
-            if loads is None:
+            steps = self._launch_steps(summary)
+            if steps is None:
                 reason = "launch_constant"
         if reason is not None:
             self.loop_stats["fallback." + reason] += 1
-            period = None
-        else:
-            period = self._loop_period(loads)
         active = mask.copy()
         iterations = skipped = 0
-        stretch = None  # (trip, events) where the current stretch began
+        start = None  # the events before the logged trip
         while True:
             self._run_trace(cond_trace, active)
             cond = np.asarray(cond_read(self), dtype=bool)
@@ -782,20 +800,21 @@ class _BatchedRun:
                 cond = np.broadcast_to(cond, self.shape)
             staying = active & cond
             self._count_loop_divergence(active, staying)
-            if period is not None and staying.any():
-                if stretch is None or not np.array_equal(staying, active):
-                    stretch = (iterations, dict(self.events))
-                elif iterations - stretch[0] == period:
-                    trips = self._skip_periods(
-                        summary, loads, staying, iterations, period, stretch[1]
+            logged, self._load_log = self._load_log, None
+            if steps is not None and staying.any():
+                same = iterations > 0 and np.array_equal(staying, active)
+                if logged is not None and same:
+                    trips = self._skip_stretch(
+                        summary, steps, staying, iterations, start, logged
                     )
                     if trips < 0:
                         self.loop_stats["fallback.bounds"] += 1
-                        period = None
+                        steps = None
                     else:
                         iterations += trips
                         skipped += trips
-                        stretch = (iterations, dict(self.events))
+                elif not same:
+                    start, self._load_log = dict(self.events), []
             active = staying
             if not active.any():
                 self.loop_stats["trips_simulated"] += iterations - skipped
@@ -810,36 +829,33 @@ class _BatchedRun:
                 )
             self._run_trace(body_trace, active)
 
-    def _launch_loads(self, summary):
-        """``summary.loads`` with every per-trip step an int at this
-        launch (launch-constant multiples resolved), or None when a
-        launch constant makes one a non-int."""
-        loads = []
-        for buf, idx, per_trip, width in summary.loads:
+    def _launch_steps(self, summary):
+        """``(buf, idx) -> elements per trip`` of every load of
+        ``summary``, each an int at this launch (launch-constant
+        multiples resolved), or None when a launch constant makes one a
+        non-int."""
+        steps = {}
+        for buf, idx, per_trip, _width in summary.loads:
             if not isinstance(per_trip, int):
                 per_trip = per_trip.resolve(self.step.args)
                 if not _is_integer(per_trip):
                     return None
-            loads.append((buf, idx, int(per_trip), width))
-        return loads
+            steps[buf, idx] = int(per_trip)
+        return steps
 
-    def _loop_period(self, loads) -> int:
-        """Trips after which every load index has moved by a whole number
-        of 128-byte segments, so the per-warp segment counts repeat."""
-        period = 1
-        for buf, _idx, per_trip, _width in loads:
-            per_segment = max(1, 128 // self.device.get(buf).dtype.itemsize)
-            period = math.lcm(
-                period, per_segment // math.gcd(per_trip % per_segment, per_segment)
-            )
-        return period
-
-    def _skip_periods(self, summary, loads, active, trip, period,
-                      start_events) -> int:
-        """Skip whole periods from trip ``trip`` (about to run its body);
+    def _skip_stretch(self, summary, steps, active, trip, start_events,
+                      logged) -> int:
+        """Skip the trips after trip ``trip`` (the logged one, ``logged``
+        its global loads) up to the one before the next lane exit;
         returns the trips skipped, or -1 when the skipped trips' loads
         might leave their buffers (those trips are then simulated, so the
-        error is raised exactly where the interpreter raises it)."""
+        error is raised exactly where the interpreter raises it).
+
+        Every counter but the global segment counts grows by the logged
+        trip's delta per trip. Skipped trip ``k`` loads the logged
+        indices shifted by ``k`` steps, and their segments are counted on
+        those shifts (:meth:`_shifted_segments`).
+        """
         regs = self.regs
         induction = regs[summary.induction]
         bound = np.asarray(self._read(summary.bound, active))
@@ -865,37 +881,75 @@ class _BatchedRun:
             first = int((gap // rate).min()) + 1
         # Skipped trips count toward the cap: stop short of it and let
         # simulation raise the same error at the same trip.
-        room = self.executor.LOOP_CAP - trip
+        trips = self.executor.LOOP_CAP - trip
         if first is not None:
-            room = min(room, first - 1)
-        trips = room // period * period
+            trips = min(trips, first - 1)
         if trips <= 0:
             return 0
-        for buf, idx, per_trip, width in loads:
-            if per_trip == 0:
-                continue
-            # The register holds the index of trip - 1 or of trip, so the
-            # skipped trips' indices lie within value + per_trip * [0, trips].
-            value = np.asarray(self._read(idx, active))[active]
-            low, high = value.min(), value.max()
+        shifts = []
+        for instr, idx, mask in logged:
+            per_trip = steps[instr.buf, instr.idx]
+            active_idx = idx[mask]
+            low, high = active_idx.min(), active_idx.max()
             moved = per_trip * trips
             if (
                 min(low, low + moved) < 0
-                or max(high, high + moved) + width - 1 >= len(self.device.get(buf))
+                or max(high, high + moved) + instr.width - 1
+                >= len(self.device.get(instr.buf))
             ):
                 return -1
-        periods = trips // period
+            shifts.append((instr, idx, mask, per_trip))
         events = self.events
         for key, value in events.items():
             delta = value - start_events.get(key, 0)
-            if delta:
-                events[key] = value + periods * delta
+            if delta and key not in _SEGMENT_KEYS:
+                events[key] = value + trips * delta
+        if shifts:
+            segments = sum(
+                self._shifted_segments(instr, idx, mask, per_trip, trips)
+                for instr, idx, mask, per_trip in shifts
+            )
+            events["mem.global.ld.trans"] += segments
+            events["mem.global.bytes"] += segments * 128
         everywhere = active.all()
         for name, by in summary.inductions:
             current = regs[name]
             advanced = current + by * trips
             regs[name] = advanced if everywhere else np.where(active, advanced, current)
         return trips
+
+    def _shifted_segments(self, instr, idx, mask, per_trip, trips) -> int:
+        """Global segments of ``instr``'s loads at ``idx + k * per_trip``
+        under ``mask``, summed over ``k`` in ``1 .. trips``.
+
+        After ``P = per_segment / gcd(per_trip mod per_segment,
+        per_segment)`` trips every index has moved by whole segments, so
+        the per-warp counts repeat: the shifts of one full period are
+        counted and scaled by ``trips // P``, plus the remainder. Shifted
+        copies are stacked as extra block rows and counted in one
+        :meth:`_count_segments_sorted` call per group of at most
+        ``BATCH_LANES`` lanes."""
+        per_segment = max(1, 128 // self.device.get(instr.buf).dtype.itemsize)
+        period = per_segment // math.gcd(per_trip % per_segment, per_segment)
+        periods, rest = divmod(trips, period)
+        group = max(1, self.executor.BATCH_LANES // idx.size)
+        full = bool(mask.all())
+        saved, self._cur_all = self._cur_all, full
+        total = 0
+        try:
+            for scale, shifts in ((periods, period), (1, rest)):
+                for low in range(1, shifts + 1 if scale else 1, group):
+                    ks = np.arange(low, min(low + group, shifts + 1))
+                    rows = (idx + (ks * per_trip)[:, None, None]).reshape(
+                        -1, self.nthreads
+                    )
+                    masks = mask if full else np.tile(mask, (len(ks), 1))
+                    total += scale * self._count_segments_sorted(
+                        rows, masks, per_segment, instr.width
+                    )
+        finally:
+            self._cur_all = saved
+        return total
 
     def _read(self, operand, mask):
         if isinstance(operand, Imm):
@@ -1195,6 +1249,8 @@ class _BatchedRun:
                 )
         self._count_transactions(idx, mask, instr.buf, "ld", width=instr.width)
         self._count("inst.ld.global", mask)
+        if self._load_log is not None:
+            self._load_log.append((instr, idx, mask))
         return idx
 
     def _ld_global_values(self, instr, idx, mask) -> None:
@@ -1381,19 +1437,20 @@ class _BatchedRun:
         bounds = np.searchsorted(row, np.arange(self.nblocks + 1)).tolist()
         addresses = rows[row, col].tolist()
         per_addr = (ends - starts).tolist()
-        block_ids = self.block_ids.tolist()
         for r in range(self.nblocks):
             lo, hi = bounds[r], bounds[r + 1]
-            self._tally(buf, block_ids[r], addresses[lo:hi], per_addr[lo:hi])
+            self._tally(buf, r, addresses[lo:hi], per_addr[lo:hi])
 
-    def _tally(self, buf, block_id, addresses, per_addr) -> None:
-        """Merge one block's runs of equal atomic addresses (and their
-        lengths) into the launch's tallies; blocks arrive ascending."""
+    def _tally(self, buf, row, addresses, per_addr) -> None:
+        """Merge the runs of equal atomic addresses (and their lengths)
+        of the block at chunk position ``row`` into the launch's tallies;
+        blocks arrive ascending."""
         counts = self.atomic_addr_counts
         if len(counts) > _ATOMIC_TRACK_CAP:
             return  # cap checked per block: chunking-independent
         if self._tallies is not None:
-            self._tallies.append((buf, block_id, addresses, per_addr))
+            self._tallies.append((buf, row, addresses, per_addr))
+        block_id = int(self.block_ids[row])
         for address, count in zip(addresses, per_addr):
             key = (buf, address)
             entry = counts.get(key)

@@ -94,20 +94,35 @@ def extract_metrics(bench: dict) -> dict:
     return metrics
 
 
-def _git_sha() -> str:
+def _git(args, cwd):
+    """stdout of ``git <args>`` in ``cwd``, or None when git fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
+            ["git", *args], cwd=cwd, capture_output=True, text=True,
+            timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
 
 
-def make_entry(bench: dict, timestamp: str = None, sha: str = None) -> dict:
-    """One schema-versioned ledger record for a bench payload."""
+def git_state(cwd=None) -> tuple:
+    """``(sha, dirty)`` of the checkout at ``cwd``: its ``HEAD`` and
+    whether a tracked file differs from it (untracked files do not
+    count), or ``(None, None)`` outside a git checkout. An entry made on
+    an uncommitted change says so, since ``HEAD`` is then its parent."""
+    sha = (_git(["rev-parse", "HEAD"], cwd) or "").strip()
+    if not sha:
+        return None, None
+    status = _git(["status", "--porcelain", "--untracked-files=no"], cwd)
+    return sha, None if status is None else bool(status.strip())
+
+
+def make_entry(bench: dict, timestamp: str = None, sha: str = None,
+               cwd=None) -> dict:
+    """One schema-versioned ledger record for a bench payload, stamped
+    with the git state of ``cwd`` (:func:`git_state`) unless ``sha`` is
+    given (its dirty flag is then unknown, None)."""
     if timestamp is None:
         import datetime
 
@@ -115,10 +130,14 @@ def make_entry(bench: dict, timestamp: str = None, sha: str = None) -> dict:
             datetime.datetime.now(datetime.timezone.utc)
             .isoformat(timespec="seconds")
         )
+    dirty = None
+    if sha is None:
+        sha, dirty = git_state(cwd)
     return {
         "schema": LEDGER_SCHEMA_VERSION,
         "ts": timestamp,
-        "git_sha": sha if sha is not None else _git_sha(),
+        "git_sha": sha,
+        "git_dirty": dirty,
         "python": sys.version.split()[0],
         "metrics": extract_metrics(bench),
         "bench": bench,
@@ -219,7 +238,9 @@ def format_report(entries: list, regressions: list,
         f"bench ledger: {len(entries)} entr"
         + ("y" if len(entries) == 1 else "ies")
         + f", newest {newest.get('ts')} "
-        f"(sha {str(newest.get('git_sha'))[:12]})"
+        f"(sha {str(newest.get('git_sha'))[:12]}"
+        + (", uncommitted changes" if newest.get("git_dirty") else "")
+        + ")"
     ]
     for watched in WATCHED_METRICS:
         value = newest.get("metrics", {}).get(watched.key)

@@ -214,16 +214,16 @@ class TestLoopProof:
 
 @pytest.fixture
 def skips(monkeypatch):
-    """Every ``_skip_periods`` result (trips skipped, 0, or -1 for a
+    """Every ``_skip_stretch`` result (trips skipped, 0, or -1 for a
     bounds refusal), also for launches that raise."""
     results = []
-    original = _BatchedRun._skip_periods
+    original = _BatchedRun._skip_stretch
 
     def spy(self, *args):
         results.append(original(self, *args))
         return results[-1]
 
-    monkeypatch.setattr(_BatchedRun, "_skip_periods", spy)
+    monkeypatch.setattr(_BatchedRun, "_skip_stretch", spy)
     return results
 
 

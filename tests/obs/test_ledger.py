@@ -7,6 +7,7 @@ report`` CLI exit codes (nonzero on an injected regression fixture).
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,49 @@ class TestFormatReport:
                    for line in lines)
 
 
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-C", str(repo), *args], capture_output=True, text=True,
+        check=True,
+    ).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestGitState:
+    """Entries are stamped with ``HEAD`` and whether the checkout has
+    uncommitted changes to tracked files."""
+
+    @pytest.fixture
+    def repo(self, tmp_path):
+        _git(tmp_path, "init", "-q")
+        _git(tmp_path, "config", "user.email", "bench@example.com")
+        _git(tmp_path, "config", "user.name", "bench")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        _git(tmp_path, "add", "code.py")
+        _git(tmp_path, "commit", "-q", "-m", "first")
+        return tmp_path
+
+    def test_clean_checkout(self, repo):
+        entry = ledger.make_entry(_bench(), cwd=repo)
+        assert entry["git_sha"] == _git(repo, "rev-parse", "HEAD")
+        assert entry["git_dirty"] is False
+
+    def test_modified_tracked_file_is_dirty(self, repo):
+        (repo / "code.py").write_text("x = 2\n")
+        entry = ledger.make_entry(_bench(), cwd=repo)
+        assert entry["git_sha"] == _git(repo, "rev-parse", "HEAD")
+        assert entry["git_dirty"] is True
+        line = ledger.format_report([entry], [])[0]
+        assert line.endswith(f"(sha {entry['git_sha'][:12]}, uncommitted changes)")
+
+    def test_untracked_file_is_not_dirty(self, repo):
+        (repo / "scratch.txt").write_text("notes\n")
+        assert ledger.git_state(repo) == (_git(repo, "rev-parse", "HEAD"), False)
+
+    def test_outside_a_checkout(self, tmp_path):
+        assert ledger.git_state(tmp_path) == (None, None)
+
+
 def _run_report(ledger_path, *extra):
     return subprocess.run(
         [sys.executable, "-m", "repro", "bench", "report",
@@ -227,4 +271,5 @@ class TestRepoLedger:
         assert entries, f"{path} must hold at least one schema-valid entry"
         newest = entries[-1]
         assert newest["metrics"], "seeded entry carries watched metrics"
+        assert len(entries) >= 11, "entries without git_dirty still parse"
         assert newest["bench"], "seeded entry embeds the full bench payload"

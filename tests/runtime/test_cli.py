@@ -141,6 +141,28 @@ class TestCli:
         reused = int(match.group(2)) - before["reused"]
         assert built <= 4 and built + reused == 20
 
+    def test_tune_cache_stats_reports_suffix_reuse(self, capsys):
+        """The block combine of version f reads no block id: its 20
+        single-chunk launches simulate it at most once per (chunk block
+        count, block size) and replay it otherwise."""
+        import re
+
+        from repro.obs import default_metrics
+
+        metrics = default_metrics()
+        before = {
+            name: metrics.counter(f"exec.suffix.{name}")
+            for name in ("simulated", "reused")
+        }
+        assert main(["tune", "4194304", "--version", "f", "--jobs", "1",
+                     "--cache-stats"]) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"^\[suffix\] simulated=(\d+) reused=(\d+)$", out,
+                          re.M)
+        simulated = int(match.group(1)) - before["simulated"]
+        reused = int(match.group(2)) - before["reused"]
+        assert simulated <= 4 and simulated + reused == 20
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
