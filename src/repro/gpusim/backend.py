@@ -9,8 +9,8 @@ masks and memory stay in the run state and are shared by both.
     the engine of the runtime, the sweeps, the sanitizer sweep and the
     CLI. ``prepare(kernel)`` builds its artifact once per kernel (a
     kernel fact; the kernel-cache pre-warm calls it), with the closure
-    trace, the event trace and the launch-invariant suffix that sampled
-    and profile launches use (see ``Executor._loop_fallback``).
+    trace and the event trace that sampled and profile launches use
+    (see ``Executor._loop_fallback``).
 ``interpreted``
     The reference tree-walking interpreter, reached only through
     ``Executor(backend="interpreted")``: no artifact, every instruction

@@ -35,11 +35,12 @@ sub-traces (``If``/``While`` delegate to the run state's ``_exec_if_c`` /
 ``_exec_while_c``, which mirror the interpreted region semantics
 exactly), so every loop — the Listing 4 reduction trees included — runs
 as a loop and the trace has one closure per top-level instruction. Each
-top-level loop closure carries the periodicity proof of
-:func:`repro.vir.analysis.summarize_loop`, so a sampled launch can skip
-proven-periodic trips (``_BatchedRun._exec_while_c``); the kernel's
-:func:`~repro.vir.analysis.data_dependence` verdict rides on the
-:class:`CompiledKernel`.
+top-level loop closure carries its periodicity proof from the kernel's
+facts (:func:`repro.vir.analysis.kernel_facts`), so a sampled launch
+can skip proven-periodic trips (``_BatchedRun._exec_while_c``). The
+compiler runs no analysis of its own: the loop proofs and the data
+registers it reads, like the launch-invariant suffix the engine reads,
+are computed once per kernel by that pass.
 
 Memory, atomic, shuffle and barrier closures all delegate to the run
 state's methods (``_c_method``/``_c_bar``), so the opt-in sanitizer
@@ -49,17 +50,15 @@ for free.
 
 The same compiler also emits a data-oblivious kernel's *event trace*
 (:meth:`CompiledKernel.event_trace_for`, built on the first launch
-that runs it — a sampled or profile launch): given the kernel's data
-registers (:func:`repro.vir.analysis.data_registers`), an ALU
-instruction whose destination is data compiles to a bare ``inst.alu``
+that runs it — a sampled or profile launch): an ALU instruction whose
+destination is one of the kernel's data registers
+(``KernelFacts.data_registers``) compiles to a bare ``inst.alu``
 count, and memory, atomic and shuffle instructions call the *event
 half* of their run-state method (``_ld_global_events``, ...: indices,
-bounds checks, validation, counters) and move no value. Loop summaries
-are decided exactly as for the full trace, so both traces count the
-same events. The artifact also records where a data-oblivious kernel's
-launch-invariant suffix starts, as a trace index
-(:func:`repro.vir.analysis.launch_invariant_suffix`), and the global
-buffers it touches, so the run state can memoize that suffix's events.
+bounds checks, validation, counters) and move no value. Both traces
+carry the same loop proofs, so they count the same events, and the
+suffix facts (``KernelFacts.suffix_start``, a trace index) index
+either trace alike.
 
 Results and event counters are bit-identical to the interpreter on every
 kernel; ``tests/gpusim/test_compiled_engine.py`` enforces this
@@ -72,14 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..vir.analysis import (
-    LoopSummary,
-    data_dependence,
-    data_registers,
-    eval_const_instr,
-    summarize_loop,
-    suffix_facts,
-)
+from ..vir.analysis import LoopSummary, kernel_facts
 from ..vir.instructions import (
     Arg,
     AtomGlobal,
@@ -101,7 +93,6 @@ from ..vir.instructions import (
     StShared,
     UnOp,
     While,
-    walk_instrs,
 )
 from .engine import ALU_IMPL, SimulationError, launch_constant
 
@@ -286,8 +277,7 @@ def _c_while(instr, cond_trace, body_trace, summary):
 
 
 #: Summary of loops that are not at the top level of a kernel body: the
-#: periodicity proof (:func:`repro.vir.analysis.summarize_loop`) only
-#: covers top-level loops.
+#: periodicity proof (``KernelFacts.loops``) only covers top-level loops.
 _INNER_LOOP = LoopSummary(reason="inner", detail="loop is not at the top level")
 
 
@@ -298,28 +288,12 @@ _INNER_LOOP = LoopSummary(reason="inner", detail="loop is not at the top level")
 
 @dataclass
 class CompiledKernel:
-    """A kernel's flat closure trace and its data-dependence verdict."""
+    """A kernel's flat closure trace and, once built, its event trace."""
 
     kernel_name: str
     trace: list
-    #: Why loaded data can steer this kernel's events, or None when it
-    #: is data-oblivious (see :func:`repro.vir.analysis.data_dependence`).
-    data_dependence: str = None
-    #: The names of the kernel's data registers
-    #: (:func:`~repro.vir.analysis.data_registers`) when it is
-    #: data-oblivious, else None.
-    data_registers: frozenset = None
     #: The event trace (:meth:`event_trace_for`), None until first built.
     event_trace: list = None
-    #: Trace index where the event trace's launch-invariant suffix
-    #: starts (:func:`~repro.vir.analysis.launch_invariant_suffix`), or
-    #: None when it is empty or the kernel is data-dependent; the global
-    #: buffers that suffix touches; and whether it reads the block id
-    #: (:func:`~repro.vir.analysis.suffix_facts`), which keys its memo
-    #: by the grid and the block ids.
-    suffix_start: int = None
-    suffix_buffers: tuple = ()
-    suffix_reads_block_id: bool = False
 
     def event_trace_for(self, kernel) -> list:
         """The event trace of ``kernel``, this artifact's data-oblivious
@@ -332,46 +306,39 @@ class CompiledKernel:
         if self.event_trace is None:
             from ..obs import default_metrics  # runtime import: obs is standalone
 
-            self.event_trace = _KernelCompiler(
-                kernel, data=self.data_registers
-            ).compile()
+            self.event_trace = _KernelCompiler(kernel, events=True).compile()
             default_metrics().inc("compile.event_traces")
         return self.event_trace
 
 
 class _KernelCompiler:
     """Compiles one kernel body to a closure trace: the full trace, or
-    with ``data`` (the kernel's data registers) the event trace."""
+    with ``events`` the event trace, which leaves the kernel's data
+    registers unwritten."""
 
-    def __init__(self, kernel, data=None):
+    def __init__(self, kernel, events=False):
         self.kernel = kernel
-        self.data = data
+        self.facts = kernel_facts(kernel)
+        self.data = self.facts.data_registers if events else None
 
     def compile(self) -> list:
-        return self._compile_body(self.kernel.body, env={})
+        return self._compile_body(self.kernel.body, self.facts.loops)
 
-    def _compile_body(self, body, env=None) -> list:
-        """Compile one region. ``env``, the uniform-constant env, is
-        threaded through the top-level body only (mutated in place):
-        :func:`~repro.vir.analysis.summarize_loop` reads it at the entry
-        of each top-level loop. Nested regions pass none, and their
-        loops carry :data:`_INNER_LOOP`."""
+    def _compile_body(self, body, loops=None) -> list:
+        """Compile one region. ``loops``, the top-level loop proofs by
+        index, is passed for the top-level body only: nested loops carry
+        :data:`_INNER_LOOP`."""
         trace = []
-        for instr in body:
+        for index, instr in enumerate(body):
             if type(instr) is While:
-                summary = (
-                    _INNER_LOOP if env is None else summarize_loop(instr, env)
-                )
                 trace.append(_c_while(
                     instr,
                     self._compile_body(instr.cond_block),
                     self._compile_body(instr.body),
-                    summary,
+                    _INNER_LOOP if loops is None else loops[index],
                 ))
             elif type(instr) is not Comment:  # comments execute nothing
                 trace.append(self._compile_instr(instr))
-            if env is not None:
-                eval_const_instr(instr, env)
         return trace
 
     def _compile_instr(self, instr):
@@ -409,40 +376,11 @@ def compile_kernel(kernel) -> CompiledKernel:
     return kernel.fact("compiled", _compile_fresh)
 
 
-def _event_suffix(body, trace_len, data):
-    """``(suffix_start, suffix_buffers, suffix_reads_block_id)`` of a
-    data-oblivious kernel with data registers ``data``: its
-    launch-invariant suffix as a trace index (one closure per top-level
-    instruction, comments excepted), the global buffers it touches and
-    whether it reads the block id; ``(None, (), False)`` when the suffix
-    is empty."""
-    start, reads_block_id = suffix_facts(body, data)
-    index = sum(1 for instr in body[:start] if type(instr) is not Comment)
-    if index == trace_len:
-        return None, (), False
-    return index, tuple(sorted({
-        instr.buf for instr in walk_instrs(body[start:])
-        if isinstance(instr, (LdGlobal, StGlobal, AtomGlobal))
-    })), reads_block_id
-
-
 def _compile_fresh(kernel) -> CompiledKernel:
     from ..obs import default_metrics  # runtime import: obs is standalone
 
-    trace = _KernelCompiler(kernel).compile()
-    dependence = data_dependence(kernel.body)
-    data, start, buffers, block_id = None, None, (), False
-    if dependence is None:
-        data = data_registers(kernel.body)
-        start, buffers, block_id = _event_suffix(kernel.body, len(trace), data)
     compiled = CompiledKernel(
-        kernel_name=kernel.name,
-        trace=trace,
-        data_dependence=dependence,
-        data_registers=data,
-        suffix_start=start,
-        suffix_buffers=buffers,
-        suffix_reads_block_id=block_id,
+        kernel_name=kernel.name, trace=_KernelCompiler(kernel).compile()
     )
     metrics = default_metrics()
     metrics.inc("compile.kernels")

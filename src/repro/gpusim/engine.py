@@ -26,7 +26,12 @@ caller; it only picks the chunk size:
   blocks' global stores (the ordering reference).
 
 :func:`analyze_batchability` decides per kernel whether the batched order
-is observationally equivalent to the sequential one. A launch runs
+is observationally equivalent to the sequential one, from the access
+summary among the kernel's static facts. Those facts — the access
+summary, the data-dependence verdict, the loop proofs and the
+launch-invariant suffix — all come from one pass computed once per
+kernel (:func:`repro.vir.analysis.kernel_facts`); the engine and the
+closure compiler only read them. A launch runs
 sequential when its kernel reads a global buffer it also writes
 (cross-block read-after-write), stores to global memory inside a loop,
 or issues order-sensitive floating-point global atomics from inside a
@@ -86,6 +91,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..obs import default_metrics, get_tracer
+from ..vir.analysis import kernel_facts
 from ..vir.instructions import (
     SHFL_MODES,
     SHFL_WIDTHS,
@@ -213,49 +219,6 @@ def launch_constant(state, arg):
         ) from None
 
 
-def _walk_while_depth(body, in_while=False):
-    """Yield ``(instr, inside_a_While)`` for every instruction in a body."""
-    for instr in body:
-        yield instr, in_while
-        if isinstance(instr, If):
-            yield from _walk_while_depth(instr.then, in_while)
-            yield from _walk_while_depth(instr.otherwise, in_while)
-        elif isinstance(instr, While):
-            yield from _walk_while_depth(instr.cond_block, True)
-            yield from _walk_while_depth(instr.body, True)
-
-
-def _access_summary(kernel) -> dict:
-    """One full tree walk collecting the global-memory access facts the
-    batchability verdict needs. Walked once per kernel object (a kernel
-    fact) — the executor re-resolves the verdict on every launch, and
-    re-walking the tree each time dominated small-launch dispatch."""
-    loads = set()
-    stores = set()
-    store_in_while = None
-    atomics = {}
-    for instr, in_while in _walk_while_depth(kernel.body):
-        if isinstance(instr, LdGlobal):
-            loads.add(instr.buf)
-        elif isinstance(instr, StGlobal):
-            stores.add(instr.buf)
-            if in_while and store_in_while is None:
-                store_in_while = instr.buf
-        elif isinstance(instr, AtomGlobal):
-            entry = atomics.setdefault(
-                instr.buf, {"count": 0, "in_while": False, "ops": set()}
-            )
-            entry["count"] += 1
-            entry["in_while"] = entry["in_while"] or in_while
-            entry["ops"].add(instr.op)
-    return {
-        "loads": loads,
-        "stores": stores,
-        "store_in_while": store_in_while,
-        "atomics": atomics,
-    }
-
-
 def analyze_batchability(kernel, device: Device = None):
     """Can ``kernel`` run batched with sequential-identical observables?
 
@@ -274,25 +237,28 @@ def analyze_batchability(kernel, device: Device = None):
       on the cross-block interleaving. Integer and min/max atomics are
       order-independent and stay batchable.
 
-    The kernel-tree walk is a kernel fact, computed once per kernel
+    The access summary is one of the kernel's facts
+    (:func:`~repro.vir.analysis.kernel_facts`), computed once per kernel
     object; only the cheap device-dependent dtype check runs per call.
     """
-    summary = kernel.fact("access", _access_summary)
-    if summary["store_in_while"] is not None:
-        return False, f"global store inside a loop ({summary['store_in_while']!r})"
-    atomics = summary["atomics"]
-    hazard = summary["loads"] & (summary["stores"] | set(atomics))
+    facts = kernel_facts(kernel)
+    if facts.store_in_loop is not None:
+        return False, f"global store inside a loop ({facts.store_in_loop!r})"
+    atomics = facts.global_atomics
+    hazard = facts.global_loads & (
+        facts.global_stores | {buf for buf, *_entry in atomics}
+    )
     if hazard:
         return False, f"load/store hazard on {sorted(hazard)}"
-    for buf, entry in atomics.items():
+    for buf, sites, in_loop, ops in atomics:
         dtype_kind = "f"
         if device is not None:
             try:
                 dtype_kind = device.get(buf).dtype.kind
             except Exception:
                 dtype_kind = "f"
-        order_sensitive = dtype_kind == "f" and bool(entry["ops"] & {"add", "sub"})
-        if order_sensitive and (entry["in_while"] or entry["count"] > 1):
+        order_sensitive = dtype_kind == "f" and bool(ops & {"add", "sub"})
+        if order_sensitive and (in_loop or sites > 1):
             return False, f"order-sensitive float atomics on {buf!r}"
     return True, "block-uniform"
 
@@ -406,7 +372,7 @@ class Executor:
             artifact = self._backend.prepare(other)
             if artifact is None:
                 return self.backend, None
-            if artifact.data_dependence is not None:
+            if kernel_facts(other).data_dependence is not None:
                 return "data_dependent", None
             if other is kernel:
                 own = artifact
@@ -449,16 +415,11 @@ class Executor:
         fallback, artifact = self._loop_fallback(
             values and not profile.sampled_blocks, kernel, kernels
         )
-        suffix = None
+        memo = None
         if fallback is None:
             trace_kind, trace = "events", artifact.event_trace_for(kernel)
-            if artifact.suffix_start is not None:
-                suffix = (
-                    artifact.suffix_start,
-                    artifact.suffix_buffers,
-                    artifact.suffix_reads_block_id,
-                    kernel.fact("suffix", _new_memo),
-                )
+            if kernel_facts(kernel).suffix_start is not None:
+                memo = kernel.fact("suffix", _new_memo)
         else:
             trace_kind, trace = "full", self._backend.trace(kernel)
         profile.meta["exec.trace"] = trace_kind
@@ -497,7 +458,7 @@ class Executor:
                     loop_fallback=fallback,
                     trace=trace,
                     san=san,
-                    suffix=suffix,
+                    suffix_memo=memo,
                 ).run()
                 if outcome is not None:
                     suffix_stats[outcome] += 1
@@ -580,7 +541,7 @@ class _BatchedRun:
 
     def __init__(self, executor, step, block_ids, events, atomic_addr_counts,
                  loop_stats, loop_fallback=None, trace=None, san=None,
-                 suffix=None):
+                 suffix_memo=None):
         self.executor = executor
         self.device = executor.device
         self.step = step
@@ -598,10 +559,10 @@ class _BatchedRun:
         self.loop_fallback = loop_fallback
         self.trace = trace
         self.san = san
-        #: ``(trace index, global buffers, reads the block id, memo)`` of
-        #: the trace's launch-invariant suffix, or None (see
+        #: The kernel's memo of its launch-invariant suffix when the
+        #: event trace runs it through the memo, else None (see
         #: :meth:`_run_suffix`).
-        self.suffix = suffix
+        self.suffix_memo = suffix_memo
         #: While a suffix is simulated for the memo: the global-atomic
         #: tallies it feeds, as :meth:`_tally` arguments.
         self._tallies = None
@@ -634,18 +595,17 @@ class _BatchedRun:
         mask = np.ones(self.shape, dtype=bool)
         if self.trace is None:
             self._exec_body(self.kernel.body, mask)
-        elif self.suffix is None:
+        elif self.suffix_memo is None:
             self._run_trace(self.trace, mask)
         else:
-            start = self.suffix[0]
+            start = kernel_facts(self.kernel).suffix_start
             self._run_trace(self.trace[:start], mask)
             return self._run_suffix(self.trace[start:], mask)
         return None
 
     def _run_suffix(self, trace, mask) -> str:
         """Run the launch-invariant suffix ``trace`` of an event trace
-        (:func:`repro.vir.analysis.launch_invariant_suffix`) through the
-        kernel's memo.
+        (``KernelFacts.suffix_start``) through the kernel's memo.
 
         Top-level code runs under the full mask, and the suffix reads no
         launch constant, so its events, loop counters and global-atomic
@@ -662,17 +622,18 @@ class _BatchedRun:
         tallies could pass ``_ATOMIC_TRACK_CAP`` on the way, where
         replaying would not stop where simulation stops.
         """
-        _start, buffers, reads_block_id, memo = self.suffix
+        facts = kernel_facts(self.kernel)
         shapes = []
-        for buf in buffers:
+        for buf in facts.suffix_buffers:
             arr = self.device.get(buf)
             shapes.append((buf, len(arr), arr.dtype.str, arr.flags.writeable))
         blocks = (
-            (self.step.grid, self.block_ids.tobytes()) if reads_block_id
-            else self.nblocks
+            (self.step.grid, self.block_ids.tobytes())
+            if facts.suffix_reads_block_id else self.nblocks
         )
         key = (blocks, self.nthreads, self.executor.LOOP_CAP, tuple(shapes))
         counts = self.atomic_addr_counts
+        memo = self.suffix_memo
         entry = memo.get(key)
         if entry is not None and (
             len(counts) + entry.tallied <= _ATOMIC_TRACK_CAP

@@ -264,6 +264,7 @@ class ReductionFramework:
                 for index in missing
             ]
             missing_keys = [keys[index] for index in missing]
+            stored = {}  # key -> the entry this sweep put in the cache
 
             def _insert(position, result):
                 # Streaming insert, called in completion order as each
@@ -271,13 +272,15 @@ class ReductionFramework:
                 profile, num_memsets, cost_s = result
                 key = missing_keys[position]
                 if key not in self.cache:
-                    self.cache.put(key, (profile, num_memsets), cost_s=cost_s)
+                    stored[key] = (profile, num_memsets)
+                    self.cache.put(key, stored[key], cost_s=cost_s)
 
-            map_profiles(
+            results = map_profiles(
                 worker_specs, max_workers=max_workers, on_result=_insert
             )
-            for index in missing:
-                entries[index] = self._profile(*resolved[index], keys[index])
+            # A duplicate spec gets the entry its twin stored first.
+            for index, (profile, num_memsets, _cost) in zip(missing, results):
+                entries[index] = stored.get(keys[index], (profile, num_memsets))
         # Completion order varies run to run; touching in spec order
         # restores deterministic LRU recency (and thus eviction order)
         # identical to a serial sweep.

@@ -1,4 +1,4 @@
-"""Static analysis over VIR: uniform constants, data flow, loop proofs.
+"""Static analysis over VIR: uniform constants, kernel facts, loop proofs.
 
 The core is a conservative abstract interpreter over *uniform
 constants* (:func:`eval_const_instr`). :func:`summarize_loop` reads it
@@ -20,15 +20,16 @@ ordering, out-of-range shifts) conservatively returns ``UNKNOWN``, so a
 failed analysis can never change observable behaviour — a proof simply
 does not hold.
 
-Two further proofs let sampled and profile launches skip loop trips
-without changing a single event counter (see :func:`data_dependence`
-and :func:`summarize_loop`), and a launch-constant taint with control
-dependence (:func:`launch_invariant_suffix`) finds the top-level tail
-of a kernel whose events depend on the launch geometry only, so the
-engine simulates it once per launch shape. The same fixpoint with the
-block-id specials as its sources (:func:`suffix_facts`) says whether
-that shape includes the grid and the block ids (``docs/PERFORMANCE.md``
-explains how the engine uses them).
+Every static fact the simulator reads about a kernel comes from one
+pass, :func:`kernel_facts`, computed once per kernel and kept on it
+(:class:`KernelFacts`): the data-dependence verdict and the data
+registers, which let sampled and profile launches run an event trace
+and skip proven loop trips (:func:`summarize_loop`); the
+launch-invariant suffix, which the engine simulates once per launch
+shape, and whether that shape includes the grid and the block ids; the
+access summary behind the batchability verdict; and the proof of every
+top-level loop. ``docs/PERFORMANCE.md`` explains how the engine uses
+them.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _uniform_operand(operand, env) -> bool:
 
 
 # ---------------------------------------------------------------------
-# data-obliviousness and periodic loop summaries
+# kernel facts: one flow table, one fixpoint
 # ---------------------------------------------------------------------
 
 #: Instructions whose destination holds loaded (data) values.
@@ -283,89 +284,162 @@ _DATA_SOURCES = (LdGlobal, LdShared, Shfl)
 #: Instructions that address memory through an ``idx`` operand.
 _MEMORY_OPS = (LdGlobal, StGlobal, LdShared, StShared, AtomGlobal, AtomShared)
 
+#: Special registers whose value depends on the grid or the block id.
+_BLOCK_SPECIALS = frozenset({"ctaid", "nctaid"})
+
+
 def _reg_names(regs) -> set:
     return {reg.name for reg in regs if isinstance(reg, Reg)}
 
 
-def _taint(body):
-    """The taint pass behind :func:`data_dependence` and
-    :func:`data_registers`: ``(data, sinks)``, the set of registers that
-    hold data and the ``(operand, where it steers events)`` sinks.
+@dataclass(frozen=True)
+class KernelFacts:
+    """Every static fact the simulator reads about one kernel
+    (:func:`kernel_facts`)."""
 
-    The results of ``LdGlobal``, ``LdShared`` and ``Shfl`` are data, and
-    data flows through every ALU operand (a ``Sel`` condition included).
-    The pass is flow-insensitive — a register is data when any write to
-    it reads data — and iterates to a fixpoint, so loop-carried flows
-    and partial writes under a mask are covered without tracking
-    program points.
+    #: Why loaded data can steer the kernel's events, or None when it is
+    #: *data-oblivious*: no data reaches an ``If`` or ``While``
+    #: condition, a memory index or a shuffle offset, so masks, addresses
+    #: and shuffle lanes, and with them every event counter, are
+    #: functions of the launch shape alone.
+    data_dependence: str
+    #: Names of the registers that hold data: the results of
+    #: ``LdGlobal``, ``LdShared`` and ``Shfl`` and every register a write
+    #: to which reads one (a ``Sel`` condition included). In a
+    #: data-oblivious kernel they are read only to compute other data
+    #: registers and as the value operand of a store, an atomic or a
+    #: shuffle, so a trace that never writes them still computes every
+    #: event (the event trace of :mod:`repro.gpusim.compile`).
+    data_registers: frozenset
+    #: Top-level index -> :class:`LoopSummary` of every top-level
+    #: ``While``, proved under the uniform constants at its entry.
+    loops: dict
+    #: Where a data-oblivious kernel's *launch-invariant suffix* starts,
+    #: as a trace index (top-level instructions, comments excepted: one
+    #: closure each), or None when the suffix is empty or the kernel is
+    #: data-dependent. From there on no instruction, nested ones
+    #: included, reads a launch constant (an
+    #: :class:`~repro.vir.instructions.Arg` or ``ld.param``) or a
+    #: register that depends on one, by data or control; data registers
+    #: are left out, as the event trace never computes them. Special
+    #: registers are not launch constants, so the suffix's events are a
+    #: function of the launch geometry, the block ids it runs and the
+    #: global buffers it touches.
+    suffix_start: int
+    #: The global buffers the suffix touches, sorted.
+    suffix_buffers: tuple
+    #: Whether the suffix reads ``ctaid`` or ``nctaid`` or a register
+    #: that depends on one, by data or control. When it does not, its
+    #: events depend on the block size and the number of blocks it runs,
+    #: not on the grid or on which blocks they are.
+    suffix_reads_block_id: bool
+    #: Global buffers the kernel loads / stores.
+    global_loads: frozenset
+    global_stores: frozenset
+    #: The first global buffer stored inside a ``While``, or None.
+    store_in_loop: str
+    #: ``(buf, sites, any site inside a While, ops)`` of every buffer the
+    #: kernel updates with global atomics, in program order.
+    global_atomics: tuple
+
+
+def kernel_facts(kernel) -> KernelFacts:
+    """``kernel``'s :class:`KernelFacts`, computed on first use and kept
+    as its ``static`` fact (:meth:`~repro.vir.program.Kernel.fact`).
+
+    One walk builds the kernel's flow table (:func:`_flow_rows`), and
+    one fixpoint over it (:func:`_dependents`) runs three times: from
+    loaded values for the data registers and the data-dependence
+    verdict, then from launch constants and from the block-id specials,
+    with control dependence, for the launch-invariant suffix. The same
+    rows give the access summary, and one uniform-constant pass over
+    the top level proves every top-level loop (:func:`summarize_loop`).
     """
-    flows = []  # (destinations, registers read, is a data source)
-    sinks = []
-    for instr in walk_instrs(body):
-        kind = type(instr).__name__
-        if isinstance(instr, _MEMORY_OPS):
-            sinks.append((instr.idx, f"the index of {kind} {instr.buf!r}"))
-        elif isinstance(instr, Shfl):
-            sinks.append((instr.offset, "a shuffle offset"))
-        elif isinstance(instr, (If, While)):
-            sinks.append((instr.cond, f"a {kind} condition"))
-        dsts = _reg_names(writes(instr))
-        if dsts:
-            flows.append(
-                (dsts, _reg_names(reads(instr)), isinstance(instr, _DATA_SOURCES))
-            )
+    return kernel.fact("static", _analyze)
+
+
+def _analyze(kernel) -> KernelFacts:
+    body = kernel.body
+    rows = _flow_rows(body)
+    data, _ = _dependents(rows, _loads_data, control=False)
+    dependence = _data_dependence(rows, data)
+    suffix = (None, (), False)
+    if dependence is None:
+        suffix = _suffix(body, rows, data)
+    return KernelFacts(
+        dependence, frozenset(data), _loop_proofs(body), *suffix, *_access(rows)
+    )
+
+
+class _Row(NamedTuple):
+    """One instruction of a kernel body, nested ones included."""
+
+    top: int  # index of its top-level instruction
+    instr: object
+    writes: set  # registers it writes
+    reads: set  # registers it reads
+    guards: frozenset  # condition registers of its enclosing regions
+    in_loop: bool  # inside a While's condition block or body
+
+
+def _flow_rows(body) -> list:
+    """The flow table of ``body``: one :class:`_Row` per instruction, in
+    :func:`~repro.vir.instructions.walk_instrs` order."""
+    rows = []
+
+    def visit(region, top, guards, in_loop):
+        for instr in region:
+            rows.append(_Row(
+                top, instr, _reg_names(writes(instr)),
+                _reg_names(reads(instr)), guards, in_loop,
+            ))
+            if isinstance(instr, If):
+                inner = guards | {instr.cond.name}
+                visit(instr.then, top, inner, in_loop)
+                visit(instr.otherwise, top, inner, in_loop)
+            elif isinstance(instr, While):
+                inner = guards | {instr.cond.name}
+                visit(instr.cond_block, top, inner, True)
+                visit(instr.body, top, inner, True)
+
+    for top, instr in enumerate(body):
+        visit((instr,), top, frozenset(), False)
+    return rows
+
+
+def _dependents(rows, source, control, exclude=frozenset()) -> tuple:
+    """``(registers, tops)``: the registers that depend on a source, and
+    the top-level indices of the rows that read a source or such a
+    register.
+
+    A row is a source when ``source(row.instr)``. A register depends on
+    a source when a row writing it is a source or reads such a register,
+    or, with ``control``, sits under an ``If``/``While`` whose condition
+    does, to a fixpoint. The pass is flow-insensitive, so loop-carried
+    flows and partial writes under a mask are covered without tracking
+    program points. Registers in ``exclude`` never become dependent.
+    """
+    seeds = [source(row.instr) for row in rows]
+    used = [row.reads | row.guards if control else row.reads for row in rows]
+    dsts = [row.writes - exclude for row in rows]
     tainted = set()
     grew = True
     while grew:
         grew = False
-        for dsts, used, source in flows:
-            flows_in = source or not used.isdisjoint(tainted)
-            if flows_in and not tainted.issuperset(dsts):
-                tainted.update(dsts)
+        for dst, use, seed in zip(dsts, used, seeds):
+            if dst and (seed or not use.isdisjoint(tainted)) and not (
+                tainted.issuperset(dst)
+            ):
+                tainted.update(dst)
                 grew = True
-    return tainted, sinks
+    return tainted, {
+        row.top for row, use, seed in zip(rows, used, seeds)
+        if seed or not use.isdisjoint(tainted)
+    }
 
 
-def data_dependence(body):
-    """Why loaded data can steer a kernel's events, or None if it cannot.
-
-    The kernel is *data-oblivious* — None — when no data (see
-    :func:`_taint`) reaches an ``If`` or ``While`` condition, a memory
-    index or a shuffle offset: masks, addresses and shuffle lanes, and
-    with them every event counter, are then functions of the launch
-    shape alone.
-    """
-    tainted, sinks = _taint(body)
-    for operand, where in sinks:
-        if isinstance(operand, Reg) and operand.name in tainted:
-            return f"loaded value {operand} reaches {where}"
-    return None
-
-
-def data_registers(body) -> frozenset:
-    """Names of the registers of ``body`` that hold data.
-
-    In a data-oblivious kernel, data registers are read only to compute
-    other data registers and as the value operand of a store, an atomic
-    or a shuffle, so a trace that never writes them still computes every
-    mask, address and shuffle lane, and with them every event (the
-    event trace of :mod:`repro.gpusim.compile`)."""
-    return frozenset(_taint(body)[0])
-
-
-def _guarded_flows(body, guards=frozenset()):
-    """``(instr, condition registers of its enclosing regions)`` for
-    every instruction of ``body``, nested ones included."""
-    for instr in body:
-        yield instr, guards
-        if isinstance(instr, (If, While)):
-            inner = guards | {instr.cond.name}
-            regions = (
-                (instr.then, instr.otherwise) if isinstance(instr, If)
-                else (instr.cond_block, instr.body)
-            )
-            for region in regions:
-                yield from _guarded_flows(region, inner)
+def _loads_data(instr) -> bool:
+    return isinstance(instr, _DATA_SOURCES)
 
 
 def _reads_launch_constant(instr) -> bool:
@@ -374,83 +448,81 @@ def _reads_launch_constant(instr) -> bool:
     )
 
 
-#: Special registers whose value depends on the grid or the block id.
-_BLOCK_SPECIALS = frozenset({"ctaid", "nctaid"})
-
-
 def _reads_block_id(instr) -> bool:
     return isinstance(instr, Special) and instr.kind in _BLOCK_SPECIALS
 
 
-def _flows(body, data):
-    """``(top-level index, instruction, registers it writes, registers
-    it reads or runs under)`` for every instruction of ``body``, nested
-    ones included. The kernel's data registers ``data`` are left out of
-    the writes, which is sound only for a data-oblivious kernel run on
-    its event trace, where they are never computed
-    (``docs/PERFORMANCE.md``)."""
-    return [
-        (top, instr, _reg_names(writes(instr)) - data,
-         _reg_names(reads(instr)) | guards)
-        for top, outer in enumerate(body)
-        for instr, guards in _guarded_flows([outer])
-    ]
+def _data_dependence(rows, data):
+    """The first place, in program order, where a register of ``data``
+    steers events: an ``If``/``While`` condition, a memory index or a
+    shuffle offset; None when there is none."""
+    for row in rows:
+        instr = row.instr
+        kind = type(instr).__name__
+        if isinstance(instr, _MEMORY_OPS):
+            operand, where = instr.idx, f"the index of {kind} {instr.buf!r}"
+        elif isinstance(instr, Shfl):
+            operand, where = instr.offset, "a shuffle offset"
+        elif isinstance(instr, (If, While)):
+            operand, where = instr.cond, f"a {kind} condition"
+        else:
+            continue
+        if isinstance(operand, Reg) and operand.name in data:
+            return f"loaded value {operand} reaches {where}"
+    return None
 
 
-def _dependent_tops(flows, source) -> set:
-    """Top-level indices of the instructions that read a source
-    (``source(instr)``) or a register that depends on one. A register
-    depends on a source when a write to it reads one or such a
-    register, or sits under an ``If``/``While`` whose condition does
-    (control dependence), to a fixpoint."""
-    seeded = [source(instr) for _top, instr, _dsts, _used in flows]
-    tainted = set()
-    grew = True
-    while grew:
-        grew = False
-        for (_top, _instr, dsts, used), seed in zip(flows, seeded):
-            if dsts and (seed or not used.isdisjoint(tainted)) and not (
-                tainted.issuperset(dsts)
-            ):
-                tainted.update(dsts)
-                grew = True
-    return {
-        top for (top, _instr, _dsts, used), seed in zip(flows, seeded)
-        if seed or not used.isdisjoint(tainted)
-    }
-
-
-def suffix_facts(body, data=None) -> tuple:
-    """``(start, reads_block_id)`` of ``body``'s launch-invariant suffix.
-
-    ``start`` is the index of the first top-level instruction from
-    which no instruction, nested ones included, reads a launch constant
-    (an :class:`~repro.vir.instructions.Arg` or ``ld.param``) or a
-    register that depends on one (:func:`_dependent_tops`); ``len(body)``
-    when there is no such suffix. Special registers are not launch
-    constants, so the suffix's events are a function of the launch
-    geometry, the block ids it runs and the global buffers it touches.
-
-    ``reads_block_id`` says whether the suffix reads ``ctaid`` or
-    ``nctaid`` or a register that depends on one, by data or control:
-    the same fixpoint with those specials as its sources. When it does
-    not, the suffix's events depend on the block size and the number of
-    blocks it runs, not on the grid or on which blocks they are.
-    ``data``: the kernel's data registers (by default
-    :func:`data_registers`), left out as in :func:`_flows`.
-    """
-    flows = _flows(body, data_registers(body) if data is None else data)
-    constants = _dependent_tops(flows, _reads_launch_constant)
+def _suffix(body, rows, data) -> tuple:
+    """``(suffix_start, suffix_buffers, suffix_reads_block_id)`` of a
+    data-oblivious kernel (see :class:`KernelFacts`)."""
+    _, constants = _dependents(rows, _reads_launch_constant, True, data)
     start = max(constants) + 1 if constants else 0
-    return start, any(
-        top >= start for top in _dependent_tops(flows, _reads_block_id)
+    if all(type(instr) is Comment for instr in body[start:]):
+        return None, (), False
+    _, block_id = _dependents(rows, _reads_block_id, True, data)
+    return (
+        sum(1 for instr in body[:start] if type(instr) is not Comment),
+        tuple(sorted({
+            row.instr.buf for row in rows if row.top >= start
+            and isinstance(row.instr, (LdGlobal, StGlobal, AtomGlobal))
+        })),
+        any(top >= start for top in block_id),
     )
 
 
-def launch_invariant_suffix(body) -> int:
-    """Where ``body``'s launch-invariant suffix starts: the ``start`` of
-    :func:`suffix_facts`."""
-    return suffix_facts(body)[0]
+def _access(rows) -> tuple:
+    """``(global_loads, global_stores, store_in_loop, global_atomics)``
+    (see :class:`KernelFacts`)."""
+    loads, stores, atomics = set(), set(), {}
+    store_in_loop = None
+    for row in rows:
+        instr = row.instr
+        if isinstance(instr, LdGlobal):
+            loads.add(instr.buf)
+        elif isinstance(instr, StGlobal):
+            stores.add(instr.buf)
+            if row.in_loop and store_in_loop is None:
+                store_in_loop = instr.buf
+        elif isinstance(instr, AtomGlobal):
+            sites, in_loop, ops = atomics.get(instr.buf, (0, False, frozenset()))
+            atomics[instr.buf] = (sites + 1, in_loop or row.in_loop, ops | {instr.op})
+    return (
+        frozenset(loads),
+        frozenset(stores),
+        store_in_loop,
+        tuple((buf, *entry) for buf, entry in atomics.items()),
+    )
+
+
+def _loop_proofs(body) -> dict:
+    """Top-level index -> :func:`summarize_loop` proof of every
+    top-level ``While`` of ``body``, from one uniform-constant pass."""
+    env, loops = {}, {}
+    for top, instr in enumerate(body):
+        if type(instr) is While:
+            loops[top] = summarize_loop(instr, env)
+        eval_const_instr(instr, env)
+    return loops
 
 
 @dataclass(frozen=True)

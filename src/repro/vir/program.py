@@ -35,8 +35,11 @@ class Kernel:
     shared: list = field(default_factory=list)  # SharedDecl
     body: list = field(default_factory=list)  # Instr
     meta: dict = field(default_factory=dict)
-    #: Facts derived from the kernel, by :meth:`fact` key: ``valid`` and
-    #: ``access`` (the batchability access summary) from
+    #: Facts derived from the kernel, by :meth:`fact` key: ``static``
+    #: (every static-analysis fact, one
+    #: :class:`~repro.vir.analysis.KernelFacts`) from
+    #: :func:`repro.vir.analysis.kernel_facts`, ``valid`` and ``suffix``
+    #: (the launch-invariant suffix memo) from
     #: :mod:`repro.gpusim.engine`, ``compiled`` (the closure trace and
     #: its event trace) from :mod:`repro.gpusim.compile`. Kernels are
     #: immutable once built or executed, so a fact never goes stale;

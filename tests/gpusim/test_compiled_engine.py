@@ -239,14 +239,15 @@ class TestCompilation:
                 assert len(compile_kernel(kernel).trace) == expected
 
     def test_batchability_memoized(self):
-        """The access summary is a kernel fact, walked once per kernel."""
+        """The access summary is one of the kernel's static facts,
+        computed once per kernel."""
         fw = ReductionFramework(op="add")
         plan = fw.build("b", 4096, Tunables(block=64, grid=8))
         kernel = list(plan.kernel_steps())[0].kernel
         verdict = analyze_batchability(kernel)
-        summary = kernel.facts["access"]
+        facts = kernel.facts["static"]
         assert analyze_batchability(kernel) == verdict
-        assert kernel.facts["access"] is summary
+        assert kernel.facts["static"] is facts
 
 
 class TestAluTable:
@@ -322,14 +323,14 @@ class TestPlanCache:
         assert cache.stats.hits == hits + 1
 
     def test_cached_plan_is_prewarmed(self):
-        """A published kernel carries its compiled artifact and access
-        summary as facts before any launch."""
+        """A published kernel carries its compiled artifact and static
+        facts before any launch."""
         fw = ReductionFramework(op="add")
         plan = build_plan_cached(
             fw.pre, fw.resolve("p"), 2222, Tunables(block=64)
         )
         for step in plan.kernel_steps():
-            assert {"compiled", "access"} <= step.kernel.facts.keys()
+            assert {"compiled", "static"} <= step.kernel.facts.keys()
             assert compile_kernel(step.kernel) is step.kernel.facts["compiled"]
 
     def test_cached_plans_still_correct(self):

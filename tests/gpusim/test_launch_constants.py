@@ -17,8 +17,8 @@ from repro.codegen import Tunables
 from repro.gpusim import Executor
 from repro.obs import default_metrics
 from repro.runtime import ReductionFramework
-from repro.vir import Arg, While
-from repro.vir.analysis import ArgMultiple, eval_const_instr, summarize_loop
+from repro.vir import Arg
+from repro.vir.analysis import ArgMultiple, kernel_facts
 
 #: Columns of the pinned event tuples.
 COLUMNS = (
@@ -228,12 +228,8 @@ def test_grid_stride_loop_is_summarized(fw):
     plan = fw.build("k", n, tunables)
     assert plan.meta["geometry"]["coarsen"] >= 64
     (step,) = plan.kernel_steps()
-    env, summaries = {}, []
-    for instr in step.kernel.body:
-        if isinstance(instr, While):
-            summaries.append(summarize_loop(instr, env))
-        eval_const_instr(instr, env)
-    (summary,) = [s for s in summaries if s.loads]
+    loops = kernel_facts(step.kernel).loops.values()
+    (summary,) = [s for s in loops if s.loads]
     assert summary.reason is None, summary.detail
     assert [per_trip for _buf, _idx, per_trip, _w in summary.loads] == [
         ArgMultiple(1, Arg("grid_stride"))

@@ -1,12 +1,12 @@
 """Skipping proven-periodic loop trips in sampled launches.
 
 The loop proof (:func:`repro.vir.analysis.summarize_loop`) and the
-data-obliviousness proof (:func:`repro.vir.analysis.data_dependence`)
-must refuse every loop shape whose skipped trips could change an event,
-and the engine must only extrapolate sampled ``compiled`` launches with
-no sanitizer and no race checking. Errors raised from inside a
-skippable range — out-of-bounds loads, the loop cap — must read exactly
-as the interpreter's.
+data-obliviousness proof (``KernelFacts.data_dependence``), both from
+:func:`repro.vir.analysis.kernel_facts`, must refuse every loop shape
+whose skipped trips could change an event, and the engine must only
+extrapolate sampled ``compiled`` launches with no sanitizer and no race
+checking. Errors raised from inside a skippable range — out-of-bounds
+loads, the loop cap — must read exactly as the interpreter's.
 """
 
 import numpy as np
@@ -17,13 +17,8 @@ from repro.gpusim.device import Device
 from repro.gpusim.engine import _BatchedRun
 from repro.obs import default_metrics
 from repro.sanitize import Sanitizer
-from repro.vir import Arg, KernelStep, While
-from repro.vir.analysis import (
-    ArgMultiple,
-    data_dependence,
-    eval_const_instr,
-    summarize_loop,
-)
+from repro.vir import Arg, KernelStep
+from repro.vir.analysis import ArgMultiple, kernel_facts
 from repro.vir.assembler import parse_kernel
 from repro.vir.program import Plan
 
@@ -82,11 +77,12 @@ def _variant(body="", cond="%c = lt %i, %len", head="", step="%i = add %i, 1"):
 def _summary(text):
     """The proof for the kernel's first top-level loop, given the
     uniform constants known at its entry."""
-    env = {}
-    for instr in parse_kernel(text).body:
-        if isinstance(instr, While):
-            return summarize_loop(instr, env)
-        eval_const_instr(instr, env)
+    loops = kernel_facts(parse_kernel(text)).loops
+    return loops[min(loops)]
+
+
+def _data_dependence(text):
+    return kernel_facts(parse_kernel(text)).data_dependence
 
 
 def _launch(kernel, n=None, backend="compiled", sample_limit=3, size=None,
@@ -130,7 +126,7 @@ class TestLoopProof:
         assert [(buf, per_trip) for buf, _idx, per_trip, _w in summary.loads] == [
             ("in", 64)
         ]
-        assert data_dependence(parse_kernel(LOOP).body) is None
+        assert _data_dependence(LOOP) is None
 
     def test_launch_constant_stride(self):
         summary = _summary(ARG_LOOP)
@@ -196,12 +192,12 @@ class TestLoopProof:
         # A bound loaded before the loop: the loop proof sees an
         # invariant, the kernel-wide taint pass refuses the kernel.
         text = _variant(cond="%c = lt %i, %m", head="  %m = ld.global [in + 0]\n")
-        reason = data_dependence(parse_kernel(text).body)
+        reason = _data_dependence(text)
         assert reason is not None and "While condition" in reason
 
     def test_gathered_index_taints_kernel(self):
         text = _variant(body="    %w = ld.global [in + %v]\n")
-        assert "index of LdGlobal 'in'" in data_dependence(parse_kernel(text).body)
+        assert "index of LdGlobal 'in'" in _data_dependence(text)
 
     def test_per_lane_induction_start(self):
         text = LOOP.replace("  %i = mov 0\n", "  %i = mov %t\n")

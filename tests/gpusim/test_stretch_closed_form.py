@@ -8,7 +8,7 @@ must equal every-trip simulation bit for bit: the interpreter, or the
 ``compiled`` event trace with the skip disabled.
 
 A launch-invariant suffix that reads no block id
-(:func:`repro.vir.analysis.suffix_facts`) is memoized by its
+(``KernelFacts.suffix_reads_block_id``) is memoized by its
 chunk's block count instead of its grid and block ids; replays must
 equal fresh simulation over multi-chunk launches.
 """
@@ -19,14 +19,14 @@ import pytest
 from repro import ReductionFramework
 from repro.autotune import tuner
 from repro.codegen import Tunables
-from repro.gpusim import Executor, compile_kernel
+from repro.gpusim import Executor
 from repro.gpusim.device import Device
 from repro.gpusim.engine import _BatchedRun
 from repro.obs import default_metrics
 from repro.runtime import session
 from repro.runtime.session import _profile_plan
 from repro.vir import KernelStep
-from repro.vir.analysis import suffix_facts
+from repro.vir.analysis import kernel_facts
 from repro.vir.assembler import parse_kernel
 from repro.vir.program import Plan
 
@@ -209,9 +209,9 @@ def _reads_block_id(tail, head=""):
     """Whether ``tail`` after HEAD, with ``head`` inserted before its
     loop, reads the block id."""
     text = HEAD.replace("  %acc = mov 0.0\n", head + "  %acc = mov 0.0\n")
-    start, reads_block_id = suffix_facts(parse_kernel(text + tail).body)
-    assert start == len(parse_kernel(text).body)
-    return reads_block_id
+    facts = kernel_facts(parse_kernel(text + tail))
+    assert facts.suffix_start == len(parse_kernel(text).body)
+    return facts.suffix_reads_block_id
 
 
 @pytest.mark.parametrize("tail, expected", [
@@ -270,7 +270,7 @@ def test_memo_shared_across_grids_unless_it_reads_the_block_id(
         "  %z = eq %t, 0\n  if %z {\n"
         f"    atom.global.device.add [out + {index}], %acc\n  }}\n"
     ))
-    assert compile_kernel(kernel).suffix_reads_block_id is block_id
+    assert kernel_facts(kernel).suffix_reads_block_id is block_id
     monkeypatch.setattr(Executor, "BATCH_LANES", 8 * BLOCK)
     before = _counters("exec.suffix.")
     got = {grid: _profile_plan(_memo_plan(kernel, grid, 48), 1000)
@@ -296,7 +296,7 @@ def test_catalog_memo_is_shared_across_grids():
         return plan.kernel_steps()[-1].kernel
 
     kernel = profile(1 << 16, 8)
-    assert compile_kernel(kernel).suffix_reads_block_id is False
+    assert kernel_facts(kernel).suffix_reads_block_id is False
     kernel.facts.pop("suffix")
     for grid in (8, 16, 24, 32):  # one chunk each
         profile(1 << 16, grid)

@@ -1,11 +1,12 @@
 """The launch-invariant suffix and its memo.
 
-:func:`repro.vir.analysis.launch_invariant_suffix` finds the top-level
-tail of a kernel that reads no launch constant, directly, through a
-register or through a loop or branch condition. A profile launch on the
-event trace simulates that tail once per (geometry, block ids, buffer
-shapes) and replays it afterwards; memoized profiles must equal fresh
-ones (taken with the kernel's memo emptied) bit for bit.
+``KernelFacts.suffix_start`` (:func:`repro.vir.analysis.kernel_facts`)
+finds the top-level tail of a kernel that reads no launch constant,
+directly, through a register or through a loop or branch condition. A
+profile launch on the event trace simulates that tail once per
+(geometry, block ids, buffer shapes) and replays it afterwards; memoized
+profiles must equal fresh ones (taken with the kernel's memo emptied)
+bit for bit.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from repro.gpusim import SimulationError, compile_kernel
 from repro.obs import default_metrics
 from repro.runtime.session import _profile_plan
 from repro.vir import KernelStep
-from repro.vir.analysis import launch_invariant_suffix
+from repro.vir.analysis import kernel_facts
 from repro.vir.assembler import parse_kernel
 from repro.vir.program import Plan
 
@@ -44,11 +45,18 @@ HEAD = """
 """
 
 
+def _suffix_start(kernel):
+    """Where ``kernel``'s suffix starts (it has no comments, so trace and
+    body indices agree); ``len(kernel.body)`` when it is empty."""
+    start = kernel_facts(kernel).suffix_start
+    return len(kernel.body) if start is None else start
+
+
 def _suffix(tail):
     """``(suffix start, top-level instructions of the tail)``."""
-    body = parse_kernel(HEAD + tail).body
+    kernel = parse_kernel(HEAD + tail)
     head = len(parse_kernel(HEAD).body)
-    return launch_invariant_suffix(body) - head, len(body) - head
+    return _suffix_start(kernel) - head, len(kernel.body) - head
 
 
 def test_suffix_starts_after_a_register_written_in_an_n_bounded_loop():
@@ -98,12 +106,12 @@ def test_suffix_reads_specials_and_data_but_no_launch_constant():
 
 
 def test_kernel_without_launch_constants_is_all_suffix():
-    body = parse_kernel(
+    kernel = parse_kernel(
         ".kernel k(params: -; buffers: out)\n"
         "  %t = %tid\n"
         "  st.global [out + %t], 1.0\n"
-    ).body
-    assert launch_invariant_suffix(body) == 0
+    )
+    assert _suffix_start(kernel) == 0
 
 
 def test_artifact_records_the_suffix_as_a_trace_index():
@@ -117,14 +125,14 @@ def test_artifact_records_the_suffix_as_a_trace_index():
         "    atom.global.device.add [out + 0], %acc\n"
         "  }\n"
     )
-    artifact = compile_kernel(kernel)
-    assert launch_invariant_suffix(kernel.body) == 8  # the "; combine"
-    assert artifact.suffix_start == 7
-    assert len(artifact.trace) == 9
-    assert artifact.suffix_buffers == ("out",)
+    facts = kernel_facts(kernel)
+    assert kernel.body[8].text == "combine"
+    assert facts.suffix_start == 7  # the eq after "; combine"
+    assert len(compile_kernel(kernel).trace) == 9
+    assert facts.suffix_buffers == ("out",)
     # A data-dependent kernel records no suffix.
     histogram = Histogram(bins=64).build_plan(4096).kernel_steps()[0].kernel
-    assert compile_kernel(histogram).suffix_start is None
+    assert kernel_facts(histogram).suffix_start is None
 
 
 # -- the engine ----------------------------------------------------------

@@ -189,6 +189,26 @@ class TestParallelSweep:
         fw.profile_many(specs, max_workers=2)
         assert fw.cache.stats.stores == stores
 
+    def test_cold_sweep_looks_each_point_up_once(self):
+        """A cold sweep misses each point once: no hit, no time saved."""
+        fw = ReductionFramework(op="add", cache=ProfileCache())
+        specs = [
+            ("b", 4096, Tunables(block=64, grid=grid)) for grid in (1, 2, 4, 8)
+        ]
+        fw.profile_many(specs, max_workers=1)
+        stats = fw.cache.stats
+        assert (stats.hits, stats.misses, stats.stores) == (0, 4, 4)
+        assert stats.time_saved_s == 0
+
+    def test_duplicate_specs_share_the_stored_entry(self):
+        fw = ReductionFramework(op="add", cache=ProfileCache())
+        spec = ("b", 4096, Tunables(block=64, grid=8))
+        first, second = fw.profile_many([spec, spec], max_workers=1)
+        assert first is second
+        assert fw.cache.get(fw.profile_key(*spec)) is first
+        stats = fw.cache.stats
+        assert (stats.hits, stats.misses, stats.stores) == (1, 2, 1)
+
     def test_best_version_parallel_matches_serial(self):
         serial_fw = ReductionFramework(op="add", cache=ProfileCache())
         parallel_fw = ReductionFramework(op="add", cache=ProfileCache())
