@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from .tuner import (
     DEFAULT_BLOCKS,
     DEFAULT_GRIDS,
-    _bulk_profile,
-    best_tuned_version,
+    _best,
+    _tune_versions,
     sweep_specs,
 )
 
@@ -54,18 +54,19 @@ class DynamicSelector:
 
         The full size × candidate × config grid is profiled up front in
         one parallel batch, so table construction is one fan-out rather
-        than one sweep per size.
+        than one sweep per size, and each point is then read back once.
         """
-        _bulk_profile(
-            framework,
+        framework.profile_many(
             sweep_specs(framework, sizes, candidates, blocks, grids),
             max_workers=max_workers,
         )
+        if candidates is None:
+            candidates = list(framework.catalog)
         entries = []
         for n in sorted(sizes):
-            key, tunables, seconds = best_tuned_version(
+            key, tunables, seconds = _best(_tune_versions(
                 framework, n, arch, candidates, blocks, grids
-            )
+            ))
             entries.append(
                 SelectorEntry(
                     max_n=n, version_key=key, tunables=tunables, time_s=seconds

@@ -9,11 +9,11 @@ configuration grid for one version and returns the best
 
 Because our timing is a model over cached, architecture-independent
 event profiles, a full sweep takes seconds rather than the paper's ~20
-minutes. The sweep first bulk-profiles every missing (version ×
-tunables) point through ``framework.profile_many`` — which fans work
-out over the :mod:`repro.perf.parallel` pool and merges into the shared
-profile cache deterministically — then reads the analytic times back
-from cache hits.
+minutes. Each public entry point first profiles its whole (version ×
+tunables) grid with one ``framework.profile_many`` call — which fans
+the missing points out over the :mod:`repro.perf.parallel` pool and
+merges them into the shared profile cache deterministically — then
+reads the analytic times back from cache hits, one per point.
 """
 
 from __future__ import annotations
@@ -75,11 +75,34 @@ def sweep_specs(
     ]
 
 
-def _bulk_profile(framework, specs, max_workers=None) -> None:
-    """Pre-profile many points at once when the framework supports it."""
-    profile_many = getattr(framework, "profile_many", None)
-    if profile_many is not None and len(specs) > 1:
-        profile_many(specs, max_workers=max_workers)
+def _time_configs(framework, key, version, n, arch, configs) -> TuneResult:
+    """Time one version's ``configs`` at size ``n``, reading each profile
+    from the cache the caller filled with ``framework.profile_many``."""
+    trials = [
+        (tunables, framework.time(n, version, arch, tunables))
+        for tunables in configs
+    ]
+    tunables, seconds = min(trials, key=lambda trial: trial[1])
+    return TuneResult(
+        version_key=key, tunables=tunables, time_s=seconds, trials=trials
+    )
+
+
+def _tune_versions(framework, n, arch, candidates, blocks, grids) -> dict:
+    """``{key: TuneResult}`` of every candidate at size ``n``, timed from
+    a cache the caller filled."""
+    results = {}
+    for key in candidates:
+        version = framework.resolve(key)
+        configs = configurations(version, blocks, grids)
+        results[key] = _time_configs(framework, key, version, n, arch, configs)
+    return results
+
+
+def _best(results) -> tuple:
+    """``(version key, Tunables, seconds)`` of the fastest result."""
+    key = min(results, key=lambda k: results[k].time_s)
+    return key, results[key].tunables, results[key].time_s
 
 
 def tune_version(
@@ -94,21 +117,11 @@ def tune_version(
     """Sweep tuning parameters for one version at input size ``n``."""
     resolved = framework.resolve(version)
     configs = configurations(resolved, blocks, grids)
-    _bulk_profile(
-        framework,
+    framework.profile_many(
         [(resolved, n, tunables) for tunables in configs],
         max_workers=max_workers,
     )
-    best = None
-    trials = []
-    for tunables in configs:
-        seconds = framework.time(n, resolved, arch, tunables)
-        trials.append((tunables, seconds))
-        if best is None or seconds < best[1]:
-            best = (tunables, seconds)
-    return TuneResult(
-        version_key=version, tunables=best[0], time_s=best[1], trials=trials
-    )
+    return _time_configs(framework, version, resolved, n, arch, configs)
 
 
 def tune_all(
@@ -127,15 +140,11 @@ def tune_all(
     grid is profiled up front in one parallel batch.
     """
     candidates = candidates if candidates is not None else list(framework.catalog)
-    _bulk_profile(
-        framework,
+    framework.profile_many(
         sweep_specs(framework, [n], candidates, blocks, grids),
         max_workers=max_workers,
     )
-    return {
-        key: tune_version(framework, key, n, arch, blocks, grids)
-        for key in candidates
-    }
+    return _tune_versions(framework, n, arch, candidates, blocks, grids)
 
 
 def best_tuned_version(
@@ -148,12 +157,9 @@ def best_tuned_version(
     max_workers=None,
 ):
     """Best (version key, Tunables, seconds) across candidates at size n."""
-    results = tune_all(
+    return _best(tune_all(
         framework, n, arch, candidates, blocks, grids, max_workers=max_workers
-    )
-    key = min(results, key=lambda k: results[k].time_s)
-    winner = results[key]
-    return key, winner.tunables, winner.time_s
+    ))
 
 
 def explain_pruning(framework, results, n: int, arch, top: int = 3) -> dict:

@@ -8,9 +8,9 @@ masks and memory stay in the run state and are shared by both.
     Per-instruction specialized closures (:mod:`repro.gpusim.compile`):
     the engine of the runtime, the sweeps, the sanitizer sweep and the
     CLI. ``prepare(kernel)`` builds its artifact once per kernel (a
-    kernel fact; the kernel-cache pre-warm calls it), with the closure
-    trace and the event trace that sampled and profile launches use
-    (see ``Executor._loop_fallback``).
+    kernel fact; the kernel-cache pre-warm calls it): the one closure
+    trace that launches moving values and event-only sampled and
+    profile launches share (see ``Executor._loop_fallback``).
 ``interpreted``
     The reference tree-walking interpreter, reached only through
     ``Executor(backend="interpreted")``: no artifact, every instruction

@@ -48,17 +48,16 @@ hooks (:mod:`repro.sanitize`) and the runtime shfl mode/width
 validation live in exactly one place and cover the compiled backend
 for free.
 
-The same compiler also emits a data-oblivious kernel's *event trace*
-(:meth:`CompiledKernel.event_trace_for`, built on the first launch
-that runs it — a sampled or profile launch): an ALU instruction whose
-destination is one of the kernel's data registers
-(``KernelFacts.data_registers``) compiles to a bare ``inst.alu``
-count, and memory, atomic and shuffle instructions call the *event
-half* of their run-state method (``_ld_global_events``, ...: indices,
-bounds checks, validation, counters) and move no value. Both traces
-carry the same loop proofs, so they count the same events, and the
-suffix facts (``KernelFacts.suffix_start``, a trace index) index
-either trace alike.
+One trace serves launches that move values and *event-only* launches
+(sampled or profile launches of a data-oblivious plan, see
+``Executor._loop_fallback``); the run state's ``values`` flag tells
+them apart. In an event-only launch an ALU closure whose destination
+is one of the kernel's data registers (``KernelFacts.data_registers``)
+only counts ``inst.alu``, and the memory, atomic and shuffle methods
+run only their *event half* (indices, bounds checks, validation,
+counters) and move no value. So both kinds of launch count the same
+events, and the suffix facts (``KernelFacts.suffix_start``, a trace
+index) index the one trace.
 
 Results and event counters are bit-identical to the interpreter on every
 kernel; ``tests/gpusim/test_compiled_engine.py`` enforces this
@@ -73,6 +72,7 @@ import numpy as np
 
 from ..vir.analysis import LoopSummary, kernel_facts
 from ..vir.instructions import (
+    ALU_IMPL,
     Arg,
     AtomGlobal,
     AtomShared,
@@ -94,7 +94,7 @@ from ..vir.instructions import (
     UnOp,
     While,
 )
-from .engine import ALU_IMPL, SimulationError, launch_constant
+from .engine import SimulationError, launch_constant
 
 # ---------------------------------------------------------------------
 # operand readers
@@ -209,14 +209,18 @@ def _c_ldparam(instr):
     return run
 
 
-def _c_alu_count(instr):
-    """Event-trace closure of an ALU instruction whose destination holds
-    data: its ``inst.alu`` event, and no value."""
+def _c_data_alu(run):
+    """The closure ``run`` of an ALU instruction whose destination holds
+    data: it computes only when the launch moves values
+    (``state.values``), and always counts ``inst.alu``."""
 
-    def run(state, mask):
-        state.events["inst.alu"] += state._cur_warps
+    def data_run(state, mask):
+        if state.values:
+            run(state, mask)
+        else:
+            state.events["inst.alu"] += state._cur_warps
 
-    return run
+    return data_run
 
 
 def _c_bar(instr):
@@ -288,38 +292,18 @@ _INNER_LOOP = LoopSummary(reason="inner", detail="loop is not at the top level")
 
 @dataclass
 class CompiledKernel:
-    """A kernel's flat closure trace and, once built, its event trace."""
+    """A kernel's flat closure trace."""
 
     kernel_name: str
     trace: list
-    #: The event trace (:meth:`event_trace_for`), None until first built.
-    event_trace: list = None
-
-    def event_trace_for(self, kernel) -> list:
-        """The event trace of ``kernel``, this artifact's data-oblivious
-        kernel: ``trace`` with every ALU instruction whose destination
-        holds data reduced to its ``inst.alu`` count, and memory, atomic
-        and shuffle instructions running only the event half of their
-        run-state method. It produces every event of ``trace`` and moves
-        no value. Built on first use (a sampled launch) and kept here,
-        with the artifact in ``kernel``'s facts."""
-        if self.event_trace is None:
-            from ..obs import default_metrics  # runtime import: obs is standalone
-
-            self.event_trace = _KernelCompiler(kernel, events=True).compile()
-            default_metrics().inc("compile.event_traces")
-        return self.event_trace
 
 
 class _KernelCompiler:
-    """Compiles one kernel body to a closure trace: the full trace, or
-    with ``events`` the event trace, which leaves the kernel's data
-    registers unwritten."""
+    """Compiles one kernel body to its closure trace."""
 
-    def __init__(self, kernel, events=False):
+    def __init__(self, kernel):
         self.kernel = kernel
         self.facts = kernel_facts(kernel)
-        self.data = self.facts.data_registers if events else None
 
     def compile(self) -> list:
         return self._compile_body(self.kernel.body, self.facts.loops)
@@ -345,15 +329,12 @@ class _KernelCompiler:
         cls = type(instr)
         builder = _ALU_OPS.get(cls)
         if builder is not None:
-            if self.data is not None and cls is not Bar and (
-                instr.dst.name in self.data
-            ):
-                builder = _c_alu_count
-            return builder(instr)
+            run = builder(instr)
+            if cls is not Bar and instr.dst.name in self.facts.data_registers:
+                run = _c_data_alu(run)
+            return run
         method = _METHOD_OPS.get(cls)
         if method is not None:
-            if self.data is not None:
-                method += "_events"
             return _c_method(instr, method)
         if cls is If:
             return _c_if(

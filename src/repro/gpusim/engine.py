@@ -64,15 +64,17 @@ that reads events only says so (``Executor.run_plan(values=False)``, as
 every profile does). On the ``compiled`` backend a launch whose values
 nobody reads — sampled, or part of such a run — of a data-oblivious
 plan, with no sanitizer attached, goes further (see
-:meth:`Executor._loop_fallback`): it runs the kernel's *event trace*, in
-which value-only instructions are reduced to their event counts and
-memory, atomic and shuffle instructions run only the event half of
-their run-state method, and a proven loop runs about two trips per
-constant-mask stretch: the first, with its global loads logged, and the
-last. The trips between are added in closed form, their segment counts
-taken on the logged indices shifted per trip
+:meth:`Executor._loop_fallback`): it is *event-only*
+(``_BatchedRun.values`` is False). It runs the kernel's one compiled
+trace, in which ALU instructions that write data registers only count
+their events and memory, atomic and shuffle instructions run only the
+event half of their run-state method, and a proven loop runs about two
+trips per constant-mask stretch: the first, with its global loads
+logged, and the last. The trips between are added in closed form, their
+segment counts taken on the logged indices shifted per trip
 (:meth:`_BatchedRun._exec_while_c`). ``StepProfile.meta["exec.trace"]``
-records which trace ran (``events`` or ``full``). The event trace's
+records whether a launch was event-only (``events``) or moved values
+(``full``). An event-only launch's
 *launch-invariant suffix* — the block combine at the end of every
 reduction kernel, which reads no launch constant — is simulated once
 per chunk shape and replayed from the kernel's memo after that
@@ -84,7 +86,6 @@ reads the block id.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from typing import NamedTuple
 
@@ -93,6 +94,7 @@ import numpy as np
 from ..obs import default_metrics, get_tracer
 from ..vir.analysis import kernel_facts
 from ..vir.instructions import (
+    ALU_IMPL,
     SHFL_MODES,
     SHFL_WIDTHS,
     Arg,
@@ -115,6 +117,7 @@ from ..vir.instructions import (
     StShared,
     UnOp,
     While,
+    is_integer,
 )
 from ..vir.program import Kernel, KernelStep, MemsetStep, Plan
 from .backend import get_backend
@@ -135,68 +138,6 @@ _SEGMENT_KEYS = frozenset({"mem.global.ld.trans", "mem.global.bytes"})
 
 class SimulationError(Exception):
     """Raised when a kernel does something invalid (OOB access, etc.)."""
-
-
-def _coerce_bool(value):
-    """C semantics: predicates participate in arithmetic as 0/1 ints."""
-    if isinstance(value, np.ndarray) and value.dtype == np.bool_:
-        return value.astype(np.int64)
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    return value
-
-
-def _is_integer(value) -> bool:
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iub"
-    return isinstance(value, (int, np.integer, bool, np.bool_))
-
-
-def _div(a, b):
-    """``/`` on floats; floor division on ints (C's truncating division
-    for the non-negative quantities our kernels divide)."""
-    if _is_integer(a) and _is_integer(b):
-        return np.floor_divide(a, b)
-    return a / b
-
-
-def _arith(fn):
-    """Non-comparison ops see predicates as 0/1 ints (C semantics)."""
-
-    def apply(a, b):
-        return fn(_coerce_bool(a), _coerce_bool(b))
-
-    return apply
-
-
-#: op -> numpy implementation of every ``BinOp`` and ``UnOp`` opcode.
-#: The interpreter and the closure compiler both dispatch through it.
-ALU_IMPL = {
-    "add": _arith(operator.add),
-    "sub": _arith(operator.sub),
-    "mul": _arith(operator.mul),
-    "div": _arith(_div),
-    "idiv": _arith(np.floor_divide),
-    "mod": _arith(operator.mod),
-    "min": _arith(np.minimum),
-    "max": _arith(np.maximum),
-    "and": _arith(np.bitwise_and),
-    "or": _arith(np.bitwise_or),
-    "xor": _arith(np.bitwise_xor),
-    "shl": _arith(np.left_shift),
-    "shr": _arith(np.right_shift),
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "land": np.logical_and,
-    "lor": np.logical_or,
-    "neg": lambda a: -np.asarray(_coerce_bool(a)),
-    "lnot": np.logical_not,
-    "bnot": lambda a: np.bitwise_not(np.asarray(_coerce_bool(a))),
-}
 
 
 _ATOMIC_UFUNC = {
@@ -305,8 +246,8 @@ class Executor:
         execute; when it kicks in, the profile is marked sampled and the
         numeric result is not meaningful. ``values=False`` declares that
         the caller reads events only (a profile): every launch of a
-        data-oblivious plan may then run its event trace, device buffers
-        are left unspecified and ``result`` stays None.
+        data-oblivious plan may then be event-only, device buffers are
+        left unspecified and ``result`` stays None.
         """
         # The structural validation walk is a kernel fact: it runs once
         # per kernel object, not per plan or launch (the plans of a sweep
@@ -351,32 +292,28 @@ class Executor:
         return "batched" if ok else "sequential"
 
     def _loop_fallback(self, values: bool, kernel, kernels):
-        """``(reason, artifact)``: why a launch of ``kernel`` must
-        simulate every loop trip and every value, or ``(None, artifact)``
-        with ``kernel``'s backend artifact when it may extrapolate
-        proven-periodic trips and run the artifact's event trace.
+        """Why a launch of ``kernel`` must simulate every loop trip and
+        move every value, or None when it may extrapolate
+        proven-periodic trips and run event halves only.
 
         Skipped trips and unmoved values leave registers, and so device
         buffers, unspecified. That is safe only when nobody reads the
         launch's ``values`` (it is sampled, or part of a profile), no
-        sanitizer observes individual accesses, and no kernel of
-        ``kernels`` (the plan's, which run on those buffers; ``kernel``
-        among them) lets data steer its events.
+        sanitizer observes individual accesses, the backend runs a
+        compiled trace, and no kernel of ``kernels`` (the plan's, which
+        run on those buffers; ``kernel`` among them) lets data steer its
+        events.
         """
         if values:
-            return "unsampled", None
+            return "unsampled"
         if self.sanitizer is not None:
-            return "sanitizer", None
-        own = None
+            return "sanitizer"
+        if self._backend.prepare(kernel) is None:
+            return self.backend
         for other in kernels:
-            artifact = self._backend.prepare(other)
-            if artifact is None:
-                return self.backend, None
             if kernel_facts(other).data_dependence is not None:
-                return "data_dependent", None
-            if other is kernel:
-                own = artifact
-        return None, own
+                return "data_dependent"
+        return None
 
     def run_kernel(
         self,
@@ -387,9 +324,9 @@ class Executor:
     ) -> StepProfile:
         """Run one launch. ``plan`` is the plan it belongs to: a sampled
         launch, or any launch when ``values`` is False, skips
-        proven-periodic trips and runs the event trace only when every
+        proven-periodic trips and moves no values only when every
         kernel of it is data-oblivious (without one, the launch's own
-        kernel decides). A launch on the event trace runs its kernel's
+        kernel decides). An event-only launch runs its kernel's
         launch-invariant suffix through the kernel's memo
         (:meth:`_BatchedRun._run_suffix`)."""
         kernel = step.kernel
@@ -412,16 +349,14 @@ class Executor:
         profile.meta["exec.mode"] = mode
         profile.meta["exec.backend"] = self.backend
         kernels = [s.kernel for s in plan.kernel_steps()] if plan else [kernel]
-        fallback, artifact = self._loop_fallback(
+        fallback = self._loop_fallback(
             values and not profile.sampled_blocks, kernel, kernels
         )
+        trace = self._backend.trace(kernel)
+        trace_kind = "full" if fallback else "events"
         memo = None
-        if fallback is None:
-            trace_kind, trace = "events", artifact.event_trace_for(kernel)
-            if kernel_facts(kernel).suffix_start is not None:
-                memo = kernel.fact("suffix", _new_memo)
-        else:
-            trace_kind, trace = "full", self._backend.trace(kernel)
+        if fallback is None and kernel_facts(kernel).suffix_start is not None:
+            memo = kernel.fact("suffix", _new_memo)
         profile.meta["exec.trace"] = trace_kind
         tracer = get_tracer()
         with tracer.span(
@@ -557,10 +492,15 @@ class _BatchedRun:
         #: to simulate every trip (see ``Executor._loop_fallback``).
         self.loop_stats = loop_stats
         self.loop_fallback = loop_fallback
+        #: Whether the launch moves values. Without a fallback reason it
+        #: runs the event halves of its instructions only: memory, atomic
+        #: and shuffle instructions move nothing and compiled ALU
+        #: instructions that write data registers compute nothing.
+        self.values = loop_fallback is not None
         self.trace = trace
         self.san = san
-        #: The kernel's memo of its launch-invariant suffix when the
-        #: event trace runs it through the memo, else None (see
+        #: The kernel's memo of its launch-invariant suffix when an
+        #: event-only launch runs it through the memo, else None (see
         #: :meth:`_run_suffix`).
         self.suffix_memo = suffix_memo
         #: While a suffix is simulated for the memo: the global-atomic
@@ -604,8 +544,8 @@ class _BatchedRun:
         return None
 
     def _run_suffix(self, trace, mask) -> str:
-        """Run the launch-invariant suffix ``trace`` of an event trace
-        (``KernelFacts.suffix_start``) through the kernel's memo.
+        """Run the launch-invariant suffix ``trace`` of an event-only
+        launch (``KernelFacts.suffix_start``) through the kernel's memo.
 
         Top-level code runs under the full mask, and the suffix reads no
         launch constant, so its events, loop counters and global-atomic
@@ -799,7 +739,7 @@ class _BatchedRun:
         for buf, idx, per_trip, _width in summary.loads:
             if not isinstance(per_trip, int):
                 per_trip = per_trip.resolve(self.step.args)
-                if not _is_integer(per_trip):
+                if not is_integer(per_trip):
                     return None
             steps[buf, idx] = int(per_trip)
         return steps
@@ -1189,13 +1129,15 @@ class _BatchedRun:
     # Each memory, atomic and shuffle instruction is an *event half*
     # (index and bounds checks, validation, sanitizer hooks that need no
     # values, every counter) followed by a *value half* (the gather,
-    # scatter, atomic update or register write). The event trace of a
-    # data-oblivious kernel (repro.gpusim.compile) runs event halves
-    # only; every other trace runs both, so each counter has one
+    # scatter, atomic update or register write), which runs only when
+    # the launch moves values (``self.values``). The interpreter and the
+    # compiled trace call these same methods, so each counter has one
     # implementation.
 
     def _ld_global(self, instr, mask) -> None:
-        self._ld_global_values(instr, self._ld_global_events(instr, mask), mask)
+        idx = self._ld_global_events(instr, mask)
+        if self.values:
+            self._ld_global_values(instr, idx, mask)
 
     def _ld_global_events(self, instr, mask) -> np.ndarray:
         idx = self._global_indices(instr.idx, mask, instr.buf)
@@ -1232,7 +1174,9 @@ class _BatchedRun:
             self._write(dst, value, mask)
 
     def _st_global(self, instr, mask) -> None:
-        self._st_global_values(instr, self._st_global_events(instr, mask), mask)
+        idx = self._st_global_events(instr, mask)
+        if self.values:
+            self._st_global_values(instr, idx, mask)
 
     def _st_global_events(self, instr, mask) -> np.ndarray:
         idx = self._global_indices(instr.idx, mask, instr.buf)
@@ -1288,7 +1232,9 @@ class _BatchedRun:
             self.events["mem.shared.replays"] += total
 
     def _ld_shared(self, instr, mask) -> None:
-        self._ld_shared_values(instr, self._ld_shared_events(instr, mask), mask)
+        idx = self._ld_shared_events(instr, mask)
+        if self.values:
+            self._ld_shared_values(instr, idx, mask)
 
     def _ld_shared_events(self, instr, mask) -> np.ndarray:
         idx = self._shared_indices(instr.idx, mask, instr.buf)
@@ -1309,7 +1255,9 @@ class _BatchedRun:
         self._write(instr.dst, value, mask)
 
     def _st_shared(self, instr, mask) -> None:
-        self._st_shared_values(instr, self._st_shared_events(instr, mask), mask)
+        idx = self._st_shared_events(instr, mask)
+        if self.values:
+            self._st_shared_values(instr, idx, mask)
 
     def _st_shared_events(self, instr, mask) -> np.ndarray:
         idx = self._shared_indices(instr.idx, mask, instr.buf)
@@ -1337,9 +1285,9 @@ class _BatchedRun:
     # -- atomics -----------------------------------------------------------
 
     def _atom_shared(self, instr, mask) -> None:
-        self._atom_shared_values(
-            instr, self._atom_shared_events(instr, mask), mask
-        )
+        idx = self._atom_shared_events(instr, mask)
+        if self.values:
+            self._atom_shared_values(instr, idx, mask)
 
     def _atom_shared_events(self, instr, mask) -> np.ndarray:
         idx = self._shared_indices(instr.idx, mask, instr.buf)
@@ -1368,9 +1316,9 @@ class _BatchedRun:
         _ATOMIC_UFUNC[instr.op].at(arr, (self._brow[mask], idx[mask]), src[mask])
 
     def _atom_global(self, instr, mask) -> None:
-        self._atom_global_values(
-            instr, self._atom_global_events(instr, mask), mask
-        )
+        idx = self._atom_global_events(instr, mask)
+        if self.values:
+            self._atom_global_values(instr, idx, mask)
 
     def _atom_global_events(self, instr, mask) -> np.ndarray:
         idx = self._global_indices(instr.idx, mask, instr.buf)
@@ -1435,7 +1383,8 @@ class _BatchedRun:
 
     def _shfl(self, instr, mask) -> None:
         self._shfl_events(instr, mask)
-        self._shfl_values(instr, mask)
+        if self.values:
+            self._shfl_values(instr, mask)
 
     def _shfl_events(self, instr, mask) -> None:
         # The instruction validates its width and mode at construction;

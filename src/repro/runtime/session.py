@@ -357,7 +357,7 @@ def _profile_plan(plan, n: int) -> PlanProfile:
     under the profiling sampling policy: a launch grid above
     ``SAMPLING_GRID_LIMIT`` blocks runs ``PROFILE_SAMPLE_BLOCKS``
     sampled blocks. A profile reads events only, so no value is
-    computed (a data-oblivious plan runs its event traces) and
+    computed (every launch of a data-oblivious plan is event-only) and
     ``result`` stays None."""
     # The input buffer's dtype must match the plan's element type — an
     # int-element framework profiles against an int32 device array (the

@@ -13,18 +13,18 @@ lint (:mod:`repro.sanitize.lint`) for a tree loop's offsets:
   launch constants (:class:`~repro.vir.instructions.Arg`), writes under
   divergent control flow — poisons the destination to :data:`UNKNOWN`.
 
-Scalar evaluation mirrors the engine's numpy semantics exactly for the
-cases it accepts (C-style floor division, bool-as-int coercion); any
-case where Python and numpy could disagree (division by zero, NaN
-ordering, out-of-range shifts) conservatively returns ``UNKNOWN``, so a
-failed analysis can never change observable behaviour — a proof simply
-does not hold.
+``BinOp``/``UnOp`` fold through the simulator's own opcode table
+(:data:`~repro.vir.instructions.ALU_IMPL`), so a folded constant is the
+value the engine computes. A NaN operand, and any case where numpy
+would warn or fail (division by zero, a bitwise op on a float), gives
+``UNKNOWN``, so a failed analysis can never change observable
+behaviour — a proof simply does not hold.
 
 Every static fact the simulator reads about a kernel comes from one
 pass, :func:`kernel_facts`, computed once per kernel and kept on it
 (:class:`KernelFacts`): the data-dependence verdict and the data
-registers, which let sampled and profile launches run an event trace
-and skip proven loop trips (:func:`summarize_loop`); the
+registers, which let sampled and profile launches skip their values
+and proven loop trips (:func:`summarize_loop`); the
 launch-invariant suffix, which the engine simulates once per launch
 shape, and whether that shape includes the grid and the block ids; the
 access summary behind the batchability verdict; and the proof of every
@@ -38,7 +38,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .instructions import (
+    ALU_IMPL,
     Arg,
     AtomGlobal,
     AtomShared,
@@ -82,92 +85,19 @@ def _read(operand, env):
     return UNKNOWN
 
 
-def _as_arith(value):
-    """numpy arithmetic coerces bool operands to ints (like the engine)."""
-    if isinstance(value, bool):
-        return int(value)
-    return value
-
-
-def _is_int_like(value) -> bool:
-    return isinstance(value, (int, bool))
-
-
-def _apply_binop(op, a, b):
-    """Scalar twin of the engine's ``ALU_IMPL``; UNKNOWN when unsure."""
-    if isinstance(a, float) and math.isnan(a):
+def _fold(op, values):
+    """``ALU_IMPL[op]`` over uniform constants, as a Python scalar, or
+    UNKNOWN: for an unknown or NaN operand, and wherever numpy would
+    warn or fail (division by zero, a bitwise op on a float)."""
+    if any(v is UNKNOWN or (isinstance(v, float) and math.isnan(v))
+           for v in values):
         return UNKNOWN
-    if isinstance(b, float) and math.isnan(b):
+    try:
+        with np.errstate(all="raise"):
+            result = ALU_IMPL[op](*values)
+    except (ArithmeticError, TypeError, ValueError):
         return UNKNOWN
-    if op == "lt":
-        return a < b
-    if op == "le":
-        return a <= b
-    if op == "gt":
-        return a > b
-    if op == "ge":
-        return a >= b
-    if op == "eq":
-        return a == b
-    if op == "ne":
-        return a != b
-    if op == "land":
-        return bool(a) and bool(b)
-    if op == "lor":
-        return bool(a) or bool(b)
-    a = _as_arith(a)
-    b = _as_arith(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "min":
-        return min(a, b)
-    if op == "max":
-        return max(a, b)
-    if op == "div":
-        if b == 0:
-            return UNKNOWN  # numpy warns and yields 0/inf; stay conservative
-        if _is_int_like(a) and _is_int_like(b):
-            return a // b  # floor division, like the engine's "div"
-        return a / b
-    if op == "idiv":
-        if b == 0:
-            return UNKNOWN
-        return a // b  # floor division regardless of operand dtype
-    if op == "mod":
-        if b == 0:
-            return UNKNOWN
-        return a % b
-    if not (_is_int_like(a) and _is_int_like(b)):
-        return UNKNOWN  # bitwise ops on floats never appear in valid VIR
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "shl":
-        return a << b if 0 <= b < 64 else UNKNOWN
-    if op == "shr":
-        return a >> b if 0 <= b < 64 else UNKNOWN
-    return UNKNOWN
-
-
-def _apply_unop(op, a):
-    if isinstance(a, float) and math.isnan(a):
-        return UNKNOWN
-    if op == "neg":
-        return -_as_arith(a)
-    if op == "lnot":
-        return not a
-    if op == "bnot":
-        if not _is_int_like(a):
-            return UNKNOWN
-        return ~_as_arith(a)
-    return UNKNOWN
+    return result.item() if isinstance(result, np.generic) else result
 
 
 def eval_const_instr(instr, env) -> None:
@@ -182,17 +112,9 @@ def eval_const_instr(instr, env) -> None:
     if isinstance(instr, Mov):
         env[instr.dst.name] = _read(instr.a, env)
         return
-    if isinstance(instr, BinOp):
-        a = _read(instr.a, env)
-        b = _read(instr.b, env)
-        if a is UNKNOWN or b is UNKNOWN:
-            env[instr.dst.name] = UNKNOWN
-        else:
-            env[instr.dst.name] = _apply_binop(instr.op, a, b)
-        return
-    if isinstance(instr, UnOp):
-        a = _read(instr.a, env)
-        env[instr.dst.name] = UNKNOWN if a is UNKNOWN else _apply_unop(instr.op, a)
+    if isinstance(instr, (BinOp, UnOp)):
+        values = [_read(operand, env) for operand in operands(instr).values()]
+        env[instr.dst.name] = _fold(instr.op, values)
         return
     if isinstance(instr, Sel):
         cond = _read(instr.cond, env)
@@ -308,8 +230,8 @@ class KernelFacts:
     #: to which reads one (a ``Sel`` condition included). In a
     #: data-oblivious kernel they are read only to compute other data
     #: registers and as the value operand of a store, an atomic or a
-    #: shuffle, so a trace that never writes them still computes every
-    #: event (the event trace of :mod:`repro.gpusim.compile`).
+    #: shuffle, so a launch that never writes them still computes every
+    #: event (an event-only launch, see :mod:`repro.gpusim.compile`).
     data_registers: frozenset
     #: Top-level index -> :class:`LoopSummary` of every top-level
     #: ``While``, proved under the uniform constants at its entry.
@@ -321,7 +243,7 @@ class KernelFacts:
     #: included, reads a launch constant (an
     #: :class:`~repro.vir.instructions.Arg` or ``ld.param``) or a
     #: register that depends on one, by data or control; data registers
-    #: are left out, as the event trace never computes them. Special
+    #: are left out, as an event-only launch never computes them. Special
     #: registers are not launch constants, so the suffix's events are a
     #: function of the launch geometry, the block ids it runs and the
     #: global buffers it touches.

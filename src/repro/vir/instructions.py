@@ -21,12 +21,16 @@ generated CUDA touches:
 
 Instructions are plain dataclasses; the printer in
 :mod:`repro.vir.printer` renders a stable text format used in golden
-tests.
+tests. What each ALU opcode computes is defined once, in
+:data:`ALU_IMPL`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 # -- operands -----------------------------------------------------------
@@ -82,16 +86,74 @@ def as_operand(value):
 
 # -- opcode tables --------------------------------------------------------
 
-BINARY_OPS = frozenset(
-    {
-        "add", "sub", "mul", "div", "idiv", "mod", "min", "max",
-        "and", "or", "xor", "shl", "shr",
-        "lt", "le", "gt", "ge", "eq", "ne",
-        "land", "lor",
-    }
-)
+
+def _coerce_bool(value):
+    """C semantics: predicates participate in arithmetic as 0/1 ints."""
+    if isinstance(value, np.ndarray) and value.dtype == np.bool_:
+        return value.astype(np.int64)
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    return value
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` (an array or a scalar) holds integers or bools."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iub"
+    return isinstance(value, (int, np.integer, bool, np.bool_))
+
+
+def _div(a, b):
+    """``/`` on floats; floor division on ints (C's truncating division
+    for the non-negative quantities our kernels divide)."""
+    if is_integer(a) and is_integer(b):
+        return np.floor_divide(a, b)
+    return a / b
+
+
+def _arith(fn):
+    """Non-comparison ops see predicates as 0/1 ints (C semantics)."""
+
+    def apply(a, b):
+        return fn(_coerce_bool(a), _coerce_bool(b))
+
+    return apply
+
+
+#: op -> numpy implementation of every ``BinOp`` and ``UnOp`` opcode: the
+#: one definition of what each computes. The simulator's interpreter and
+#: closure compiler run it on register arrays, and the constant analysis
+#: (:func:`repro.vir.analysis.eval_const_instr`) folds scalars through it.
+ALU_IMPL = {
+    "add": _arith(operator.add),
+    "sub": _arith(operator.sub),
+    "mul": _arith(operator.mul),
+    "div": _arith(_div),
+    "idiv": _arith(np.floor_divide),
+    "mod": _arith(operator.mod),
+    "min": _arith(np.minimum),
+    "max": _arith(np.maximum),
+    "and": _arith(np.bitwise_and),
+    "or": _arith(np.bitwise_or),
+    "xor": _arith(np.bitwise_xor),
+    "shl": _arith(np.left_shift),
+    "shr": _arith(np.right_shift),
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "land": np.logical_and,
+    "lor": np.logical_or,
+    "neg": lambda a: -np.asarray(_coerce_bool(a)),
+    "lnot": np.logical_not,
+    "bnot": lambda a: np.bitwise_not(np.asarray(_coerce_bool(a))),
+}
 
 UNARY_OPS = frozenset({"neg", "lnot", "bnot"})
+
+BINARY_OPS = frozenset(ALU_IMPL) - UNARY_OPS
 
 ATOMIC_OPS = frozenset({"add", "sub", "min", "max"})
 

@@ -40,8 +40,8 @@ class Kernel:
     #: :class:`~repro.vir.analysis.KernelFacts`) from
     #: :func:`repro.vir.analysis.kernel_facts`, ``valid`` and ``suffix``
     #: (the launch-invariant suffix memo) from
-    #: :mod:`repro.gpusim.engine`, ``compiled`` (the closure trace and
-    #: its event trace) from :mod:`repro.gpusim.compile`. Kernels are
+    #: :mod:`repro.gpusim.engine`, ``compiled`` (the closure trace)
+    #: from :mod:`repro.gpusim.compile`. Kernels are
     #: immutable once built or executed, so a fact never goes stale;
     #: equality, repr and ``dataclasses.replace`` ignore it.
     facts: dict = field(

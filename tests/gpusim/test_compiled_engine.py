@@ -35,7 +35,10 @@ from repro.vir import (
     Kernel,
     KernelStep,
     Plan,
+    instructions,
 )
+from repro.vir.analysis import kernel_facts
+from repro.vir.assembler import parse_kernel
 
 FIG6_LABELS = "abcdefghijklmnop"
 BACKENDS = ("compiled", "interpreted")
@@ -250,13 +253,32 @@ class TestCompilation:
         assert kernel.facts["static"] is facts
 
 
+#: A proven loop whose step is a folded constant (``16 * 4``).
+STRIDE_LOOP = """
+.kernel stride(params: -; buffers: in, out)
+  %t = %tid
+  %step = mul 16, 4
+  %i = mov 0
+  %acc = mov 0.0
+  while {
+    %c = lt %i, 1024
+  } test %c {
+    %j = add %i, %t
+    %v = ld.global [in + %j]
+    %acc = add %acc, %v
+    %i = add %i, %step
+  }
+  st.global [out + %t], %acc
+"""
+
+
 class TestAluTable:
     def test_covers_every_opcode(self):
         assert set(ALU_IMPL) == BINARY_OPS | UNARY_OPS
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backend_dispatches_through_it(self, backend, monkeypatch):
-        """Both backends compute BinOp and UnOp through ``ALU_IMPL``."""
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """Record every opcode computed through ``ALU_IMPL``."""
         used = []
         for op, impl in list(ALU_IMPL.items()):
             def spy(*values, op=op, impl=impl):
@@ -264,6 +286,25 @@ class TestAluTable:
                 return impl(*values)
 
             monkeypatch.setitem(ALU_IMPL, op, spy)
+        return used
+
+    def test_is_the_vir_opcode_table(self):
+        assert ALU_IMPL is instructions.ALU_IMPL
+
+    def test_loop_proof_folds_through_it(self, monkeypatch):
+        """The constant analysis behind a loop proof folds BinOp and
+        UnOp through ``ALU_IMPL``: the step ``16 * 4`` is the table's."""
+        used = self._spy(monkeypatch)
+        kernel = parse_kernel(STRIDE_LOOP)
+        summary = kernel_facts(kernel).loops[4]
+        assert summary.reason is None, summary.detail
+        assert summary.inductions == (("i", 64),)
+        assert used == ["mul"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_backend_dispatches_through_it(self, backend, monkeypatch):
+        """Both backends compute BinOp and UnOp through ``ALU_IMPL``."""
+        used = self._spy(monkeypatch)
         b = IRBuilder()
         tid = b.special("tid")
         b.st_global("out", tid, b.unop("neg", b.binop("add", tid, 1)))

@@ -1,12 +1,11 @@
 """Event-only launches.
 
 A sampled ``compiled`` launch of a plan whose kernels are all
-data-oblivious, and every launch of such a plan in a profile, runs the
-kernel's event trace
-(:meth:`repro.gpusim.CompiledKernel.event_trace_for`): every value-only
-instruction reduced to its events. It must give the full trace's events
-bit for bit, raise the full trace's errors, be built only for a launch
-whose values nobody reads, and never run where values are observable.
+data-oblivious, and every launch of such a plan in a profile, moves no
+values (``_BatchedRun.values`` is False): it runs the event halves of
+its kernel's one compiled trace. It must give the events of a launch
+that moves values bit for bit, raise its errors, compile no second
+trace, and never run where values are observable.
 """
 
 import numpy as np
@@ -16,10 +15,13 @@ from repro import ReductionFramework
 from repro.apps import Histogram
 from repro.baselines import build_cub_plan, build_kokkos_plan
 from repro.codegen import Tunables
-from repro.gpusim import CompiledKernel, Executor, SimulationError, compile_kernel
+from repro.codegen import build_plan_cached
+from repro.gpusim import Executor, SimulationError
+from repro.gpusim.compile import _KernelCompiler
 from repro.gpusim.device import Device
 from repro.gpusim.engine import _BatchedRun
 from repro.obs import default_metrics, get_tracer
+from repro.perf import cache as perf_cache
 from repro.runtime.session import _profile_plan
 from repro.sanitize import Sanitizer
 from repro.vir import KernelStep
@@ -36,12 +38,16 @@ GRID = 16
 
 
 def _full_trace(monkeypatch):
-    """Make every launch that would run an event trace run the full one
-    and simulate its launch-invariant suffix, never reading the suffix
-    memo (trip skipping stays on, so only the trace differs)."""
-    monkeypatch.setattr(
-        CompiledKernel, "event_trace_for", lambda self, kernel: self.trace
-    )
+    """Make every event-only launch move values and simulate its
+    launch-invariant suffix, never reading the suffix memo (trip skipping
+    stays on, so only the values differ)."""
+    run = _BatchedRun.run
+
+    def moving_values(self):
+        self.values = True
+        return run(self)
+
+    monkeypatch.setattr(_BatchedRun, "run", moving_values)
     monkeypatch.setattr(
         _BatchedRun, "_run_suffix",
         lambda self, trace, mask: self._run_trace(trace, mask),
@@ -53,7 +59,7 @@ def _assert_events_match_full(plan, n, monkeypatch):
     with monkeypatch.context() as patch:
         _full_trace(patch)
         ref = _profile_plan(plan, n)
-    # Every launch of a data-oblivious profile runs the event trace.
+    # Every launch of a data-oblivious profile is event-only.
     kinds = [step.meta["exec.trace"] for step in got.steps]
     assert kinds == ["events"] * len(got.steps)
     assert len(got.steps) == len(ref.steps)
@@ -154,17 +160,17 @@ def _message(name, backend="compiled"):
 
 @pytest.mark.parametrize("name", sorted(ERRORS))
 def test_errors_match_full_trace(name, monkeypatch):
-    built = []
-    event_trace_for = CompiledKernel.event_trace_for
+    moved = []
+    run = _BatchedRun.run
 
-    def spy(self, kernel):
-        built.append(kernel.name)
-        return event_trace_for(self, kernel)
+    def spy(self):
+        moved.append(self.values)
+        return run(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(CompiledKernel, "event_trace_for", spy)
+        patch.setattr(_BatchedRun, "run", spy)
         events = _message(name)
-    assert built == ["k"]  # the launch ran the event trace
+    assert moved == [False]  # the launch was event-only
     with monkeypatch.context() as patch:
         _full_trace(patch)
         full = _message(name)
@@ -172,24 +178,46 @@ def test_errors_match_full_trace(name, monkeypatch):
     assert events.startswith("kernel 'k': ")
 
 
-# -- where the event trace runs ------------------------------------------
+# -- where launches are event-only ---------------------------------------
 
 VALID = TEMPLATE.format(
     body="  %v = ld.global [in + %i]\n  %r = shfl.down %v, 1, w=32"
 )
 
 
-def test_built_lazily_on_first_sampled_launch():
-    kernel = parse_kernel(VALID)
-    artifact = compile_kernel(kernel)
-    unsampled = _launch(kernel, GRID * BLOCK, sample_limit=None)
-    assert unsampled.steps[0].meta["exec.trace"] == "full"
-    assert artifact.event_trace is None
-    sampled = _launch(kernel, GRID * BLOCK)
-    assert sampled.steps[0].meta["exec.trace"] == "events"
-    assert artifact.event_trace is not None
-    again = _launch(kernel, GRID * BLOCK, sample_limit=None)
-    assert again.steps[0].meta["exec.trace"] == "full"
+def test_one_compilation_per_kernel(monkeypatch):
+    """The kernel-cache pre-warm compiles each kernel's one trace; value
+    launches, sampled launches and profile launches all run it."""
+    monkeypatch.setattr(
+        perf_cache, "_default_plan_cache", perf_cache.ProfileCache()
+    )
+    compiled = []
+    compile_trace = _KernelCompiler.compile
+
+    def counting(self):
+        compiled.append(id(self.kernel))
+        return compile_trace(self)
+
+    monkeypatch.setattr(_KernelCompiler, "compile", counting)
+    fw = ReductionFramework(op="add")
+    n = 100_003
+    data = np.ones(n, dtype=np.float32)
+    kernels = []
+    for label in ("b", "f", "k", "o"):
+        plan = build_plan_cached(
+            fw.pre, fw.resolve(label), n, Tunables(block=64, grid=512)
+        )
+        kernels += [step.kernel for step in plan.kernel_steps()]
+        for options in ({}, {"sample_limit": 3}, {"values": False}):
+            executor = Executor()
+            executor.device.upload("in", data)
+            profile = executor.run_plan(plan, **options)
+            assert {step.meta["exec.trace"] for step in profile.steps} == (
+                {"full"} if not options else {"events"}
+            )
+        _profile_plan(plan, n)
+    assert len(kernels) == 4
+    assert sorted(compiled) == sorted(id(kernel) for kernel in kernels)
 
 
 def test_trace_recorded_on_span_and_counter():

@@ -5,7 +5,7 @@ trip of each constant-mask stretch with its global loads logged, adds
 every trip up to the one before the next lane exit in closed form
 (``_BatchedRun._skip_stretch``) and simulates the last trip. Profiles
 must equal every-trip simulation bit for bit: the interpreter, or the
-``compiled`` event trace with the skip disabled.
+``compiled`` event-only launch with the skip disabled.
 
 A launch-invariant suffix that reads no block id
 (``KernelFacts.suffix_reads_block_id``) is memoized by its

@@ -3,7 +3,7 @@
 ``KernelFacts.suffix_start`` (:func:`repro.vir.analysis.kernel_facts`)
 finds the top-level tail of a kernel that reads no launch constant,
 directly, through a register or through a loop or branch condition. A
-profile launch on the event trace simulates that tail once per
+event-only profile launch simulates that tail once per
 (geometry, block ids, buffer shapes) and replays it afterwards; memoized
 profiles must equal fresh ones (taken with the kernel's memo emptied)
 bit for bit.

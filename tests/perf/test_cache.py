@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.autotune import DynamicSelector
 from repro.codegen import Tunables
 from repro.gpusim.device import Device
 from repro.perf import CacheStats, ProfileCache
@@ -199,6 +200,16 @@ class TestParallelSweep:
         stats = fw.cache.stats
         assert (stats.hits, stats.misses, stats.stores) == (0, 4, 4)
         assert stats.time_saved_s == 0
+
+    def test_cold_selector_build_reads_each_point_once(self):
+        """A DySel build profiles its grid once and times each point
+        from one hit: no second sweep of the same grid per size."""
+        fw = ReductionFramework(op="add", cache=ProfileCache())
+        DynamicSelector.build(
+            fw, "kepler", sizes=(4096,), candidates=["b"], max_workers=1
+        )
+        stats = fw.cache.stats
+        assert (stats.hits, stats.misses, stats.stores) == (20, 20, 20)
 
     def test_duplicate_specs_share_the_stored_entry(self):
         fw = ReductionFramework(op="add", cache=ProfileCache())

@@ -332,8 +332,8 @@ class TestFaultTolerance:
 
 
 def _assert_engine(entries):
-    """Every launch of every ``(profile, num_memsets)`` entry ran the
-    ``compiled`` event trace, whichever process profiled it: profiles
+    """Every launch of every ``(profile, num_memsets)`` entry was an
+    event-only ``compiled`` launch, whichever process profiled it: profiles
     read events only and every catalog plan is data-oblivious."""
     entries = list(entries)
     assert entries
@@ -346,7 +346,7 @@ def _assert_engine(entries):
 
 @pytest.mark.parametrize("workers", [1, 2])
 class TestEngineReachesSweep:
-    """The one engine, and its event trace, reach every profile behind
+    """The one engine, and its event-only launches, reach every profile behind
     the sweep entry points, serial and pooled. Each test sweeps sizes no
     other test uses, into a fresh cache on freshly forked workers, so
     every profile is computed by the sweep under test."""

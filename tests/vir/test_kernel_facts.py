@@ -127,7 +127,7 @@ def test_facts_match_the_golden_table():
 
 
 def test_one_analysis_per_kernel(monkeypatch):
-    """Pre-warm, both traces, the batchability verdict and repeated
+    """Pre-warm, the trace, the batchability verdict and repeated
     sampled, unsampled and profile launches of a plan build each
     kernel's flow table once."""
     monkeypatch.setattr(perf_cache, "_default_plan_cache", perf_cache.ProfileCache())
@@ -150,7 +150,7 @@ def test_one_analysis_per_kernel(monkeypatch):
         for kernel in (step.kernel for step in plan.kernel_steps()):
             kernels.append(kernel)
             artifact = compile_kernel(kernel)
-            assert artifact.trace and artifact.event_trace_for(kernel)
+            assert artifact.trace
             analyze_batchability(kernel)
         for _ in range(2):
             for options in ({}, {"sample_limit": 3}, {"values": False}):
