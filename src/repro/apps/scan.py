@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gpusim.engine import Executor
+from ..gpusim.engine import WARP, Executor
 from ..vir import Imm, IRBuilder, Kernel, KernelStep, Plan, SharedDecl
 
 _STRATEGIES = ("shared", "shuffle")
-_WARP = 32
 
 
 def _emit_block_scan_shared(b, val, block):
@@ -55,22 +54,22 @@ def _emit_block_scan_shuffle(b, val, block):
     tid = b.special("tid")
     lane = b.special("laneid")
     warp = b.special("warpid")
-    warps = block // _WARP
+    warps = block // WARP
 
     offset = b.mov(Imm(1))
     cond = b.fresh("ws_c")
     loop = b.while_(cond)
     with loop.cond:
-        b.binop("lt", offset, Imm(_WARP), dst=cond)
+        b.binop("lt", offset, Imm(WARP), dst=cond)
     with loop.body:
-        shifted = b.shfl(val, "up", offset, width=_WARP)
+        shifted = b.shfl(val, "up", offset, width=WARP)
         take = b.binop("ge", lane, offset)
         with b.if_(take):
             b.binop("add", val, shifted, dst=val)
         b.binop("mul", offset, Imm(2), dst=offset)
 
     # last lane of each warp publishes the warp total
-    is_last = b.binop("eq", lane, Imm(_WARP - 1))
+    is_last = b.binop("eq", lane, Imm(WARP - 1))
     with b.if_(is_last):
         b.st_shared("warp_totals", warp, val)
     b.bar()

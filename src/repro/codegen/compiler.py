@@ -8,8 +8,9 @@ executable code. It compiles:
   declarations become shared buffers (initialized to the reduction
   identity, like Listing 3 lines 5–11), :class:`~repro.lang.ast.AtomicUpdate`
   becomes ``atom.shared``, :class:`~repro.lang.ast.WarpShuffle` becomes
-  ``shfl``; barriers are inserted after statements that write shared
-  memory (the ``__syncthreads()`` placement of Listings 3 and 4);
+  ``shfl``; barriers follow the statements that write shared memory
+  (:func:`writes_shared`, the ``__syncthreads()`` placement of
+  Listings 3 and 4);
 * **scalar (atomic autonomous) codelets** — the per-thread serial loop
   of Figure 1(a), over an affine view of global memory.
 
@@ -26,35 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.operators import (
+    BINARY_OPCODES,
+    COMPOUND_OPCODES,
+    UNARY_OPCODES,
+    static_value,
+)
 from ..lang import ast
 from ..lang.errors import LoweringError
 from ..vir import IRBuilder, Imm, Reg, SharedDecl
-
-_BINOP_MAP = {
-    "+": "add",
-    "-": "sub",
-    "*": "mul",
-    "/": "div",
-    "%": "mod",
-    "&": "and",
-    "|": "or",
-    "^": "xor",
-    "<<": "shl",
-    ">>": "shr",
-    "<": "lt",
-    "<=": "le",
-    ">": "gt",
-    ">=": "ge",
-    "==": "eq",
-    "!=": "ne",
-    "&&": "land",
-    "||": "lor",
-}
-
-_COMPOUND_ASSIGN = {"+=": "add", "-=": "sub", "*=": "mul", "/=": "div", "%=": "mod"}
-
-WARP_SIZE = 32
-
+from ..vir.instructions import WARP
 
 # ---------------------------------------------------------------------
 # Container bindings
@@ -158,7 +140,6 @@ class CodeletToVIR:
         *,
         identity: float = 0.0,
         prefix: str = "c",
-        insert_barriers: bool = None,
     ):
         self.builder = builder
         self.codelet = codelet
@@ -168,11 +149,9 @@ class CodeletToVIR:
         self.shared_decls = []
         self.env = {}
         self.ret_reg = None
-        self._vector_name = None
+        self.vector = codelet.vector_name()
+        self.shared = codelet.shared_names()
         self._specials = {}
-        is_coop = codelet.coop or _declares_vector(codelet)
-        self.is_cooperative = is_coop
-        self.insert_barriers = is_coop if insert_barriers is None else insert_barriers
 
     # -- public ----------------------------------------------------------
 
@@ -203,53 +182,47 @@ class CodeletToVIR:
             isinstance(expr, ast.MethodCall)
             and expr.method == "ThreadId"
             and isinstance(expr.obj, ast.Ident)
-            and expr.obj.name == self._vector_name
+            and expr.obj.name == self.vector
         )
 
     # -- statements -----------------------------------------------------------
 
-    def _compile_block(self, block: ast.Block) -> bool:
-        wrote_any = False
+    def _compile_block(self, block: ast.Block) -> None:
         for stmt in block.stmts:
-            wrote = self._compile_stmt(stmt)
-            if wrote and self.insert_barriers:
+            self._compile_stmt(stmt)
+            # Only a cooperative codelet (one with a Vector) has barriers.
+            if self.vector is not None and writes_shared(stmt, self.shared):
                 self.builder.bar()
-            wrote_any = wrote_any or wrote
-        return False if self.insert_barriers else wrote_any
 
-    def _compile_stmt(self, stmt: ast.Stmt) -> bool:
-        """Compile one statement; returns True when it wrote shared memory
-        (so the caller inserts a barrier)."""
+    def _compile_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.VarDecl):
-            return self._compile_var_decl(stmt)
-        if isinstance(stmt, ast.Assign):
-            return self._compile_assign(stmt)
-        if isinstance(stmt, ast.AtomicUpdate):
-            return self._compile_atomic_update(stmt)
-        if isinstance(stmt, ast.ExprStmt):
+            self._compile_var_decl(stmt)
+        elif isinstance(stmt, ast.Assign):
+            self._compile_assign(stmt)
+        elif isinstance(stmt, ast.AtomicUpdate):
+            self._compile_atomic_update(stmt)
+        elif isinstance(stmt, ast.ExprStmt):
             self.compile_expr(stmt.expr)
-            return False
-        if isinstance(stmt, ast.If):
-            return self._compile_if(stmt)
-        if isinstance(stmt, ast.For):
-            return self._compile_for(stmt)
-        if isinstance(stmt, ast.While):
-            return self._compile_while(stmt)
-        if isinstance(stmt, ast.Return):
+        elif isinstance(stmt, ast.If):
+            self._compile_if(stmt)
+        elif isinstance(stmt, ast.For):
+            self._compile_for(stmt)
+        elif isinstance(stmt, ast.While):
+            self._compile_while(stmt)
+        elif isinstance(stmt, ast.Return):
             self._compile_return(stmt)
-            return False
-        if isinstance(stmt, ast.Block):
-            return self._compile_block(stmt)
-        raise LoweringError(
-            f"cannot lower statement {type(stmt).__name__}", stmt.span
-        )
+        elif isinstance(stmt, ast.Block):
+            self._compile_block(stmt)
+        else:
+            raise LoweringError(
+                f"cannot lower statement {type(stmt).__name__}", stmt.span
+            )
 
-    def _compile_var_decl(self, decl: ast.VarDecl) -> bool:
+    def _compile_var_decl(self, decl: ast.VarDecl) -> None:
         type_name = str(decl.declared_type) if decl.declared_type else ""
         if type_name == "Vector":
-            self._vector_name = decl.name
             self.env[decl.name] = _VectorSlot()
-            return False
+            return
         if type_name in ("Sequence",) or decl.ctor_args:
             raise LoweringError(
                 f"{type_name or 'Map'} declarations belong to compound "
@@ -257,21 +230,21 @@ class CodeletToVIR:
                 decl.span,
             )
         if decl.shared:
-            return self._compile_shared_decl(decl)
+            self._compile_shared_decl(decl)
+            return
         reg = self.builder.fresh(f"{self.prefix}_{decl.name}")
         self.env[decl.name] = _RegSlot(reg)
         if decl.init is not None:
             value = self.compile_expr(decl.init)
             self.builder.mov(value, dst=reg)
-        return False
 
-    def _compile_shared_decl(self, decl: ast.VarDecl) -> bool:
+    def _compile_shared_decl(self, decl: ast.VarDecl) -> None:
         buf = f"{self.prefix}_{decl.name}"
         b = self.builder
         if decl.dims:
             if len(decl.dims) != 1:
                 raise LoweringError("only 1-D shared arrays supported", decl.span)
-            size = self._static_eval(decl.dims[0])
+            size = self._static_size(decl.dims[0])
             self.shared_decls.append(SharedDecl(buf, size))
             self.env[decl.name] = _SharedArraySlot(buf, size, atomic=decl.atomic)
             # Cooperative initialization to the reduction identity
@@ -285,7 +258,7 @@ class CodeletToVIR:
             with loop.body:
                 b.st_shared(buf, idx, Imm(self.identity))
                 b.binop("add", idx, self._block_dim_operand(), dst=idx)
-            return True
+            return
         # shared scalar (the single accumulator of Figure 3).
         self.shared_decls.append(SharedDecl(buf, 1))
         self.env[decl.name] = _SharedScalarSlot(buf, atomic=decl.atomic)
@@ -293,12 +266,11 @@ class CodeletToVIR:
         is_zero = b.binop("eq", tid, 0)
         with b.if_(is_zero):
             b.st_shared(buf, 0, Imm(self.identity))
-        return True
 
     def _block_dim_operand(self):
         return self._special("ntid")
 
-    def _compile_assign(self, stmt: ast.Assign) -> bool:
+    def _compile_assign(self, stmt: ast.Assign) -> None:
         target = stmt.target
         if isinstance(target, ast.Ident):
             slot = self._lookup(target.name, target.span)
@@ -309,7 +281,7 @@ class CodeletToVIR:
                 else:
                     op = self._compound_op(stmt.op, stmt.span)
                     self.builder.binop(op, slot.reg, value, dst=slot.reg)
-                return False
+                return
             if isinstance(slot, _SharedScalarSlot):
                 value = self.compile_expr(stmt.value)
                 if stmt.op == "=":
@@ -319,7 +291,7 @@ class CodeletToVIR:
                     old = self.builder.ld_shared(slot.buf, 0)
                     new = self.builder.binop(op, old, value)
                     self.builder.st_shared(slot.buf, 0, new)
-                return True
+                return
             raise LoweringError(
                 f"cannot assign to {target.name!r}", stmt.span
             )
@@ -338,17 +310,17 @@ class CodeletToVIR:
                 old = self.builder.ld_shared(slot.buf, idx)
                 new = self.builder.binop(op, old, value)
                 self.builder.st_shared(slot.buf, idx, new)
-            return True
+            return
         raise LoweringError("unsupported assignment target", stmt.span)
 
     @staticmethod
     def _compound_op(op_text: str, span) -> str:
-        op = _COMPOUND_ASSIGN.get(op_text)
+        op = COMPOUND_OPCODES.get(op_text)
         if op is None:
             raise LoweringError(f"unsupported assignment {op_text!r}", span)
         return op
 
-    def _compile_atomic_update(self, stmt: ast.AtomicUpdate) -> bool:
+    def _compile_atomic_update(self, stmt: ast.AtomicUpdate) -> None:
         if stmt.space != "shared":
             raise LoweringError(
                 "global AtomicUpdate is emitted by the synthesizer", stmt.span
@@ -359,26 +331,25 @@ class CodeletToVIR:
             slot = self._lookup(target.name, target.span)
             if isinstance(slot, _SharedScalarSlot):
                 self.builder.atom_shared(stmt.op, slot.buf, 0, value)
-                return True
+                return
         if isinstance(target, ast.Index) and isinstance(target.base, ast.Ident):
             slot = self._lookup(target.base.name, target.span)
             if isinstance(slot, _SharedArraySlot):
                 idx = self.compile_expr(target.index)
                 self.builder.atom_shared(stmt.op, slot.buf, idx, value)
-                return True
+                return
         raise LoweringError("unsupported AtomicUpdate target", stmt.span)
 
-    def _compile_if(self, stmt: ast.If) -> bool:
+    def _compile_if(self, stmt: ast.If) -> None:
         cond = self._as_reg(self.compile_expr(stmt.cond))
         instr, then_region, else_region = self.builder.if_else(cond)
         with then_region:
-            wrote = self._compile_block(stmt.then)
+            self._compile_block(stmt.then)
         if stmt.otherwise is not None:
             with else_region:
-                wrote = self._compile_block(stmt.otherwise) or wrote
-        return wrote
+                self._compile_block(stmt.otherwise)
 
-    def _compile_for(self, stmt: ast.For) -> bool:
+    def _compile_for(self, stmt: ast.For) -> None:
         if stmt.init is not None:
             self._compile_stmt(stmt.init)
         cond_reg = self.builder.fresh(f"{self.prefix}_loopc")
@@ -389,19 +360,17 @@ class CodeletToVIR:
             else:
                 self.builder.mov(self.compile_expr(stmt.cond), dst=cond_reg)
         with loop.body:
-            wrote = self._compile_block(stmt.body)
+            self._compile_block(stmt.body)
             if stmt.step is not None:
                 self._compile_stmt(stmt.step)
-        return wrote
 
-    def _compile_while(self, stmt: ast.While) -> bool:
+    def _compile_while(self, stmt: ast.While) -> None:
         cond_reg = self.builder.fresh(f"{self.prefix}_loopc")
         loop = self.builder.while_(cond_reg)
         with loop.cond:
             self.builder.mov(self.compile_expr(stmt.cond), dst=cond_reg)
         with loop.body:
-            wrote = self._compile_block(stmt.body)
-        return wrote
+            self._compile_block(stmt.body)
 
     def _compile_return(self, stmt: ast.Return) -> None:
         if stmt.value is None:
@@ -423,7 +392,7 @@ class CodeletToVIR:
         if isinstance(expr, ast.Unary):
             return self._compile_unary(expr)
         if isinstance(expr, ast.Binary):
-            op = _BINOP_MAP.get(expr.op)
+            op = BINARY_OPCODES.get(expr.op)
             if op is None:
                 raise LoweringError(f"cannot lower operator {expr.op!r}", expr.span)
             lhs = self.compile_expr(expr.lhs)
@@ -452,14 +421,10 @@ class CodeletToVIR:
         )
 
     def _compile_unary(self, expr: ast.Unary):
-        operand = self.compile_expr(expr.operand)
-        if expr.op == "-":
-            return self.builder.unop("neg", operand)
-        if expr.op == "!":
-            return self.builder.unop("lnot", operand)
-        if expr.op == "~":
-            return self.builder.unop("bnot", operand)
-        raise LoweringError(f"cannot lower unary {expr.op!r}", expr.span)
+        op = UNARY_OPCODES.get(expr.op)
+        if op is None:
+            raise LoweringError(f"cannot lower unary {expr.op!r}", expr.span)
+        return self.builder.unop(op, self.compile_expr(expr.operand))
 
     def _compile_ternary(self, expr: ast.Ternary):
         # CUDA's ?: short-circuits, so memory accesses must stay guarded
@@ -519,7 +484,7 @@ class CodeletToVIR:
             return self._special("warpid")
         if method in ("MaxSize", "Size"):
             # Size() maps to warpSize, exactly as in Figure 2's table.
-            return Imm(WARP_SIZE)
+            return Imm(WARP)
         raise LoweringError(f"unknown Vector method {method!r}", expr.span)
 
     def _compile_index(self, expr: ast.Index):
@@ -552,54 +517,45 @@ class CodeletToVIR:
             raise LoweringError(f"unknown variable {name!r} in lowering", span)
         return slot
 
-    def _static_eval(self, expr: ast.Expr) -> int:
-        """Compile-time evaluation for shared-array dimensions."""
-        if isinstance(expr, ast.IntLiteral):
-            return expr.value
-        if isinstance(expr, ast.Binary):
-            lhs = self._static_eval(expr.lhs)
-            rhs = self._static_eval(expr.rhs)
-            return _fold_int(expr.op, lhs, rhs, expr.span)
-        if isinstance(expr, ast.MethodCall) and isinstance(expr.obj, ast.Ident):
-            slot = self.env.get(expr.obj.name)
-            if isinstance(slot, _VectorSlot) and expr.method in ("MaxSize", "Size"):
-                return WARP_SIZE
-            if isinstance(slot, _ContainerSlot) and expr.method == "Size":
-                bound = slot.binding.size_static
-                if bound is None:
-                    raise LoweringError(
-                        "shared array sized by in.Size() needs a static bound",
-                        expr.span,
-                    )
-                return bound
-        raise LoweringError(
-            "shared array dimension is not a compile-time constant", expr.span
+    def _static_size(self, dim: ast.Expr) -> int:
+        """A shared array's size: its dimension's static value."""
+        container = self.codelet.params[0].name
+        size = static_value(
+            dim, self.vector, {container: self.binding.size_static}
         )
+        if size is None:
+            raise LoweringError(
+                "shared array dimension has no static value (a constant, "
+                "the warp size or a statically bounded in.Size())",
+                dim.span,
+            )
+        return size
 
 
-def _fold_int(op: str, lhs: int, rhs: int, span) -> int:
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        if rhs == 0:
-            raise LoweringError("division by zero in shared dimension", span)
-        return lhs // rhs
-    if op == "%":
-        return lhs % rhs
-    raise LoweringError(f"cannot fold operator {op!r} at compile time", span)
+def writes_shared(stmt: ast.Stmt, shared: frozenset) -> bool:
+    """The barrier rule: whether a barrier follows ``stmt``.
+
+    In a cooperative codelet a barrier goes after each statement that
+    itself writes shared memory — a ``__shared`` declaration (its
+    cooperative initialization), a store to one of the ``shared`` names
+    or a shared atomic update — in the block that holds the statement.
+    A compound statement never gets one: the statements inside it carry
+    their own. The lowering and the CUDA emitter (Listings 3 and 4) both
+    place barriers by this rule, so a listing shows exactly the barriers
+    the simulated kernel executes.
+    """
+    if isinstance(stmt, ast.VarDecl):
+        return stmt.shared
+    if isinstance(stmt, ast.AtomicUpdate):
+        return stmt.space == "shared"
+    if isinstance(stmt, ast.Assign):
+        target = stmt.target
+        if isinstance(target, ast.Index):
+            target = target.base
+        return isinstance(target, ast.Ident) and target.name in shared
+    return False
 
 
 def _touches_memory(expr: ast.Expr) -> bool:
     """Whether evaluating the expression may access memory."""
     return any(isinstance(node, ast.Index) for node in ast.walk(expr))
-
-
-def _declares_vector(codelet: ast.Codelet) -> bool:
-    return any(
-        isinstance(node, ast.VarDecl) and str(node.declared_type) == "Vector"
-        for node in ast.walk(codelet)
-    )

@@ -22,11 +22,14 @@ renders as ``threadIdx.x``, ``LaneId()`` as ``threadIdx.x % warpSize``,
 
 from __future__ import annotations
 
+from ..core.operators import static_value
 from ..core.pipeline import CoopVariant, PreprocessResult
 from ..core.sources import identity_literal
 from ..core.variants import Version, fig6_label
 from ..lang import ast
 from ..lang.errors import LoweringError
+from ..vir.instructions import WARP
+from .compiler import writes_shared
 
 _ATOMIC_FN = {"add": "atomicAdd", "sub": "atomicSub", "max": "atomicMax", "min": "atomicMin"}
 
@@ -48,7 +51,7 @@ class CudaEmitter:
         self.input_name = input_name
         self.vector_name = None
         self.container_name = None
-        self.shared_dynamic = set()  # arrays sized by in.Size() -> extern
+        self.shared = frozenset()  # the codelet's __shared names (barrier rule)
 
     # -- expressions ------------------------------------------------------
 
@@ -103,7 +106,7 @@ class CudaEmitter:
                 "ThreadId": "threadIdx.x",
                 "LaneId": "threadIdx.x % warpSize",
                 "VectorId": "threadIdx.x / warpSize",
-                "MaxSize": "32",
+                "MaxSize": str(WARP),
                 "Size": "warpSize",
             }[node.method]
         if obj == self.container_name:
@@ -198,8 +201,8 @@ class CudaEmitter:
         lines = []
         for stmt in node.stmts:
             lines += self.stmt(stmt, indent)
-            if _writes_shared(stmt):
-                _append_sync(lines, indent)
+            if writes_shared(stmt, self.shared):
+                lines.append("  " * indent + "__syncthreads();")
         return lines
 
     def _var_decl(self, node: ast.VarDecl, indent: int) -> list:
@@ -219,24 +222,20 @@ class CudaEmitter:
             lines.append(f"{pad}__shared__ {node.declared_type} {node.name};")
             lines.append(f"{pad}if (threadIdx.x == 0)")
             lines.append(f"{pad}  {node.name} = {self._identity(node)};")
-            lines.append(f"{pad}__syncthreads();")
             return lines
-        dim = node.dims[0]
-        if _is_static_dim(dim):
-            size = self.expr(dim)
+        size = static_value(node.dims[0], self.vector_name)
+        if size is not None:
             lines.append(
                 f"{pad}__shared__ {node.declared_type} {node.name}[{size}];"
             )
             lines.append(f"{pad}if (threadIdx.x < {size})")
         else:
             # dynamically sized by in.Size() -> extern (Listing 3 line 9)
-            self.shared_dynamic.add(node.name)
             lines.append(
                 f"{pad}extern __shared__ {node.declared_type} {node.name}[];"
             )
             lines.append(f"{pad}if (threadIdx.x < ObjectSize)")
         lines.append(f"{pad}  {node.name}[threadIdx.x] = {self._identity(node)};")
-        lines.append(f"{pad}__syncthreads();")
         return lines
 
     def _identity(self, node: ast.VarDecl) -> str:
@@ -245,69 +244,6 @@ class CudaEmitter:
             return identity_literal(op, str(node.declared_type))
         except ValueError:
             return "0"
-
-
-def _append_sync(lines: list, indent: int) -> None:
-    """Append ``__syncthreads()`` unless the previous line already is one."""
-    if lines and lines[-1].strip() == "__syncthreads();":
-        return
-    lines.append("  " * indent + "__syncthreads();")
-
-
-def _is_static_dim(dim: ast.Expr) -> bool:
-    """MaxSize()-sized arrays are static; in.Size()-sized are dynamic."""
-    return not any(
-        isinstance(node, ast.MethodCall) and node.method == "Size"
-        for node in ast.walk(dim)
-    )
-
-
-def _writes_shared(stmt: ast.Stmt) -> bool:
-    """Conservative: statement contains a write to a shared variable.
-
-    The emitter mirrors the lowering's barrier-insertion rule, which in
-    turn mirrors the ``__syncthreads()`` placement of Listings 3 and 4.
-    """
-    if isinstance(stmt, (ast.If, ast.For, ast.While, ast.Block)):
-        children = []
-        if isinstance(stmt, ast.Block):
-            children = stmt.stmts
-        elif isinstance(stmt, ast.While):
-            children = stmt.body.stmts
-        elif isinstance(stmt, ast.For):
-            children = stmt.body.stmts
-        else:
-            children = stmt.then.stmts + (
-                stmt.otherwise.stmts if stmt.otherwise else []
-            )
-        return any(_writes_shared(s) for s in children)
-    if isinstance(stmt, ast.AtomicUpdate):
-        return True
-    if isinstance(stmt, ast.Assign):
-        target = stmt.target
-        names = set()
-        if isinstance(target, ast.Ident):
-            names.add(target.name)
-        if isinstance(target, ast.Index) and isinstance(target.base, ast.Ident):
-            names.add(target.base.name)
-        return bool(names & _SHARED_NAMES.get())
-    return False
-
-
-class _SharedNames:
-    """Per-emission set of shared variable names (module-level helper)."""
-
-    def __init__(self):
-        self._names = set()
-
-    def set(self, names):
-        self._names = set(names)
-
-    def get(self):
-        return self._names
-
-
-_SHARED_NAMES = _SharedNames()
 
 
 def emit_coop_kernel(
@@ -321,14 +257,8 @@ def emit_coop_kernel(
     codelet = variant.codelet
     emitter = CudaEmitter(ctype=ctype)
     emitter.container_name = codelet.params[0].name
-    for node in ast.walk(codelet):
-        if isinstance(node, ast.VarDecl) and str(node.declared_type) == "Vector":
-            emitter.vector_name = node.name
-    _SHARED_NAMES.set(
-        node.name
-        for node in ast.walk(codelet)
-        if isinstance(node, ast.VarDecl) and node.shared
-    )
+    emitter.vector_name = codelet.vector_name()
+    emitter.shared = codelet.shared_names()
 
     name = kernel_name or f"Reduce_Block_{variant.key}"
     lines = [
@@ -337,20 +267,14 @@ def emit_coop_kernel(
         f"int SourceSize, int ObjectSize) {{",
         "  unsigned int blockID = blockIdx.x;",
     ]
-    body_lines = []
-    ret_expr = None
-    for stmt in codelet.body.stmts:
-        if isinstance(stmt, ast.Return):
-            ret_expr = emitter.expr(stmt.value)
-            continue
-        body_lines += emitter.stmt(stmt, 1)
-        if _writes_shared(stmt):
-            _append_sync(body_lines, 1)
-    lines += body_lines
-    if ret_expr is None:
+    stmts = codelet.body.stmts
+    returns = [stmt for stmt in stmts if isinstance(stmt, ast.Return)]
+    if not returns:
         raise LoweringError("cooperative codelet has no return")
+    body = [stmt for stmt in stmts if not isinstance(stmt, ast.Return)]
+    lines += emitter.block(ast.Block(stmts=body), 1)
     lines.append("  if (threadIdx.x == 0)")
-    lines.append(f"    Return[blockID] = {ret_expr};")
+    lines.append(f"    Return[blockID] = {emitter.expr(returns[-1].value)};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -26,21 +26,13 @@ from dataclasses import dataclass
 
 from ..lang import ast
 from ..lang.errors import TransformError
-
-_WARP = 32
+from ..vir.instructions import WARP
 
 
 @dataclass
 class AggregateResult:
     codelet: ast.Codelet
     rewrites: int = 0
-
-
-def _find_vector_name(codelet: ast.Codelet):
-    for node in ast.walk(codelet):
-        if isinstance(node, ast.VarDecl) and str(node.declared_type) == "Vector":
-            return node.name
-    return None
 
 
 def _combine_stmt(op: str, accumulator: str, shuffle: ast.WarpShuffle) -> ast.Stmt:
@@ -80,13 +72,13 @@ def _build_aggregation(update: ast.AtomicUpdate, vector: str, index: int) -> lis
         value=ast.Ident(name=agg_name),
         offset=ast.Ident(name=offset_name),
         direction="down",
-        width=_WARP,
+        width=WARP,
     )
     loop = ast.For(
         init=ast.VarDecl(
             name=offset_name,
             declared_type=_int_type(),
-            init=ast.IntLiteral(value=_WARP // 2),
+            init=ast.IntLiteral(value=WARP // 2),
         ),
         cond=ast.Binary(op=">", lhs=ast.Ident(name=offset_name),
                         rhs=ast.IntLiteral(value=0)),
@@ -122,7 +114,7 @@ def apply_warp_aggregation(codelet: ast.Codelet) -> AggregateResult:
     """Return a transformed **clone** with warp-uniform scalar atomic
     updates aggregated per warp. The input codelet is untouched."""
     clone = codelet.clone()
-    vector = _find_vector_name(clone)
+    vector = clone.vector_name()
     if vector is None:
         return AggregateResult(codelet=clone, rewrites=0)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..lang import ast
+from ..vir.instructions import WARP
 
 _VECTOR_BOUND_METHODS = ("MaxSize", "Size")
 _REDUCTION_CALLS = ("max", "min")
@@ -60,7 +61,7 @@ class ShuffleResult:
 
 def detect_shuffle_loops(codelet: ast.Codelet) -> list:
     """All :class:`ShuffleMatch` opportunities in a codelet."""
-    vector_name = _find_vector_name(codelet)
+    vector_name = codelet.vector_name()
     if vector_name is None:
         return []
     shared_arrays = {
@@ -75,13 +76,6 @@ def detect_shuffle_loops(codelet: ast.Codelet) -> list:
             if match is not None:
                 matches.append(match)
     return matches
-
-
-def _find_vector_name(codelet: ast.Codelet):
-    for node in ast.walk(codelet):
-        if isinstance(node, ast.VarDecl) and str(node.declared_type) == "Vector":
-            return node.name
-    return None
 
 
 def _is_vector_method(expr, vector_name: str, methods) -> bool:
@@ -254,7 +248,7 @@ def _index_direction(index_expr, iterator: str):
 # ---------------------------------------------------------------------
 
 
-def apply_shuffle(codelet: ast.Codelet, width: int = 32) -> ShuffleResult:
+def apply_shuffle(codelet: ast.Codelet, width: int = WARP) -> ShuffleResult:
     """Return a transformed **clone** with shuffle loops rewritten and
     dead shared arrays disabled. The input codelet is untouched."""
     clone = codelet.clone()

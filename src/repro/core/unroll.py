@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..lang import ast
+from .operators import BINARY_OPCODES, COMPOUND_OPCODES, evaluate, static_value
 
 #: Loops longer than this are left rolled (code-size guard).
 MAX_UNROLL = 64
-
-_WARP = 32
 
 
 @dataclass
@@ -32,100 +31,50 @@ class UnrollResult:
     iterations_expanded: int = 0
 
 
-def _static_value(expr: ast.Expr, vector: str = None):
-    """Evaluate compile-time-constant integer expressions.
-
-    ``Vector.MaxSize()``/``Size()`` are the warp size, as in Figure 2 —
-    but only on the codelet's Vector object; ``in.Size()`` is runtime.
-    """
-    if isinstance(expr, ast.IntLiteral):
-        return expr.value
-    if (
-        isinstance(expr, ast.MethodCall)
-        and expr.method in ("MaxSize", "Size")
-        and isinstance(expr.obj, ast.Ident)
-        and expr.obj.name == vector
-    ):
-        return _WARP
-    if isinstance(expr, ast.Unary) and expr.op == "-":
-        inner = _static_value(expr.operand, vector)
-        return None if inner is None else -inner
-    if isinstance(expr, ast.Binary):
-        lhs = _static_value(expr.lhs, vector)
-        rhs = _static_value(expr.rhs, vector)
-        if lhs is None or rhs is None:
-            return None
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        if expr.op == "/" and rhs != 0:
-            return lhs // rhs
-        if expr.op == "%" and rhs != 0:
-            return lhs % rhs
-        return None
-    return None
+def _is_ident(expr: ast.Expr, name: str) -> bool:
+    return isinstance(expr, ast.Ident) and expr.name == name
 
 
 def _trip_values(loop: ast.For, vector: str = None):
-    """Iterator values per iteration, or ``None`` if not static."""
-    init = loop.init
-    if not (isinstance(init, ast.VarDecl) and init.init is not None):
-        return None, None
-    iterator = init.name
-    value = _static_value(init.init, vector)
-    if value is None:
-        return None, None
-    cond = loop.cond
+    """Iterator values per iteration, or ``None`` if not static.
+
+    The loop must read ``for (T i = a; i <op> b; i <op>= d)`` with
+    static ``a``, ``b`` and ``d``; the test and the step fold through
+    the lowering's own opcodes (:mod:`repro.core.operators`), so the
+    unrolled values are the ones the rolled loop would take.
+    """
+    init, cond, step = loop.init, loop.cond, loop.step
     if not (
-        isinstance(cond, ast.Binary)
-        and isinstance(cond.lhs, ast.Ident)
-        and cond.lhs.name == iterator
+        isinstance(init, ast.VarDecl)
+        and init.init is not None
+        and isinstance(cond, ast.Binary)
+        and _is_ident(cond.lhs, init.name)
+        and isinstance(step, ast.Assign)
+        and _is_ident(step.target, init.name)
     ):
         return None, None
-    bound = _static_value(cond.rhs, vector)
-    if bound is None or cond.op not in ("<", "<=", ">", ">="):
-        return None, None
-    step = loop.step
-    if not (
-        isinstance(step, ast.Assign)
-        and isinstance(step.target, ast.Ident)
-        and step.target.name == iterator
-    ):
-        return None, None
-    delta = _static_value(step.value, vector)
-    if delta is None:
+    test = BINARY_OPCODES.get(cond.op)
+    update = COMPOUND_OPCODES.get(step.op)
+    current = static_value(init.init, vector)
+    bound = static_value(cond.rhs, vector)
+    delta = static_value(step.value, vector)
+    if any(part is None for part in (test, update, current, bound, delta)):
         return None, None
 
     values = []
-    current = value
-    for _ in range(MAX_UNROLL + 1):
-        if cond.op == "<" and not current < bound:
-            break
-        if cond.op == "<=" and not current <= bound:
-            break
-        if cond.op == ">" and not current > bound:
-            break
-        if cond.op == ">=" and not current >= bound:
+    while len(values) <= MAX_UNROLL:
+        stays = evaluate(test, [current, bound])
+        if stays is None:
+            return None, None
+        if not stays:
             break
         values.append(current)
-        if step.op == "+=":
-            current += delta
-        elif step.op == "-=":
-            current -= delta
-        elif step.op == "*=" and delta > 1:
-            current *= delta
-        elif step.op == "/=" and delta > 1:
-            current //= delta
-        elif step.op == ">>=" and delta >= 1:
-            current >>= delta
-        else:
+        current = evaluate(update, [current, delta])
+        if current is None:
             return None, None
     if len(values) > MAX_UNROLL or not values:
         return None, None
-    return iterator, values
+    return init.name, values
 
 
 class _IteratorSubstituter(ast.NodeTransformer):
@@ -173,17 +122,10 @@ class _Unroller(ast.NodeTransformer):
         return statements
 
 
-def _find_vector_name(codelet: ast.Codelet):
-    for node in ast.walk(codelet):
-        if isinstance(node, ast.VarDecl) and str(node.declared_type) == "Vector":
-            return node.name
-    return None
-
-
 def apply_unroll(codelet: ast.Codelet) -> UnrollResult:
     """Return a transformed **clone** with static loops fully unrolled."""
     clone = codelet.clone()
-    unroller = _Unroller(vector=_find_vector_name(clone))
+    unroller = _Unroller(vector=clone.vector_name())
     unroller.visit(clone)
     return UnrollResult(
         codelet=clone,

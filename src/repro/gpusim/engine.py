@@ -97,6 +97,7 @@ from ..vir.instructions import (
     ALU_IMPL,
     SHFL_MODES,
     SHFL_WIDTHS,
+    WARP,
     Arg,
     AtomGlobal,
     AtomShared,
@@ -118,13 +119,13 @@ from ..vir.instructions import (
     UnOp,
     While,
     is_integer,
+    register_dtype,
 )
 from ..vir.program import Kernel, KernelStep, MemsetStep, Plan
 from .backend import get_backend
 from .device import Device
 from .events import PlanProfile, StepProfile
 
-WARP = 32
 _LANES = np.arange(WARP, dtype=np.int64)
 
 #: Cap on how many distinct atomic addresses are tracked exactly per step.
@@ -881,11 +882,11 @@ class _BatchedRun:
                 # Compiled traces never mutate register arrays in place,
                 # so aliasing is safe and the defensive copy is skipped.
                 self.regs[reg.name] = value.astype(
-                    _promote_dtype(value.dtype), copy=False
+                    register_dtype(value.dtype), copy=False
                 )
             else:
                 self.regs[reg.name] = np.array(
-                    value, dtype=_promote_dtype(value.dtype)
+                    value, dtype=register_dtype(value.dtype)
                 )
             return
         merged_dtype = np.result_type(current.dtype, value.dtype)
@@ -1499,12 +1500,3 @@ def _longest_runs(rows) -> np.ndarray:
     run = pos - start + 1
     run[rows == -1] = 0
     return run.max(axis=1)
-
-
-def _promote_dtype(dtype):
-    """Registers hold int64 / float64 / bool for simulation stability."""
-    if dtype.kind in "iu":
-        return np.int64
-    if dtype.kind == "b":
-        return np.bool_
-    return np.float64

@@ -301,6 +301,21 @@ class Codelet(Node):
             return f"{self.name}@{self.tag}"
         return self.name
 
+    def vector_name(self):
+        """The name of the codelet's ``Vector`` (semantic analysis allows
+        at most one), or None: a codelet with one is cooperative."""
+        for node in walk(self):
+            if isinstance(node, VarDecl) and str(node.declared_type) == "Vector":
+                return node.name
+        return None
+
+    def shared_names(self) -> frozenset:
+        """The names of the codelet's ``__shared`` variables."""
+        return frozenset(
+            node.name for node in walk(self)
+            if isinstance(node, VarDecl) and node.shared
+        )
+
 
 @dataclass
 class Program(Node):

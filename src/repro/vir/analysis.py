@@ -13,12 +13,13 @@ lint (:mod:`repro.sanitize.lint`) for a tree loop's offsets:
   launch constants (:class:`~repro.vir.instructions.Arg`), writes under
   divergent control flow — poisons the destination to :data:`UNKNOWN`.
 
-``BinOp``/``UnOp`` fold through the simulator's own opcode table
-(:data:`~repro.vir.instructions.ALU_IMPL`), so a folded constant is the
-value the engine computes. A NaN operand, and any case where numpy
-would warn or fail (division by zero, a bitwise op on a float), gives
-``UNKNOWN``, so a failed analysis can never change observable
-behaviour — a proof simply does not hold.
+``BinOp``/``UnOp`` fold (:func:`fold`) through the simulator's own
+opcode table (:data:`~repro.vir.instructions.ALU_IMPL`) on the
+registers' dtypes, so a folded constant is the value the engine
+computes, int64 wrap-around included. A NaN operand, and any case
+where numpy would warn or fail (division by zero, a bitwise op on a
+float), gives ``UNKNOWN``, so a failed analysis can never change
+observable behaviour — a proof simply does not hold.
 
 Every static fact the simulator reads about a kernel comes from one
 pass, :func:`kernel_facts`, computed once per kernel and kept on it
@@ -64,6 +65,7 @@ from .instructions import (
     While,
     operands,
     reads,
+    register_dtype,
     walk_instrs,
     writes,
 )
@@ -85,19 +87,26 @@ def _read(operand, env):
     return UNKNOWN
 
 
-def _fold(op, values):
+def fold(op, values):
     """``ALU_IMPL[op]`` over uniform constants, as a Python scalar, or
     UNKNOWN: for an unknown or NaN operand, and wherever numpy would
-    warn or fail (division by zero, a bitwise op on a float)."""
+    warn or fail (division by zero, a bitwise op on a float).
+
+    Each operand is held as a one-element array of its register dtype
+    (:func:`~repro.vir.instructions.register_dtype`), so integer
+    arithmetic wraps at int64 exactly as the registers do (a numpy
+    scalar would raise on that overflow instead).
+    """
     if any(v is UNKNOWN or (isinstance(v, float) and math.isnan(v))
            for v in values):
         return UNKNOWN
     try:
         with np.errstate(all="raise"):
-            result = ALU_IMPL[op](*values)
+            lanes = [np.array([v], dtype=register_dtype(np.asarray(v).dtype))
+                     for v in values]
+            return ALU_IMPL[op](*lanes).item()
     except (ArithmeticError, TypeError, ValueError):
         return UNKNOWN
-    return result.item() if isinstance(result, np.generic) else result
 
 
 def eval_const_instr(instr, env) -> None:
@@ -114,7 +123,7 @@ def eval_const_instr(instr, env) -> None:
         return
     if isinstance(instr, (BinOp, UnOp)):
         values = [_read(operand, env) for operand in operands(instr).values()]
-        env[instr.dst.name] = _fold(instr.op, values)
+        env[instr.dst.name] = fold(instr.op, values)
         return
     if isinstance(instr, Sel):
         cond = _read(instr.cond, env)

@@ -96,6 +96,17 @@ def _coerce_bool(value):
     return value
 
 
+def register_dtype(dtype):
+    """The dtype a value of ``dtype`` takes in a register: registers hold
+    int64 / float64 / bool, so integer arithmetic wraps as int64 two's
+    complement."""
+    if dtype.kind in "iu":
+        return np.int64
+    if dtype.kind == "b":
+        return np.bool_
+    return np.float64
+
+
 def is_integer(value) -> bool:
     """Whether ``value`` (an array or a scalar) holds integers or bools."""
     if isinstance(value, np.ndarray):
@@ -162,6 +173,10 @@ SHFL_MODES = frozenset({"down", "up", "xor", "idx"})
 SPECIAL_KINDS = frozenset({"tid", "ctaid", "ntid", "nctaid", "laneid", "warpid"})
 
 ATOMIC_SCOPES = frozenset({"device", "block", "system"})
+
+#: Threads per warp: the lanes of one shuffle, and the value of
+#: ``Vector.MaxSize()``/``Size()`` (Figure 2's ``warpSize``).
+WARP = 32
 
 #: Shuffle widths hardware accepts (power-of-two warp segments).
 SHFL_WIDTHS = frozenset({1, 2, 4, 8, 16, 32})

@@ -201,3 +201,80 @@ float f(const Array<1,float> in) {
         )
         expected = data.reshape(4, 32).sum(axis=0)
         np.testing.assert_allclose(device.get("out"), expected, rtol=1e-5)
+
+
+class TestShiftAssign:
+    """Every assignment the parser accepts lowers: the catalog with its
+    tree loops stepped by ``offset >>= 1``, plus a counted loop stepped
+    by ``k <<= 1``, builds for every Figure 6 label, rolled and unrolled,
+    and runs exactly like the same source spelled with ``offset /= 2``
+    and ``k *= 2``, on both backends."""
+
+    COUNTED = (
+        "  for (int k = 1; k < vthread.MaxSize(); k {step}) {{\n"
+        "    tmp[vthread.ThreadId()] = val;\n"
+        "  }}\n"
+    )
+
+    @classmethod
+    def _source(cls, op, ctype, halve, double):
+        from repro.core.sources import reduction_source
+
+        text = reduction_source(op, ctype).replace("offset /= 2", halve)
+        anchor = "  tmp[vthread.ThreadId()] = val;\n  for (int offset"
+        counted = cls.COUNTED.format(step=double)
+        assert text.count(anchor) == 2  # coop_tree and shared_v2
+        return text.replace(
+            anchor, anchor.replace("  for", counted + "  for", 1)
+        )
+
+    def test_every_parsed_assignment_has_an_opcode(self):
+        from repro.core.operators import COMPOUND_OPCODES
+        from repro.lang.parser import _ASSIGN_OPS
+
+        assert set(_ASSIGN_OPS.values()) - {"="} <= set(COMPOUND_OPCODES)
+
+    @pytest.mark.parametrize("unroll", [False, True])
+    @pytest.mark.parametrize("op, ctype", [("add", "float"), ("max", "int")])
+    def test_shift_steps_lower_and_run_like_arithmetic_steps(
+        self, op, ctype, unroll
+    ):
+        from repro.codegen import Tunables
+        from repro.codegen.synthesize import build_plan
+        from repro.core import FIG6
+        from repro.core.pipeline import preprocess
+
+        sources = {
+            "shift": self._source(op, ctype, "offset >>= 1", "<<= 1"),
+            "arith": self._source(op, ctype, "offset /= 2", "*= 2"),
+        }
+        pres = {
+            key: preprocess(analyze_source(text), unroll=unroll)
+            for key, text in sources.items()
+        }
+        n = 3333
+        rng = np.random.default_rng(5)
+        if ctype == "int":
+            data = rng.integers(-50, 50, size=n).astype(np.int32)
+        else:
+            data = rng.random(n).astype(np.float32)
+        for label in "abcdefghijklmnop":
+            version = FIG6[label]
+            tunables = Tunables(block=64)
+            if version.block_kind != "coop":
+                tunables = Tunables(block=64, grid=8)
+            plans = {
+                key: build_plan(pre, version, n, tunables)
+                for key, pre in pres.items()
+            }
+            for backend in ("interpreted", "compiled"):
+                runs = {}
+                for key, plan in plans.items():
+                    executor = Executor(backend=backend)
+                    executor.device.upload("in", data)
+                    runs[key] = executor.run_plan(plan)
+                ref, got = runs["arith"], runs["shift"]
+                assert got.result == ref.result, (label, backend)
+                assert [dict(s.events) for s in got.steps] == [
+                    dict(s.events) for s in ref.steps
+                ], (label, backend)

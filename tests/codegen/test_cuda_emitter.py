@@ -130,3 +130,45 @@ class TestEmitVersion:
         assert "atomicMax(&tmp, val);" in text
         # identity padding instead of zero
         assert "-3.402823e+38f" in text or "-3.402823e38f" in text
+
+
+class TestBarrierParity:
+    """The lowering and the emitter place barriers by one rule, so a
+    listing shows exactly the barriers the simulated kernel executes."""
+
+    @pytest.mark.parametrize("label, key", [
+        ("l", "V"), ("m", "VS"), ("n", "VA1"), ("o", "VA2"), ("p", "VA2S"),
+    ])
+    def test_syncthreads_count_equals_lowered_bars(self, label, key):
+        from repro import ReductionFramework
+        from repro.codegen import Tunables
+        from repro.vir import Bar, KernelStep, walk_instrs
+
+        fw = ReductionFramework("add")
+        version = fw.resolve(label)
+        assert version.combine == key
+        plan = fw.build(version, 4096, Tunables(block=256))
+        bars = sum(
+            isinstance(instr, Bar)
+            for step in plan.steps if isinstance(step, KernelStep)
+            for instr in walk_instrs(step.kernel.body)
+        )
+        text = emit_coop_kernel(fw.pre.coop_variant(key), op="add")
+        assert text.count("__syncthreads();") == bars
+
+    def test_warp_sized_shared_array_is_static(self):
+        """``vt.Size()`` folds to the warp size, as in the lowering."""
+        from repro.core.pipeline import CoopVariant
+        from repro.lang import analyze_source
+
+        text = (
+            "__codelet __coop\nfloat f(const Array<1,float> in) {\n"
+            "  Vector vt();\n"
+            "  __shared float t[vt.Size()];\n"
+            "  t[vt.ThreadId()] = 1.0f;\n"
+            "  return t[0];\n}"
+        )
+        codelet = analyze_source(text).codelets[0].codelet
+        cuda = emit_coop_kernel(CoopVariant(key="T", codelet=codelet))
+        assert "__shared__ float t[32];" in cuda
+        assert "extern" not in cuda

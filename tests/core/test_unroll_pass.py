@@ -50,6 +50,28 @@ class TestTripCountAnalysis:
         result = apply_unroll(codelet)
         assert result.iterations_expanded == 4
 
+    @pytest.mark.parametrize("header, values", [
+        ("int i = 1; i < 64; i <<= 1", [1, 2, 4, 8, 16, 32]),
+        ("int i = vt.Size(); i > 0; i >>= 1", [32, 16, 8, 4, 2, 1]),
+        ("int i = 7; i != 0; i -= 7", [7]),
+    ])
+    def test_any_compound_step_unrolled(self, header, values):
+        """Test and step fold through the lowering's opcodes, so every
+        compound step the lowering accepts unrolls."""
+        codelet = codelet_of(
+            "  int val = 0;\n"
+            f"  for ({header}) {{ val += i; }}\n"
+            "  return val;"
+        )
+        result = apply_unroll(codelet)
+        assert result.iterations_expanded == len(values)
+        literals = [
+            n.value for n in ast.walk(result.codelet)
+            if isinstance(n, ast.IntLiteral)
+        ]
+        for value in values:
+            assert value in literals
+
     def test_dynamic_bound_left_rolled(self):
         codelet = codelet_of(
             "  int val = 0;\n"

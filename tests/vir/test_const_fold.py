@@ -25,9 +25,10 @@ from repro.vir import (
 )
 from repro.vir.instructions import ALU_IMPL
 
-#: Scalars of every register kind: ints (negatives and zero), floats
-#: and bools.
-SCALARS = [-7, -1, 0, 1, 3, 64, -2.5, 0.0, 1.5, False, True]
+#: Scalars of every register kind: ints (negatives, zero and the int64
+#: extremes, where arithmetic wraps), floats and bools.
+SCALARS = [-7, -1, 0, 1, 3, 64, 1 << 62, -(1 << 63), -2.5, 0.0, 1.5,
+           False, True]
 
 BITWISE = {"and", "or", "xor", "shl", "shr", "bnot"}
 
@@ -50,9 +51,11 @@ def _engine(op, *values):
 
 
 def _may_be_unknown(op, values) -> bool:
-    """Where numpy warns or fails: a zero divisor, a bitwise op on a
-    float."""
+    """Where numpy warns or fails: a zero divisor, the one overflowing
+    integer division (``-2**63 / -1``), a bitwise op on a float."""
     if op in ("div", "idiv", "mod") and values[1] == 0:
+        return True
+    if op in ("div", "idiv") and values == (-(1 << 63), -1):
         return True
     return op in BITWISE and any(isinstance(v, float) for v in values)
 
@@ -90,6 +93,18 @@ def test_bitwise_op_on_a_float_is_unknown(op):
     assert _fold(op, 1.5, 2) is UNKNOWN
     assert _fold(op, 2, 1.0) is UNKNOWN
     assert _fold("bnot", 1.5) is UNKNOWN
+
+
+def test_int_fold_wraps_like_the_registers():
+    """``shl 1, 62`` then ``mul 4`` is 2**64 in unbounded integers, but
+    an int64 register holds 0."""
+    env = {}
+    eval_const_instr(BinOp(Reg("p"), "shl", 1, 62), env)
+    eval_const_instr(BinOp(Reg("q"), "mul", Reg("p"), 4), env)
+    lanes = ALU_IMPL["mul"](np.full(4, 1 << 62), np.full(4, 4))
+    assert lanes.dtype == np.int64
+    assert env == {"p": 1 << 62, "q": 0}
+    assert env["q"] == lanes[0] and type(env["q"]) is int
 
 
 def test_operand_not_a_known_constant_is_unknown():
