@@ -43,7 +43,7 @@ def main():
 
     # 6. The generated CUDA for the shuffle variant (Listing 4's shape).
     print("\n=== CUDA for the warp-shuffle variant (VS) ===")
-    print(emit_coop_kernel(fw.pre.coop_variant("VS"), op="add"))
+    print(emit_coop_kernel(fw.pre.coop_variant("VS")))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..lang.reductions import LIBRARY_OPS, identity_value
 from ..vir import IRBuilder, Imm, Kernel, Reg, SharedDecl
 
 #: Threads per block of every baseline kernel.
@@ -9,21 +10,13 @@ BLOCK = 256
 #: Elements per vectorized load (one float4).
 VECTOR_WIDTH = 4
 
-_COMBINE = {"add": "add", "max": "max", "min": "min"}
 
-
-def combine_op(op: str) -> str:
-    if op not in _COMBINE:
-        raise ValueError(f"baselines support add/max/min, got {op!r}")
-    return _COMBINE[op]
-
-
-def identity_of(op: str) -> float:
-    if op == "add":
-        return 0.0
-    if op == "max":
-        return -3.402823e38
-    return 3.402823e38
+def _identity(op: str) -> float:
+    """The float identity of a baseline's op; each op combines with the
+    ALU opcode of its name."""
+    if op not in LIBRARY_OPS:
+        raise ValueError(f"baselines support {'/'.join(LIBRARY_OPS)}, got {op!r}")
+    return identity_value(op, "float")
 
 
 def emit_block_tree_reduce(
@@ -48,7 +41,7 @@ def emit_block_tree_reduce(
             other_idx = b.binop("add", tid, offset)
             other = b.ld_shared(smem, other_idx)
             mine = b.ld_shared(smem, tid)
-            merged = b.binop(combine_op(op), mine, other)
+            merged = b.binop(op, mine, other)
             b.st_shared(smem, tid, merged)
         b.bar()
         b.binop("div", offset, 2, dst=offset)
@@ -69,7 +62,7 @@ def accumulate_kernel(name: str, out: str, op: str, meta: dict) -> Kernel:
 
     gid = b.binop("add", b.binop("mul", ctaid, ntid), tid)
     gsize = b.binop("mul", ntid, nctaid)
-    acc = b.mov(Imm(identity_of(op)))
+    acc = b.mov(Imm(_identity(op)))
 
     # vectorized main loop: thread handles float4 number i
     i = b.mov(gid)
@@ -81,7 +74,7 @@ def accumulate_kernel(name: str, out: str, op: str, meta: dict) -> Kernel:
         base = b.binop("mul", i, Imm(VECTOR_WIDTH))
         lanes = b.ld_global_vec("in", base, width=VECTOR_WIDTH)
         for value in lanes:
-            b.binop(combine_op(op), acc, value, dst=acc)
+            b.binop(op, acc, value, dst=acc)
         b.binop("add", i, gsize, dst=i)
 
     # scalar tail: elements [4*n4, n)
@@ -93,7 +86,7 @@ def accumulate_kernel(name: str, out: str, op: str, meta: dict) -> Kernel:
         b.binop("lt", j, n, dst=cond2)
     with loop2.body:
         value = b.ld_global("in", j)
-        b.binop(combine_op(op), acc, value, dst=acc)
+        b.binop(op, acc, value, dst=acc)
         b.binop("add", j, gsize, dst=j)
 
     total = emit_block_tree_reduce(b, acc, BLOCK, "smem", op)
@@ -117,7 +110,7 @@ def combine_kernel(name: str, partials: str, out: str, op: str,
     b = IRBuilder()
     tid = b.special("tid")
     count = b.ld_param("count")
-    acc = b.mov(Imm(identity_of(op)))
+    acc = b.mov(Imm(_identity(op)))
     i = b.mov(tid)
     cond = b.fresh("comb_c")
     loop = b.while_(cond)
@@ -125,7 +118,7 @@ def combine_kernel(name: str, partials: str, out: str, op: str,
         b.binop("lt", i, count, dst=cond)
     with loop.body:
         value = b.ld_global(partials, i)
-        b.binop(combine_op(op), acc, value, dst=acc)
+        b.binop(op, acc, value, dst=acc)
         b.binop("add", i, Imm(BLOCK), dst=i)
     total = emit_block_tree_reduce(b, acc, BLOCK, "smem", op)
     is_zero = b.binop("eq", tid, 0)

@@ -30,10 +30,12 @@ import sys
 
 import numpy as np
 
+from .lang.reductions import CTYPES, LIBRARY_OPS
+
 
 def _add_common(parser):
     parser.add_argument(
-        "--op", choices=("add", "max", "min"), default="add",
+        "--op", choices=LIBRARY_OPS, default="add",
         help="reduction operator (default: add)",
     )
 
@@ -272,8 +274,8 @@ def cmd_sanitize(args) -> int:
         sweep_catalog,
     )
 
-    ops = (args.op,) if args.op != "all" else ("add", "max", "min")
-    ctypes = (args.ctype,) if args.ctype != "all" else ("float", "int")
+    ops = (args.op,) if args.op != "all" else LIBRARY_OPS
+    ctypes = (args.ctype,) if args.ctype != "all" else CTYPES
     print(f"sanitizing catalog at n={args.n} "
           f"(ops={','.join(ops)} ctypes={','.join(ctypes)} "
           f"lint={'on' if args.lint else 'off'})")
@@ -459,10 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_size(p)
-    p.add_argument("--op", choices=("all", "add", "max", "min"),
+    p.add_argument("--op", choices=("all", *LIBRARY_OPS),
                    default="all", help="reduction operator(s) to sweep "
                    "(default: all)")
-    p.add_argument("--ctype", choices=("all", "float", "int"),
+    p.add_argument("--ctype", choices=("all", *CTYPES),
                    default="all", help="element type(s) to sweep "
                    "(default: all)")
     p.add_argument("--versions", type=_version_list, default=None,

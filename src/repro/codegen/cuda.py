@@ -24,14 +24,17 @@ from __future__ import annotations
 
 from ..core.operators import static_value
 from ..core.pipeline import CoopVariant, PreprocessResult
-from ..core.sources import identity_literal
 from ..core.variants import Version, fig6_label
 from ..lang import ast
 from ..lang.errors import LoweringError
+from ..lang.reductions import (
+    combine_source,
+    identity_literal,
+    identity_value,
+    reduction,
+)
 from ..vir.instructions import WARP
 from .compiler import writes_shared
-
-_ATOMIC_FN = {"add": "atomicAdd", "sub": "atomicSub", "max": "atomicMax", "min": "atomicMin"}
 
 _PRECEDENCE = {
     "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
@@ -46,8 +49,8 @@ _PRECEDENCE = {
 class CudaEmitter:
     """Stateful expression/statement renderer for one codelet."""
 
-    def __init__(self, ctype: str = "float", input_name: str = "input_x"):
-        self.ctype = ctype
+    def __init__(self, identity: str, input_name: str = "input_x"):
+        self.identity = identity  # C literal every shared variable starts at
         self.input_name = input_name
         self.vector_name = None
         self.container_name = None
@@ -150,9 +153,8 @@ class CudaEmitter:
             value = self.expr(node.value)
             return [f"{pad}{target} {node.op} {value};"]
         if isinstance(node, ast.AtomicUpdate):
-            fn = _ATOMIC_FN[node.op]
-            if node.scope == "block":
-                fn += "_block"
+            atomic = reduction(node.op)
+            fn = atomic.block_api if node.scope == "block" else atomic.api
             target = self.expr(node.target)
             value = self.expr(node.value)
             return [f"{pad}{fn}(&{target}, {value});"]
@@ -221,7 +223,7 @@ class CudaEmitter:
             # single shared accumulator (Listing 3 lines 5-8)
             lines.append(f"{pad}__shared__ {node.declared_type} {node.name};")
             lines.append(f"{pad}if (threadIdx.x == 0)")
-            lines.append(f"{pad}  {node.name} = {self._identity(node)};")
+            lines.append(f"{pad}  {node.name} = {self.identity};")
             return lines
         size = static_value(node.dims[0], self.vector_name)
         if size is not None:
@@ -235,27 +237,23 @@ class CudaEmitter:
                 f"{pad}extern __shared__ {node.declared_type} {node.name}[];"
             )
             lines.append(f"{pad}if (threadIdx.x < ObjectSize)")
-        lines.append(f"{pad}  {node.name}[threadIdx.x] = {self._identity(node)};")
+        lines.append(f"{pad}  {node.name}[threadIdx.x] = {self.identity};")
         return lines
-
-    def _identity(self, node: ast.VarDecl) -> str:
-        op = node.atomic or "add"
-        try:
-            return identity_literal(op, str(node.declared_type))
-        except ValueError:
-            return "0"
 
 
 def emit_coop_kernel(
-    variant: CoopVariant,
-    op: str = "add",
-    ctype: str = "float",
-    kernel_name: str = None,
+    variant: CoopVariant, identity: str = None, kernel_name: str = None
 ) -> str:
     """Render a cooperative codelet variant as a ``__global__`` kernel
-    (the shape of Listings 3 and 4)."""
+    (the shape of Listings 3 and 4).
+
+    The element type is the codelet's. Shared memory starts at
+    ``identity``, the C literal of the program's reduction identity,
+    which is what the lowering stores there (default: a sum's).
+    """
     codelet = variant.codelet
-    emitter = CudaEmitter(ctype=ctype)
+    ctype = str(codelet.return_type)
+    emitter = CudaEmitter(identity or identity_literal("add", ctype))
     emitter.container_name = codelet.params[0].name
     emitter.vector_name = codelet.vector_name()
     emitter.shared = codelet.shared_names()
@@ -282,25 +280,26 @@ def emit_coop_kernel(
 def emit_compound_pair(pre: PreprocessResult, pattern: str = "tile") -> dict:
     """The Listing 1 / Listing 2 pair for a compound codelet."""
     compound = pre.compound[pattern]
-    ctype = "float"
-    op = pre.reduction_op
-    atomic_fn = _ATOMIC_FN[op]
-    non_atomic = _emit_grid_code(ctype, atomic=False, atomic_fn=atomic_fn)
-    atomic = _emit_grid_code(ctype, atomic=True, atomic_fn=atomic_fn)
     return {
-        "non_atomic": non_atomic,
-        "atomic": atomic,
+        "non_atomic": _emit_grid_code(pre, atomic=False),
+        "atomic": _emit_grid_code(pre, atomic=True),
         "pattern": compound.pattern,
         "spectrum_disabled": compound.atomic.spectrum_disabled,
     }
 
 
-def _emit_grid_code(ctype: str, atomic: bool, atomic_fn: str) -> str:
-    """Host + device scaffolding following Listings 1 and 2."""
+def _emit_grid_code(pre: PreprocessResult, atomic: bool) -> str:
+    """Host + device scaffolding following Listings 1 and 2, in the
+    program's element type and reduction operator."""
+    op, ctype = pre.reduction_op, pre.ctype
+    # Listing 1 starts a sum at 0; other ops start at their identity
+    start = "0" if identity_value(op, ctype) == 0 else identity_literal(op, ctype)
+    accumulate = combine_source(op, "accum", "input_x[idx * Stride]")
+    reducer = reduction(op)
     if atomic:
-        thread_tail = f"  {atomic_fn}_block(Return, accum);"
+        thread_tail = f"  {reducer.block_api}(Return, accum);"
         alloc_block = "    map_return = new {t}[1];".format(t=ctype)
-        block_tail = f"    {atomic_fn}(Return, map_return[0]);"
+        block_tail = f"    {reducer.api}(Return, map_return[0]);"
         grid_alloc = f"  cudaMalloc(&map_return_block, sizeof({ctype}));"
     else:
         thread_tail = "  Return[threadIdx.x] = accum;"
@@ -311,9 +310,9 @@ def _emit_grid_code(ctype: str, atomic: bool, atomic_fn: str) -> str:
         )
     return f"""__inline__ __device__
 void Reduce_Thread({ctype} *Return, {ctype} *input_x, int Count, int Stride) {{
-  {ctype} accum = 0;
+  {ctype} accum = {start};
   for (int idx = 0; idx < Count; idx += 1)
-    accum += input_x[idx * Stride];
+    {accumulate}
 {thread_tail}
 }}
 
@@ -353,7 +352,8 @@ def emit_version(pre: PreprocessResult, version: Version) -> str:
     ]
     parts = []
     coop = pre.coop_variant(version.combine)
-    parts.append(emit_coop_kernel(coop, op=pre.reduction_op))
+    identity = identity_literal(pre.reduction_op, pre.ctype)
+    parts.append(emit_coop_kernel(coop, identity))
     if version.block_kind == "compound":
         pair = emit_compound_pair(pre, version.block_pattern)
         parts.append(pair["atomic" if version.uses_global_atomic else "non_atomic"])

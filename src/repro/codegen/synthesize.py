@@ -22,9 +22,9 @@ import time
 from dataclasses import dataclass
 
 from ..core.pipeline import PreprocessResult
-from ..core.sources import identity_value
 from ..core.variants import Version, fig6_label
 from ..lang.errors import SynthesisError
+from ..lang.reductions import identity_value
 from ..vir import (
     Arg,
     IRBuilder,
@@ -112,7 +112,7 @@ def build_plan(
 def _build_kernels(pre, version, geometry) -> tuple:
     """The kernels of one version's plan: the main kernel, plus the
     partials kernel for a second-kernel final combine."""
-    identity = identity_value(pre.reduction_op, _element_ctype(pre))
+    identity = identity_value(pre.reduction_op, pre.ctype)
     main = _build_main_kernel(
         pre, version, geometry["block"], _unit_stride(version, geometry),
         identity,
@@ -126,7 +126,6 @@ def _assemble_plan(pre, version, n, geometry, kernels) -> Plan:
     """The host plan around built kernels: launch shapes and launch
     constants carry everything that depends on ``n``."""
     op = pre.reduction_op
-    ctype = _element_ctype(pre)
     label = fig6_label(version)
     main = kernels[0]
     args = {"n": n}
@@ -142,7 +141,7 @@ def _assemble_plan(pre, version, n, geometry, kernels) -> Plan:
     ]
     scratch = {"out": 1}
     if version.final_combine == "global_atomic":
-        steps.insert(0, MemsetStep("out", identity_value(op, ctype)))
+        steps.insert(0, MemsetStep("out", identity_value(op, pre.ctype)))
     else:
         scratch["partials"] = geometry["grid"]
         steps.append(
@@ -161,7 +160,7 @@ def _assemble_plan(pre, version, n, geometry, kernels) -> Plan:
         result_buffer="out",
         result_index=0,
         meta={
-            "dtype": "int32" if ctype == "int" else "float32",
+            "dtype": "int32" if pre.ctype == "int" else "float32",
             "version": version.identifier,
             "label": label,
             "op": op,
@@ -215,7 +214,7 @@ def kernel_key(
     return (
         "kernels",
         pre.reduction_op,
-        _element_ctype(pre),
+        pre.ctype,
         version.identifier,
         t.block,
         _unit_stride(version, launch_geometry(version, n, t)),
@@ -284,11 +283,6 @@ def build_plan_cached(
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _element_ctype(pre) -> str:
-    """The DSL element type of the spectrum ('float' or 'int')."""
-    return str(pre.analyzed.spectrum(pre.spectrum)[0].codelet.return_type)
 
 
 def _build_main_kernel(pre, version, block, unit_stride, identity) -> Kernel:

@@ -17,14 +17,7 @@ from .pipeline import (
 from .aggregate import AggregateResult, apply_warp_aggregation
 from .shuffle import ShuffleMatch, ShuffleResult, apply_shuffle, detect_shuffle_loops
 from .unroll import UnrollResult, apply_unroll
-from .sources import (
-    LIBRARY_OPS,
-    REDUCTION_OPS,
-    identity_literal,
-    identity_value,
-    load_reduction_program,
-    reduction_source,
-)
+from .sources import load_reduction_program, reduction_source
 from .variants import (
     BEST8,
     FIG6,
@@ -44,9 +37,7 @@ __all__ = [
     "CoopVariant",
     "FIG6",
     "GlobalAtomicResult",
-    "LIBRARY_OPS",
     "PreprocessResult",
-    "REDUCTION_OPS",
     "SharedAtomicResult",
     "ShuffleMatch",
     "ShuffleResult",
@@ -61,8 +52,6 @@ __all__ = [
     "detect_shuffle_loops",
     "enumerate_versions",
     "fig6_label",
-    "identity_literal",
-    "identity_value",
     "infer_reduction_op",
     "load_reduction_program",
     "original_tangram_versions",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..lang import ast
-from ..lang.errors import TransformError
+from ..lang.reductions import REDUCTIONS, combine_stmt
 from ..vir.instructions import WARP
 
 
@@ -33,22 +33,6 @@ from ..vir.instructions import WARP
 class AggregateResult:
     codelet: ast.Codelet
     rewrites: int = 0
-
-
-def _combine_stmt(op: str, accumulator: str, shuffle: ast.WarpShuffle) -> ast.Stmt:
-    if op in ("add", "sub"):
-        # subtraction aggregates contributions additively; the single
-        # atomicSub then applies the warp total
-        return ast.Assign(
-            target=ast.Ident(name=accumulator), op="+=", value=shuffle
-        )
-    if op in ("max", "min"):
-        return ast.Assign(
-            target=ast.Ident(name=accumulator),
-            op="=",
-            value=ast.Call(name=op, args=[ast.Ident(name=accumulator), shuffle]),
-        )
-    raise TransformError(f"cannot aggregate atomic op {op!r}")
 
 
 def _build_aggregation(update: ast.AtomicUpdate, vector: str, index: int) -> list:
@@ -74,6 +58,9 @@ def _build_aggregation(update: ast.AtomicUpdate, vector: str, index: int) -> lis
         direction="down",
         width=WARP,
     )
+    # a warp merges its contributions (a subtraction's add up), and the
+    # leader's one update applies them
+    combine = combine_stmt(REDUCTIONS[update.op].merge, agg_name, shuffle)
     loop = ast.For(
         init=ast.VarDecl(
             name=offset_name,
@@ -84,7 +71,7 @@ def _build_aggregation(update: ast.AtomicUpdate, vector: str, index: int) -> lis
                         rhs=ast.IntLiteral(value=0)),
         step=ast.Assign(target=ast.Ident(name=offset_name), op="/=",
                         value=ast.IntLiteral(value=2)),
-        body=ast.Block(stmts=[_combine_stmt(update.op, agg_name, shuffle)]),
+        body=ast.Block(stmts=[combine]),
         span=update.span,
     )
     lane_is_zero = ast.Binary(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from ..lang import AnalyzedProgram, CodeletInfo, ast
 from ..lang.errors import TransformError
+from ..lang.reductions import API_OPS, match_combine
 
 
 @dataclass
@@ -62,25 +63,9 @@ def _accumulate_op(codelet: ast.Codelet):
     if accumulator is None:
         return None
     for node in ast.walk(codelet):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not (
-            isinstance(node.target, ast.Ident) and node.target.name == accumulator
-        ):
-            continue
-        if node.op == "+=":
-            return "add"
-        if node.op == "-=":
-            return "sub"
-        if (
-            node.op == "="
-            and isinstance(node.value, ast.Call)
-            and node.value.name in ("max", "min")
-            and node.value.args
-            and isinstance(node.value.args[0], ast.Ident)
-            and node.value.args[0].name == accumulator
-        ):
-            return node.value.name
+        match = match_combine(node)
+        if match is not None and match[1] == accumulator:
+            return match[0]
     return None
 
 
@@ -186,9 +171,6 @@ def apply_global_atomic(
     )
 
 
-_MAP_ATOMIC_METHODS = ("atomicAdd", "atomicSub", "atomicMax", "atomicMin")
-
-
 class _AtomicApiRemover(ast.NodeTransformer):
     def __init__(self, map_name: str):
         self.map_name = map_name
@@ -198,7 +180,7 @@ class _AtomicApiRemover(ast.NodeTransformer):
         expr = node.expr
         if (
             isinstance(expr, ast.MethodCall)
-            and expr.method in _MAP_ATOMIC_METHODS
+            and expr.method in API_OPS
             and isinstance(expr.obj, ast.Ident)
             and expr.obj.name == self.map_name
         ):

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 
 from ..lang import ast
 from ..lang.errors import TransformError
-
-#: compound-assignment operator compatible with each atomic qualifier
-_COMPATIBLE_COMPOUND = {"add": "+=", "sub": "-="}
+from ..lang.reductions import REDUCTIONS
 
 
 @dataclass
@@ -51,21 +49,17 @@ class _SharedAtomicRewriter(ast.NodeTransformer):
         if name is None or name not in self.atomics:
             return self.generic_visit(node)
         op = self.atomics[name]
-        if node.op == "=":
-            value = node.value
-        elif _COMPATIBLE_COMPOUND.get(op) == node.op:
-            value = node.value
-        else:
+        if node.op not in ("=", REDUCTIONS[op].compound):
             raise TransformError(
                 f"write {node.op!r} to {name!r} conflicts with its "
-                f"_atomic{op.capitalize()} qualifier",
+                f"{REDUCTIONS[op].qualifier} qualifier",
                 node.span,
             )
         self.rewrites += 1
         return ast.AtomicUpdate(
             target=node.target,
             op=op,
-            value=value,
+            value=node.value,
             space="shared",
             span=node.span,
         )

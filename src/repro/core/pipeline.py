@@ -81,6 +81,7 @@ class PreprocessResult:
     analyzed: AnalyzedProgram
     spectrum: str
     reduction_op: str
+    ctype: str  # the spectrum's DSL element type ('float' or 'int')
     coop: dict = field(default_factory=dict)  # key -> CoopVariant
     compound: dict = field(default_factory=dict)  # pattern -> CompoundVariants
     log: list = field(default_factory=list)  # human-readable pass log
@@ -104,7 +105,10 @@ def preprocess(
     tracer = get_tracer()
     with tracer.span("pass.planner", spectrum=spectrum):
         op = infer_reduction_op(analyzed, spectrum)
-    result = PreprocessResult(analyzed=analyzed, spectrum=spectrum, reduction_op=op)
+    ctype = str(analyzed.spectrum(spectrum)[0].codelet.return_type)
+    result = PreprocessResult(
+        analyzed=analyzed, spectrum=spectrum, reduction_op=op, ctype=ctype
+    )
     result.log.append(f"planner: spectrum {spectrum!r} reduces with op {op!r}")
 
     _build_coop_variants(analyzed, spectrum, result)

@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..lang import ast
+from ..lang.reductions import LIBRARY_OPS, combine_stmt, match_combine
 from ..vir.instructions import WARP
 
 _VECTOR_BOUND_METHODS = ("MaxSize", "Size")
-_REDUCTION_CALLS = ("max", "min")
 
 
 @dataclass
@@ -44,7 +44,7 @@ class ShuffleMatch:
     accumulator: str
     shared_array: str
     direction: str  # down | up
-    combine: str  # "add" or "max"/"min" (generalized accumulate forms)
+    combine: str  # the reduction op of the combine statement
 
 
 @dataclass
@@ -185,28 +185,15 @@ def _iterator_decreases(loop: ast.For, iterator: str) -> bool:
 
 
 def _match_reduction_stmt(stmt, shared_arrays: set):
-    """Step (3): ``acc += <read>`` or ``acc = max/min(acc, <read>)``.
+    """Step (3): the combine statement of an associative, commutative
+    op (``acc += <read>``, ``acc = max(acc, <read>)`` …).
 
     Returns ``(accumulator, shared_array, read_index_expr, combine)``.
     """
-    if not isinstance(stmt, ast.Assign) or not isinstance(stmt.target, ast.Ident):
+    match = match_combine(stmt)
+    if match is None or match[0] not in LIBRARY_OPS:
         return None
-    accumulator = stmt.target.name
-    if stmt.op == "+=":
-        read = stmt.value
-        combine = "add"
-    elif stmt.op == "=" and isinstance(stmt.value, ast.Call) and (
-        stmt.value.name in _REDUCTION_CALLS
-    ):
-        args = stmt.value.args
-        if len(args) != 2:
-            return None
-        if not (isinstance(args[0], ast.Ident) and args[0].name == accumulator):
-            return None
-        read = args[1]
-        combine = stmt.value.name
-    else:
-        return None
+    combine, accumulator, read = match
     access = _find_shared_read(read, shared_arrays)
     if access is None:
         return None
@@ -268,19 +255,7 @@ def _rewrite_loop(match: ShuffleMatch, width: int) -> None:
         direction=match.direction,
         width=width,
     )
-    if match.combine == "add":
-        new_stmt = ast.Assign(
-            target=ast.Ident(name=match.accumulator), op="+=", value=shuffle
-        )
-    else:
-        new_stmt = ast.Assign(
-            target=ast.Ident(name=match.accumulator),
-            op="=",
-            value=ast.Call(
-                name=match.combine,
-                args=[ast.Ident(name=match.accumulator), shuffle],
-            ),
-        )
+    new_stmt = combine_stmt(match.combine, match.accumulator, shuffle)
     match.loop.body = ast.Block(stmts=[new_stmt], span=match.loop.body.span)
 
 

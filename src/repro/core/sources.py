@@ -17,66 +17,14 @@ AST pass derives them from ``coop_tree`` and ``shared_v2`` automatically
 
 Non-``add`` reductions pad with the op's identity instead of ``0`` (the
 paper only evaluates sums; padding with the identity keeps max/min
-correct for negative inputs).
+correct for negative inputs). Identities, API names, qualifiers and
+combine statements come from :mod:`repro.lang.reductions`.
 """
 
 from __future__ import annotations
 
 from ..lang import AnalyzedProgram, analyze_source
-
-#: Reduction operators supported by the Map atomic API (Section III-A).
-REDUCTION_OPS = ("add", "sub", "max", "min")
-
-#: Ops with full DSL codelet libraries (associative reductions).
-LIBRARY_OPS = ("add", "max", "min")
-
-_IDENTITY = {
-    ("add", "float"): "0.0f",
-    ("max", "float"): "-3.402823e38f",
-    ("min", "float"): "3.402823e38f",
-    ("add", "int"): "0",
-    ("max", "int"): "-2147483647",
-    ("min", "int"): "2147483647",
-}
-
-_ATOMIC_API = {"add": "atomicAdd", "sub": "atomicSub", "max": "atomicMax", "min": "atomicMin"}
-_ATOMIC_QUALIFIER = {"add": "_atomicAdd", "sub": "_atomicSub", "max": "_atomicMax", "min": "_atomicMin"}
-
-
-def identity_literal(op: str, ctype: str) -> str:
-    key = (op, ctype)
-    if key not in _IDENTITY:
-        raise ValueError(f"no identity for op={op!r}, ctype={ctype!r}")
-    return _IDENTITY[key]
-
-
-def identity_value(op: str, ctype: str = "float"):
-    """Numeric identity used for device-buffer initialization."""
-    if ctype not in ("float", "int"):
-        raise ValueError(f"ctype must be 'float' or 'int', got {ctype!r}")
-    if op in ("add", "sub"):
-        return 0.0 if ctype == "float" else 0
-    if op == "max":
-        return -3.402823e38 if ctype == "float" else -2147483647
-    if op == "min":
-        return 3.402823e38 if ctype == "float" else 2147483647
-    raise ValueError(f"unknown reduction op {op!r}")
-
-
-def _accumulate(op: str, target: str, value: str) -> str:
-    """The serial accumulate statement for one element."""
-    if op == "add":
-        return f"{target} += {value};"
-    if op == "sub":
-        return f"{target} -= {value};"
-    if op in ("max", "min"):
-        return f"{target} = {op}({target}, {value});"
-    raise ValueError(f"unknown reduction op {op!r}")
-
-
-def _combine(op: str, target: str, value: str) -> str:
-    """The tree-step combine statement (same shape the paper uses)."""
-    return _accumulate(op, target, value)
+from ..lang.reductions import LIBRARY_OPS, combine_source, identity_literal, reduction
 
 
 def reduction_source(op: str = "add", ctype: str = "float") -> str:
@@ -86,19 +34,17 @@ def reduction_source(op: str = "add", ctype: str = "float") -> str:
             f"DSL codelet library supports {LIBRARY_OPS}; op {op!r} is only "
             f"available through the Map atomic API"
         )
-    if ctype not in ("float", "int"):
-        raise ValueError(f"ctype must be 'float' or 'int', got {ctype!r}")
     ident = identity_literal(op, ctype)
-    api = _ATOMIC_API[op]
-    qualifier = _ATOMIC_QUALIFIER[op]
-    acc = _accumulate(op, "accum", "in[idx]")
+    api = reduction(op).api
+    qualifier = reduction(op).qualifier
+    acc = combine_source(op, "accum", "in[idx]")
     tree_read = f"(vthread.LaneId() + offset < vthread.Size()) ? tmp[vthread.ThreadId() + offset] : {ident}"
-    tree_step = _combine(op, "val", f"{tree_read}")
+    tree_step = combine_source(op, "val", tree_read)
     partial_read = (
         f"(vthread.LaneId() + offset < vthread.Size()) ? "
         f"partial[vthread.ThreadId() + offset] : {ident}"
     )
-    partial_step = _combine(op, "val", f"{partial_read}")
+    partial_step = combine_source(op, "val", partial_read)
 
     return f"""
 // ---- Figure 1(a): atomic autonomous serial reduction -------------------

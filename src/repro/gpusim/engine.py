@@ -95,6 +95,7 @@ from ..obs import default_metrics, get_tracer
 from ..vir.analysis import kernel_facts
 from ..vir.instructions import (
     ALU_IMPL,
+    ATOMIC_IMPL,
     SHFL_MODES,
     SHFL_WIDTHS,
     WARP,
@@ -139,14 +140,6 @@ _SEGMENT_KEYS = frozenset({"mem.global.ld.trans", "mem.global.bytes"})
 
 class SimulationError(Exception):
     """Raised when a kernel does something invalid (OOB access, etc.)."""
-
-
-_ATOMIC_UFUNC = {
-    "add": np.add,
-    "sub": np.subtract,
-    "min": np.minimum,
-    "max": np.maximum,
-}
 
 
 def launch_constant(state, arg):
@@ -1314,7 +1307,7 @@ class _BatchedRun:
     def _atom_shared_values(self, instr, idx, mask) -> None:
         src = self._value_array(instr.src, mask)
         arr = self.shared[instr.buf]
-        _ATOMIC_UFUNC[instr.op].at(arr, (self._brow[mask], idx[mask]), src[mask])
+        ATOMIC_IMPL[instr.op].at(arr, (self._brow[mask], idx[mask]), src[mask])
 
     def _atom_global(self, instr, mask) -> None:
         idx = self._atom_global_events(instr, mask)
@@ -1378,7 +1371,7 @@ class _BatchedRun:
         # ufunc.at applies updates in flattened (block-major) order — the
         # same order one-block chunks produce, so float accumulation does
         # not depend on the chunking.
-        _ATOMIC_UFUNC[instr.op].at(arr, idx[mask], src[mask].astype(arr.dtype))
+        ATOMIC_IMPL[instr.op].at(arr, idx[mask], src[mask].astype(arr.dtype))
 
     # -- shuffles -----------------------------------------------------------
 

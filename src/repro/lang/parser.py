@@ -16,7 +16,8 @@ from . import ast
 from .errors import ParseError
 from .lexer import Lexer
 from .source import SourceFile, Span
-from .tokens import ATOMIC_QUALIFIER_KINDS, Token, TokenKind
+from .reductions import QUALIFIER_OPS
+from .tokens import Token, TokenKind
 from .types import (
     ContainerType,
     SCALAR_BY_NAME,
@@ -219,7 +220,7 @@ class Parser:
             return self.parse_while()
         if token.kind is TokenKind.KW_RETURN:
             return self.parse_return()
-        if token.kind in _DECL_START_TOKENS or token.kind in ATOMIC_QUALIFIER_KINDS:
+        if token.kind in _DECL_START_TOKENS or token.kind is TokenKind.KW_ATOMIC:
             stmt = self.parse_var_decl()
             self.expect(TokenKind.SEMICOLON, "declaration")
             return stmt
@@ -312,12 +313,12 @@ class Parser:
             elif token.kind is TokenKind.KW_TUNABLE:
                 tunable = True
                 self.advance()
-            elif token.kind in ATOMIC_QUALIFIER_KINDS:
+            elif token.kind is TokenKind.KW_ATOMIC:
                 if atomic is not None:
                     raise ParseError(
                         "multiple atomic qualifiers on one declaration", token.span
                     )
-                atomic = ATOMIC_QUALIFIER_KINDS[token.kind]
+                atomic = QUALIFIER_OPS[token.text]
                 self.advance()
             else:
                 break

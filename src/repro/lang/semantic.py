@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from . import ast
 from .errors import SemanticError, TypeMismatchError
+from .reductions import API_OPS, REDUCTIONS
 from .symbols import Scope, Symbol
 from .types import (
     BOOL,
@@ -60,14 +61,6 @@ CONTAINER_METHODS = {
     "Size": UNSIGNED,
     "Stride": UNSIGNED,
 }
-
-MAP_ATOMIC_METHODS = {
-    "atomicAdd": "add",
-    "atomicSub": "sub",
-    "atomicMax": "max",
-    "atomicMin": "min",
-}
-
 
 @dataclass
 class MapInfo:
@@ -292,7 +285,7 @@ class _Analyzer:
         if (
             isinstance(expr, ast.MethodCall)
             and isinstance(expr.obj, ast.Ident)
-            and expr.method in MAP_ATOMIC_METHODS
+            and expr.method in API_OPS
         ):
             symbol = scope.lookup(expr.obj.name)
             if symbol is not None and isinstance(symbol.ty, MapType):
@@ -310,7 +303,7 @@ class _Analyzer:
             raise SemanticError(
                 f"Map {symbol.name!r} already has an atomic API call", expr.span
             )
-        map_info.atomic_op = MAP_ATOMIC_METHODS[expr.method]
+        map_info.atomic_op = API_OPS[expr.method]
         map_info.atomic_call = stmt
         expr.obj.ty = symbol.ty
         expr.ty = VOID
@@ -355,7 +348,7 @@ class _Analyzer:
     def _check_var_decl(self, decl: ast.VarDecl, scope: Scope) -> None:
         if decl.atomic is not None and not decl.shared:
             raise SemanticError(
-                f"_atomic{decl.atomic.capitalize()} qualifier requires __shared "
+                f"{REDUCTIONS[decl.atomic].qualifier} qualifier requires __shared "
                 f"(declaration of {decl.name!r})",
                 decl.span,
             )
@@ -640,7 +633,7 @@ class _Analyzer:
                 if expr.args:
                     raise SemanticError("Map.Size() takes no arguments", expr.span)
                 return UNSIGNED
-            if method in MAP_ATOMIC_METHODS:
+            if method in API_OPS:
                 raise SemanticError(
                     f"Map.{method}() is a statement-level API, not an expression",
                     expr.span,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .reductions import QUALIFIER_OPS
 from .source import Span
 
 
@@ -20,10 +21,7 @@ class TokenKind(enum.Enum):
     KW_TAG = "__tag"
     KW_SHARED = "__shared"
     KW_TUNABLE = "__tunable"
-    KW_ATOMIC_ADD = "_atomicAdd"
-    KW_ATOMIC_SUB = "_atomicSub"
-    KW_ATOMIC_MAX = "_atomicMax"
-    KW_ATOMIC_MIN = "_atomicMin"
+    KW_ATOMIC = "atomic qualifier"  # the token text names the op
     KW_CONST = "const"
     KW_INT = "int"
     KW_UNSIGNED = "unsigned"
@@ -94,10 +92,7 @@ KEYWORDS = {
     "__tag": TokenKind.KW_TAG,
     "__shared": TokenKind.KW_SHARED,
     "__tunable": TokenKind.KW_TUNABLE,
-    "_atomicAdd": TokenKind.KW_ATOMIC_ADD,
-    "_atomicSub": TokenKind.KW_ATOMIC_SUB,
-    "_atomicMax": TokenKind.KW_ATOMIC_MAX,
-    "_atomicMin": TokenKind.KW_ATOMIC_MIN,
+    **dict.fromkeys(QUALIFIER_OPS, TokenKind.KW_ATOMIC),
     "const": TokenKind.KW_CONST,
     "int": TokenKind.KW_INT,
     "unsigned": TokenKind.KW_UNSIGNED,
@@ -116,13 +111,6 @@ KEYWORDS = {
     "Sequence": TokenKind.KW_SEQUENCE,
     "Map": TokenKind.KW_MAP,
     "Vector": TokenKind.KW_VECTOR,
-}
-
-ATOMIC_QUALIFIER_KINDS = {
-    TokenKind.KW_ATOMIC_ADD: "add",
-    TokenKind.KW_ATOMIC_SUB: "sub",
-    TokenKind.KW_ATOMIC_MAX: "max",
-    TokenKind.KW_ATOMIC_MIN: "min",
 }
 
 

@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gpusim import Executor
+from ..lang.reductions import CTYPES, LIBRARY_OPS
 from .dynamic import Sanitizer
 from .lint import lint_plan
 from .negatives import all_negatives
-
-DEFAULT_OPS = ("add", "max", "min")
-DEFAULT_CTYPES = ("float", "int")
 
 
 @dataclass
@@ -78,8 +76,8 @@ def sanitize_variant(fw, version, n: int, lint: bool = True) -> VariantReport:
     return report
 
 
-def sweep_catalog(n: int, versions=None, ops=DEFAULT_OPS,
-                  ctypes=DEFAULT_CTYPES, lint: bool = True,
+def sweep_catalog(n: int, versions=None, ops=LIBRARY_OPS,
+                  ctypes=CTYPES, lint: bool = True,
                   progress=None) -> list:
     """Sanitize the catalog cross product; returns VariantReports."""
     from ..core import FIG6

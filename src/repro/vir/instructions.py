@@ -22,7 +22,7 @@ generated CUDA touches:
 Instructions are plain dataclasses; the printer in
 :mod:`repro.vir.printer` renders a stable text format used in golden
 tests. What each ALU opcode computes is defined once, in
-:data:`ALU_IMPL`.
+:data:`ALU_IMPL`, and what each atomic computes in :data:`ATOMIC_IMPL`.
 """
 
 from __future__ import annotations
@@ -166,7 +166,16 @@ UNARY_OPS = frozenset({"neg", "lnot", "bnot"})
 
 BINARY_OPS = frozenset(ALU_IMPL) - UNARY_OPS
 
-ATOMIC_OPS = frozenset({"add", "sub", "min", "max"})
+#: What each atomic opcode computes: the ufunc whose unbuffered ``.at``
+#: applies every lane's update to its address, same-address ones too.
+ATOMIC_IMPL = {
+    "add": np.add,
+    "sub": np.subtract,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+
+ATOMIC_OPS = frozenset(ATOMIC_IMPL)
 
 SHFL_MODES = frozenset({"down", "up", "xor", "idx"})
 

@@ -1,9 +1,13 @@
 """Golden-style tests for CUDA C emission (the paper's Listings 1-4)."""
 
+import re
+
 import pytest
 
 from repro.codegen.cuda import emit_compound_pair, emit_coop_kernel, emit_version
 from repro.core import FIG6
+from repro.core.variants import ALL_COOP_KEYS
+from repro.lang.reductions import identity_literal
 
 
 class TestListing3Shape:
@@ -14,7 +18,7 @@ class TestListing3Shape:
         from repro import ReductionFramework
 
         fw = ReductionFramework("add")
-        return emit_coop_kernel(fw.pre.coop_variant("VA2"), op="add")
+        return emit_coop_kernel(fw.pre.coop_variant("VA2"))
 
     def test_kernel_signature(self, text):
         assert "__global__" in text
@@ -54,7 +58,7 @@ class TestListing4Shape:
         from repro import ReductionFramework
 
         fw = ReductionFramework("add")
-        return emit_coop_kernel(fw.pre.coop_variant("VS"), op="add")
+        return emit_coop_kernel(fw.pre.coop_variant("VS"))
 
     def test_shuffles_emitted(self, text):
         assert text.count("__shfl_down(val, offset, 32)") == 2
@@ -126,7 +130,9 @@ class TestEmitVersion:
         from repro import ReductionFramework
 
         fw = ReductionFramework("max")
-        text = emit_coop_kernel(fw.pre.coop_variant("VA1"), op="max")
+        text = emit_coop_kernel(
+            fw.pre.coop_variant("VA1"), identity_literal("max", "float")
+        )
         assert "atomicMax(&tmp, val);" in text
         # identity padding instead of zero
         assert "-3.402823e+38f" in text or "-3.402823e38f" in text
@@ -153,7 +159,7 @@ class TestBarrierParity:
             for step in plan.steps if isinstance(step, KernelStep)
             for instr in walk_instrs(step.kernel.body)
         )
-        text = emit_coop_kernel(fw.pre.coop_variant(key), op="add")
+        text = emit_coop_kernel(fw.pre.coop_variant(key))
         assert text.count("__syncthreads();") == bars
 
     def test_warp_sized_shared_array_is_static(self):
@@ -172,3 +178,100 @@ class TestBarrierParity:
         cuda = emit_coop_kernel(CoopVariant(key="T", codelet=codelet))
         assert "__shared__ float t[32];" in cuda
         assert "extern" not in cuda
+
+
+def _shared_inits(text: str) -> list:
+    """The literal each ``__shared__`` variable of a listing starts at:
+    the assignment two lines below its declaration."""
+    lines = text.splitlines()
+    inits = []
+    for i, line in enumerate(lines):
+        decl = re.match(r"\s*(?:extern )?__shared__ \w+ (\w+)", line)
+        if decl:
+            init = re.match(
+                rf"\s*{decl.group(1)}(?:\[threadIdx\.x\])? = (\S+);$", lines[i + 2]
+            )
+            assert init, lines[i + 2]
+            inits.append(init.group(1))
+    return inits
+
+
+def _literal_value(literal: str, ctype: str):
+    return float(literal.rstrip("f")) if ctype == "float" else int(literal)
+
+
+def _lowered_inits(plan) -> set:
+    """The immediates the plan's kernels store to shared memory: the
+    cooperative initialization of every shared variable."""
+    from repro.vir import Imm, KernelStep, StShared, walk_instrs
+
+    return {
+        instr.src.value
+        for step in plan.steps if isinstance(step, KernelStep)
+        for instr in walk_instrs(step.kernel.body)
+        if isinstance(instr, StShared) and isinstance(instr.src, Imm)
+    }
+
+
+_OP_CTYPES = [(op, ctype) for op in ("add", "max", "min") for ctype in ("float", "int")]
+
+
+class TestIdentityParity:
+    """A listing's shared memory starts at the identity the lowered
+    kernel stores there, for every op, element type and version."""
+
+    @pytest.fixture(scope="class")
+    def frameworks(self):
+        from repro import ReductionFramework
+
+        return {key: ReductionFramework(*key) for key in _OP_CTYPES}
+
+    @pytest.mark.parametrize("op, ctype", _OP_CTYPES)
+    @pytest.mark.parametrize("label", sorted(FIG6))
+    def test_version_listing(self, frameworks, op, ctype, label):
+        from repro.codegen import build_plan
+
+        fw = frameworks[op, ctype]
+        text = emit_version(fw.pre, FIG6[label])
+        inits = {_literal_value(lit, ctype) for lit in _shared_inits(text)}
+        assert inits == _lowered_inits(build_plan(fw.pre, FIG6[label], 4099))
+
+    @pytest.mark.parametrize("op, ctype", _OP_CTYPES)
+    @pytest.mark.parametrize("key", ALL_COOP_KEYS)
+    def test_coop_kernel(self, frameworks, op, ctype, key):
+        from repro.codegen import build_plan
+        from repro.core import Version
+
+        fw = frameworks[op, ctype]
+        version = Version(
+            grid_pattern="tile", final_combine="global_atomic",
+            block_kind="coop", combine=key,
+        )
+        text = emit_coop_kernel(
+            fw.pre.coop_variant(key), identity_literal(op, ctype)
+        )
+        inits = {_literal_value(lit, ctype) for lit in _shared_inits(text)}
+        assert inits == _lowered_inits(build_plan(fw.pre, version, 4099))
+
+
+class TestProgramTypes:
+    """Listings render the program's element type and operator."""
+
+    def test_int_add_version(self):
+        from repro import ReductionFramework
+
+        text = emit_version(ReductionFramework("add", ctype="int").pre, FIG6["b"])
+        assert "int *Return, int *input_x, int SourceSize" in text
+        assert "int accum = 0;" in text
+        assert "float" not in text
+
+    def test_float_max_compound_pair(self):
+        from repro import ReductionFramework
+
+        pair = emit_compound_pair(ReductionFramework("max").pre, "tile")
+        for text in (pair["atomic"], pair["non_atomic"]):
+            assert "float accum = -3.402823e38f;" in text
+            assert "accum = max(accum, input_x[idx * Stride]);" in text
+            assert "accum +=" not in text
+        assert "atomicMax_block(Return, accum);" in pair["atomic"]
+        assert "atomicMax(Return, map_return[0]);" in pair["atomic"]

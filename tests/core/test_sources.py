@@ -2,36 +2,8 @@
 
 import pytest
 
-from repro.core.sources import (
-    LIBRARY_OPS,
-    identity_literal,
-    identity_value,
-    load_reduction_program,
-    reduction_source,
-)
-
-
-class TestIdentities:
-    def test_add_identity(self):
-        assert identity_value("add") == 0.0
-        assert identity_literal("add", "float") == "0.0f"
-        assert identity_literal("add", "int") == "0"
-
-    def test_max_identity_is_lowest_float(self):
-        assert identity_value("max") < -1e38
-        assert "-3.402823e38f" == identity_literal("max", "float")
-
-    def test_min_identity_is_highest_float(self):
-        assert identity_value("min") > 1e38
-
-    def test_sub_identity(self):
-        assert identity_value("sub") == 0.0
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            identity_value("xor")
-        with pytest.raises(ValueError):
-            identity_literal("xor", "float")
+from repro.core.sources import load_reduction_program, reduction_source
+from repro.lang.reductions import LIBRARY_OPS
 
 
 class TestSourceGeneration:
