@@ -17,7 +17,7 @@ serves both block orders and every chunk — one block per chunk under
 
 Closure contract
 ----------------
-A closure runs under three preconditions, established by the run
+A closure runs under four preconditions, established by the run
 state's ``_run_trace``:
 
 * ``mask`` has at least one active lane (the interpreter's per-
@@ -28,7 +28,18 @@ state's ``_run_trace``:
   event counting is a bare ``events[key] += state._cur_warps``;
 * register arrays are never mutated in place by the run state (writes
   always rebind), so closures may store aliased/broadcast arrays
-  without the interpreter's defensive copy.
+  without the interpreter's defensive copy;
+* a register holds the smallest shape that broadcasts to the chunk's
+  ``(B, T)``: ``()`` for launch-uniform values (``Imm``, ``Arg``,
+  ``ld.param``, ``%ntid``, ``%nctaid`` and what is computed only from
+  them), ``(B, 1)`` for block-uniform ones (``%ctaid`` and what derives
+  from it), ``(1, T)`` for ``%tid``/``%laneid``/``%warpid``. ALU closures
+  compute on those shapes and numpy broadcasting shapes the result. The
+  run state builds a full array only when a write under a partial mask
+  merges into an existing value, and in the memory, atomic and shuffle
+  methods, which broadcast index and source operands as views and
+  whose loads and gathers produce full arrays. A consumer that needs
+  ``(B, T)`` broadcasts at the point of use.
 
 Structured control flow compiles to closures holding pre-compiled
 sub-traces (``If``/``While`` delegate to the run state's ``_exec_if_c`` /
@@ -183,11 +194,7 @@ def _c_special(instr):
     dst = instr.dst
 
     def run(state, mask):
-        value = state._cache.get(kind)
-        if value is None:
-            value = state._special(kind)
-            state._cache[kind] = value
-        state._write(dst, value, mask)
+        state._write(dst, state._special(kind), mask)
         state.events["inst.alu"] += state._cur_warps
 
     return run
@@ -196,14 +203,9 @@ def _c_special(instr):
 def _c_ldparam(instr):
     name = instr.name
     dst = instr.dst
-    key = ("param", name)
 
     def run(state, mask):
-        value = state._cache.get(key)
-        if value is None:
-            value = np.full(state.shape, state.step.args[name])
-            state._cache[key] = value
-        state._write(dst, value, mask)
+        state._write(dst, state.step.args[name], mask)
         state.events["inst.alu"] += state._cur_warps
 
     return run
@@ -263,10 +265,9 @@ _ALU_OPS = {
 
 def _c_if(instr, then_trace, else_trace):
     cond_read = _reader(instr.cond)
-    has_else = bool(instr.otherwise)
 
     def run(state, mask):
-        state._exec_if_c(cond_read, then_trace, else_trace, has_else, mask)
+        state._exec_if_c(cond_read, then_trace, else_trace, mask)
 
     return run
 

@@ -41,6 +41,24 @@ batchable kernels both orders produce bit-identical numeric results
 ``tests/gpusim/test_batched_engine.py``, which sets ``BATCH_LANES = 1``
 to get the one-block chunks of the sequential order).
 
+Registers keep their broadcast shape on the ``compiled`` backend. Each
+register is held in the smallest shape that broadcasts to the chunk's
+``(B, T)`` (blocks × threads): ``()`` for launch-uniform values
+(immediates, launch constants, ``ld.param``, ``%ntid``, ``%nctaid`` and
+what is computed only from them), ``(B, 1)`` for block-uniform ones
+(``%ctaid`` and what derives from it) and ``(1, T)`` for lane-only ones
+(``%tid``, ``%laneid``, ``%warpid``); numpy broadcasting gives every ALU
+result its shape. A full ``(B, T)`` array is built only where values
+differ per lane: a write under a partial mask that merges into an
+existing value (:meth:`_BatchedRun._write`), and the loads, gathers and
+shuffles that read per-lane values. Index and source operands are
+broadcast to ``(B, T)`` as views at the point of use. A shuffle with a
+``()`` offset reads one cached ``(T,)`` source row, and an ``If`` or
+``While`` condition of shape ``()`` or ``(B, 1)`` cannot split a warp, so
+its divergence count is skipped (a ``()`` condition passes the parent
+mask through). The interpreter keeps full arrays: it is the independent
+oracle the compiled trace is checked against.
+
 Profiling counts warp-instructions (one unit per warp with ≥1 active
 lane), global-memory transactions at 128-byte-segment granularity
 (coalescing), shared-memory bank-conflict replays, atomic same-address
@@ -449,11 +467,13 @@ class Executor:
 class _BatchedRun:
     """Execution state of a chunk of blocks (2-D ``blocks × threads``).
 
-    The one SIMT run state: registers and masks are ``(B, T)`` arrays,
-    shared memory is ``(B, S)``, and every per-thread operation is one
-    numpy op over the whole chunk. Per-warp statistics are counted per
-    32-lane warp row of each block, so summed event counters do not
-    depend on how a launch is cut into chunks.
+    The one SIMT run state: masks are ``(B, T)`` arrays, registers are
+    ``(B, T)`` or, on a compiled trace, the smaller shape that broadcasts
+    to it (see the module docstring), shared memory is ``(B, S)``, and
+    every per-thread operation is one numpy op over the whole chunk.
+    Per-warp statistics are counted per 32-lane warp row of each block,
+    so summed event counters do not depend on how a launch is cut into
+    chunks.
 
     The chunk size is the executor's ordering policy. Batched launches
     use chunks of ``BATCH_LANES // block`` blocks; sequential launches
@@ -516,7 +536,7 @@ class _BatchedRun:
         )
         #: Compiled-trace state: active-warp count / all-lanes-active of
         #: the current trace mask (None while interpreting), and a per-run
-        #: cache for trace-invariant values (specials, params).
+        #: cache of shuffle source rows.
         self._cur_warps = None
         self._cur_all = None
         self._cache = {}
@@ -623,9 +643,14 @@ class _BatchedRun:
         exited = before & ~after
         if not exited.any() or not after.any():
             return
-        stay_any = np.bitwise_or.reduceat(after, self._warp_starts, axis=1)
-        exit_any = np.bitwise_or.reduceat(exited, self._warp_starts, axis=1)
-        divergent = int(np.count_nonzero(stay_any & exit_any))
+        self._count_divergence(after, exited)
+
+    def _count_divergence(self, taken, other) -> None:
+        """Count the warps whose active lanes are split between the lane
+        masks ``taken`` and ``other`` (the two paths of a branch)."""
+        taken_any = np.bitwise_or.reduceat(taken, self._warp_starts, axis=1)
+        other_any = np.bitwise_or.reduceat(other, self._warp_starts, axis=1)
+        divergent = int(np.count_nonzero(taken_any & other_any))
         if divergent:
             self.events["branch.divergent"] += divergent
 
@@ -648,20 +673,22 @@ class _BatchedRun:
         finally:
             self._cur_warps, self._cur_all = saved
 
-    def _exec_if_c(self, cond_read, then_trace, else_trace, has_else, mask):
+    def _exec_if_c(self, cond_read, then_trace, else_trace, mask):
         cond = np.asarray(cond_read(self), dtype=bool)
-        if cond.shape != self.shape:
-            cond = np.broadcast_to(cond, self.shape)
+        if cond.ndim == 0:
+            # A launch-uniform condition sends every active lane one way
+            # under the parent mask (and its active-warp count).
+            for fn in then_trace if cond else else_trace:
+                fn(self, mask)
+            return
         then_mask = mask & cond
         else_mask = mask & ~cond
-        # A warp diverges when its active lanes take both paths.
-        then_any = np.bitwise_or.reduceat(then_mask, self._warp_starts, axis=1)
-        else_any = np.bitwise_or.reduceat(else_mask, self._warp_starts, axis=1)
-        divergent = int(np.count_nonzero(then_any & else_any))
-        if divergent:
-            self.events["branch.divergent"] += divergent
+        if cond.shape[1] != 1:
+            # A warp diverges when its active lanes take both paths; a
+            # block-uniform condition cannot split a warp.
+            self._count_divergence(then_mask, else_mask)
         self._run_trace(then_trace, then_mask)
-        if has_else:
+        if else_trace:
             self._run_trace(else_trace, else_mask)
 
     def _exec_while_c(self, cond_trace, cond_read, body_trace, mask, summary):
@@ -691,10 +718,13 @@ class _BatchedRun:
         while True:
             self._run_trace(cond_trace, active)
             cond = np.asarray(cond_read(self), dtype=bool)
-            if cond.shape != self.shape:
-                cond = np.broadcast_to(cond, self.shape)
-            staying = active & cond
-            self._count_loop_divergence(active, staying)
+            if cond.ndim == 0:
+                # A launch-uniform test keeps or exits every active lane.
+                staying = active if cond else np.zeros_like(active)
+            else:
+                staying = active & cond
+                if cond.shape[1] != 1:
+                    self._count_loop_divergence(active, staying)
             logged, self._load_log = self._load_log, None
             if steps is not None and staying.any():
                 same = iterations > 0 and np.array_equal(staying, active)
@@ -765,9 +795,12 @@ class _BatchedRun:
         # still-active lane (None: it never fails).
         step = dict(summary.inductions)[summary.induction]
         if summary.op in ("lt", "le"):
-            gap, rate = (bound - induction)[active], step
+            gap, rate = bound - induction, step
         else:
-            gap, rate = (induction - bound)[active], -step
+            gap, rate = induction - bound, -step
+        # Registers keep their broadcast shape: take the active lanes of
+        # the full-shape view.
+        gap = np.broadcast_to(gap, self.shape)[active]
         if rate <= 0:
             first = None
         elif summary.op in ("lt", "gt"):
@@ -810,7 +843,9 @@ class _BatchedRun:
         for name, by in summary.inductions:
             current = regs[name]
             advanced = current + by * trips
-            regs[name] = advanced if everywhere else np.where(active, advanced, current)
+            regs[name] = np.asarray(
+                advanced if everywhere else np.where(active, advanced, current)
+            )
         return trips
 
     def _shifted_segments(self, instr, idx, mask, per_trip, trips) -> int:
@@ -861,8 +896,17 @@ class _BatchedRun:
         raise SimulationError(f"bad operand {operand!r}")
 
     def _write(self, reg: Reg, value, mask) -> None:
+        """Write ``value`` to the active lanes of ``reg``.
+
+        The interpreter stores a fresh ``(B, T)`` array. A compiled trace
+        keeps the value's broadcast shape (``()``, ``(B, 1)``, ``(1, T)``
+        or ``(B, T)``) whenever the write replaces the whole register;
+        only a write under a partial mask that merges into an existing
+        value builds the full array.
+        """
         value = np.asarray(value)
-        if value.shape != self.shape:
+        compiled = self._cur_warps is not None
+        if not compiled and value.shape != self.shape:
             value = np.broadcast_to(value, self.shape)
         current = self.regs.get(reg.name)
         all_active = self._cur_all
@@ -871,7 +915,7 @@ class _BatchedRun:
         if current is None or all_active:
             # Inactive lanes keep whatever the vectorized computation put
             # there — deterministic in the simulator, "undefined" on HW.
-            if self._cur_warps is not None:
+            if compiled:
                 # Compiled traces never mutate register arrays in place,
                 # so aliasing is safe and the defensive copy is skipped.
                 self.regs[reg.name] = value.astype(
@@ -882,13 +926,10 @@ class _BatchedRun:
                     value, dtype=register_dtype(value.dtype)
                 )
             return
-        merged_dtype = np.result_type(current.dtype, value.dtype)
-        if merged_dtype != current.dtype:
-            current = current.astype(merged_dtype)
-        else:
-            current = current.copy()
-        current[mask] = value[mask]
-        self.regs[reg.name] = current
+        merged = np.empty(self.shape, np.result_type(current.dtype, value.dtype))
+        merged[...] = current
+        np.copyto(merged, value, where=mask)
+        self.regs[reg.name] = merged
 
     # -- structured execution ----------------------------------------------
 
@@ -923,8 +964,7 @@ class _BatchedRun:
             self._write(instr.dst, self._special(instr.kind), mask)
             self._count("inst.alu", mask)
         elif isinstance(instr, LdParam):
-            value = self.step.args[instr.name]
-            self._write(instr.dst, np.full(self.shape, value), mask)
+            self._write(instr.dst, self.step.args[instr.name], mask)
             self._count("inst.alu", mask)
         elif isinstance(instr, LdGlobal):
             self._ld_global(instr, mask)
@@ -950,17 +990,18 @@ class _BatchedRun:
             raise SimulationError(f"cannot execute {type(instr).__name__}")
 
     def _special(self, kind):
-        tid = np.broadcast_to(
-            np.arange(self.nthreads, dtype=np.int64), self.shape
-        )
+        """Special register ``kind`` in its broadcast shape: ``()`` for
+        ``ntid``/``nctaid``, ``(B, 1)`` for ``ctaid``, ``(1, T)`` for
+        ``tid``/``laneid``/``warpid``."""
+        if kind == "ntid":
+            return np.int64(self.nthreads)
+        if kind == "nctaid":
+            return np.int64(self.step.grid)
+        if kind == "ctaid":
+            return self.block_ids[:, None]
+        tid = np.arange(self.nthreads, dtype=np.int64)[None, :]
         if kind == "tid":
             return tid
-        if kind == "ctaid":
-            return np.broadcast_to(self.block_ids[:, None], self.shape)
-        if kind == "ntid":
-            return np.full(self.shape, self.nthreads, dtype=np.int64)
-        if kind == "nctaid":
-            return np.full(self.shape, self.step.grid, dtype=np.int64)
         if kind == "laneid":
             return tid % WARP
         if kind == "warpid":
@@ -974,11 +1015,7 @@ class _BatchedRun:
         then_mask = mask & cond
         else_mask = mask & ~cond
         # A warp diverges when its active lanes take both paths.
-        then_any = np.bitwise_or.reduceat(then_mask, self._warp_starts, axis=1)
-        else_any = np.bitwise_or.reduceat(else_mask, self._warp_starts, axis=1)
-        divergent = int(np.count_nonzero(then_any & else_any))
-        if divergent:
-            self.events["branch.divergent"] += divergent
+        self._count_divergence(then_mask, else_mask)
         if then_mask.any():
             self._exec_body(instr.then, then_mask)
         if instr.otherwise and else_mask.any():
@@ -1010,10 +1047,7 @@ class _BatchedRun:
     # -- memory -------------------------------------------------------------
 
     def _global_indices(self, operand, mask, buf) -> np.ndarray:
-        idx = np.asarray(self._read(operand, mask))
-        if idx.shape != self.shape:
-            idx = np.broadcast_to(idx, self.shape)
-        active_idx = idx if self._cur_all else idx[mask]
+        idx, active_idx = self._indices(operand, mask)
         arr = self.device.get(buf)
         if active_idx.size and (
             active_idx.min() < 0 or active_idx.max() >= len(arr)
@@ -1188,12 +1222,20 @@ class _BatchedRun:
         # order as one-block chunks run block-ascending.
         arr[idx[mask]] = src[mask].astype(arr.dtype)
 
-    def _shared_indices(self, operand, mask, buf) -> np.ndarray:
-        idx = np.asarray(self._read(operand, mask))
+    def _indices(self, operand, mask):
+        """An index operand as a ``(B, T)`` view (a broadcast view of a
+        register held in a smaller shape, never a copy), and the indices
+        whose range bounds checks read: under a full mask the register
+        as held, else the active lanes."""
+        held = np.asarray(self._read(operand, mask))
+        idx = held
         if idx.shape != self.shape:
             idx = np.broadcast_to(idx, self.shape)
+        return idx, held if self._cur_all else idx[mask]
+
+    def _shared_indices(self, operand, mask, buf) -> np.ndarray:
+        idx, active_idx = self._indices(operand, mask)
         arr = self.shared[buf]
-        active_idx = idx if self._cur_all else idx[mask]
         if active_idx.size and (
             active_idx.min() < 0 or active_idx.max() >= arr.shape[1]
         ):
@@ -1271,10 +1313,13 @@ class _BatchedRun:
             arr[self._brow[mask], idx[mask]] = src[mask]
 
     def _value_array(self, operand, mask) -> np.ndarray:
+        """A source operand as a ``(B, T)`` array: a register broadcast
+        from the shape it is held in, an immediate or launch constant as
+        float64."""
         value = np.asarray(self._read(operand, mask))
-        if value.ndim == 0:
-            value = np.broadcast_to(value, self.shape).astype(np.float64)
-        return value
+        if not isinstance(operand, Reg):
+            value = value.astype(np.float64)
+        return np.broadcast_to(value, self.shape)
 
     # -- atomics -----------------------------------------------------------
 
@@ -1400,18 +1445,18 @@ class _BatchedRun:
         src = np.asarray(self._read(instr.src, mask))
         if src.shape != self.shape:
             src = np.broadcast_to(src, self.shape)
-        if isinstance(instr.offset, Imm):
-            # An immediate offset gives every block row the same source
-            # lanes: one (threads,) row per run state.
-            key = ("shfl", instr.mode, instr.width, instr.offset.value)
+        offset = np.asarray(self._read(instr.offset, mask))
+        if offset.ndim == 0:
+            # A launch-uniform offset (an immediate, a launch constant or
+            # a register held as a scalar) gives every block row the same
+            # source lanes: one cached (threads,) row per offset value.
+            key = ("shfl", instr.mode, instr.width, offset.item())
             source_lane = self._cache.get(key)
             if source_lane is None:
-                source_lane = self._shfl_source(instr, instr.offset.value)
+                source_lane = self._shfl_source(instr, offset)
                 self._cache[key] = source_lane
         else:
-            source_lane = self._shfl_source(
-                instr, np.asarray(self._read(instr.offset, mask))
-            )
+            source_lane = self._shfl_source(instr, offset)
         if self.san is not None:
             self.san.on_shfl(
                 self, instr, np.broadcast_to(source_lane, self.shape), mask
@@ -1424,7 +1469,8 @@ class _BatchedRun:
 
     def _shfl_source(self, instr, offset) -> np.ndarray:
         """Source lane of every lane: a ``(threads,)`` row for a scalar
-        ``offset``, ``(blocks, threads)`` for a per-lane one."""
+        ``offset``, else ``offset``'s shape broadcast with the lanes
+        (``(1, threads)`` or ``(blocks, threads)``)."""
         lanes = np.arange(self.nthreads, dtype=np.int64)
         sub = lanes % instr.width
         base = lanes - sub

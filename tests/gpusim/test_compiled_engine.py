@@ -125,6 +125,36 @@ class TestFigure6Equivalence:
             outs[backend] = executor.device.download("out").copy()
         np.testing.assert_array_equal(outs["interpreted"], outs["compiled"])
 
+    @pytest.mark.parametrize("label", sorted(FIG6_LABELS))
+    @pytest.mark.parametrize("op,ctype", [("add", "float"), ("max", "int")])
+    def test_multi_chunk_identical(self, frameworks, label, op, ctype):
+        """A launch cut into several chunks, the last one ragged, with a
+        partial last block: block-uniform registers change height from
+        chunk to chunk. Result, every event counter and the ``out``
+        buffer must match the interpreter bit for bit."""
+        fw = frameworks[(op, ctype)]
+        n, lanes = 4099, 192  # three 64-thread blocks per chunk
+        data = _data(ctype, n, seed=17)
+        version = fw.resolve(label)
+        plan = fw.build(version, n, _tunables(version))
+        step = plan.kernel_steps()[0]
+        per_chunk = lanes // step.block
+        assert step.grid > per_chunk and step.grid % per_chunk, step.grid
+        assert n % step.block, "the last block must be partial"
+        outs, profiles = {}, {}
+        for backend in BACKENDS:
+            executor = Executor(backend=backend)
+            executor.BATCH_LANES = lanes
+            executor.device.upload("in", data)
+            profiles[backend] = executor.run_plan(plan)
+            outs[backend] = executor.device.download("out").copy()
+        assert all(
+            s.meta["exec.mode"] == "batched"
+            for s in profiles["compiled"].steps if s.grid > 1
+        )
+        _assert_profiles_identical(profiles["interpreted"], profiles["compiled"])
+        assert outs["compiled"].tobytes() == outs["interpreted"].tobytes()
+
     @pytest.mark.parametrize("grid", [None, 512])
     @pytest.mark.parametrize("block", [64, 256])
     @pytest.mark.parametrize("ctype", CTYPES)
