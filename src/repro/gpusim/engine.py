@@ -92,17 +92,21 @@ logged, and the last. The trips between are added in closed form, their
 segment counts taken on the logged indices shifted per trip
 (:meth:`_BatchedRun._exec_while_c`). ``StepProfile.meta["exec.trace"]``
 records whether a launch was event-only (``events``) or moved values
-(``full``). An event-only launch's
+(``full``). A proven loop's per-trip steps may be launch constants or
+launch-uniform registers (``%ntid * %nctaid``), resolved when the loop
+starts, and its inductions may start per lane. An event-only launch's
 *launch-invariant suffix* — the block combine at the end of every
 reduction kernel, which reads no launch constant — is simulated once
-per chunk shape and replayed from the kernel's memo after that
-(:meth:`_BatchedRun._run_suffix`). The shape is the chunk's block
-count and block size, plus the grid and block ids only when the suffix
-reads the block id.
+per block size and replayed from the kernel's memo after that
+(:meth:`_BatchedRun._run_suffix`): one block's events, times the
+chunk's block count, so one entry serves every grid and chunk. A
+suffix that reads the block id is keyed by the grid and the chunk's
+block ids instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from typing import NamedTuple
@@ -535,11 +539,9 @@ class _BatchedRun:
             np.arange(self.nblocks, dtype=np.int64)[:, None], self.shape
         )
         #: Compiled-trace state: active-warp count / all-lanes-active of
-        #: the current trace mask (None while interpreting), and a per-run
-        #: cache of shuffle source rows.
+        #: the current trace mask (None while interpreting).
         self._cur_warps = None
         self._cur_all = None
-        self._cache = {}
 
     # -- helpers -------------------------------------------------------
 
@@ -563,56 +565,69 @@ class _BatchedRun:
 
         Top-level code runs under the full mask, and the suffix reads no
         launch constant, so its events, loop counters and global-atomic
-        tallies are a function of the key below: the chunk's blocks, the
-        block size, the loop cap and the shape of every global buffer it
-        touches (lengths bound its indices, dtypes size its
-        transactions, a read-only buffer makes a store raise). The
-        chunk's blocks are its grid and block ids when the suffix reads
-        the block id, else only their number. Tallies are logged by
-        chunk position and replayed through ``self.block_ids``. A hit
-        replays an entry; a miss simulates the suffix against fresh
-        counters, merges them and stores them. Entries are written once
-        and never mutated. Both are skipped when the launch's atomic
-        tallies could pass ``_ATOMIC_TRACK_CAP`` on the way, where
-        replaying would not stop where simulation stops.
+        tallies are a function of the key below: the block size, the
+        loop cap, the shape of every global buffer it touches (lengths
+        bound its indices, dtypes size its transactions, a read-only
+        buffer makes a store raise), and the grid and block ids of the
+        chunk when the suffix reads the block id.
+
+        A suffix that does not read the block id runs the same way in
+        every block, so its entry is *per block*: one block's event
+        deltas and row 0's tallies, served to chunks of any block count.
+        A hit adds the deltas times the chunk's block count and replays
+        each tally for every row, in logged order; loop counters count
+        loop runs, one per chunk, and are added once. A suffix that
+        reads the block id keeps a whole-chunk entry, its tallies logged
+        by chunk position and replayed through ``self.block_ids``.
+
+        A miss simulates the suffix against fresh counters and merges
+        them. It stores them (:func:`_suffix_entry`) only when every
+        delta divides evenly among the blocks and every row's tallies
+        equal row 0's. Entries are written once and never mutated. Hits
+        and stores are skipped when the launch's atomic tallies could
+        pass ``_ATOMIC_TRACK_CAP`` on the way, where replaying would not
+        stop where simulation stops.
         """
         facts = kernel_facts(self.kernel)
         shapes = []
         for buf in facts.suffix_buffers:
             arr = self.device.get(buf)
             shapes.append((buf, len(arr), arr.dtype.str, arr.flags.writeable))
-        blocks = (
-            (self.step.grid, self.block_ids.tobytes())
-            if facts.suffix_reads_block_id else self.nblocks
-        )
+        blocks, copies = None, self.nblocks
+        if facts.suffix_reads_block_id:
+            blocks, copies = (self.step.grid, self.block_ids.tobytes()), 1
         key = (blocks, self.nthreads, self.executor.LOOP_CAP, tuple(shapes))
         counts = self.atomic_addr_counts
         memo = self.suffix_memo
         entry = memo.get(key)
         if entry is not None and (
-            len(counts) + entry.tallied <= _ATOMIC_TRACK_CAP
+            len(counts) + entry.tallied * copies <= _ATOMIC_TRACK_CAP
         ):
-            _add_counts(self.events, entry.events)
+            events = self.events
+            for name, delta in entry.events:
+                events[name] += delta * copies
             _add_counts(self.loop_stats, entry.loops)
-            for tally in entry.tallies:
-                self._tally(*tally)
+            for buf, row, addresses, per_addr in entry.tallies:
+                # Rows ``row .. row + copies - 1``: every row of a
+                # per-block entry (``row`` is 0), the logged row of a
+                # whole-chunk one.
+                for at in range(row, row + copies):
+                    self._tally(buf, at, addresses, per_addr)
             return "reused"
         events, loop_stats, before = self.events, self.loop_stats, len(counts)
         self.events, self.loop_stats, self._tallies = Counter(), Counter(), []
         self._run_trace(trace, mask)
-        fresh = _SuffixEntry(
-            events=tuple(self.events.items()),
-            loops=tuple(self.loop_stats.items()),
-            tallies=tuple(self._tallies),
-            tallied=sum(len(tally[2]) for tally in self._tallies),
-        )
+        deltas, loops, tallies = self.events, self.loop_stats, self._tallies
         self.events, self.loop_stats, self._tallies = events, loop_stats, None
-        _add_counts(events, fresh.events)
-        _add_counts(loop_stats, fresh.loops)
+        _add_counts(events, deltas.items())
+        _add_counts(loop_stats, loops.items())
         # Each logged address adds at most one tally, so below the cap
         # here no tally was dropped and the log is complete.
-        if entry is None and before + fresh.tallied <= _ATOMIC_TRACK_CAP:
-            memo[key] = fresh
+        tallied = sum(len(tally[2]) for tally in tallies)
+        if entry is None and before + tallied <= _ATOMIC_TRACK_CAP:
+            fresh = _suffix_entry(deltas, loops, tallies, copies)
+            if fresh is not None:
+                memo[key] = fresh
         return "simulated"
 
     def _count(self, key, mask) -> None:
@@ -645,14 +660,15 @@ class _BatchedRun:
             return
         self._count_divergence(after, exited)
 
-    def _count_divergence(self, taken, other) -> None:
+    def _count_divergence(self, taken, other, copies=1) -> None:
         """Count the warps whose active lanes are split between the lane
-        masks ``taken`` and ``other`` (the two paths of a branch)."""
+        masks ``taken`` and ``other`` (the two paths of a branch), each
+        row ``copies`` times."""
         taken_any = np.bitwise_or.reduceat(taken, self._warp_starts, axis=1)
         other_any = np.bitwise_or.reduceat(other, self._warp_starts, axis=1)
         divergent = int(np.count_nonzero(taken_any & other_any))
         if divergent:
-            self.events["branch.divergent"] += divergent
+            self.events["branch.divergent"] += divergent * copies
 
     # -- compiled-trace execution (see repro.gpusim.compile) -----------
 
@@ -683,10 +699,14 @@ class _BatchedRun:
             return
         then_mask = mask & cond
         else_mask = mask & ~cond
+        # A warp diverges when its active lanes take both paths; a
+        # block-uniform condition cannot split a warp. A lane-only one
+        # under the full mask splits every block alike: count one row.
         if cond.shape[1] != 1:
-            # A warp diverges when its active lanes take both paths; a
-            # block-uniform condition cannot split a warp.
-            self._count_divergence(then_mask, else_mask)
+            if self._cur_all and cond.shape[0] == 1:
+                self._count_divergence(cond, ~cond, self.nblocks)
+            else:
+                self._count_divergence(then_mask, else_mask)
         self._run_trace(then_trace, then_mask)
         if else_trace:
             self._run_trace(else_trace, else_mask)
@@ -713,6 +733,7 @@ class _BatchedRun:
         if reason is not None:
             self.loop_stats["fallback." + reason] += 1
         active = mask.copy()
+        full = self._cur_all  # every lane still active
         iterations = skipped = 0
         start = None  # the events before the logged trip
         while True:
@@ -724,7 +745,14 @@ class _BatchedRun:
             else:
                 staying = active & cond
                 if cond.shape[1] != 1:
-                    self._count_loop_divergence(active, staying)
+                    if full and cond.shape[0] == 1:
+                        # Lane-only under the full mask: one row.
+                        self._count_divergence(cond, ~cond, self.nblocks)
+                    else:
+                        self._count_loop_divergence(active, staying)
+                # Only a lane-only test that keeps every lane is cheap
+                # to follow; any other keeps the general count.
+                full = full and cond.shape[0] == 1 and bool(cond.all())
             logged, self._load_log = self._load_log, None
             if steps is not None and staying.any():
                 same = iterations > 0 and np.array_equal(staying, active)
@@ -755,18 +783,40 @@ class _BatchedRun:
             self._run_trace(body_trace, active)
 
     def _launch_steps(self, summary):
-        """``(buf, idx) -> elements per trip`` of every load of
-        ``summary``, each an int at this launch (launch-constant
-        multiples resolved), or None when a launch constant makes one a
-        non-int."""
-        steps = {}
-        for buf, idx, per_trip, _width in summary.loads:
-            if not isinstance(per_trip, int):
-                per_trip = per_trip.resolve(self.step.args)
-                if not is_integer(per_trip):
-                    return None
-            steps[buf, idx] = int(per_trip)
-        return steps
+        """``(inductions, loads)`` of ``summary`` at loop entry:
+        ``(register, step)`` of every induction and ``(buf, idx) ->
+        elements per trip`` of every load, each an int, or None when one
+        is not (see :meth:`_resolve`)."""
+        inductions = [
+            (name, self._resolve(step)) for name, step in summary.inductions
+        ]
+        loads = {
+            (buf, idx): self._resolve(per_trip)
+            for buf, idx, per_trip, _width in summary.loads
+        }
+        if any(step is None for _name, step in inductions) or (
+            None in loads.values()
+        ):
+            return None
+        return inductions, loads
+
+    def _resolve(self, coef):
+        """A per-trip coefficient of a loop proof as an int: an
+        :class:`~repro.vir.analysis.ArgMultiple` times its launch
+        constant, or times the value its launch-uniform register holds.
+        None when that product is not an int, or the register is not
+        held as an integer ``()`` scalar."""
+        if isinstance(coef, int):
+            return coef
+        term = coef.arg
+        if isinstance(term, Arg):
+            value = launch_constant(self, term)
+        else:
+            value = np.asarray(self.regs[term.name])
+            if value.ndim or not is_integer(value):
+                return None
+        product = coef.factor * value
+        return int(product) if is_integer(product) else None
 
     def _skip_stretch(self, summary, steps, active, trip, start_events,
                       logged) -> int:
@@ -775,25 +825,29 @@ class _BatchedRun:
         returns the trips skipped, or -1 when the skipped trips' loads
         might leave their buffers (those trips are then simulated, so the
         error is raised exactly where the interpreter raises it).
+        ``steps`` are the loop's per-trip steps resolved at loop entry
+        (:meth:`_launch_steps`).
 
         Every counter but the global segment counts grows by the logged
         trip's delta per trip. Skipped trip ``k`` loads the logged
         indices shifted by ``k`` steps, and their segments are counted on
         those shifts (:meth:`_shifted_segments`).
         """
+        inductions, loads = steps
         regs = self.regs
         induction = regs[summary.induction]
         bound = np.asarray(self._read(summary.bound, active))
         # Advancing by step * trips equals trips repeated adds only in
         # integer arithmetic.
         if bound.dtype.kind not in "iu" or any(
-            regs[name].dtype.kind not in "iu" for name, _ in summary.inductions
+            regs[name].dtype.kind not in "iu" for name, _ in inductions
         ):
             return 0
         # The condition holds at trip + j while induction + j*step <op>
         # bound; ``first`` is the smallest j at which it fails for some
-        # still-active lane (None: it never fails).
-        step = dict(summary.inductions)[summary.induction]
+        # still-active lane (None: it never fails). Inductions may start
+        # per lane, so the gap is taken lane by lane.
+        step = dict(inductions)[summary.induction]
         if summary.op in ("lt", "le"):
             gap, rate = bound - induction, step
         else:
@@ -816,7 +870,7 @@ class _BatchedRun:
             return 0
         shifts = []
         for instr, idx, mask in logged:
-            per_trip = steps[instr.buf, instr.idx]
+            per_trip = loads[instr.buf, instr.idx]
             active_idx = idx[mask]
             low, high = active_idx.min(), active_idx.max()
             moved = per_trip * trips
@@ -840,7 +894,7 @@ class _BatchedRun:
             events["mem.global.ld.trans"] += segments
             events["mem.global.bytes"] += segments * 128
         everywhere = active.all()
-        for name, by in summary.inductions:
+        for name, by in inductions:
             current = regs[name]
             advanced = current + by * trips
             regs[name] = np.asarray(
@@ -1450,13 +1504,13 @@ class _BatchedRun:
             # A launch-uniform offset (an immediate, a launch constant or
             # a register held as a scalar) gives every block row the same
             # source lanes: one cached (threads,) row per offset value.
-            key = ("shfl", instr.mode, instr.width, offset.item())
-            source_lane = self._cache.get(key)
-            if source_lane is None:
-                source_lane = self._shfl_source(instr, offset)
-                self._cache[key] = source_lane
+            source_lane = _shfl_row(
+                self.nthreads, instr.mode, instr.width, offset.item()
+            )
         else:
-            source_lane = self._shfl_source(instr, offset)
+            source_lane = _shfl_source(
+                self.nthreads, instr.mode, instr.width, offset
+            )
         if self.san is not None:
             self.san.on_shfl(
                 self, instr, np.broadcast_to(source_lane, self.shape), mask
@@ -1467,34 +1521,14 @@ class _BatchedRun:
             result = np.take_along_axis(src, source_lane, axis=1)
         self._write(instr.dst, result, mask)
 
-    def _shfl_source(self, instr, offset) -> np.ndarray:
-        """Source lane of every lane: a ``(threads,)`` row for a scalar
-        ``offset``, else ``offset``'s shape broadcast with the lanes
-        (``(1, threads)`` or ``(blocks, threads)``)."""
-        lanes = np.arange(self.nthreads, dtype=np.int64)
-        sub = lanes % instr.width
-        base = lanes - sub
-        if instr.mode == "down":
-            target = sub + offset
-        elif instr.mode == "up":
-            target = sub - offset
-        elif instr.mode == "xor":
-            target = np.bitwise_xor(sub, np.asarray(offset).astype(np.int64))
-        else:  # idx
-            target = np.asarray(offset).astype(np.int64)
-        # Identity fallback for any source lane outside the width segment
-        # *or* past the block's last thread: hardware reads the caller's
-        # own value there, it never wraps into the next warp segment.
-        source = base + target
-        valid = (target >= 0) & (target < instr.width) & (source < self.nthreads)
-        return np.where(valid, source, lanes).astype(np.int64)
 
 
 class _SuffixEntry(NamedTuple):
-    """What simulating a launch-invariant suffix did once: its event and
-    loop-counter deltas as ``(key, delta)`` pairs (every key it touched,
-    zero deltas included), its :meth:`_BatchedRun._tally` calls and the
-    addresses they carry."""
+    """What simulating a launch-invariant suffix did once, per block or
+    per chunk (see :meth:`_BatchedRun._run_suffix`): its event deltas
+    and the chunk's loop-counter deltas as ``(key, delta)`` pairs (every
+    key it touched, zero deltas included), its
+    :meth:`_BatchedRun._tally` calls and the addresses they carry."""
 
     events: tuple
     loops: tuple
@@ -1502,10 +1536,67 @@ class _SuffixEntry(NamedTuple):
     tallied: int
 
 
+def _suffix_entry(events, loops, tallies, copies):
+    """The memo entry of a suffix simulated on a chunk: per block when
+    ``copies`` (the chunk's block count) is above 1, else the whole
+    chunk. None when the blocks did not all count the same: a delta does
+    not divide evenly, or a row's tallies differ from row 0's."""
+    if copies > 1:
+        if any(delta % copies for delta in events.values()):
+            return None
+        first = [tally for tally in tallies if tally[1] == 0]
+        if tallies != [
+            (buf, row, addresses, per_addr)
+            for buf, _row, addresses, per_addr in first
+            for row in range(copies)
+        ]:
+            return None
+        tallies = first
+    return _SuffixEntry(
+        events=tuple((key, delta // copies) for key, delta in events.items()),
+        loops=tuple(loops.items()),
+        tallies=tuple(tallies),
+        tallied=sum(len(tally[2]) for tally in tallies),
+    )
+
+
 def _new_memo(_kernel) -> dict:
     """A kernel's ``suffix`` fact: launch-invariant suffix key ->
     :class:`_SuffixEntry`."""
     return {}
+
+
+def _shfl_source(threads, mode, width, offset) -> np.ndarray:
+    """Source lane of every lane of a ``threads``-lane block: a
+    ``(threads,)`` row for a scalar ``offset``, else ``offset``'s shape
+    broadcast with the lanes (``(1, threads)`` or ``(blocks, threads)``)."""
+    lanes = np.arange(threads, dtype=np.int64)
+    sub = lanes % width
+    base = lanes - sub
+    if mode == "down":
+        target = sub + offset
+    elif mode == "up":
+        target = sub - offset
+    elif mode == "xor":
+        target = np.bitwise_xor(sub, np.asarray(offset).astype(np.int64))
+    else:  # idx
+        target = np.asarray(offset).astype(np.int64)
+    # Identity fallback for any source lane outside the width segment
+    # *or* past the block's last thread: hardware reads the caller's
+    # own value there, it never wraps into the next warp segment.
+    source = base + target
+    valid = (target >= 0) & (target < width) & (source < threads)
+    return np.where(valid, source, lanes).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=4096)
+def _shfl_row(threads, mode, width, offset) -> np.ndarray:
+    """:func:`_shfl_source` for a scalar ``offset``, built once per
+    (threads, mode, width, offset) and shared, read-only, by every
+    launch."""
+    row = _shfl_source(threads, mode, width, offset)
+    row.flags.writeable = False
+    return row
 
 
 def _add_counts(counter, items) -> None:

@@ -2,8 +2,8 @@
 
 The core is a conservative abstract interpreter over *uniform
 constants* (:func:`eval_const_instr`). :func:`summarize_loop` reads it
-for a loop's induction start and invariants, and the sanitizer's static
-lint (:mod:`repro.sanitize.lint`) for a tree loop's offsets:
+for a loop's invariants, and the sanitizer's static lint
+(:mod:`repro.sanitize.lint`) for a tree loop's offsets:
 
 * a register is tracked as a **uniform constant** when every lane of
   every block provably holds the same scalar value at that program
@@ -36,6 +36,7 @@ them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -283,8 +284,10 @@ def kernel_facts(kernel) -> KernelFacts:
     loaded values for the data registers and the data-dependence
     verdict, then from launch constants and from the block-id specials,
     with control dependence, for the launch-invariant suffix. The same
-    rows give the access summary, and one uniform-constant pass over
-    the top level proves every top-level loop (:func:`summarize_loop`).
+    rows give the access summary and the launch-uniform registers
+    (:func:`_launch_uniform`), and with those one uniform-constant pass
+    over the top level proves every top-level loop
+    (:func:`summarize_loop`).
     """
     return kernel.fact("static", _analyze)
 
@@ -297,8 +300,9 @@ def _analyze(kernel) -> KernelFacts:
     suffix = (None, (), False)
     if dependence is None:
         suffix = _suffix(body, rows, data)
+    loops = _loop_proofs(body, _launch_uniform(rows))
     return KernelFacts(
-        dependence, frozenset(data), _loop_proofs(body), *suffix, *_access(rows)
+        dependence, frozenset(data), loops, *suffix, *_access(rows)
     )
 
 
@@ -383,6 +387,34 @@ def _reads_block_id(instr) -> bool:
     return isinstance(instr, Special) and instr.kind in _BLOCK_SPECIALS
 
 
+#: Special registers that hold one value in every lane of a launch.
+_LAUNCH_SPECIALS = frozenset({"ntid", "nctaid"})
+
+
+def _launch_uniform(rows) -> dict:
+    """Register name -> top-level index of its one write, for every
+    *launch-uniform* register: written once in the kernel, at the top
+    level, from immediates, launch constants, ``ld.param``, ``%ntid``,
+    ``%nctaid`` and other such registers only. From that write on it
+    holds one value in every lane of the launch (top-level code runs
+    under the full mask)."""
+    writers = Counter(name for row in rows for name in row.writes)
+    uniform = {}
+    for row in rows:
+        instr = row.instr
+        if row.guards or len(row.writes) != 1:
+            continue  # nested, or not one destination
+        (name,) = row.writes
+        if writers[name] == 1 and (
+            isinstance(instr, LdParam)
+            or (isinstance(instr, Special) and instr.kind in _LAUNCH_SPECIALS)
+            or (isinstance(instr, (BinOp, UnOp, Mov, Sel))
+                and row.reads <= uniform.keys())
+        ):
+            uniform[name] = row.top
+    return uniform
+
+
 def _data_dependence(rows, data):
     """The first place, in program order, where a register of ``data``
     steers events: an ``If``/``While`` condition, a memory index or a
@@ -445,13 +477,17 @@ def _access(rows) -> tuple:
     )
 
 
-def _loop_proofs(body) -> dict:
+def _loop_proofs(body, uniform) -> dict:
     """Top-level index -> :func:`summarize_loop` proof of every
-    top-level ``While`` of ``body``, from one uniform-constant pass."""
+    top-level ``While`` of ``body``, from one uniform-constant pass and
+    the launch-uniform registers ``uniform`` (:func:`_launch_uniform`)
+    written before the loop."""
     env, loops = {}, {}
     for top, instr in enumerate(body):
         if type(instr) is While:
-            loops[top] = summarize_loop(instr, env)
+            loops[top] = summarize_loop(
+                instr, env, {name for name, at in uniform.items() if at < top}
+            )
         eval_const_instr(instr, env)
     return loops
 
@@ -464,16 +500,18 @@ class LoopSummary:
 
     * ``inductions`` — ``(register, step)`` for every register the loop
       carries from trip to trip that is not data; each one is written
-      once per trip, ``r = r + step`` in the body, with a compile-time
-      int ``step``;
+      once per trip, ``r = r + step`` in the body. ``step`` is a
+      compile-time int or an :class:`ArgMultiple` of a launch constant
+      or a launch-uniform register, the same in every lane;
     * the loop condition is ``induction <op> bound`` (``op`` one of
       ``lt``/``le``/``gt``/``ge``), where ``induction`` is one of the
-      above with a compile-time constant start value and ``bound`` a
-      per-lane loop invariant (``Reg``, ``Imm`` or ``Arg``);
+      above, with any per-lane start value, and ``bound`` a per-lane
+      loop invariant (``Reg``, ``Imm`` or ``Arg``);
     * ``loads`` — ``(buf, idx, elements_per_trip, width)`` for every
       ``LdGlobal``: its index moves by that constant each trip, a
-      compile-time int or an :class:`ArgMultiple` the engine resolves
-      at launch.
+      compile-time int or an :class:`ArgMultiple`.
+
+    The engine resolves every :class:`ArgMultiple` when the loop starts.
 
     Otherwise ``reason`` is a short slug (used in metric names) and
     ``detail`` says what broke the proof.
@@ -489,23 +527,23 @@ class LoopSummary:
 
 
 class ArgMultiple(NamedTuple):
-    """``factor * arg``: a per-trip index step that is an int multiple
-    of a launch constant (the grid stride ``block * grid`` of a kernel
-    built once for every grid), known when the loop runs."""
+    """``factor * arg``: a per-trip step that is an int multiple of a
+    value known when the loop starts. ``arg`` is a launch constant
+    (:class:`Arg`: the grid stride ``block * grid`` of a kernel built
+    once for every grid) or a launch-uniform register (:class:`Reg`:
+    the ``%ntid * %nctaid`` stride of the CUB and Kokkos grid-stride
+    loops), read from its held value."""
 
     factor: int
-    arg: Arg
-
-    def resolve(self, args):
-        """The step at a launch with arguments ``args``."""
-        return self.factor * args[self.arg.name]
+    arg: object
 
 
 class _Aff(NamedTuple):
     """A value ``base + coef * trip`` with a loop-invariant per-lane
     ``base``. ``coef`` is an int or an :class:`ArgMultiple`. ``const`` is
     the value itself when ``coef == 0`` and it is a known compile-time
-    constant or a launch constant (:class:`Arg`), else UNKNOWN."""
+    constant, a launch constant (:class:`Arg`) or a launch-uniform
+    register (:class:`Reg`), else UNKNOWN."""
 
     coef: object
     const: object = UNKNOWN
@@ -544,38 +582,36 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def summarize_loop(loop: While, env) -> LoopSummary:
+def summarize_loop(loop: While, env, uniform) -> LoopSummary:
     """Prove that a loop's per-trip events repeat while its mask holds.
 
     ``env`` is the uniform-constant environment at loop entry (see
-    :func:`eval_const_instr`). The loop qualifies when its condition
-    block and body are straight-line ALU plus ``LdGlobal`` only, the
-    registers it carries between trips are inductions or data, its
-    condition compares an induction that starts from a compile-time
-    constant (so it is block-uniform) against a loop invariant, and
-    every load index moves by a constant each trip. Then every trip
-    issues the same instructions under the same mask, and shifting all
-    load indices by a multiple of the 128-byte segment reproduces the
+    :func:`eval_const_instr`) and ``uniform`` names the launch-uniform
+    registers written before the loop (:func:`_launch_uniform`). The
+    loop qualifies when its condition block and body are straight-line
+    ALU plus ``LdGlobal`` only, the registers it carries between trips
+    are inductions or data, its condition compares an induction against
+    a loop invariant, and every induction and load index moves by the
+    same amount in every lane each trip: a compile-time int, or an int
+    multiple of a launch constant or of a launch-uniform register. Then
+    every trip under one mask issues the same instructions, and shifting
+    all load indices by a multiple of the 128-byte segment reproduces the
     segment counts — so the events of a run of trips are periodic in
-    the trip number (see ``docs/PERFORMANCE.md``).
+    the trip number (see ``docs/PERFORMANCE.md``). Inductions may start
+    from per-lane values: the engine stops each run of trips before the
+    first lane exits.
     """
     written = written_regs([loop])
-    invariant = {
-        name: value
+    invariant = {name: Reg(name) for name in uniform if name not in written}
+    invariant.update(
+        (name, value)
         for name, value in env.items()
         if name not in written and value is not UNKNOWN
-    }
+    )
     try:
-        summary = _summarize(loop, invariant)
+        return _summarize(loop, invariant)
     except _Refuse as exc:
         return LoopSummary(reason=exc.reason, detail=exc.detail)
-    if env.get(summary.induction, UNKNOWN) is UNKNOWN:
-        return LoopSummary(
-            reason="induction_start",
-            detail=f"induction %{summary.induction} does not start from a "
-            "compile-time constant",
-        )
-    return summary
 
 
 def _summarize(loop, consts) -> LoopSummary:
@@ -627,7 +663,8 @@ def _summarize(loop, consts) -> LoopSummary:
             if len(steps) == 1:
                 raise _Refuse(
                     "step",
-                    f"%{name} steps by {steps[0]}, not a compile-time int",
+                    f"%{name} steps by {steps[0]}, not a compile-time int "
+                    "or launch-uniform",
                 )
         raise _Refuse("carried", f"%{name} is carried between trips but is not data")
 
@@ -657,8 +694,9 @@ def _summarize(loop, consts) -> LoopSummary:
 
 
 def _induction_step(instr, name, consts):
-    """``step`` when ``instr`` is ``name = name ± step`` with a
-    compile-time int step, else None."""
+    """The per-trip step when ``instr`` is ``name = name ± step`` with a
+    compile-time int step (an int) or a launch constant or launch-uniform
+    register step (an :class:`ArgMultiple`), else None."""
     if not isinstance(instr, BinOp) or instr.op not in ("add", "sub"):
         return None
     me = Reg(name)
@@ -670,8 +708,12 @@ def _induction_step(instr, name, consts):
         return None
     if isinstance(other, Imm):
         value = other.value
+    elif isinstance(other, Arg):
+        value = other
     else:
         value = consts.get(other.name, UNKNOWN)
+    if isinstance(value, (Arg, Reg)):
+        return ArgMultiple(sign, value)
     return sign * value if _is_int(value) else None
 
 
@@ -746,11 +788,12 @@ def _operand_kind(operand, env, consts):
 
 def _int_affine(kind) -> bool:
     """Adding this value keeps an int index an int: a trip-varying or
-    unknown value (a launch constant included), or a known int."""
+    unknown value (a launch constant or launch-uniform register
+    included), or a known int."""
     return (
         kind.coef != 0
         or kind.const is UNKNOWN
-        or isinstance(kind.const, Arg)
+        or isinstance(kind.const, (Arg, Reg))
         or _is_int(kind.const)
     )
 
@@ -774,7 +817,7 @@ def _scale_coef(coef, const):
         if isinstance(coef, ArgMultiple):
             return ArgMultiple(coef.factor * const, coef.arg) if const else 0
         return coef * const
-    if isinstance(const, Arg) and isinstance(coef, int):
+    if isinstance(const, (Arg, Reg)) and isinstance(coef, int):
         return ArgMultiple(coef, const) if coef else 0
     return None
 

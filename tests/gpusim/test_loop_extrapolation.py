@@ -17,7 +17,7 @@ from repro.gpusim.device import Device
 from repro.gpusim.engine import _BatchedRun
 from repro.obs import default_metrics
 from repro.sanitize import Sanitizer
-from repro.vir import Arg, KernelStep
+from repro.vir import Arg, KernelStep, Reg
 from repro.vir.analysis import ArgMultiple, kernel_facts
 from repro.vir.assembler import parse_kernel
 from repro.vir.program import Plan
@@ -64,6 +64,34 @@ LOOP = """
 ARG_LOOP = LOOP.replace("params: n;", "params: n, stride;").replace(
     "%off = mul %i, 64", "%off = mul %i, $stride"
 )
+
+
+#: A CUB-style grid-stride loop: lane ``t`` of block ``b`` starts at
+#: ``b * ntid + t`` and steps by the launch-uniform register
+#: ``%gs = %ntid * %nctaid``.
+GRID_STRIDE = """
+.kernel stride(params: n; buffers: in, out)
+  %t = %tid
+  %b = %ctaid
+  %nt = %ntid
+  %nc = %nctaid
+  %n = ld.param [n]
+  %base = mul %b, %nt
+  %i = add %base, %t
+  %gs = mul %nt, %nc
+  %acc = mov 0.0
+  while {
+    %c = lt %i, %n
+  } test %c {
+    %v = ld.global [in + %i]
+    %acc = add %acc, %v
+    %i = add %i, %gs
+  }
+  %z = eq %t, 0
+  if %z {
+    st.global [out + %b], %acc
+  }
+"""
 
 
 def _variant(body="", cond="%c = lt %i, %len", head="", step="%i = add %i, 1"):
@@ -200,8 +228,48 @@ class TestLoopProof:
         assert "index of LdGlobal 'in'" in _data_dependence(text)
 
     def test_per_lane_induction_start(self):
+        """An induction may start per lane: the engine stops every
+        stretch before the first lane exits, so each lane's own trip
+        count is simulated exactly."""
         text = LOOP.replace("  %i = mov 0\n", "  %i = mov %t\n")
-        assert _summary(text).reason == "induction_start"
+        summary = _summary(text)
+        assert summary.reason is None, summary.detail
+        assert summary.inductions == (("i", 1),)
+        # Lanes start at trips 0-3: four exits, long stretches between.
+        kernel = parse_kernel(
+            LOOP.replace("  %i = mov 0\n", "  %i = div %t, 16\n")
+        )
+        ref = _launch(kernel, backend="interpreted")
+        got, loops = _loop_counters(lambda: _launch(kernel))
+        assert dict(got.steps[0].events) == dict(ref.steps[0].events)
+        assert ref.steps[0].events["branch.divergent"] > 0
+        assert loops["exec.loop.trips_extrapolated"] > 0
+
+    @pytest.mark.parametrize("change, reason", [
+        ({}, None),
+        # A step derived from a launch constant.
+        ({"%gs = mul %nt, %nc": "%gs = mul %n, 2"}, None),
+        # Not launch-uniform: the block id, or a second write.
+        ({"%gs = mul %nt, %nc": "%gs = mul %nt, %b"}, "step"),
+        ({"  %acc = mov 0.0\n": "  %acc = mov 0.0\n  %gs = add %gs, 1\n"},
+         "step"),
+        # Written after the loop starts.
+        ({"  %gs = mul %nt, %nc\n": "",
+          "  %z = eq %t, 0\n": "  %gs = mul %nt, %nc\n  %z = eq %t, 0\n"},
+         "step"),
+    ])
+    def test_launch_uniform_register_step(self, change, reason):
+        """A step may be a register written once before the loop from
+        launch-uniform values only; it multiplies the load index too."""
+        text = GRID_STRIDE
+        for old, new in change.items():
+            text = text.replace(old, new)
+        summary = _summary(text)
+        assert summary.reason == reason, summary
+        if reason is None:
+            step = ArgMultiple(1, Reg("gs"))
+            assert summary.inductions == (("i", step),)
+            assert [load[2] for load in summary.loads] == [step]
 
     def test_carried_non_data_register(self):
         text = _variant(body="    %k = mul %k, 2\n", head="  %k = mov 1\n")
@@ -253,6 +321,34 @@ class TestEngineExtrapolation:
         kernel = parse_kernel(ARG_LOOP)
         ref = _launch(kernel, backend="interpreted", stride=64.0)
         got, loops = _loop_counters(lambda: _launch(kernel, stride=64.0))
+        assert dict(got.steps[0].events) == dict(ref.steps[0].events)
+        assert "exec.loop.trips_extrapolated" not in loops
+        assert loops["exec.loop.fallback.launch_constant"] >= 1
+
+    def test_register_step_skips_with_identical_events(self):
+        kernel = parse_kernel(GRID_STRIDE)
+        ref = _launch(kernel, backend="interpreted")
+        got, loops = _loop_counters(lambda: _launch(kernel))
+        assert dict(got.steps[0].events) == dict(ref.steps[0].events)
+        assert loops["exec.loop.trips_extrapolated"] > 0
+        assert not any(key.startswith("exec.loop.fallback") for key in loops)
+
+    def test_register_step_not_held_as_a_scalar_falls_back(self, monkeypatch):
+        """A launch-uniform step register that the run state holds as
+        ``(B, 1)`` is resolved from its held value at loop entry: not an
+        integer ``()`` scalar, so every trip is simulated."""
+        special = _BatchedRun._special
+
+        def column_ntid(self, kind):
+            value = special(self, kind)
+            if kind == "ntid":
+                return np.full((self.nblocks, 1), value)
+            return value
+
+        monkeypatch.setattr(_BatchedRun, "_special", column_ntid)
+        kernel = parse_kernel(GRID_STRIDE)
+        ref = _launch(kernel, backend="interpreted")
+        got, loops = _loop_counters(lambda: _launch(kernel))
         assert dict(got.steps[0].events) == dict(ref.steps[0].events)
         assert "exec.loop.trips_extrapolated" not in loops
         assert loops["exec.loop.fallback.launch_constant"] >= 1

@@ -243,3 +243,61 @@ def test_shfl_matches_lane_reference(monkeypatch, mode, block, shape):
                             f"offset {name}",
                 )
             assert profile.events["inst.shfl"] == warps * len(cases), backend
+
+
+#: Lane-only ``(1, T)`` branch and loop conditions, first under the full
+#: mask of a multi-block chunk, then nested under a block-uniform one.
+LANE_BRANCHES = """
+.kernel lanes(params: -; buffers: out)
+  %t = %tid
+  %c = %ctaid
+  %p = lt %t, 40
+  if %p {
+    %x = mov 1
+  }
+  %lim = mod %t, 4
+  %i = mov 0
+  while {
+    %k = lt %i, %lim
+  } test %k {
+    %i = add %i, 1
+  }
+  %q = lt %c, 2
+  if %q {
+    %r = lt %t, 7
+    if %r {
+      %y = mov 2
+    }
+  }
+  st.global [out + %t], 1.0
+"""
+
+
+@pytest.mark.parametrize("block", [48, 200])
+def test_lane_only_branches_count_one_row_per_block(monkeypatch, block):
+    """A lane-only condition under the full mask splits every block's
+    warps alike: the compiled trace counts one row times the block
+    count, and ``branch.divergent`` matches a per-warp reference on both
+    backends."""
+    grid = 5
+    nwarps = -(-block // WARP)
+    # if %p: warp 1 holds lanes on both sides of 40, in every block; the
+    # loop test splits every warp on trips 0-2 (lanes exit at %t mod 4);
+    # the nested %r splits warp 0 of blocks 0 and 1.
+    expected = grid * 1 + grid * 3 * nwarps + 2
+    calls = []
+    count = _BatchedRun._count_divergence
+
+    def spy(self, taken, other, copies=1):
+        calls.append((taken.shape, copies))
+        return count(self, taken, other, copies)
+
+    monkeypatch.setattr(_BatchedRun, "_count_divergence", spy)
+    for backend in BACKENDS:
+        calls.clear()
+        _, profile, _ = _run_states(
+            monkeypatch, parse_kernel(LANE_BRANCHES), grid, block, backend
+        )
+        assert profile.events["branch.divergent"] == expected, backend
+        one_row = calls.count(((1, block), grid))
+        assert one_row == (2 if backend == "compiled" else 0), calls

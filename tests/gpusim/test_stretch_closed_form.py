@@ -8,9 +8,9 @@ must equal every-trip simulation bit for bit: the interpreter, or the
 ``compiled`` event-only launch with the skip disabled.
 
 A launch-invariant suffix that reads no block id
-(``KernelFacts.suffix_reads_block_id``) is memoized by its
-chunk's block count instead of its grid and block ids; replays must
-equal fresh simulation over multi-chunk launches.
+(``KernelFacts.suffix_reads_block_id``) is memoized per block instead of
+per grid and block ids, and serves chunks of any block count; replays
+must equal fresh simulation over multi-chunk launches.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ import pytest
 
 from repro import ReductionFramework
 from repro.autotune import tuner
+from repro.baselines import build_cub_plan, build_kokkos_plan
 from repro.codegen import Tunables
 from repro.gpusim import Executor
 from repro.gpusim.device import Device
@@ -109,6 +110,26 @@ def test_vector_loads_closed_form_equals_interpreter(ctype):
             _profile_plan(plan, n), _interpreted_profile(plan, n),
             (plan.name, n),
         )
+
+
+@pytest.mark.parametrize("build", [build_cub_plan, build_kokkos_plan])
+def test_baselines_closed_form_equals_every_trip(build, monkeypatch):
+    """The CUB and Kokkos grid-stride loops step by the launch-uniform
+    register ``%ntid * %nctaid`` from a per-lane start: proven, so no
+    ``step`` or ``induction_start`` fallback, up to 2^28 elements."""
+    points = [(build(n, op), n) for op in ("add", "max")
+              for n in ((1 << 20) + 3, 1 << 24, 1 << 28)]
+    before = _counters("exec.loop.")
+    got = [_profile_plan(plan, n) for plan, n in points]
+    loops = _delta(before, _counters("exec.loop."))
+    assert loops["exec.loop.trips_extrapolated"] > 0
+    assert set(loops) == {
+        "exec.loop.trips_simulated", "exec.loop.trips_extrapolated",
+        "exec.loop.fallback.nested",
+    }
+    _every_trip(monkeypatch)
+    for (plan, n), profile in zip(points, got):
+        _assert_same_events(profile, _profile_plan(plan, n), (plan.name, n))
 
 
 #: Lanes 0-15 run 10 trips, lanes 16-39 run 75 and the rest 150: three
@@ -247,7 +268,7 @@ def _memo_plan(kernel, grid, out):
 
 
 def _fresh(plan, n):
-    kernel = plan.steps[0].kernel
+    kernel = plan.kernel_steps()[0].kernel
     saved = kernel.facts.pop("suffix", None)
     try:
         return _profile_plan(plan, n)
@@ -285,22 +306,29 @@ def test_memo_shared_across_grids_unless_it_reads_the_block_id(
         assert profile.steps[0].events["atom.global.max_same_addr"] == expected
 
 
-def test_catalog_memo_is_shared_across_grids():
-    """Every Figure-6 kernel's combine reads no block id, so one entry
-    per (chunk block count, block size, buffers) serves every grid."""
+def test_catalog_memo_is_shared_across_grids(monkeypatch):
+    """Every Figure-6 kernel's combine reads no block id, so one
+    per-block entry per (block size, buffers) serves every grid and
+    every chunk block count, ragged last chunks included."""
     fw = ReductionFramework()
 
     def profile(n, grid):
         plan = fw.build("b", n, Tunables(block=256, grid=grid))
-        _profile_plan(plan, n)
-        return plan.kernel_steps()[-1].kernel
+        return plan, _profile_plan(plan, n)
 
-    kernel = profile(1 << 16, 8)
+    plan, _ = profile(1 << 16, 8)
+    kernel = plan.kernel_steps()[0].kernel
     assert kernel_facts(kernel).suffix_reads_block_id is False
     kernel.facts.pop("suffix")
-    for grid in (8, 16, 24, 32):  # one chunk each
-        profile(1 << 16, grid)
-    assert sorted(key[0] for key in kernel.facts["suffix"]) == [8, 16, 24, 32]
-    for grid in (8, 16):
-        assert profile(1 << 20, grid) is kernel
-    assert len(kernel.facts["suffix"]) == 4
+    before = _counters("exec.suffix.")
+    got = [profile(1 << 16, grid) for grid in (8, 16, 24, 32)]  # one chunk
+    monkeypatch.setattr(Executor, "BATCH_LANES", 5 * 256)
+    got += [profile(1 << 20, grid) for grid in (8, 16)]  # chunks of 5
+    assert all(plan.kernel_steps()[0].kernel is kernel for plan, _ in got)
+    assert len(kernel.facts["suffix"]) == 1
+    assert _delta(before, _counters("exec.suffix.")) == {
+        "exec.suffix.simulated": 1, "exec.suffix.reused": 3 + 2 + 4,
+    }
+    for plan, memoized in got:
+        n = plan.meta["n"]
+        _assert_same_events(memoized, _fresh(plan, n), plan.meta["geometry"])

@@ -2,11 +2,11 @@
 
 ``KernelFacts.suffix_start`` (:func:`repro.vir.analysis.kernel_facts`)
 finds the top-level tail of a kernel that reads no launch constant,
-directly, through a register or through a loop or branch condition. A
-event-only profile launch simulates that tail once per
-(geometry, block ids, buffer shapes) and replays it afterwards; memoized
-profiles must equal fresh ones (taken with the kernel's memo emptied)
-bit for bit.
+directly, through a register or through a loop or branch condition. An
+event-only profile launch simulates that tail once per (block size,
+buffer shapes), and per grid and block ids only when the tail reads the
+block id, and replays it afterwards; memoized profiles must equal fresh
+ones (taken with the kernel's memo emptied) bit for bit.
 """
 
 import pytest
@@ -248,6 +248,23 @@ def test_tune_cold_grid_memoized_equals_fresh():
 def test_ragged_sizes_memoized_equal_fresh(op, ctype):
     fw = ReductionFramework(op=op, ctype=ctype)
     specs = tuner.sweep_specs(fw, (4099, 300_007), blocks=(64, 256))
+    _assert_memoized_equals_fresh([
+        (fw.build(version, n, tunables), n) for version, n, tunables in specs
+    ])
+
+
+#: The paper's 12 input sizes, 64 ... 2^28 (Figures 7-10).
+PAPER_SIZES = tuple(4 ** k for k in range(3, 15))
+
+
+def test_figures_grid_memoized_equals_fresh():
+    """The figures' compact grid: per-block entries serve sampled
+    3-block chunks, whole one-chunk grids and one-block grids alike."""
+    fw = ReductionFramework()
+    specs = tuner.sweep_specs(
+        fw, PAPER_SIZES, candidates=["a", "b", "k", "p"],
+        blocks=(64, 128, 256), grids=(None, 512),
+    )
     _assert_memoized_equals_fresh([
         (fw.build(version, n, tunables), n) for version, n, tunables in specs
     ])

@@ -80,7 +80,7 @@ def _loop(summary) -> dict:
     if summary.reason is not None:
         return {"reason": summary.reason, "detail": summary.detail}
     return {
-        "inductions": [[name, step] for name, step in summary.inductions],
+        "inductions": [[name, _plain(step)] for name, step in summary.inductions],
         "induction": summary.induction,
         "op": summary.op,
         "bound": str(summary.bound),
