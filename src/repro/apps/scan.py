@@ -274,6 +274,6 @@ class Scan:
         from ..gpusim import get_architecture, plan_time
         from ..runtime.session import _profile_plan
 
-        arch = arch if not isinstance(arch, str) else get_architecture(arch)
+        arch = get_architecture(arch)
         profile = _profile_plan(self.build_plan(n), n)
         return plan_time(profile, arch)

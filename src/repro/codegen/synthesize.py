@@ -235,14 +235,16 @@ def build_plan_cached(
     shares one kernel object. On a miss the plan is built with fresh
     kernels, which are validated and *pre-warmed*: each one's
     ``compiled`` artifact (its closure traces, resolved through
-    :func:`repro.gpusim.get_backend` at call time) and batchability
-    summary are computed before the kernels are published, so every
-    later executor — any framework instance, any sweep worker thread —
-    starts hot. On a hit only the host plan is assembled.
+    :func:`repro.gpusim.get_backend` at call time) is built before the
+    kernels are published, and building it computes the kernel's static
+    facts (:func:`repro.vir.analysis.kernel_facts`), the batchability
+    summary among them, so every later executor — any framework
+    instance, any sweep worker thread — starts hot. On a hit only the
+    host plan is assembled.
     """
     # Imported lazily: codegen must stay importable without dragging in
     # the simulator (and gpusim must never import codegen at top level).
-    from ..gpusim import analyze_batchability, get_backend
+    from ..gpusim import get_backend
     from ..obs import default_metrics, get_tracer
     from ..perf import default_plan_cache
 
@@ -269,7 +271,6 @@ def build_plan_cached(
         traces = 0
         for kernel in kernels:
             traces += len(prepare(kernel).trace)
-            analyze_batchability(kernel)
         span.set(closures=traces)
     cache.put(key, kernels, cost_s=time.perf_counter() - start)
     default_metrics().inc("codegen.kernels_built", len(kernels))

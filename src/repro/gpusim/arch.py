@@ -186,7 +186,11 @@ ARCHITECTURES = {
 }
 
 
-def get_architecture(name: str) -> Architecture:
+def get_architecture(name) -> Architecture:
+    """The architecture named ``name`` (any case); an
+    :class:`Architecture` is returned unchanged."""
+    if isinstance(name, Architecture):
+        return name
     key = name.lower()
     if key not in ARCHITECTURES:
         raise KeyError(

@@ -166,10 +166,8 @@ def explain_variant(framework, version, n: int, arch="pascal",
                     tunables=None) -> dict:
     """Explain one Figure-6 variant at size ``n`` on one architecture."""
     from ..gpusim import get_architecture
-    from ..gpusim.arch import Architecture
 
-    if not isinstance(arch, Architecture):
-        arch = get_architecture(arch)
+    arch = get_architecture(arch)
     resolved = framework.resolve(version)
     profile, num_memsets = framework.profile(resolved, n, tunables)
     label = version if isinstance(version, str) else resolved.identifier

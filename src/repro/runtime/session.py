@@ -43,7 +43,6 @@ from ..core.variants import (
 )
 from ..cpu import openmp_reduce_time
 from ..gpusim import (
-    Architecture,
     Device,
     Executor,
     PlanProfile,
@@ -292,7 +291,7 @@ class ReductionFramework:
 
     def time(self, n: int, version, arch, tunables: Tunables = None) -> float:
         """Modelled wall time (seconds) of one version on one architecture."""
-        arch = _resolve_arch(arch)
+        arch = get_architecture(arch)
         profile, num_memsets = self.profile(version, n, tunables)
         with get_tracer().span(
             "timing.model",
@@ -319,7 +318,7 @@ class ReductionFramework:
         Missing profiles are computed in parallel; the timing model then
         reads them back from the shared cache.
         """
-        arch = _resolve_arch(arch)
+        arch = get_architecture(arch)
         if candidates is None:
             candidates = list(self.catalog)
         self.profile_many(
@@ -388,7 +387,7 @@ def _baseline_profile(kind: str, n: int, op: str, build) -> PlanProfile:
 
 def cub_time(n: int, arch, op: str = "add") -> float:
     """Modelled wall time of the CUB-like baseline."""
-    arch = _resolve_arch(arch)
+    arch = get_architecture(arch)
     profile = _baseline_profile("cub", n, op, build_cub_plan)
     return plan_time(
         profile, arch, extra_host_overhead_s=CUB_HOST_OVERHEAD_S
@@ -397,7 +396,7 @@ def cub_time(n: int, arch, op: str = "add") -> float:
 
 def kokkos_time(n: int, arch, op: str = "add") -> float:
     """Modelled wall time of the Kokkos-like baseline."""
-    arch = _resolve_arch(arch)
+    arch = get_architecture(arch)
     profile = _baseline_profile("kokkos", n, op, build_kokkos_plan)
     return plan_time(profile, arch)
 
@@ -405,9 +404,3 @@ def kokkos_time(n: int, arch, op: str = "add") -> float:
 def openmp_time(n: int) -> float:
     """Modelled wall time of the OpenMP CPU baseline."""
     return openmp_reduce_time(n)
-
-
-def _resolve_arch(arch) -> Architecture:
-    if isinstance(arch, Architecture):
-        return arch
-    return get_architecture(arch)

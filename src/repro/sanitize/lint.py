@@ -1,7 +1,8 @@
 """Static SIMT lint: a VIR pass over kernels, no execution required.
 
-Built on the abstract interpreters in :mod:`repro.vir.analysis` — the
-uniform-constant evaluator and the block-uniformity tracker. Two checks:
+Built on :func:`repro.vir.analysis.kernel_facts`: each register's
+writers and variance (one value per launch, per block or per lane), and
+the uniform-constant evaluator for a tree loop's offsets. Two checks:
 
 * **missing-barrier-in-tree-loop** — a ``While`` body that stores to a
   shared buffer and loads a *different* address of the same buffer with
@@ -12,11 +13,11 @@ uniform-constant evaluator and the block-uniformity tracker. Two checks:
   registers that feed the load address but not the store address. An
   offset that reaches ``WARP`` or cannot be bounded is flagged.
 * **non-atomic-rmw** — a shared store whose value derives from a load of
-  the same buffer at the same *block-uniform* address, executed where
-  more than one lane can be active. Every active lane then performs the
-  classic racy read-modify-write that ``atomicAdd`` exists to prevent.
-  Single-lane regions (``if (tid == 0)`` style guards) are recognized
-  and exempt.
+  the same buffer at the same address, one that is not ``lane``-varying,
+  executed where more than one lane can be active. Every active lane of
+  a block then performs the classic racy read-modify-write that
+  ``atomicAdd`` exists to prevent. Single-lane regions
+  (``if (tid == 0)`` style guards) are recognized and exempt.
 
 Both checks are heuristic in the direction of the generated catalog:
 they keep every stock Figure 6 variant clean while flagging the
@@ -29,10 +30,12 @@ from __future__ import annotations
 
 from ..gpusim.engine import WARP
 from ..vir.analysis import (
+    ALU_WRITERS,
+    LANE,
     UNKNOWN,
     eval_const_body,
     eval_const_instr,
-    eval_uniform_instr,
+    kernel_facts,
 )
 from ..vir.instructions import (
     Arg,
@@ -43,10 +46,8 @@ from ..vir.instructions import (
     LdShared,
     Mov,
     Reg,
-    Sel,
     Special,
     StShared,
-    UnOp,
     While,
     reads,
     walk_instrs,
@@ -57,14 +58,11 @@ from .dynamic import Diagnostic
 #: Special registers that identify exactly one lane when pinned by ==.
 _LANE_SPECIALS = frozenset({"tid", "laneid"})
 
-_DEF_CLASSES = (Mov, BinOp, UnOp, Sel, Special)
-
 
 def lint_kernel(kernel) -> list:
     """Run both static checks over one kernel; returns Diagnostics."""
-    defs = _collect_defs(kernel.body)
     diags = []
-    _lint_body(kernel, kernel.body, defs, const_env={}, uniform_env={},
+    _lint_body(kernel, kernel_facts(kernel), kernel.body, const_env={},
                single_lane=False, diags=diags)
     return diags
 
@@ -84,17 +82,9 @@ def lint_plan(plan) -> list:
 # -- def/use plumbing ---------------------------------------------------
 
 
-def _collect_defs(body) -> dict:
-    """Register name -> defining scalar instruction (last def wins)."""
-    defs = {}
-    for instr in walk_instrs(body):
-        if isinstance(instr, _DEF_CLASSES):
-            defs[instr.dst.name] = instr
-    return defs
-
-
-def _slice_regs(roots, defs) -> set:
-    """Transitive closure of registers feeding ``roots`` through defs."""
+def _slice(roots, writers) -> set:
+    """``roots`` and every register feeding them through the ALU writes
+    of each (``writers``: :attr:`KernelFacts.writers`), transitively."""
     seen = set()
     work = list(roots)
     while work:
@@ -102,10 +92,10 @@ def _slice_regs(roots, defs) -> set:
         if name in seen:
             continue
         seen.add(name)
-        instr = defs.get(name)
-        if instr is None or isinstance(instr, Special):
-            continue
-        work.extend(op.name for op in reads(instr) if isinstance(op, Reg))
+        for instr in writers.get(name, ()):
+            if isinstance(instr, ALU_WRITERS):
+                work.extend(op.name for op in reads(instr)
+                            if isinstance(op, Reg))
     return seen
 
 
@@ -113,67 +103,66 @@ def _idx_regs(operand) -> set:
     return {operand.name} if isinstance(operand, Reg) else set()
 
 
-def _is_single_lane_guard(cond: Reg, defs) -> bool:
-    """True for conditions of the shape ``<lane id expr> == <constant>``.
+def _is_single_lane_guard(cond: Reg, writers) -> bool:
+    """True for conditions of the shape ``<lane id expr> == <x>``.
 
     Recognizes the generated ``if (tid == 0)`` / ``if (laneid == 0)``
-    guards: an equality whose one side slices down to a per-lane special
-    (``tid``/``laneid``) and whose other side is an immediate or a
-    block-uniform value.
+    guards: a register written once (through copies) by an equality
+    one side of which slices down to a per-lane special
+    (``tid``/``laneid``).
     """
-    instr = defs.get(cond.name)
-    while isinstance(instr, Mov) and isinstance(instr.a, Reg):
-        instr = defs.get(instr.a.name)
-    if not isinstance(instr, BinOp) or instr.op != "eq":
+    instrs, copied = writers.get(cond.name, ()), {cond.name}
+    while (len(instrs) == 1 and isinstance(instrs[0], Mov)
+           and isinstance(instrs[0].a, Reg)
+           and instrs[0].a.name not in copied):  # copies may cycle
+        copied.add(instrs[0].a.name)
+        instrs = writers.get(instrs[0].a.name, ())
+    if not (len(instrs) == 1 and isinstance(instrs[0], BinOp)
+            and instrs[0].op == "eq"):
         return False
-    for lane_side in (instr.a, instr.b):
-        if not isinstance(lane_side, Reg):
-            continue
-        for name in _slice_regs({lane_side.name}, defs):
-            d = defs.get(name)
-            if isinstance(d, Special) and d.kind in _LANE_SPECIALS:
-                return True
-    return False
+    sides = _idx_regs(instrs[0].a) | _idx_regs(instrs[0].b)
+    return any(
+        isinstance(d, Special) and d.kind in _LANE_SPECIALS
+        for name in _slice(sides, writers) for d in writers.get(name, ())
+    )
 
 
 # -- the recursive walk -------------------------------------------------
 
 
-def _lint_body(kernel, body, defs, const_env, uniform_env, single_lane,
-               diags) -> None:
+def _lint_body(kernel, facts, body, const_env, single_lane, diags) -> None:
     for instr in body:
         if isinstance(instr, If):
-            guard = single_lane or _is_single_lane_guard(instr.cond, defs)
-            # Region-local copies: writes inside are not constant/uniform
-            # afterwards (eval_*_instr poisons them below).
-            _lint_body(kernel, instr.then, defs, dict(const_env),
-                       dict(uniform_env), guard, diags)
-            _lint_body(kernel, instr.otherwise, defs, dict(const_env),
-                       dict(uniform_env), guard, diags)
+            guard = single_lane or _is_single_lane_guard(instr.cond,
+                                                         facts.writers)
+            # Region-local copies: writes inside are not constant
+            # afterwards (eval_const_instr poisons them below).
+            for region in (instr.then, instr.otherwise):
+                _lint_body(kernel, facts, region, dict(const_env), guard,
+                           diags)
         elif isinstance(instr, While):
-            _check_tree_loop(kernel, instr, defs, const_env, diags)
-            _lint_body(kernel, instr.cond_block, defs, dict(const_env),
-                       dict(uniform_env), single_lane, diags)
-            _lint_body(kernel, instr.body, defs, dict(const_env),
-                       dict(uniform_env), single_lane, diags)
+            _check_tree_loop(kernel, instr, facts.writers, const_env, diags)
+            for region in (instr.cond_block, instr.body):
+                _lint_body(kernel, facts, region, dict(const_env),
+                           single_lane, diags)
         elif isinstance(instr, StShared) and not single_lane:
-            _check_rmw(kernel, instr, body, defs, uniform_env, diags)
+            _check_rmw(kernel, instr, facts, diags)
         eval_const_instr(instr, const_env)
-        eval_uniform_instr(instr, uniform_env)
 
 
-def _check_rmw(kernel, store: StShared, body, defs, uniform_env,
-               diags) -> None:
-    """Flag ``sdata[u] = f(sdata[u], ...)`` at a multi-lane program point."""
-    if not _uniform_idx(store.idx, uniform_env):
+def _check_rmw(kernel, store: StShared, facts, diags) -> None:
+    """Flag ``sdata[u] = f(sdata[u], ...)`` at a multi-lane program point
+    where ``u`` is not ``lane``-varying."""
+    if isinstance(store.idx, Reg) and facts.variance.get(
+            store.idx.name, LANE) == LANE:
         return
     if not isinstance(store.src, Reg):
         return
-    for name in _slice_regs({store.src.name}, defs):
-        load = _find_load(name, body)
-        if load is None or load.buf != store.buf:
-            continue
-        if _same_operand(load.idx, store.idx):
+    for name in _slice({store.src.name}, facts.writers):
+        for load in facts.writers.get(name, ()):
+            if not (isinstance(load, LdShared) and load.buf == store.buf
+                    and _same_operand(load.idx, store.idx)):
+                continue
             diags.append(Diagnostic(
                 kind="non-atomic-rmw",
                 kernel=kernel.name,
@@ -191,14 +180,6 @@ def _check_rmw(kernel, store: StShared, body, defs, uniform_env,
             return
 
 
-def _uniform_idx(idx, uniform_env) -> bool:
-    if isinstance(idx, (Imm, Arg)):
-        return True
-    if isinstance(idx, Reg):
-        return bool(uniform_env.get(idx.name, False))
-    return False
-
-
 def _same_operand(a, b) -> bool:
     if isinstance(a, Imm) and isinstance(b, Imm):
         return a.value == b.value
@@ -209,14 +190,7 @@ def _same_operand(a, b) -> bool:
     return False
 
 
-def _find_load(reg_name, body):
-    for instr in walk_instrs(body):
-        if isinstance(instr, LdShared) and instr.dst.name == reg_name:
-            return instr
-    return None
-
-
-def _check_tree_loop(kernel, loop: While, defs, const_env, diags) -> None:
+def _check_tree_loop(kernel, loop: While, writers, const_env, diags) -> None:
     """Flag barrier-free loops with cross-warp shared store/load traffic."""
     region = list(walk_instrs(loop.cond_block)) + list(walk_instrs(loop.body))
     if any(isinstance(i, Bar) for i in region):
@@ -226,12 +200,12 @@ def _check_tree_loop(kernel, loop: While, defs, const_env, diags) -> None:
     if not stores or not loads:
         return
     for store in stores:
-        store_slice = _slice_regs(_idx_regs(store.idx), defs)
+        store_slice = _slice(_idx_regs(store.idx), writers)
         for load in loads:
             if load.buf != store.buf or _same_operand(load.idx, store.idx):
                 continue
             offset_regs = (
-                _slice_regs(_idx_regs(load.idx), defs) - store_slice
+                _slice(_idx_regs(load.idx), writers) - store_slice
             )
             if not offset_regs:
                 continue

@@ -1,9 +1,10 @@
 """Static analysis over VIR: uniform constants, kernel facts, loop proofs.
 
-The core is a conservative abstract interpreter over *uniform
-constants* (:func:`eval_const_instr`). :func:`summarize_loop` reads it
-for a loop's invariants, and the sanitizer's static lint
-(:mod:`repro.sanitize.lint`) for a tree loop's offsets:
+A conservative abstract interpreter over *uniform constants*
+(:func:`eval_const_instr`) gives compile-time values:
+:func:`summarize_loop` reads it for a loop's invariants, and the
+sanitizer's static lint (:mod:`repro.sanitize.lint`) for a tree loop's
+offsets:
 
 * a register is tracked as a **uniform constant** when every lane of
   every block provably holds the same scalar value at that program
@@ -28,15 +29,16 @@ registers, which let sampled and profile launches skip their values
 and proven loop trips (:func:`summarize_loop`); the
 launch-invariant suffix, which the engine simulates once per launch
 shape, and whether that shape includes the grid and the block ids; the
-access summary behind the batchability verdict; and the proof of every
-top-level loop. ``docs/PERFORMANCE.md`` explains how the engine uses
+access summary behind the batchability verdict; the proof of every
+top-level loop; and each register's variance (one value per launch,
+per block or per lane) and writers, which the loop proofs and the
+static lint read. ``docs/PERFORMANCE.md`` explains how the engine uses
 them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,6 +60,7 @@ from .instructions import (
     Mov,
     Reg,
     Sel,
+    SPECIAL_LEVELS,
     Shfl,
     Special,
     StGlobal,
@@ -147,65 +150,6 @@ def eval_const_body(body, env) -> None:
         eval_const_instr(instr, env)
 
 
-#: Special registers that hold the same value in every lane of a block.
-UNIFORM_SPECIALS = frozenset({"ctaid", "ntid", "nctaid"})
-
-
-def eval_uniform_instr(instr, env) -> None:
-    """Abstractly track *block-uniformity* of registers.
-
-    ``env`` maps register name -> ``True`` when every lane of a block
-    provably holds the same value at that program point, ``False``
-    otherwise. This complements :func:`eval_const_instr` (which tracks
-    the uniform *value* when it is also a compile-time constant): a
-    register seeded from ``ld.param`` or ``%ctaid`` is uniform without
-    being constant. The sanitizer's static lint uses it to decide
-    whether a shared-memory address is provably written by every active
-    lane of a region (a uniform index under a multi-lane mask). Launch
-    constants are uniform.
-
-    Conservative like its twin: loads, shuffles, atomics and writes
-    under (possibly divergent) ``If``/``While`` control poison their
-    destinations to non-uniform.
-    """
-    if isinstance(instr, Comment):
-        return
-    if isinstance(instr, Mov):
-        env[instr.dst.name] = _uniform_operand(instr.a, env)
-        return
-    if isinstance(instr, BinOp):
-        env[instr.dst.name] = (
-            _uniform_operand(instr.a, env) and _uniform_operand(instr.b, env)
-        )
-        return
-    if isinstance(instr, UnOp):
-        env[instr.dst.name] = _uniform_operand(instr.a, env)
-        return
-    if isinstance(instr, Sel):
-        env[instr.dst.name] = (
-            _uniform_operand(instr.cond, env)
-            and _uniform_operand(instr.a, env)
-            and _uniform_operand(instr.b, env)
-        )
-        return
-    if isinstance(instr, Special):
-        env[instr.dst.name] = instr.kind in UNIFORM_SPECIALS
-        return
-    if isinstance(instr, LdParam):
-        env[instr.dst.name] = True
-        return
-    for name in written_regs([instr]):
-        env[name] = False
-
-
-def _uniform_operand(operand, env) -> bool:
-    if isinstance(operand, (Imm, Arg)):
-        return True
-    if isinstance(operand, Reg):
-        return env.get(operand.name, False)
-    return False
-
-
 # ---------------------------------------------------------------------
 # kernel facts: one flow table, one fixpoint
 # ---------------------------------------------------------------------
@@ -218,6 +162,12 @@ _MEMORY_OPS = (LdGlobal, StGlobal, LdShared, StShared, AtomGlobal, AtomShared)
 
 #: Special registers whose value depends on the grid or the block id.
 _BLOCK_SPECIALS = frozenset({"ctaid", "nctaid"})
+
+#: Register variance levels, narrowest first (:attr:`KernelFacts.variance`).
+LAUNCH, BLOCK, LANE = "launch", "block", "lane"
+
+#: Writers whose destination is a function of their operands alone.
+ALU_WRITERS = (Mov, BinOp, UnOp, Sel)
 
 
 def _reg_names(regs) -> set:
@@ -273,6 +223,21 @@ class KernelFacts:
     #: ``(buf, sites, any site inside a While, ops)`` of every buffer the
     #: kernel updates with global atomics, in program order.
     global_atomics: tuple
+    #: Register name -> the instructions that write it, nested ones
+    #: included, in program order.
+    writers: dict
+    #: Register name -> its *variance*, the widest span over which the
+    #: values it holds may differ: :data:`LAUNCH` (one value in every
+    #: thread of a launch), :data:`BLOCK` (one per block) or
+    #: :data:`LANE`. A register is ``lane`` when a write to it is a load,
+    #: a shuffle or a lane-varying special
+    #: (:data:`~repro.vir.instructions.SPECIAL_LEVELS`), reads a ``lane``
+    #: register, or sits under an ``If`` or ``While`` whose condition is
+    #: ``lane``; ``block`` likewise from ``%ctaid``. The fact is
+    #: flow-insensitive: it holds at every program point. The levels
+    #: mirror the engine's register shapes ``()``, ``(B, 1)`` and
+    #: ``(1, T)`` (or ``(B, T)``).
+    variance: dict
 
 
 def kernel_facts(kernel) -> KernelFacts:
@@ -280,13 +245,15 @@ def kernel_facts(kernel) -> KernelFacts:
     as its ``static`` fact (:meth:`~repro.vir.program.Kernel.fact`).
 
     One walk builds the kernel's flow table (:func:`_flow_rows`), and
-    one fixpoint over it (:func:`_dependents`) runs three times: from
-    loaded values for the data registers and the data-dependence
-    verdict, then from launch constants and from the block-id specials,
-    with control dependence, for the launch-invariant suffix. The same
-    rows give the access summary and the launch-uniform registers
-    (:func:`_launch_uniform`), and with those one uniform-constant pass
-    over the top level proves every top-level loop
+    one fixpoint over it (:func:`_dependents`) runs up to five times:
+    from loaded values for the data registers and the data-dependence
+    verdict; from launch constants and from the block-id specials, with
+    control dependence, for the launch-invariant suffix; and from
+    per-lane and per-block sources, with control dependence, for the
+    register variance (:func:`_variance`). The same rows give the access
+    summary, the writers of each register and the launch-uniform
+    registers (:func:`_launch_uniform`), and with those one
+    uniform-constant pass over the top level proves every top-level loop
     (:func:`summarize_loop`).
     """
     return kernel.fact("static", _analyze)
@@ -300,9 +267,15 @@ def _analyze(kernel) -> KernelFacts:
     suffix = (None, (), False)
     if dependence is None:
         suffix = _suffix(body, rows, data)
-    loops = _loop_proofs(body, _launch_uniform(rows))
+    writers = {}
+    for row in rows:
+        for name in row.writes:
+            writers.setdefault(name, []).append(row.instr)
+    variance = _variance(rows)
+    loops = _loop_proofs(body, _launch_uniform(rows, writers, variance))
     return KernelFacts(
-        dependence, frozenset(data), loops, *suffix, *_access(rows)
+        dependence, frozenset(data), loops, *suffix, *_access(rows),
+        writers, variance,
     )
 
 
@@ -387,32 +360,40 @@ def _reads_block_id(instr) -> bool:
     return isinstance(instr, Special) and instr.kind in _BLOCK_SPECIALS
 
 
-#: Special registers that hold one value in every lane of a launch.
-_LAUNCH_SPECIALS = frozenset({"ntid", "nctaid"})
+def _varies_per_lane(instr) -> bool:
+    if isinstance(instr, Special):
+        return SPECIAL_LEVELS[instr.kind] == LANE
+    return not isinstance(instr, (*ALU_WRITERS, LdParam))
 
 
-def _launch_uniform(rows) -> dict:
+def _varies_per_block(instr) -> bool:
+    return _varies_per_lane(instr) or (
+        isinstance(instr, Special) and SPECIAL_LEVELS[instr.kind] == BLOCK
+    )
+
+
+def _variance(rows) -> dict:
+    """Register name -> variance level of every register ``rows`` write
+    (see :attr:`KernelFacts.variance`)."""
+    lane, _ = _dependents(rows, _varies_per_lane, control=True)
+    block, _ = _dependents(rows, _varies_per_block, control=True)
+    return {
+        name: LANE if name in lane else BLOCK if name in block else LAUNCH
+        for row in rows for name in row.writes
+    }
+
+
+def _launch_uniform(rows, writers, variance) -> dict:
     """Register name -> top-level index of its one write, for every
-    *launch-uniform* register: written once in the kernel, at the top
-    level, from immediates, launch constants, ``ld.param``, ``%ntid``,
-    ``%nctaid`` and other such registers only. From that write on it
-    holds one value in every lane of the launch (top-level code runs
-    under the full mask)."""
-    writers = Counter(name for row in rows for name in row.writes)
-    uniform = {}
-    for row in rows:
-        instr = row.instr
-        if row.guards or len(row.writes) != 1:
-            continue  # nested, or not one destination
-        (name,) = row.writes
-        if writers[name] == 1 and (
-            isinstance(instr, LdParam)
-            or (isinstance(instr, Special) and instr.kind in _LAUNCH_SPECIALS)
-            or (isinstance(instr, (BinOp, UnOp, Mov, Sel))
-                and row.reads <= uniform.keys())
-        ):
-            uniform[name] = row.top
-    return uniform
+    *launch-uniform* register: a ``launch`` register written once in
+    the kernel, at the top level. From that write on it holds one value
+    in every lane of the launch (top-level code runs under the full
+    mask)."""
+    return {
+        name: row.top for row in rows if not row.guards
+        for name in row.writes
+        if len(writers[name]) == 1 and variance[name] == LAUNCH
+    }
 
 
 def _data_dependence(rows, data):

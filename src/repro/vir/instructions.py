@@ -140,7 +140,6 @@ ALU_IMPL = {
     "sub": _arith(operator.sub),
     "mul": _arith(operator.mul),
     "div": _arith(_div),
-    "idiv": _arith(np.floor_divide),
     "mod": _arith(operator.mod),
     "min": _arith(np.minimum),
     "max": _arith(np.maximum),
@@ -179,7 +178,14 @@ ATOMIC_OPS = frozenset(ATOMIC_IMPL)
 
 SHFL_MODES = frozenset({"down", "up", "xor", "idx"})
 
-SPECIAL_KINDS = frozenset({"tid", "ctaid", "ntid", "nctaid", "laneid", "warpid"})
+#: Special register -> its variance: the widest span over which its
+#: value differs. ``launch`` is one value in every thread of a launch,
+#: ``block`` one per block, ``lane`` one per lane (see
+#: :attr:`repro.vir.analysis.KernelFacts.variance`).
+SPECIAL_LEVELS = {"tid": "lane", "laneid": "lane", "warpid": "lane",
+                  "ctaid": "block", "ntid": "launch", "nctaid": "launch"}
+
+SPECIAL_KINDS = frozenset(SPECIAL_LEVELS)
 
 ATOMIC_SCOPES = frozenset({"device", "block", "system"})
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import Scan
+from repro.gpusim import KEPLER
 
 
 class TestConfiguration:
@@ -91,3 +92,6 @@ class TestStrategies:
         """Kepler times pinned from the app's own profiling copy, before
         it was routed through the framework's ``_profile_plan``."""
         assert Scan(strategy=strategy).time(n, "kepler") == seconds
+
+    def test_time_takes_an_architecture_or_its_name(self):
+        assert Scan().time(5000, KEPLER) == Scan().time(5000, "kepler")

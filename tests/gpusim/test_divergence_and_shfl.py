@@ -129,47 +129,6 @@ class TestWhileDivergence:
             assert events == ref_events
 
 
-class TestIdivFloorDivision:
-    """``idiv`` is floor division whatever the operand dtype: integer
-    registers (lane arithmetic) and float registers (values loaded from
-    global memory) both round toward negative infinity."""
-
-    DIVISORS = (3, -3, 7, -5)
-
-    def _idiv_kernel(self):
-        b = IRBuilder()
-        tid = b.special("tid")
-        x_int = b.binop("sub", tid, 32)          # -32 .. 31
-        x_loaded = b.ld_global("in", tid)        # same values, float64
-        slot = 0
-        for x in (x_int, x_loaded):
-            for d in self.DIVISORS:
-                q = b.binop("idiv", x, d)
-                b.st_global("out", b.binop("add", tid, slot * 64), q)
-                slot += 1
-        return Kernel("idiv", buffers=["in", "out"], body=b.finish())
-
-    def _run(self, mode, backend):
-        dividends = np.arange(64, dtype=np.float64) - 32
-        device, profile = run_combo(
-            self._idiv_kernel(), 1, 64, mode, backend, out_size=512,
-            out_dtype=np.int64, in_data=dividends,
-        )
-        return device.get("out").copy(), dict(profile.events)
-
-    @pytest.mark.parametrize("mode,backend", COMBOS)
-    def test_matches_floor_divide_bit_identical(self, mode, backend):
-        out, events = self._run(mode, backend)
-        x = np.arange(64, dtype=np.int64) - 32
-        expected = np.concatenate(
-            [np.floor_divide(x, d) for d in self.DIVISORS] * 2
-        )
-        np.testing.assert_array_equal(out, expected)
-        ref_out, ref_events = self._run("sequential", "interpreted")
-        assert out.tobytes() == ref_out.tobytes()
-        assert events == ref_events
-
-
 class TestShflBoundaryClamp:
     """Out-of-segment shuffle sources fall back to the lane's own value,
     never read across the warp/width boundary of a partial warp."""

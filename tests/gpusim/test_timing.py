@@ -45,6 +45,10 @@ class TestArchitectures:
         with pytest.raises(KeyError):
             get_architecture("volta")
 
+    def test_an_architecture_resolves_to_itself(self):
+        for arch in (KEPLER, MAXWELL, PASCAL):
+            assert get_architecture(arch) is arch
+
     def test_paper_microarchitecture_facts(self):
         """The facts of Section II-A the model depends on."""
         assert not KEPLER.native_shared_atomics

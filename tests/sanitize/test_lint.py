@@ -1,10 +1,9 @@
 """Static VIR lint: catalog cleanliness and targeted defect patterns."""
 
-import numpy as np
-
 from repro.sanitize import lint_kernel, lint_plan
 from repro.sanitize.negatives import stripped_atomic, tree_no_barrier
 from repro.vir import IRBuilder, Kernel, SharedDecl
+from tests.vir.test_kernel_facts import _kernels
 
 
 def kinds(diags):
@@ -19,6 +18,36 @@ class TestCatalogClean:
             plan = fw_add.build(label, 4096)
             diags = lint_plan(plan)
             assert not diags, (label, [d.render() for d in diags])
+
+
+def test_lint_verdicts_over_every_built_kernel():
+    """Every kernel the project builds (the kernel-facts table's: the
+    Figure-6 catalog x ops x ctypes x blocks, the baselines, the apps
+    and the negative codelets) lints clean except the two negatives
+    built to fail, with these exact diagnostics."""
+    got = {}
+    for label, kernel in _kernels():
+        diags = lint_kernel(kernel)
+        if diags:
+            got[label] = [(d.kind, d.instr, d.message) for d in diags]
+    assert got == {
+        "negative/tree-no-barrier/0:neg_tree_no_barrier": [(
+            "missing-barrier-in-tree-loop",
+            "%r12 = ld.shared [sdata + %r11]",
+            "loop stores to shared sdata (`st.shared [sdata + %tid1], "
+            "%r13`) and reads it cross-lane with no barrier in the loop; "
+            "the lane offset reaches 32 (>= warp size 32), so the exchange "
+            "crosses warps without synchronization",
+        )],
+        "negative/stripped-atomic/0:neg_stripped_atomic": [(
+            "non-atomic-rmw",
+            "st.shared [acc + 0], %r9",
+            "shared acc[0] is read-modify-written through `%r8 = ld.shared "
+            "[acc + 0]` at a program point where multiple lanes are active "
+            "— every lane races on the same address; use an atomic or a "
+            "single-lane guard",
+        )],
+    }
 
 
 class TestMissingBarrier:
@@ -120,6 +149,28 @@ class TestNonAtomicRmw:
                         shared=[SharedDecl("acc", 1)], body=b.finish())
         assert not lint_kernel(kernel)
 
+    def test_guard_copied_around_a_cycle_terminates(self):
+        # A loop rotating three registers writes each once, by a copy of
+        # the next: following the guard's copies must stop.
+        b = IRBuilder()
+        tid = b.special("tid")
+        v = b.ld_global("in", tid)
+        x, y, z = b.fresh("x"), b.fresh("y"), b.fresh("z")
+        cond = b.fresh("cond")
+        loop = b.while_(cond)
+        with loop.cond:
+            b.binop("lt", x, 4, dst=cond)
+        with loop.body:
+            b.mov(y, dst=z)
+            b.mov(x, dst=y)
+            b.mov(z, dst=x)
+        with b.if_(x):
+            old = b.ld_shared("acc", 0)
+            b.st_shared("acc", 0, b.binop("add", old, v))
+        kernel = Kernel("rotate", buffers=["in", "out"],
+                        shared=[SharedDecl("acc", 1)], body=b.finish())
+        assert kinds(lint_kernel(kernel)) == {"non-atomic-rmw"}
+
     def test_lane_varying_index_exempt(self):
         # Per-lane slots: each lane updates its own address.
         b = IRBuilder()
@@ -130,3 +181,23 @@ class TestNonAtomicRmw:
         kernel = Kernel("slots", buffers=["in", "out"],
                         shared=[SharedDecl("slots", 64)], body=b.finish())
         assert not lint_kernel(kernel)
+
+    def test_index_carried_by_a_uniform_loop_flagged(self):
+        # `s` halves in a loop every lane runs the same trips of, so
+        # after it every lane holds the same `s`, and
+        # `sdata[s] = sdata[s] + v` races.
+        b = IRBuilder()
+        tid = b.special("tid")
+        v = b.ld_global("in", tid)
+        s = b.mov(16)
+        cond = b.fresh("cond")
+        loop = b.while_(cond)
+        with loop.cond:
+            b.binop("gt", s, 1, dst=cond)
+        with loop.body:
+            b.binop("shr", s, 1, dst=s)
+        old = b.ld_shared("sdata", s)
+        b.st_shared("sdata", s, b.binop("add", old, v))
+        kernel = Kernel("after_loop", buffers=["in", "out"],
+                        shared=[SharedDecl("sdata", 32)], body=b.finish())
+        assert kinds(lint_kernel(kernel)) == {"non-atomic-rmw"}
