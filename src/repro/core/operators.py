@@ -10,8 +10,8 @@ expression's compile-time value — the unroll pass's trip counts, the
 shared-array sizes of the lowering and of the CUDA emitter — takes it
 from :func:`static_value`, which folds through the same opcodes with
 :func:`repro.vir.analysis.fold`. A folded constant is therefore what the
-simulated registers would hold: int64 two's complement, with floor
-``/`` and ``%`` on ints (:data:`repro.vir.instructions.ALU_IMPL`).
+simulated registers would hold: int64 two's complement, with C's
+truncating ``/`` and ``%`` on ints (:data:`repro.vir.instructions.ALU_IMPL`).
 """
 
 from __future__ import annotations

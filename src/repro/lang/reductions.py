@@ -29,9 +29,12 @@ from . import ast
 #: Element types of a reduction program.
 CTYPES = ("float", "int")
 
-#: The magnitudes the max/min identities start from.
-_FLOAT_BOUND = "3.402823e38"
-_INT_BOUND = "2147483647"
+#: The max/min identities: the type's lowest and highest values
+#: (``-FLT_MAX``/``FLT_MAX``, ``INT_MIN``/``INT_MAX``), so each is
+#: neutral on every value of its type.
+_FLT_MAX = "3.40282347e38f"
+_INT_MIN = "(-2147483647 - 1)"
+_INT_MAX = "2147483647"
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,9 @@ REDUCTIONS = {
         Reduction("sub", "atomicSub", "_atomicSub",
                   {"float": "0.0f", "int": "0"}, "-=", "add"),
         Reduction("max", "atomicMax", "_atomicMax",
-                  {"float": f"-{_FLOAT_BOUND}f", "int": f"-{_INT_BOUND}"},
-                  None, "max"),
+                  {"float": f"-{_FLT_MAX}", "int": _INT_MIN}, None, "max"),
         Reduction("min", "atomicMin", "_atomicMin",
-                  {"float": f"{_FLOAT_BOUND}f", "int": _INT_BOUND},
-                  None, "min"),
+                  {"float": _FLT_MAX, "int": _INT_MAX}, None, "min"),
     )
 }
 
@@ -98,9 +99,15 @@ def identity_literal(op: str, ctype: str) -> str:
 
 def identity_value(op: str, ctype: str):
     """The identity as the lowering stores it: the Python float or int
-    that :func:`identity_literal` spells."""
+    that :func:`identity_literal` spells (an int identity may be a
+    constant expression, folded as the lowering folds it)."""
     literal = identity_literal(op, ctype)
-    return float(literal.rstrip("f")) if ctype == "float" else int(literal)
+    if ctype == "float":
+        return float(literal.rstrip("f"))
+    from ..core.operators import static_value  # core imports lang
+    from .parser import parse_expression
+
+    return static_value(parse_expression(literal))
 
 
 def combine_stmt(op: str, accumulator: str, value: ast.Expr) -> ast.Assign:

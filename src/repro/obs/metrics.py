@@ -13,9 +13,10 @@ It aggregates what the ad-hoc signals used to scatter:
   counts;
 * sweep fan-out sizes and pool usage from :mod:`repro.perf.parallel`
   (``pool.fanout`` histogram, ``pool.parallel`` / ``pool.serial``);
-* sweep pool health (``sweep.sched.retried`` / ``pool_spawns`` /
-  ``pool_reuses`` counters and the ``sweep.worker_util`` gauge —
-  worker busy-time over ``workers × wall`` for the last sweep);
+* sweep pool health (``sweep.sched.tasks`` / ``retried`` /
+  ``pool_spawns`` / ``pool_reuses`` counters and the
+  ``sweep.worker_util`` gauge — worker busy-time over
+  ``workers × wall`` for the last sweep);
 * profile/plan cache statistics, pulled live from
   ``repro.perf.default_cache`` / ``default_plan_cache`` at snapshot
   time so they can never drift from the caches' own accounting.

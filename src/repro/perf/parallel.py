@@ -10,23 +10,27 @@ embarrassingly parallel.  :func:`map_profiles` runs it on:
   ``DynamicSelector.build`` call in the process (workers keep their
   frontend and kernel memos warm across sweeps); it is recreated when
   the worker count changes or the pool breaks;
-* **cost-ordered dispatch** — specs are submitted in
-  :func:`dispatch_order` (largest unsampled profiles first), so
-  stragglers start before the cheap tail;
-* **streaming completion** — each finished profile is handed to the
-  caller's ``on_result`` callback as it lands (the parent inserts it
-  into the shared cache without waiting for the sweep), while the
-  returned list stays aligned with ``specs``;
+* **kernel tasks** — the specs are partitioned into tasks that each
+  share one kernel, a ``(version, block)`` (:func:`dispatch_order`),
+  so a kernel is built, validated and pre-warmed in one worker rather
+  than in all of them; a task is one submitted future and one reply
+  message, and the largest tasks are dispatched first;
+* **streaming completion** — each finished task's profiles are handed
+  to the caller's ``on_result`` callback as the task lands (the parent
+  inserts them into the shared cache without waiting for the sweep),
+  while the returned list stays aligned with ``specs``;
 * **one retry, then serial** — when a worker dies mid-sweep, completed
-  results are kept and only the unfinished specs are re-dispatched once
-  on a fresh pool; whatever still fails runs serially in the parent,
-  where a genuine error propagates with its original traceback.  A pool
-  that cannot be constructed at all falls straight to serial.
+  tasks' results are kept and only the unfinished tasks are
+  re-dispatched once on a fresh pool; whatever still fails runs serially
+  in the parent, where a genuine error propagates with its original
+  traceback.  A pool that cannot be constructed at all falls straight
+  to serial.
 
 Worker spans ship back with the worker's **pid**, which the parent maps
 to a stable ``worker-<slot>`` trace lane — one real worker is one lane.
 
-Telemetry flows through :mod:`repro.obs`: the ``sweep.sched.retried``,
+Telemetry flows through :mod:`repro.obs`: the ``sweep.sched.tasks``
+(tasks dispatched), ``sweep.sched.retried`` (specs re-dispatched),
 ``pool_spawns`` and ``pool_reuses`` counters and the
 ``sweep.worker_util`` gauge — all surfaced by ``python -m repro stats``.
 """
@@ -93,6 +97,13 @@ def _profile_spec_traced(spec):
     return result + ([span.as_dict() for span in captured], os.getpid())
 
 
+def _profile_task(task_specs):
+    """Process-pool entry point: profile one task's specs in order, each
+    through :func:`_profile_spec_traced`, and return all their results
+    in one message."""
+    return [_profile_spec_traced(spec) for spec in task_specs]
+
+
 def predicted_cost(spec) -> float:
     """Relative simulation cost of one spec (unitless heuristic).
 
@@ -116,12 +127,45 @@ def predicted_cost(spec) -> float:
     return float(blocks) * per_block_elems
 
 
-def dispatch_order(specs) -> list:
-    """Spec indices in dispatch order: descending predicted cost,
-    submission index as the deterministic tie-break."""
-    return sorted(
-        range(len(specs)), key=lambda i: (-predicted_cost(specs[i]), i)
-    )
+def _kernel(spec):
+    """The ``(version, block)`` whose kernel profiles ``spec``."""
+    return spec[3], getattr(spec[5], "block", None)
+
+
+def _tasks(specs, order, workers) -> list:
+    """Partition the spec indices ``order`` into kernel tasks.
+
+    A task lists, in ``order``, indices whose specs share one
+    :func:`_kernel`, so one worker builds, validates and pre-warms that
+    kernel for all of them. A kernel's group is cut into near-equal
+    consecutive pieces of at most ``ceil(len(order) / (2 * workers))``
+    specs, so a sweep of at least ``2 * workers`` specs keeps at least
+    that many tasks to balance over the workers. Tasks come back in
+    descending summed :func:`predicted_cost`, their first index breaking
+    ties.
+    """
+    order = list(order)
+    groups = {}
+    for index in order:
+        groups.setdefault(_kernel(specs[index]), []).append(index)
+    share = 2 * workers
+    tasks = []
+    for group in groups.values():
+        size = len(group)
+        pieces = min(size, -(-size * share // len(order)))
+        tasks.extend(
+            group[size * k // pieces:size * (k + 1) // pieces]
+            for k in range(pieces)
+        )
+    return sorted(tasks, key=lambda task: (
+        -sum(predicted_cost(specs[index]) for index in task), task[0]
+    ))
+
+
+def dispatch_order(specs, workers) -> list:
+    """The sweep's kernel tasks (lists of spec indices) in dispatch
+    order: :func:`_tasks` over every spec."""
+    return _tasks(specs, range(len(specs)), workers)
 
 
 # ---------------------------------------------------------------------
@@ -202,11 +246,12 @@ def map_profiles(specs, max_workers=None, on_result=None):
     """Profile every spec, in parallel when it pays off.
 
     Returns results aligned with ``specs`` (deterministic order).
-    ``on_result(index, result)`` — when given — streams each completed
-    profile to the caller once per spec, in completion order, so the
-    parent can insert it into the shared cache while the sweep is still
-    running. Worker spans merge into the parent trace under the owning
-    worker's stable ``worker-<slot>`` lane.
+    ``on_result(index, result)`` — when given — is called once per spec.
+    A pooled sweep calls it for each spec of a kernel task as the task
+    completes, tasks in completion order, so the parent can insert the
+    profiles into the shared cache while the sweep is still running.
+    Worker spans merge into the parent trace under the owning worker's
+    stable ``worker-<slot>`` lane.
     """
     from ..obs import default_metrics
 
@@ -220,16 +265,18 @@ def map_profiles(specs, max_workers=None, on_result=None):
         return _run_serial(specs, range(len(specs)), results, on_result)
     workers = min(workers, len(specs))
     start = time.perf_counter()
-    pending = dispatch_order(specs)
+    pending = dispatch_order(specs, workers)
     for _attempt in range(2):  # the persistent pool, then a fresh one
         pool = _get_pool(workers, metrics)
         if pool is None:
             break
+        metrics.inc("sweep.sched.tasks", len(pending))
         pending = _run_wave(pool, specs, pending, results, on_result)
         if not pending:
             break
-        metrics.inc("sweep.sched.retried", len(pending))
-    _run_serial(specs, pending, results, on_result)
+        metrics.inc("sweep.sched.retried", sum(map(len, pending)))
+    for task in pending:
+        _run_serial(specs, task, results, on_result)
     metrics.inc("pool.parallel")
     wall = time.perf_counter() - start
     busy = sum(r[2] for r in results)
@@ -249,11 +296,12 @@ def _run_serial(specs, indices, results, on_result):
     return results
 
 
-def _run_wave(pool, specs, order, results, on_result):
-    """Dispatch ``order`` on ``pool``; returns the indices that did not
-    finish, in cost order. Results are recorded and streamed as they
-    complete; after any failure the pool is discarded so the retry
-    starts on fresh workers."""
+def _run_wave(pool, specs, tasks, results, on_result):
+    """Dispatch ``tasks`` on ``pool``, one future per task; returns the
+    tasks that did not finish, in dispatch order. Each finished task's
+    results are recorded and streamed as it completes; after any
+    failure the pool is discarded so the retry starts on fresh
+    workers."""
     from concurrent.futures import as_completed
 
     from ..obs import get_tracer
@@ -262,25 +310,26 @@ def _run_wave(pool, specs, order, results, on_result):
     tracer = get_tracer()
     submitted = {}
     unfinished = []
-    for position, index in enumerate(order):
+    for position, task in enumerate(tasks):
         try:
-            submitted[pool.submit(_profile_spec_traced, specs[index])] = index
+            future = pool.submit(_profile_task, [specs[i] for i in task])
         except RuntimeError:  # pool broken or shut down; the rest retries
-            unfinished = list(order[position:])
+            unfinished = list(range(position, len(tasks)))
             break
+        submitted[future] = position
     for future in as_completed(submitted):
-        index = submitted[future]
+        position = submitted[future]
         try:
-            *result, spans, pid = future.result()
+            replies = future.result()
         except Exception:  # worker death or any spec error: retry it
-            unfinished.append(index)
+            unfinished.append(position)
             continue
-        result = tuple(result)
-        tracer.merge(spans, tid=WORKER_TID_BASE + _slot(pid))
-        results[index] = result
-        if on_result is not None:
-            on_result(index, result)
+        for index, (*result, spans, pid) in zip(tasks[position], replies):
+            result = tuple(result)
+            tracer.merge(spans, tid=WORKER_TID_BASE + _slot(pid))
+            results[index] = result
+            if on_result is not None:
+                on_result(index, result)
     if unfinished:
         _discard(pool)
-    rank = {index: position for position, index in enumerate(order)}
-    return sorted(unfinished, key=rank.__getitem__)
+    return [tasks[position] for position in sorted(unfinished)]

@@ -228,9 +228,10 @@ class ReductionFramework:
 
         Each point is looked up once in this framework's cache (a hit or
         a miss in its stats). Misses are computed without touching any
-        cache; each completed profile **streams** into this framework's
-        cache the moment its worker finishes (so concurrent readers see
-        results mid-sweep), then the cache's LRU recency is
+        cache; completed profiles **stream** into this framework's cache
+        as they finish (a pooled sweep's per kernel task, the moment
+        the task's worker replies, so concurrent readers see results
+        mid-sweep), then the cache's LRU recency is
         re-established in spec order — the final cache state is
         deterministic regardless of worker completion order. Results
         are returned aligned with ``specs``.

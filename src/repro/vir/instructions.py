@@ -115,11 +115,19 @@ def is_integer(value) -> bool:
 
 
 def _div(a, b):
-    """``/`` on floats; floor division on ints (C's truncating division
-    for the non-negative quantities our kernels divide)."""
+    """``/`` on floats; on ints C's division, which truncates toward
+    zero: ``a - fmod(a, b)`` is a multiple of ``b``, so its floor
+    division is exact."""
     if is_integer(a) and is_integer(b):
-        return np.floor_divide(a, b)
+        return np.floor_divide(a - np.fmod(a, b), b)
     return a / b
+
+
+def _mod(a, b):
+    """``%``: on ints C's remainder, which takes the sign of ``a``."""
+    if is_integer(a) and is_integer(b):
+        return np.fmod(a, b)
+    return operator.mod(a, b)
 
 
 def _arith(fn):
@@ -140,7 +148,7 @@ ALU_IMPL = {
     "sub": _arith(operator.sub),
     "mul": _arith(operator.mul),
     "div": _arith(_div),
-    "mod": _arith(operator.mod),
+    "mod": _arith(_mod),
     "min": _arith(np.minimum),
     "max": _arith(np.maximum),
     "and": _arith(np.bitwise_and),

@@ -135,7 +135,7 @@ class TestEmitVersion:
         )
         assert "atomicMax(&tmp, val);" in text
         # identity padding instead of zero
-        assert "-3.402823e+38f" in text or "-3.402823e38f" in text
+        assert "-3.40282347e+38f" in text or "-3.40282347e38f" in text
 
 
 class TestBarrierParity:
@@ -189,7 +189,7 @@ def _shared_inits(text: str) -> list:
         decl = re.match(r"\s*(?:extern )?__shared__ \w+ (\w+)", line)
         if decl:
             init = re.match(
-                rf"\s*{decl.group(1)}(?:\[threadIdx\.x\])? = (\S+);$", lines[i + 2]
+                rf"\s*{decl.group(1)}(?:\[threadIdx\.x\])? = (.+);$", lines[i + 2]
             )
             assert init, lines[i + 2]
             inits.append(init.group(1))
@@ -197,7 +197,14 @@ def _shared_inits(text: str) -> list:
 
 
 def _literal_value(literal: str, ctype: str):
-    return float(literal.rstrip("f")) if ctype == "float" else int(literal)
+    """The value a C literal (or an int constant expression such as
+    ``(-2147483647 - 1)``) spells."""
+    from repro.core.operators import static_value
+    from repro.lang.parser import parse_expression
+
+    if ctype == "float":
+        return float(literal.rstrip("f"))
+    return static_value(parse_expression(literal))
 
 
 def _lowered_inits(plan) -> set:
@@ -270,7 +277,7 @@ class TestProgramTypes:
 
         pair = emit_compound_pair(ReductionFramework("max").pre, "tile")
         for text in (pair["atomic"], pair["non_atomic"]):
-            assert "float accum = -3.402823e38f;" in text
+            assert "float accum = -3.40282347e38f;" in text
             assert "accum = max(accum, input_x[idx * Stride]);" in text
             assert "accum +=" not in text
         assert "atomicMax_block(Return, accum);" in pair["atomic"]

@@ -70,34 +70,49 @@ def _assert_neutral(op: str, ctype: str, values: np.ndarray) -> None:
         np.testing.assert_array_equal(_combine(op, ctype, e, values), values)
 
 
+#: The value each identity literal spells.
+_IDENTITY_VALUES = {
+    "0.0f": 0.0, "0": 0,
+    "-3.40282347e38f": -3.40282347e38, "3.40282347e38f": 3.40282347e38,
+    "(-2147483647 - 1)": -2147483648, "2147483647": 2147483647,
+}
+
+
 class TestIdentities:
     @pytest.mark.parametrize("op, ctype, literal", [
         ("add", "float", "0.0f"), ("add", "int", "0"),
         ("sub", "float", "0.0f"), ("sub", "int", "0"),
-        ("max", "float", "-3.402823e38f"), ("max", "int", "-2147483647"),
-        ("min", "float", "3.402823e38f"), ("min", "int", "2147483647"),
+        ("max", "float", "-3.40282347e38f"), ("max", "int", "(-2147483647 - 1)"),
+        ("min", "float", "3.40282347e38f"), ("min", "int", "2147483647"),
     ])
     def test_literal_and_value(self, op, ctype, literal):
         assert identity_literal(op, ctype) == literal
         value = identity_value(op, ctype)
         assert type(value) is (float if ctype == "float" else int)
-        assert value == (float(literal[:-1]) if ctype == "float" else int(literal))
+        assert value == _IDENTITY_VALUES[literal]
 
     @pytest.mark.parametrize("op, ctype", _OP_CTYPES)
     def test_identity_is_neutral(self, op, ctype):
         _assert_neutral(op, ctype, _random_values(ctype))
 
-    @pytest.mark.parametrize("op, ctype", [
-        pytest.param(op, ctype, marks=pytest.mark.xfail(
-            strict=True,
-            reason="the max/min identities are +-3.402823e38 and "
-                   "-2147483647, not +-FLT_MAX and INT_MIN",
-        )) if (op, ctype) in {("max", "float"), ("min", "float"), ("max", "int")}
-        else (op, ctype)
-        for op, ctype in _OP_CTYPES
-    ])
+    @pytest.mark.parametrize("op, ctype", _OP_CTYPES)
     def test_identity_is_neutral_at_type_bounds(self, op, ctype):
         _assert_neutral(op, ctype, _bounds(ctype))
+
+    @pytest.mark.parametrize("label", ["b", "p"])
+    @pytest.mark.parametrize("op, ctype, bound", [
+        ("max", "float", "min"), ("min", "float", "max"), ("max", "int", "min"),
+    ])
+    def test_reduction_of_the_type_bound_is_exact(self, op, ctype, bound, label):
+        """A max over 1,000 copies of -FLT_MAX (or INT_MIN) is that
+        value, not the identity, and a min over FLT_MAX is FLT_MAX."""
+        from repro import ReductionFramework
+
+        info = np.finfo(np.float32) if ctype == "float" else np.iinfo(np.int32)
+        value = getattr(info, bound)
+        data = np.full(1000, value, dtype=_DTYPES[ctype])
+        result = ReductionFramework(op, ctype=ctype).run(data, version=label)
+        assert result.value == value
 
     def test_unknown_op(self):
         with pytest.raises(ValueError):

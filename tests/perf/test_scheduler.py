@@ -1,5 +1,6 @@
-"""Sweep pool: dispatch policy, determinism, persistent-pool reuse,
-and fault tolerance (one fresh-pool retry, then serial).
+"""Sweep pool: kernel tasks and their dispatch order, determinism,
+persistent-pool reuse, and fault tolerance (one fresh-pool retry, then
+serial).
 
 The pool's contract is that *scheduling is invisible except in wall
 time*: whatever order workers complete specs in — including after a
@@ -9,6 +10,7 @@ serial sweep.
 """
 
 import os
+import random
 
 import pytest
 
@@ -17,6 +19,8 @@ from repro.perf import ProfileCache, default_cache, shutdown_scheduler
 from repro.perf import parallel as parallel_mod
 from repro.perf.parallel import (
     MAX_WORKERS_ENV,
+    _kernel,
+    _tasks,
     dispatch_order,
     predicted_cost,
     resolve_workers,
@@ -42,14 +46,121 @@ class TestDispatchOrder:
     def test_order_is_descending_cost_with_stable_ties(self):
         specs = [_spec(1024), _spec(1 << 20, block=256, grid=64),
                  _spec(1024), _spec(65536, block=256, grid=64)]
-        order = dispatch_order(specs)
-        assert order[0] == 1  # the straggler starts first
-        assert order[1] == 3
-        assert order[2:] == [0, 2]  # equal costs keep submission order
+        # Two workers: four one-spec tasks. The straggler starts first,
+        # and equal costs keep submission order.
+        assert dispatch_order(specs, 2) == [[1], [3], [0], [2]]
+        # One worker: two tasks, one per kernel (block 256, then 64).
+        assert dispatch_order(specs, 1) == [[1, 3], [0, 2]]
 
     def test_none_tunables_are_schedulable(self):
         spec = ("add", "float", False, None, 4096, None)
         assert predicted_cost(spec) > 0
+
+
+def _mixed_specs():
+    """48 specs over 6 kernels (3 versions x 2 blocks), sampled and
+    unsampled, in a shuffled but fixed order."""
+    specs = [
+        ("add", "float", False, version, n, Tunables(block=block, grid=grid))
+        for version in ("a", "b", "c")
+        for block in (64, 256)
+        for n in (1024, 4096, 65536, 1 << 20)
+        for grid in (None, 8)
+    ]
+    random.Random(3).shuffle(specs)
+    return specs
+
+
+def _task_cost(specs, task):
+    return sum(predicted_cost(specs[index]) for index in task)
+
+
+class TestTasks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [
+        range(48),  # the whole sweep
+        range(47, -1, -1),  # a different order over the same specs
+        range(0, 48, 7),  # 7 specs: one-spec tasks beyond 3 workers
+        range(3),  # fewer specs than workers
+        [i for i, spec in enumerate(_mixed_specs())
+         if spec[3] == "b" and spec[5].block == 64],  # one kernel
+    ], ids=["all", "reversed", "every7th", "three", "one-kernel"])
+    def test_partition(self, workers, order):
+        specs = _mixed_specs()
+        order = list(order)
+        tasks = _tasks(specs, order, workers)
+        flat = [index for task in tasks for index in task]
+        assert sorted(flat) == sorted(order)  # each index exactly once
+        bound = -(-len(order) // (2 * workers))
+        for task in tasks:
+            assert 1 <= len(task) <= bound
+            assert len({_kernel(specs[index]) for index in task}) == 1
+            # a task keeps the given order
+            assert task == sorted(task, key=order.index)
+        if len(order) >= 2 * workers:
+            assert len(tasks) >= 2 * workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_order_is_deterministic(self, workers):
+        specs = _mixed_specs()
+        tasks = _tasks(specs, range(len(specs)), workers)
+        assert _tasks(specs, range(len(specs)), workers) == tasks
+        keys = [(-_task_cost(specs, task), task[0]) for task in tasks]
+        assert keys == sorted(keys)  # descending cost, first index ties
+        assert dispatch_order(specs, workers) == tasks
+
+    def test_kernel_is_version_and_block(self):
+        spec = ("add", "float", False, "b", 4096, Tunables(block=128, grid=8))
+        assert _kernel(spec) == ("b", 128)
+        assert _kernel(("add", "float", False, "b", 4096, None)) == ("b", None)
+
+
+_FIGURE_SIZES = [4 ** k for k in range(3, 15)]
+
+
+def _figure_specs(fw):
+    """The Figures 7-10 sweep: 12 paper sizes x the compact grid, as
+    ``map_profiles`` specs."""
+    from repro.autotune.tuner import sweep_specs
+
+    return [
+        (fw.op, fw.ctype, fw.unroll, version, n, tunables)
+        for version, n, tunables in sweep_specs(
+            fw, _FIGURE_SIZES, blocks=(64, 128, 256), grids=(None, 512)
+        )
+    ]
+
+
+class TestFigureGrid:
+    def test_one_task_per_kernel(self):
+        fw = ReductionFramework(op="add", cache=ProfileCache())
+        specs = _figure_specs(fw)
+        tasks = _tasks(specs, range(len(specs)), 2)
+        kernels = {_kernel(specs[task[0]]) for task in tasks}
+        assert len(tasks) == len(kernels) == len(fw.catalog) * 3 == 48
+        assert sum(map(len, tasks)) == len(specs)
+
+    def test_pooled_sweep_dispatches_48_tasks_and_matches_serial(self):
+        from repro.obs import default_metrics
+
+        def tasks_counted():
+            counters = default_metrics().snapshot()["counters"]
+            return counters.get("sweep.sched.tasks", 0)
+
+        serial = ReductionFramework(op="add", cache=ProfileCache())
+        points = [spec[3:] for spec in _figure_specs(serial)]
+        serial.profile_many(points, max_workers=1)
+        before = tasks_counted()
+        pooled = ReductionFramework(op="add", cache=ProfileCache())
+        pooled.profile_many(points, max_workers=2)
+        assert tasks_counted() - before == 48
+        assert list(serial.cache._mem) == list(pooled.cache._mem)
+        for key, entry in serial.cache._mem.items():
+            ref, got = entry.value, pooled.cache._mem[key].value
+            assert got[1] == ref[1]
+            assert [dict(step.events) for step in got[0].steps] == [
+                dict(step.events) for step in ref[0].steps
+            ]
 
 
 class TestWorkerResolution:

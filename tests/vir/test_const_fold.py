@@ -124,3 +124,40 @@ def test_env_keeps_python_scalars():
     eval_const_instr(UnOp(Reg("n"), "bnot", Reg("i")), env)
     assert env == {"i": 9, "f": 1.5, "b": True, "n": -10}
     assert [type(env[name]) for name in "ifbn"] == [int, float, bool, int]
+
+
+def _c_div(a: int, b: int) -> int:
+    """C's integer ``/``: the quotient truncated toward zero."""
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+@pytest.mark.parametrize("divisor", [2, -2, 3, -5])
+def test_negative_operands_truncate_as_in_c(backend, divisor):
+    """``/`` and ``%`` on negative ints give C's -7 / 2 == -3 and
+    -7 % 2 == -1, in the engine (on lane-varying registers, which no
+    fold sees) and in the constant fold alike."""
+    from repro.gpusim import Executor
+    from repro.vir import IRBuilder, Kernel, KernelStep
+
+    b = IRBuilder()
+    tid = b.special("tid")
+    x = b.binop("sub", tid, 20)
+    b.st_global("quot", tid, b.binop("div", x, divisor))
+    b.st_global("rem", tid, b.binop("mod", x, divisor))
+    kernel = Kernel("cdiv", buffers=["quot", "rem"], body=b.finish())
+    executor = Executor(backend=backend)
+    for name in ("quot", "rem"):
+        executor.device.alloc(name, 64, dtype=np.int64)
+    executor.run_kernel(KernelStep(
+        kernel, grid=1, block=64, buffers={"quot": "quot", "rem": "rem"},
+    ))
+    xs = range(-20, 44)
+    quotients = [_c_div(a, divisor) for a in xs]
+    remainders = [a - divisor * _c_div(a, divisor) for a in xs]
+    assert executor.device.get("quot").tolist() == quotients
+    assert executor.device.get("rem").tolist() == remainders
+    assert [_fold("div", a, divisor) for a in xs] == quotients
+    assert [_fold("mod", a, divisor) for a in xs] == remainders
+    assert (_fold("div", -7, 2), _fold("mod", -7, 2)) == (-3, -1)
