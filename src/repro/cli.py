@@ -195,10 +195,12 @@ def _print_cache_stats() -> None:
         f"[kernels] built={metrics.counter('codegen.kernels_built')} "
         f"reused={metrics.counter('codegen.kernels_reused')}"
     )
-    print(
-        f"[suffix] simulated={metrics.counter('exec.suffix.simulated')} "
-        f"reused={metrics.counter('exec.suffix.reused')}"
-    )
+    for region in ("combine", "suffix"):
+        print(
+            f"[{region}] "
+            f"simulated={metrics.counter(f'exec.{region}.simulated')} "
+            f"reused={metrics.counter(f'exec.{region}.reused')}"
+        )
 
 
 def cmd_reduce(args) -> int:

@@ -29,9 +29,6 @@ class InterpretedBackend:
     def prepare(self, kernel):
         return None
 
-    def trace(self, kernel):
-        return None
-
 
 class CompiledBackend:
     """Per-instruction specialized closures (see repro.gpusim.compile)."""
@@ -40,9 +37,6 @@ class CompiledBackend:
         from .compile import compile_kernel  # lazy: avoids import cycle
 
         return compile_kernel(kernel)
-
-    def trace(self, kernel):
-        return self.prepare(kernel).trace
 
 
 _BACKENDS = {"compiled": CompiledBackend(), "interpreted": InterpretedBackend()}

@@ -90,18 +90,34 @@ event half of their run-state method, and a proven loop runs about two
 trips per constant-mask stretch: the first, with its global loads
 logged, and the last. The trips between are added in closed form, their
 segment counts taken on the logged indices shifted per trip
-(:meth:`_BatchedRun._exec_while_c`). ``StepProfile.meta["exec.trace"]``
+(:meth:`_BatchedRun._exec_while_c`). When every lane leaves at the same
+trip and no register the loop leaves is read after it
+(``LoopSummary.live_out``), the last trip and its exit test are added
+in closed form too. ``StepProfile.meta["exec.trace"]``
 records whether a launch was event-only (``events``) or moved values
 (``full``). A proven loop's per-trip steps may be launch constants or
 launch-uniform registers (``%ntid * %nctaid``), resolved when the loop
-starts, and its inductions may start per lane. An event-only launch's
-*launch-invariant suffix* — the block combine at the end of every
-reduction kernel, which reads no launch constant — is simulated once
-per block size and replayed from the kernel's memo after that
-(:meth:`_BatchedRun._run_suffix`): one block's events, times the
-chunk's block count, so one entry serves every grid and chunk. A
-suffix that reads the block id is keyed by the grid and the chunk's
-block ids instead.
+starts, and its inductions may start per lane.
+
+An event-only launch replays two regions of its kernel from memos
+(:meth:`_BatchedRun.run`), so a sweep point simulates only what no
+memo or proof already gives:
+
+* the *launch-invariant suffix* — the tail of every reduction kernel,
+  which reads no launch constant — is simulated once per block size
+  and replayed after that (:meth:`_BatchedRun._run_suffix`): one
+  block's events, times the chunk's block count, so one entry serves
+  every grid and chunk. A suffix that reads the block id is keyed by
+  the grid and the chunk's block ids instead;
+* in front of it, the *keyed combine* (``KernelFacts.combine_start``)
+  reads launch-dependent values only through key registers, such as
+  the coop versions' block element count ``min(max(n - ctaid * epb,
+  0), epb)``. It is replayed per (key values, block size)
+  (:meth:`_BatchedRun._run_combine`): per block when every row of the
+  chunk holds the same key values (every full block), else per chunk.
+
+``exec.combine.*`` and ``exec.suffix.*`` count the simulated and
+reused regions.
 """
 
 from __future__ import annotations
@@ -307,24 +323,24 @@ class Executor:
         ok, _ = analyze_batchability(step.kernel, self.device)
         return "batched" if ok else "sequential"
 
-    def _loop_fallback(self, values: bool, kernel, kernels):
-        """Why a launch of ``kernel`` must simulate every loop trip and
-        move every value, or None when it may extrapolate
-        proven-periodic trips and run event halves only.
+    def _loop_fallback(self, values: bool, compiled: bool, kernels):
+        """Why a launch must simulate every loop trip and move every
+        value, or None when it may extrapolate proven-periodic trips and
+        run event halves only.
 
         Skipped trips and unmoved values leave registers, and so device
         buffers, unspecified. That is safe only when nobody reads the
         launch's ``values`` (it is sampled, or part of a profile), no
         sanitizer observes individual accesses, the backend runs a
-        compiled trace, and no kernel of ``kernels`` (the plan's, which
-        run on those buffers; ``kernel`` among them) lets data steer its
-        events.
+        compiled trace (``compiled``), and no kernel of ``kernels`` (the
+        plan's, which run on those buffers; the launch's own among them)
+        lets data steer its events.
         """
         if values:
             return "unsampled"
         if self.sanitizer is not None:
             return "sanitizer"
-        if self._backend.prepare(kernel) is None:
+        if not compiled:
             return self.backend
         for other in kernels:
             if kernel_facts(other).data_dependence is not None:
@@ -342,9 +358,9 @@ class Executor:
         launch, or any launch when ``values`` is False, skips
         proven-periodic trips and moves no values only when every
         kernel of it is data-oblivious (without one, the launch's own
-        kernel decides). An event-only launch runs its kernel's
-        launch-invariant suffix through the kernel's memo
-        (:meth:`_BatchedRun._run_suffix`)."""
+        kernel decides). An event-only launch runs its kernel's keyed
+        combine and launch-invariant suffix through the kernel's memos
+        (:meth:`_BatchedRun.run`)."""
         kernel = step.kernel
         profile = StepProfile(
             kernel_name=kernel.name,
@@ -354,9 +370,7 @@ class Executor:
             meta=dict(kernel.meta),
         )
         if sample_limit is not None and step.grid > sample_limit:
-            block_ids = np.unique(
-                np.linspace(0, step.grid - 1, sample_limit).astype(np.int64)
-            )
+            block_ids = _sample_ids(step.grid, sample_limit)
             profile.sampled_blocks = len(block_ids)
         else:
             block_ids = np.arange(step.grid, dtype=np.int64)
@@ -365,14 +379,12 @@ class Executor:
         profile.meta["exec.mode"] = mode
         profile.meta["exec.backend"] = self.backend
         kernels = [s.kernel for s in plan.kernel_steps()] if plan else [kernel]
+        artifact = self._backend.prepare(kernel)
         fallback = self._loop_fallback(
-            values and not profile.sampled_blocks, kernel, kernels
+            values and not profile.sampled_blocks, artifact is not None, kernels
         )
-        trace = self._backend.trace(kernel)
+        trace = None if artifact is None else artifact.trace
         trace_kind = "full" if fallback else "events"
-        memo = None
-        if fallback is None and kernel_facts(kernel).suffix_start is not None:
-            memo = kernel.fact("suffix", _new_memo)
         profile.meta["exec.trace"] = trace_kind
         tracer = get_tracer()
         with tracer.span(
@@ -387,7 +399,7 @@ class Executor:
         ) as span:
             atomic_addr_counts = {}
             loop_stats = Counter()
-            suffix_stats = Counter()
+            memo_stats = {"combine": Counter(), "suffix": Counter()}
             san = None
             if self.sanitizer is not None:
                 san = self.sanitizer.begin_kernel(step, self.device)
@@ -399,7 +411,7 @@ class Executor:
             else:
                 batch = max(1, self.BATCH_LANES // max(1, step.block))
             for start in range(0, len(block_ids), batch):
-                outcome = _BatchedRun(
+                for region, outcome in _BatchedRun(
                     self,
                     step,
                     block_ids[start : start + batch],
@@ -409,10 +421,8 @@ class Executor:
                     loop_fallback=fallback,
                     trace=trace,
                     san=san,
-                    suffix_memo=memo,
-                ).run()
-                if outcome is not None:
-                    suffix_stats[outcome] += 1
+                ).run():
+                    memo_stats[region][outcome] += 1
 
             executed_blocks = profile.sampled_blocks or step.grid
             profile.events["blocks"] = executed_blocks
@@ -423,11 +433,15 @@ class Executor:
                 profile.events["atom.global.max_same_addr"] = (
                     self._launch_max_same_addr(atomic_addr_counts, profile, step)
                 )
-            span.set(events={k: int(v) for k, v in profile.events.items()})
-            if loop_stats:
-                span.set(loops=dict(loop_stats))
-            if suffix_stats:
-                span.set(suffix=dict(suffix_stats))
+            if tracer.enabled:
+                span.set(events={k: int(v) for k, v in profile.events.items()})
+                if loop_stats:
+                    span.set(loops=dict(loop_stats))
+                span.set(**{
+                    region: dict(stats)
+                    for region, stats in memo_stats.items() if stats
+                })
+        profile.finish()
         # One grouped update: a snapshot must never observe the launch
         # counter without the launch's event totals (or vice versa).
         metrics = default_metrics()
@@ -440,7 +454,9 @@ class Executor:
             (f"exec.loop.{key}", value) for key, value in loop_stats.items()
         )
         counters.update(
-            (f"exec.suffix.{key}", value) for key, value in suffix_stats.items()
+            (f"exec.{region}.{outcome}", count)
+            for region, stats in memo_stats.items()
+            for outcome, count in stats.items()
         )
         metrics.record(counters=counters)
         return profile
@@ -493,8 +509,7 @@ class _BatchedRun:
     """
 
     def __init__(self, executor, step, block_ids, events, atomic_addr_counts,
-                 loop_stats, loop_fallback=None, trace=None, san=None,
-                 suffix_memo=None):
+                 loop_stats, loop_fallback=None, trace=None, san=None):
         self.executor = executor
         self.device = executor.device
         self.step = step
@@ -517,12 +532,8 @@ class _BatchedRun:
         self.values = loop_fallback is not None
         self.trace = trace
         self.san = san
-        #: The kernel's memo of its launch-invariant suffix when an
-        #: event-only launch runs it through the memo, else None (see
-        #: :meth:`_run_suffix`).
-        self.suffix_memo = suffix_memo
-        #: While a suffix is simulated for the memo: the global-atomic
-        #: tallies it feeds, as :meth:`_tally` arguments.
+        #: While a memoized region is simulated for its memo: the
+        #: global-atomic tallies it feeds, as :meth:`_tally` arguments.
         self._tallies = None
         #: While the first trip of a loop stretch runs: its global loads,
         #: as ``(instr, idx, mask)`` (see :meth:`_exec_while_c`).
@@ -545,60 +556,138 @@ class _BatchedRun:
 
     # -- helpers -------------------------------------------------------
 
-    def run(self):
-        """Run the chunk; with a suffix, return whether it was
-        ``"simulated"`` or ``"reused"`` (else None)."""
+    def run(self) -> list:
+        """Run the chunk; return how each memoized region ran, as
+        ``(region, outcome)`` pairs: ``"combine"`` or ``"suffix"``, and
+        ``"simulated"`` or ``"reused"``.
+
+        Only an event-only launch on a compiled trace reads the memos:
+        its keyed combine (``KernelFacts.combine_start``) through
+        :meth:`_run_combine` and its launch-invariant suffix through
+        :meth:`_run_suffix`. A replayed region leaves the registers it
+        writes unwritten, so the combine runs to the end of the kernel
+        whenever the suffix reads one (``KernelFacts.combine_end``)."""
         mask = np.ones(self.shape, dtype=bool)
-        if self.trace is None:
+        trace = self.trace
+        if trace is None:
             self._exec_body(self.kernel.body, mask)
-        elif self.suffix_memo is None:
-            self._run_trace(self.trace, mask)
+            return []
+        if self.values:
+            self._run_trace(trace, mask)
+            return []
+        facts = kernel_facts(self.kernel)
+        outcomes, at = [], 0
+        if facts.combine_start is not None:
+            self._run_trace(trace[:facts.combine_start], mask)
+            outcomes.append(("combine", self._run_combine(
+                trace[facts.combine_start:facts.combine_end], mask
+            )))
+            at = facts.combine_end
+            if at is None:
+                return outcomes
+        if facts.suffix_start is None:
+            self._run_trace(trace[at:], mask)
         else:
-            start = kernel_facts(self.kernel).suffix_start
-            self._run_trace(self.trace[:start], mask)
-            return self._run_suffix(self.trace[start:], mask)
-        return None
+            self._run_trace(trace[at:facts.suffix_start], mask)
+            outcomes.append(
+                ("suffix", self._run_suffix(trace[facts.suffix_start:], mask))
+            )
+        return outcomes
+
+    def _buffer_shapes(self, buffers) -> tuple:
+        """The part of a memo key that global buffers ``buffers`` give:
+        lengths bound indices, dtypes size transactions, and a read-only
+        buffer makes a store raise."""
+        shapes = []
+        for buf in buffers:
+            arr = self.device.get(buf)
+            shapes.append((buf, len(arr), arr.dtype.str, arr.flags.writeable))
+        return tuple(shapes)
 
     def _run_suffix(self, trace, mask) -> str:
         """Run the launch-invariant suffix ``trace`` of an event-only
-        launch (``KernelFacts.suffix_start``) through the kernel's memo.
+        launch (``KernelFacts.suffix_start``) through the kernel's
+        ``suffix`` memo (:meth:`_run_memoized`).
 
         Top-level code runs under the full mask, and the suffix reads no
         launch constant, so its events, loop counters and global-atomic
         tallies are a function of the key below: the block size, the
-        loop cap, the shape of every global buffer it touches (lengths
-        bound its indices, dtypes size its transactions, a read-only
-        buffer makes a store raise), and the grid and block ids of the
-        chunk when the suffix reads the block id.
+        loop cap, the shape of every global buffer it touches, and the
+        grid and block ids of the chunk when the suffix reads the block
+        id. A suffix that does not read the block id runs the same way in
+        every block, so its entry is per block; one that does keeps a
+        whole-chunk entry.
+        """
+        facts = kernel_facts(self.kernel)
+        blocks, copies = None, self.nblocks
+        if facts.suffix_reads_block_id:
+            blocks, copies = (self.step.grid, self.block_ids.tobytes()), 1
+        key = (blocks, self.nthreads, self.executor.LOOP_CAP,
+               self._buffer_shapes(facts.suffix_buffers))
+        return self._run_memoized(
+            trace, mask, self.kernel.fact("suffix", _new_memo), key, copies
+        )
 
-        A suffix that does not read the block id runs the same way in
-        every block, so its entry is *per block*: one block's event
-        deltas and row 0's tallies, served to chunks of any block count.
-        A hit adds the deltas times the chunk's block count and replays
-        each tally for every row, in logged order; loop counters count
-        loop runs, one per chunk, and are added once. A suffix that
-        reads the block id keeps a whole-chunk entry, its tallies logged
-        by chunk position and replayed through ``self.block_ids``.
+    def _run_combine(self, trace, mask) -> str:
+        """Run the keyed combine ``trace`` of an event-only launch
+        (``KernelFacts.combine_start``) through the kernel's ``combine``
+        memo (:meth:`_run_memoized`).
 
-        A miss simulates the suffix against fresh counters and merges
+        The combine reads launch-dependent values only through its key
+        registers, so its events, loop counters and global-atomic tallies
+        are a function of the key below: the key registers' values in
+        the chunk's rows, the block size, the loop cap and the shape of
+        every global buffer it touches. When every row holds the same
+        key values, every block runs the combine the same way and the
+        entry is per block (one block's key values); otherwise it is a
+        whole-chunk entry keyed by every row's values, as a partial last
+        block or ``n`` below the block size give. A combine whose key
+        registers do not hold integers is simulated.
+        """
+        facts = kernel_facts(self.kernel)
+        # Key registers are written at the top level before the combine,
+        # held as ``()`` or ``(B, 1)``: one value per row.
+        held = [self.regs[name] for name in facts.combine_keys]
+        if not all(map(is_integer, held)):
+            self._run_trace(trace, mask)
+            return "simulated"
+        values = np.concatenate(
+            [np.broadcast_to(value, (self.nblocks, 1)) for value in held]
+            or [np.empty((self.nblocks, 0), np.int64)],
+            axis=1,
+        )
+        if (values == values[:1]).all():
+            keyed, copies = tuple(values[0].tolist()), self.nblocks
+        else:
+            keyed, copies = (values.astype(np.int64).tobytes(),), 1
+        key = (keyed, self.nthreads, self.executor.LOOP_CAP,
+               self._buffer_shapes(facts.combine_buffers))
+        return self._run_memoized(
+            trace, mask, self.kernel.fact("combine", _new_memo), key, copies
+        )
+
+    def _run_memoized(self, trace, mask, memo, key, copies) -> str:
+        """Run the top-level region ``trace`` through ``memo`` under
+        ``key``; return ``"simulated"`` or ``"reused"``.
+
+        ``copies`` is the chunk's block count for a *per-block* entry,
+        whose region runs the same way in every block: one block's event
+        deltas and row 0's global-atomic tallies, served to chunks of
+        any block count. A hit adds the deltas times ``copies`` and
+        replays each tally for every row, in logged order; loop counters
+        count loop runs, one per chunk, and are added once. ``copies`` is
+        1 for a *whole-chunk* entry, its tallies logged by chunk position
+        and replayed through ``self.block_ids``.
+
+        A miss simulates the region against fresh counters and merges
         them. It stores them (:func:`_suffix_entry`) only when every
         delta divides evenly among the blocks and every row's tallies
         equal row 0's. Entries are written once and never mutated. Hits
         and stores are skipped when the launch's atomic tallies could
         pass ``_ATOMIC_TRACK_CAP`` on the way, where replaying would not
-        stop where simulation stops.
+        stop where simulation stops. A replay writes no register.
         """
-        facts = kernel_facts(self.kernel)
-        shapes = []
-        for buf in facts.suffix_buffers:
-            arr = self.device.get(buf)
-            shapes.append((buf, len(arr), arr.dtype.str, arr.flags.writeable))
-        blocks, copies = None, self.nblocks
-        if facts.suffix_reads_block_id:
-            blocks, copies = (self.step.grid, self.block_ids.tobytes()), 1
-        key = (blocks, self.nthreads, self.executor.LOOP_CAP, tuple(shapes))
         counts = self.atomic_addr_counts
-        memo = self.suffix_memo
         entry = memo.get(key)
         if entry is not None and (
             len(counts) + entry.tallied * copies <= _ATOMIC_TRACK_CAP
@@ -720,9 +809,11 @@ class _BatchedRun:
         before the next lane exit repeats that trip's events except its
         global segment counts, so :meth:`_skip_stretch` adds them in
         closed form and advances the inductions exactly. The last trip
-        of every stretch is always simulated, so lanes never exit inside
-        a skipped range and every non-data register ends with its
-        simulated value.
+        of a stretch is simulated, so lanes never exit inside a skipped
+        range and every non-data register ends with its simulated value,
+        except where every lane exits at once and no register the loop
+        leaves is read after it: that trip and its exit test are skipped
+        too, and the loop ends there.
         """
         reason = self.loop_fallback or summary.reason
         steps = None
@@ -828,6 +919,12 @@ class _BatchedRun:
         ``steps`` are the loop's per-trip steps resolved at loop entry
         (:meth:`_launch_steps`).
 
+        When every lane of ``active`` exits at the same trip, within
+        ``LOOP_CAP``, and the loop leaves no register that code after it
+        reads (``LoopSummary.live_out``), the skip runs through that trip
+        and its exit test, whose events equal a passing test's (no warp
+        splits), and clears ``active``: the loop is done.
+
         Every counter but the global segment counts grows by the logged
         trip's delta per trip. Skipped trip ``k`` loads the logged
         indices shifted by ``k`` steps, and their segments are counted on
@@ -855,17 +952,25 @@ class _BatchedRun:
         # Registers keep their broadcast shape: take the active lanes of
         # the full-shape view.
         gap = np.broadcast_to(gap, self.shape)[active]
-        if rate <= 0:
-            first = None
-        elif summary.op in ("lt", "gt"):
-            first = int((-(-gap // rate)).min())
-        else:
-            first = int((gap // rate).min()) + 1
         # Skipped trips count toward the cap: stop short of it and let
         # simulation raise the same error at the same trip.
         trips = self.executor.LOOP_CAP - trip
-        if first is not None:
-            trips = min(trips, first - 1)
+        through = False
+        if rate > 0:
+            if summary.op in ("lt", "gt"):
+                exits = -(-gap // rate)
+            else:
+                exits = gap // rate + 1
+            first = int(exits.min())
+            # Every lane leaves at trip ``first``: its body and exit test
+            # repeat the logged delta too, unless code after the loop
+            # reads a register it leaves behind.
+            through = (
+                not summary.live_out
+                and first == int(exits.max())
+                and first <= trips
+            )
+            trips = first if through else min(trips, first - 1)
         if trips <= 0:
             return 0
         shifts = []
@@ -900,6 +1005,8 @@ class _BatchedRun:
             regs[name] = np.asarray(
                 advanced if everywhere else np.where(active, advanced, current)
             )
+        if through:
+            active[...] = False  # every lane has left the loop
         return trips
 
     def _shifted_segments(self, instr, idx, mask, per_trip, trips) -> int:
@@ -1524,8 +1631,8 @@ class _BatchedRun:
 
 
 class _SuffixEntry(NamedTuple):
-    """What simulating a launch-invariant suffix did once, per block or
-    per chunk (see :meth:`_BatchedRun._run_suffix`): its event deltas
+    """What simulating a memoized region did once, per block or per
+    chunk (see :meth:`_BatchedRun._run_memoized`): its event deltas
     and the chunk's loop-counter deltas as ``(key, delta)`` pairs (every
     key it touched, zero deltas included), its
     :meth:`_BatchedRun._tally` calls and the addresses they carry."""
@@ -1537,7 +1644,7 @@ class _SuffixEntry(NamedTuple):
 
 
 def _suffix_entry(events, loops, tallies, copies):
-    """The memo entry of a suffix simulated on a chunk: per block when
+    """The memo entry of a region simulated on a chunk: per block when
     ``copies`` (the chunk's block count) is above 1, else the whole
     chunk. None when the blocks did not all count the same: a delta does
     not divide evenly, or a row's tallies differ from row 0's."""
@@ -1561,9 +1668,19 @@ def _suffix_entry(events, loops, tallies, copies):
 
 
 def _new_memo(_kernel) -> dict:
-    """A kernel's ``suffix`` fact: launch-invariant suffix key ->
-    :class:`_SuffixEntry`."""
+    """A kernel's ``suffix`` or ``combine`` fact: memo key ->
+    :class:`_SuffixEntry` (see :meth:`_BatchedRun._run_memoized`)."""
     return {}
+
+
+@functools.lru_cache(maxsize=1024)
+def _sample_ids(grid, limit) -> np.ndarray:
+    """The block ids a launch of ``grid`` blocks sampled down to
+    ``limit`` runs, evenly spread and first and last included: built
+    once per (grid, limit) and shared, read-only, by every launch."""
+    ids = np.unique(np.linspace(0, grid - 1, limit).astype(np.int64))
+    ids.flags.writeable = False
+    return ids
 
 
 def _shfl_source(threads, mode, width, offset) -> np.ndarray:

@@ -55,8 +55,25 @@ class StepProfile:
     def warps_per_block(self) -> int:
         return (self.block + 31) // 32
 
+    #: :meth:`scaled`, kept once the launch has finished (:meth:`finish`).
+    _scaled: Counter = field(default=None, init=False, compare=False, repr=False)
+
+    def finish(self) -> None:
+        """Mark the launch finished: ``events`` no longer change, so
+        :meth:`scaled` is computed here once and kept (``events``
+        itself when nothing is extrapolated)."""
+        self._scaled = None
+        if not self.sampled_blocks or self.sampled_blocks >= self.grid:
+            self._scaled = self.events
+        else:
+            self._scaled = self.scaled()
+
     def scaled(self) -> Counter:
-        """Events extrapolated to the full grid when sampled."""
+        """Events extrapolated to the full grid when sampled. After
+        :meth:`finish` every call returns the one kept Counter, which
+        callers must not mutate."""
+        if self._scaled is not None:
+            return self._scaled
         if not self.sampled_blocks or self.sampled_blocks >= self.grid:
             return Counter(self.events)
         factor = self.grid / self.sampled_blocks
@@ -87,6 +104,9 @@ class PlanProfile:
     steps: list = field(default_factory=list)  # StepProfile
     result: float = None
     meta: dict = field(default_factory=dict)
+    #: ``plan_time`` results of this profile, kept by
+    #: :func:`repro.gpusim.timing.plan_time`.
+    times: dict = field(default_factory=dict, compare=False, repr=False)
 
     def total(self, key: str) -> float:
         return sum(step.scaled().get(key, 0) for step in self.steps)

@@ -206,11 +206,22 @@ def plan_time(
     num_memsets: int = 0,
     extra_host_overhead_s: float = 0.0,
 ) -> float:
-    """Total seconds for a plan: kernels + launch and memset overheads."""
+    """Total seconds for a plan: kernels + launch and memset overheads.
+
+    Computed once per (profile, architecture object, ``num_memsets``,
+    ``extra_host_overhead_s``) and kept in ``profile.times``: a profile
+    does not change once its launches finished. The architecture is
+    matched by identity (it is not hashable, and two may share a
+    name)."""
+    key = (id(arch), num_memsets, extra_host_overhead_s)
+    kept = profile.times.get(key)
+    if kept is not None and kept[0] is arch:
+        return kept[1]
     total = extra_host_overhead_s + num_memsets * MEMSET_OVERHEAD_S
     for step in profile.steps:
         breakdown = kernel_time(step, arch)
         total += arch.kernel_launch_overhead_us * 1e-6 + breakdown.total
+    profile.times[key] = (arch, total)
     return total
 
 

@@ -190,7 +190,7 @@ def _get_pool(workers, metrics):
         if _pool is not None and _pool_workers == workers:
             metrics.inc("sweep.sched.pool_reuses")
             return _pool
-        _shutdown_locked()
+        _shutdown_locked(wait=True)  # never fork beside a live pool
         try:
             _pool = ProcessPoolExecutor(max_workers=workers)
         except Exception:
@@ -201,20 +201,24 @@ def _get_pool(workers, metrics):
 
 
 def _discard(pool) -> None:
-    """Drop a (possibly broken) pool so the next sweep respawns it."""
+    """Drop a (possibly broken) pool so the next sweep respawns it, and
+    join it first: forking a fresh pool while the old pool's manager
+    thread still runs can hang the next wave."""
     with _lock:
         if _pool is pool:
-            _shutdown_locked()
+            _shutdown_locked(wait=True)
 
 
-def _shutdown_locked() -> None:
+def _shutdown_locked(wait=False) -> None:
+    """Shut the persistent pool down; with ``wait``, join its manager
+    thread and workers first."""
     global _pool, _pool_workers
     pool, _pool = _pool, None
     _pool_workers = 0
     _slots.clear()
     if pool is not None:
         try:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=wait, cancel_futures=True)
         except Exception:
             pass
 

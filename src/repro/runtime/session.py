@@ -31,6 +31,7 @@ from ..codegen.synthesize import (
     Tunables,
     _pipeline_fingerprint,
     build_plan_cached,
+    launch_geometry,
 )
 from ..core.pipeline import PreprocessResult, preprocess
 from ..core.sources import load_reduction_program
@@ -227,11 +228,12 @@ class ReductionFramework:
         missing ones out over the :mod:`repro.perf.parallel` pool.
 
         Each point is looked up once in this framework's cache (a hit or
-        a miss in its stats). Misses are computed without touching any
-        cache; completed profiles **stream** into this framework's cache
-        as they finish (a pooled sweep's per kernel task, the moment
-        the task's worker replies, so concurrent readers see results
-        mid-sweep), then the cache's LRU recency is
+        a miss in its stats) and stored once on a miss. Misses that
+        launch the same plan are profiled once. Misses are computed
+        without touching any cache; completed profiles **stream** into
+        this framework's cache as they finish (a pooled sweep's per
+        kernel task, the moment the task's worker replies, so concurrent
+        readers see results mid-sweep), then the cache's LRU recency is
         re-established in spec order — the final cache state is
         deterministic regardless of worker completion order. Results
         are returned aligned with ``specs``.
@@ -250,37 +252,49 @@ class ReductionFramework:
         ]
         # Every miss — including a single one — goes through map_profiles,
         # so cost_s accounting and metrics are identical whether the pool
-        # ran in parallel, serially, or for exactly one spec.
+        # ran in parallel, serially, or for exactly one spec. Misses that
+        # launch the same plan (one version, size and launch geometry:
+        # ``grid=None`` may resolve to an explicit grid) are profiled
+        # once, and the profile is stored under each of their keys.
         if missing:
+            groups = {}
+            for index in missing:
+                version, n, tunables = resolved[index]
+                geometry = launch_geometry(version, n, tunables or Tunables())
+                groups.setdefault(
+                    (version.identifier, n, tuple(sorted(geometry.items()))), []
+                ).append(index)
+            grouped = list(groups.values())
             worker_specs = [
                 (
                     self.op,
                     self.ctype,
                     self.unroll,
-                    resolved[index][0],
-                    resolved[index][1],
-                    resolved[index][2],
+                    *resolved[group[0]],
                 )
-                for index in missing
+                for group in grouped
             ]
-            missing_keys = [keys[index] for index in missing]
             stored = {}  # key -> the entry this sweep put in the cache
 
             def _insert(position, result):
                 # Streaming insert, called in completion order as each
                 # worker finishes its spec.
                 profile, num_memsets, cost_s = result
-                key = missing_keys[position]
-                if key not in self.cache:
-                    stored[key] = (profile, num_memsets)
-                    self.cache.put(key, stored[key], cost_s=cost_s)
+                for index in grouped[position]:
+                    key = keys[index]
+                    if key not in self.cache:
+                        stored[key] = (profile, num_memsets)
+                        self.cache.put(key, stored[key], cost_s=cost_s)
 
             results = map_profiles(
                 worker_specs, max_workers=max_workers, on_result=_insert
             )
             # A duplicate spec gets the entry its twin stored first.
-            for index, (profile, num_memsets, _cost) in zip(missing, results):
-                entries[index] = stored.get(keys[index], (profile, num_memsets))
+            for group, (profile, num_memsets, _cost) in zip(grouped, results):
+                for index in group:
+                    entries[index] = stored.get(
+                        keys[index], (profile, num_memsets)
+                    )
         # Completion order varies run to run; touching in spec order
         # restores deterministic LRU recency (and thus eviction order)
         # identical to a serial sweep.

@@ -29,6 +29,8 @@ registers, which let sampled and profile launches skip their values
 and proven loop trips (:func:`summarize_loop`); the
 launch-invariant suffix, which the engine simulates once per launch
 shape, and whether that shape includes the grid and the block ids; the
+keyed combine in front of it, which the engine simulates once per
+value of its key registers (:func:`_combine`); the
 access summary behind the batchability verdict; the proof of every
 top-level loop; and each register's variance (one value per launch,
 per block or per lane) and writers, which the loop proofs and the
@@ -38,6 +40,7 @@ them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -215,6 +218,33 @@ class KernelFacts:
     #: events depend on the block size and the number of blocks it runs,
     #: not on the grid or on which blocks they are.
     suffix_reads_block_id: bool
+    #: Where a data-oblivious kernel's *keyed combine* starts, as a trace
+    #: index, or None when it has none. From there up to
+    #: :attr:`combine_end` no instruction, nested ones included, reads a
+    #: launch constant, ``ctaid`` or ``nctaid``, or a register that
+    #: depends on one by data or control, except through the *key
+    #: registers* :attr:`combine_keys` (data registers are left out, as
+    #: for the suffix). So the combine's events are a function of the
+    #: key registers' values, the launch geometry and the global buffers
+    #: it touches. It sits in front of the suffix: in the coop versions
+    #: it is the block combine, whose guards read the block's element
+    #: count ``min(max(n - ctaid * epb, 0), epb)``.
+    combine_start: int
+    #: Where the keyed combine ends, as a trace index: the suffix start,
+    #: or None (the end of the kernel) when the combine writes a
+    #: non-data register that the suffix reads, or there is no suffix.
+    combine_end: int
+    #: The key registers the keyed combine reads, directly or through
+    #: registers written before it, sorted. A key register is written
+    #: once, at the top level, outside any guard or loop, before the
+    #: combine; it is ``block`` or ``launch`` (:attr:`variance`), not
+    #: data, and not in the backward data slice of any global memory
+    #: index (so ``ctaid * epb``, which places the loads, never is one).
+    #: The engine keys the combine's memo by their values, which must be
+    #: integers at run time.
+    combine_keys: tuple
+    #: The global buffers the keyed combine touches, sorted.
+    combine_buffers: tuple
     #: Global buffers the kernel loads / stores.
     global_loads: frozenset
     global_stores: frozenset
@@ -245,13 +275,14 @@ def kernel_facts(kernel) -> KernelFacts:
     as its ``static`` fact (:meth:`~repro.vir.program.Kernel.fact`).
 
     One walk builds the kernel's flow table (:func:`_flow_rows`), and
-    one fixpoint over it (:func:`_dependents`) runs up to five times:
+    one fixpoint over it (:func:`_dependents`) runs up to six times:
     from loaded values for the data registers and the data-dependence
     verdict; from launch constants and from the block-id specials, with
-    control dependence, for the launch-invariant suffix; and from
-    per-lane and per-block sources, with control dependence, for the
-    register variance (:func:`_variance`). The same rows give the access
-    summary, the writers of each register and the launch-uniform
+    control dependence, for the launch-invariant suffix; from both, cut
+    at the key registers, for the keyed combine (:func:`_combine`); and
+    from per-lane and per-block sources, with control dependence, for
+    the register variance (:func:`_variance`). The same rows give the
+    access summary, the writers of each register and the launch-uniform
     registers (:func:`_launch_uniform`), and with those one
     uniform-constant pass over the top level proves every top-level loop
     (:func:`summarize_loop`).
@@ -264,17 +295,20 @@ def _analyze(kernel) -> KernelFacts:
     rows = _flow_rows(body)
     data, _ = _dependents(rows, _loads_data, control=False)
     dependence = _data_dependence(rows, data)
-    suffix = (None, (), False)
-    if dependence is None:
-        suffix = _suffix(body, rows, data)
     writers = {}
     for row in rows:
         for name in row.writes:
             writers.setdefault(name, []).append(row.instr)
     variance = _variance(rows)
-    loops = _loop_proofs(body, _launch_uniform(rows, writers, variance))
+    suffix, combine = (None, (), False), (None, None, (), ())
+    if dependence is None:
+        suffix_top, suffix = _suffix(body, rows, data)
+        combine = _combine(
+            body, rows, data, suffix_top, _key_registers(rows, writers, variance, data)
+        )
+    loops = _loop_proofs(body, rows, _launch_uniform(rows, writers, variance), data)
     return KernelFacts(
-        dependence, frozenset(data), loops, *suffix, *_access(rows),
+        dependence, frozenset(data), loops, *suffix, *combine, *_access(rows),
         writers, variance,
     )
 
@@ -360,6 +394,10 @@ def _reads_block_id(instr) -> bool:
     return isinstance(instr, Special) and instr.kind in _BLOCK_SPECIALS
 
 
+def _reads_launch_value(instr) -> bool:
+    return _reads_launch_constant(instr) or _reads_block_id(instr)
+
+
 def _varies_per_lane(instr) -> bool:
     if isinstance(instr, Special):
         return SPECIAL_LEVELS[instr.kind] == LANE
@@ -416,21 +454,113 @@ def _data_dependence(rows, data):
     return None
 
 
+def _trace_index(body, top) -> int:
+    """The trace index of top-level instruction ``top``: one closure per
+    top-level instruction, comments excepted."""
+    return sum(1 for instr in body[:top] if type(instr) is not Comment)
+
+
+def _global_buffers(rows) -> tuple:
+    return tuple(sorted({
+        row.instr.buf for row in rows
+        if isinstance(row.instr, (LdGlobal, StGlobal, AtomGlobal))
+    }))
+
+
 def _suffix(body, rows, data) -> tuple:
-    """``(suffix_start, suffix_buffers, suffix_reads_block_id)`` of a
-    data-oblivious kernel (see :class:`KernelFacts`)."""
+    """``(top, (suffix_start, suffix_buffers, suffix_reads_block_id))``
+    of a data-oblivious kernel (see :class:`KernelFacts`); ``top`` is the
+    suffix's top-level index, or None when the suffix is empty."""
     _, constants = _dependents(rows, _reads_launch_constant, True, data)
     start = max(constants) + 1 if constants else 0
     if all(type(instr) is Comment for instr in body[start:]):
-        return None, (), False
+        return None, (None, (), False)
     _, block_id = _dependents(rows, _reads_block_id, True, data)
-    return (
-        sum(1 for instr in body[:start] if type(instr) is not Comment),
-        tuple(sorted({
-            row.instr.buf for row in rows if row.top >= start
-            and isinstance(row.instr, (LdGlobal, StGlobal, AtomGlobal))
-        })),
+    return start, (
+        _trace_index(body, start),
+        _global_buffers(row for row in rows if row.top >= start),
         any(top >= start for top in block_id),
+    )
+
+
+def _index_slice(rows) -> set:
+    """The backward data slice of every global memory index: the index
+    registers and, to a fixpoint, every register a write to one of them
+    reads."""
+    sliced = {
+        row.instr.idx.name for row in rows
+        if isinstance(row.instr, (LdGlobal, StGlobal, AtomGlobal))
+        and isinstance(row.instr.idx, Reg)
+    }
+    grew = True
+    while grew:
+        grew = False
+        for row in rows:
+            if not row.writes.isdisjoint(sliced) and not row.reads <= sliced:
+                sliced |= row.reads
+                grew = True
+    return sliced
+
+
+def _key_registers(rows, writers, variance, data) -> dict:
+    """Register name -> top-level index of its one write, for every
+    candidate key register of a keyed combine (see
+    :attr:`KernelFacts.combine_keys`)."""
+    sliced = _index_slice(rows)
+    return {
+        name: row.top for row in rows if not row.guards and not row.in_loop
+        for name in row.writes
+        if len(writers[name]) == 1 and variance[name] in (LAUNCH, BLOCK)
+        and name not in data and name not in sliced
+    }
+
+
+def _combine(body, rows, data, suffix_top, keys) -> tuple:
+    """``(combine_start, combine_end, combine_keys, combine_buffers)`` of
+    a data-oblivious kernel whose suffix starts at top-level index
+    ``suffix_top`` (None: it has none), given its candidate key
+    registers ``keys`` (:func:`_key_registers`); see
+    :class:`KernelFacts`."""
+    none = (None, None, (), ())
+    _, tainted = _dependents(rows, _reads_launch_value, True, data | set(keys))
+    end = len(body) if suffix_top is None else suffix_top
+    start = max((top for top in tainted if top < end), default=-1) + 1
+    if all(type(instr) is Comment for instr in body[start:end]):
+        return none
+    region = [row for row in rows if start <= row.top < end]
+    written = set().union(*(row.writes for row in region)) - data
+    if end < len(body) and any(
+        not written.isdisjoint(row.reads | row.guards)
+        for row in rows if row.top >= end
+    ):
+        # A replayed combine leaves its registers unwritten, so the
+        # suffix that reads them is keyed along with it.
+        end = len(body)
+        if any(top >= start for top in tainted):
+            return none
+        region = [row for row in rows if row.top >= start]
+    # The registers the combine reads that were written before it, and
+    # back through their writers to the key registers they derive from.
+    before = [row for row in rows if row.top < start]
+    pending = list(set().union(*(row.reads | row.guards for row in region)) - data)
+    seen, reached = set(), set()
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name in keys:
+            if keys[name] < start:
+                reached.add(name)
+            continue
+        for row in before:
+            if name in row.writes:
+                pending.extend((row.reads | row.guards) - data)
+    return (
+        _trace_index(body, start),
+        None if end == len(body) else _trace_index(body, end),
+        tuple(sorted(reached)),
+        _global_buffers(region),
     )
 
 
@@ -458,17 +588,28 @@ def _access(rows) -> tuple:
     )
 
 
-def _loop_proofs(body, uniform) -> dict:
+def _loop_proofs(body, rows, uniform, data) -> dict:
     """Top-level index -> :func:`summarize_loop` proof of every
     top-level ``While`` of ``body``, from one uniform-constant pass and
     the launch-uniform registers ``uniform`` (:func:`_launch_uniform`)
-    written before the loop."""
+    written before the loop. A proof also records the loop's
+    :attr:`LoopSummary.live_out` from the flow table ``rows`` and the
+    data registers ``data``."""
     env, loops = {}, {}
     for top, instr in enumerate(body):
         if type(instr) is While:
-            loops[top] = summarize_loop(
+            summary = summarize_loop(
                 instr, env, {name for name, at in uniform.items() if at < top}
             )
+            if summary.reason is None:
+                after = set().union(
+                    *(row.reads | row.guards for row in rows if row.top > top)
+                )
+                inductions = {name for name, _step in summary.inductions}
+                summary = dataclasses.replace(summary, live_out=frozenset(
+                    (written_regs([instr]) - inductions - data) & after
+                ))
+            loops[top] = summary
         eval_const_instr(instr, env)
     return loops
 
@@ -490,7 +631,12 @@ class LoopSummary:
       loop invariant (``Reg``, ``Imm`` or ``Arg``);
     * ``loads`` — ``(buf, idx, elements_per_trip, width)`` for every
       ``LdGlobal``: its index moves by that constant each trip, a
-      compile-time int or an :class:`ArgMultiple`.
+      compile-time int or an :class:`ArgMultiple`;
+    * ``live_out`` — the registers the loop writes that code after the
+      loop reads, other than its inductions and the kernel's data
+      registers (set by :func:`kernel_facts` for a top-level loop). When
+      it is empty, a stretch that ends with every lane exiting at the
+      same trip may skip that trip and its exit test too.
 
     The engine resolves every :class:`ArgMultiple` when the loop starts.
 
@@ -505,6 +651,7 @@ class LoopSummary:
     op: str = None
     bound: object = None
     loads: tuple = ()
+    live_out: frozenset = frozenset()
 
 
 class ArgMultiple(NamedTuple):

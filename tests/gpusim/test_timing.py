@@ -13,6 +13,7 @@ from repro.gpusim import (
     StepProfile,
     get_architecture,
     kernel_time,
+    plan_time,
 )
 from repro.gpusim.timing import OVERLAP_LEAK
 
@@ -161,3 +162,43 @@ class TestSampledScaling:
         t_full = kernel_time(full, MAXWELL)
         t_sampled = kernel_time(sampled, MAXWELL)
         assert t_sampled.total == pytest.approx(t_full.total, rel=0.01)
+
+
+class TestPlanTimeMemo:
+    """``plan_time`` is computed once per (profile, architecture object,
+    memsets, host overhead) and kept on the profile."""
+
+    @staticmethod
+    def _profile():
+        from repro import ReductionFramework
+
+        profile, _ = ReductionFramework().profile("e", 1 << 20)
+        return profile
+
+    def test_memo_returns_the_fresh_float(self):
+        import copy
+
+        profile = self._profile()
+        arch = get_architecture("maxwell")
+        first = plan_time(profile, arch, num_memsets=1)
+        assert plan_time(profile, arch, num_memsets=1) == first
+        fresh = copy.deepcopy(profile)
+        fresh.times.clear()
+        assert plan_time(fresh, arch, num_memsets=1) == first
+        assert plan_time(profile, arch, num_memsets=0) != first
+        assert plan_time(
+            profile, arch, num_memsets=1, extra_host_overhead_s=1e-6
+        ) != first
+
+    def test_architectures_sharing_a_name_keep_their_own_entries(self):
+        import dataclasses
+
+        profile = self._profile()
+        arch = get_architecture("pascal")
+        twin = dataclasses.replace(arch, clock_ghz=arch.clock_ghz / 2)
+        assert twin.name == arch.name
+        fast = plan_time(profile, arch)
+        slow = plan_time(profile, twin)
+        assert slow > fast
+        assert plan_time(profile, arch) == fast
+        assert plan_time(profile, twin) == slow

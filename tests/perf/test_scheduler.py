@@ -403,6 +403,42 @@ class TestFaultTolerance:
             shutdown_scheduler()
         _assert_identical(results, expected)
 
+    def test_die_once_retry_never_hangs(self, monkeypatch, tmp_path):
+        """The retry wave forks a fresh pool only after the broken one is
+        joined: ten die-once sweeps in a row finish, and a hang fails the
+        test (the traceback dump exits the run) instead of blocking it."""
+        import faulthandler
+        import sys
+
+        this_module = sys.modules[__name__]
+        monkeypatch.setattr(
+            this_module, "_DIE_ONCE_ORIGINAL",
+            parallel_mod._profile_spec_traced,
+        )
+        monkeypatch.setattr(this_module, "_DIE_ONCE_POISON_N", 4096)
+        monkeypatch.setattr(
+            parallel_mod, "_profile_spec_traced", _die_once_entry
+        )
+        expected = ReductionFramework(
+            op="add", cache=ProfileCache()
+        ).profile_many(_specs(), max_workers=1)
+        faulthandler.dump_traceback_later(240, exit=True)
+        try:
+            for attempt in range(10):
+                flag = tmp_path / f"died-{attempt}"
+                monkeypatch.setattr(this_module, "_DIE_ONCE_FLAG", str(flag))
+                shutdown_scheduler()  # fork workers that see this flag
+                fw = ReductionFramework(op="add", cache=ProfileCache())
+                results = fw.profile_many(_specs(), max_workers=2)
+                assert flag.exists()
+                _assert_identical(
+                    [(profile, memsets) for profile, memsets in results],
+                    expected,
+                )
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+            shutdown_scheduler()
+
     def test_unconstructible_pool_runs_serially(self, monkeypatch):
         import concurrent.futures
 

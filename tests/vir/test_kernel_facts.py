@@ -159,3 +159,18 @@ def test_one_analysis_per_kernel(monkeypatch):
                 executor.run_plan(plan, **options)
     assert len(kernels) == 4
     assert built == Counter({id(kernel.body): 1 for kernel in kernels})
+
+
+def test_combine_sits_before_the_unchanged_suffix():
+    """The keyed combine leaves the suffix where the golden table has
+    it, and ends at it or at the end of the kernel."""
+    table = json.loads(GOLDEN.read_text())
+    golden = {label: table["rows"][row] for label, row in table["kernels"].items()}
+    for label, kernel in _kernels():
+        facts = kernel_facts(kernel)
+        assert facts.suffix_start == golden[label]["suffix"][0], label
+        if facts.combine_start is None:
+            continue
+        assert facts.combine_end in (None, facts.suffix_start), label
+        if facts.suffix_start is not None:
+            assert facts.combine_start < facts.suffix_start, label
